@@ -41,7 +41,7 @@ def main():
     small_demo()
     if "--small" in sys.argv:
         return
-    print("\nrunning the full degree-128 pipeline (about a minute)...")
+    print("\nrunning the full degree-128 pipeline (a few seconds)...")
     handle, report = d8_group()
     print(f"order {handle.order()} = 2^11 * 3^4")
     print(f"derived orders {report.orders}")

@@ -5,7 +5,7 @@ and its derived series computed; the composition length c(G) of each
 witness matches the table value c_S(d).
 
 The two heavy rows (d = 7 on 7^6 points, d = 8 through the lift search)
-take a few seconds to a minute; pass --skip-heavy to stop at d = 6.
+take a few seconds each; pass --skip-heavy to stop at d = 6.
 """
 
 import sys

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import atlas, bounds as boundsmod
 from .dsl import Call, IntLiteral, Symbol, parse_spec, render
 from .errors import BadArity, GroupError, ParseError, UnknownBuilder
-from .grp import check_lemmas, derived_series, factorize
+from .grp import check_lemmas, derived_series, env_int, factorize
 
 REPORT_KEYS = ("spec", "order", "order_factored", "solvable", "c", "d", "n",
                "derived_orders", "checks", "engine", "elapsed_ms")
@@ -103,7 +102,7 @@ def _builder_table():
 SYMBOL_VALUES = {"plus": "+", "minus": "-"}
 
 
-def evaluate(ast, limits=None):
+def evaluate(ast):
     """Dispatch an AST to the documented builder vocabulary."""
     table = _builder_table()
     if isinstance(ast, IntLiteral):
@@ -135,7 +134,7 @@ def evaluate(ast, limits=None):
                 raise BadArity(f"{arg.line}:{arg.col}: expected plus/minus")
             args.append(SYMBOL_VALUES[arg.name])
         else:
-            args.append(evaluate(arg, limits))
+            args.append(evaluate(arg))
     return fn(*args)
 
 
@@ -254,7 +253,7 @@ def _cmd_verify_table(args):
     ds = [d for d in range(args.max_d + 1)
           if not (args.skip_heavy and d >= 7)]
     rows = []
-    threads = int(os.environ.get("GRP_THREADS", "1"))
+    threads = env_int("GRP_THREADS", 1)
     if threads > 1 and len(ds) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:

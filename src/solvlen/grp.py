@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import perm as permmod
-from .errors import CapExceeded, NotNormal, NotPGroup
+from .errors import BadParameter, CapExceeded, NotNormal, NotPGroup
 
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
@@ -23,8 +23,22 @@ ENUMERABLE_LIMIT = 10 ** 6
 MEMORY_BUDGET = 5 * 10 ** 7  # element entries across an enumeration
 
 
+def env_int(name, default):
+    """Integer value of environment variable `name`, or `default` if unset.
+
+    A value that does not parse raises BadParameter, so the CLI exits 2.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadParameter(f"{name}={raw!r} is not an integer") from None
+
+
 def _env_cap():
-    return int(os.environ.get("GRP_MAX_ELEMENTS", DEFAULT_CAP))
+    return env_int("GRP_MAX_ELEMENTS", DEFAULT_CAP)
 
 
 def factorize(n):
@@ -356,7 +370,6 @@ def lower_central_series(handle: GroupHandle):
     chain = [SubgroupHandle(handle, list(handle.generators), handle.order())]
     cur_gens = list(handle.generators)
     cur_order = handle.order()
-    use_bsgs = handle.is_perm() and _needs_bsgs(handle)
     while True:
         comms = []
         seen = set()

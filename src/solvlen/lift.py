@@ -273,6 +273,13 @@ def two_generator_reduction(handle, order):
     index array col_e (col_e[x] = index of x * e), built by composing
     generator columns along the BFS, so a candidate pair is tested by an
     integer orbit walk instead of matrix arithmetic.
+
+    A walk from the identity visits exactly the subgroup <g1, g2>, so a
+    failed walk yields a whole proper subgroup.  Each one found gets a bit
+    in member[e], set for every element it contains; a pair whose members
+    share a bit lies in a known proper subgroup and is skipped without a
+    walk.  Only pairs proven to fail are skipped, so the returned pair is
+    the same as for the exhaustive search.
     """
     import numpy as np
     elems = handle.elements()
@@ -303,26 +310,34 @@ def two_generator_reduction(handle, order):
 
     ranked = sorted(range(order), key=lambda i: (-elt_order(i), i))
 
-    def generates(i1, i2):
+    def subgroup(i1, i2):
         c1, c2 = cols[i1], cols[i2]
         seen = bytearray(order)
         seen[0] = 1
         stack = [0]
-        count = 1
+        visited = [0]
         while stack:
             x = stack.pop()
             for c in (c1, c2):
                 y = int(c[x])
                 if not seen[y]:
                     seen[y] = 1
-                    count += 1
+                    visited.append(y)
                     stack.append(y)
-        return count == order
+        return visited
 
+    member = [0] * order
+    bit = 1
     for i1 in ranked:
         for i2 in ranked:
-            if generates(i1, i2):
+            if member[i1] & member[i2]:
+                continue
+            visited = subgroup(i1, i2)
+            if len(visited) == order:
                 return [elems[i1], elems[i2]]
+            for e in visited:
+                member[e] |= bit
+            bit <<= 1
     raise SearchFailed("no 2-element generating set found")
 
 

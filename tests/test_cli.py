@@ -146,6 +146,19 @@ def test_threaded_verify_table(capsys, monkeypatch):
     assert len([ln for ln in out.splitlines() if ln.startswith("PASS")]) == 5
 
 
+@pytest.mark.parametrize("var, argv", [
+    ("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)")),
+    ("GRP_THREADS", ("verify-table", "--max-d", "1")),
+])
+def test_malformed_env_value_exit_code(capsys, monkeypatch, var, argv):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: BadParameter: {var}='abc' is not an integer"]
+
+
 def test_env_element_cap(monkeypatch):
     monkeypatch.setenv("GRP_MAX_ELEMENTS", "10")
     from solvlen import atlas

@@ -143,6 +143,50 @@ def test_two_generator_reduction_small():
         two_generator_reduction(s4, 25)
 
 
+def reference_two_generator_reduction(handle):
+    """The exhaustive search: walk <g1, g2> for every pair in
+    (-order, index) order and return the first that spans the group."""
+    elems = handle.elements()
+    ranked = sorted(range(len(elems)),
+                    key=lambda i: (-handle.element_order(elems[i]), i))
+    for i1 in ranked:
+        for i2 in ranked:
+            pair = (elems[i1], elems[i2])
+            seen = {handle.identity}
+            stack = [handle.identity]
+            while stack:
+                x = stack.pop()
+                for g in pair:
+                    y = handle.mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if len(seen) == len(elems):
+                return list(pair)
+    raise AssertionError("no generating pair")
+
+
+@pytest.mark.parametrize("build", [lambda: atlas.sym(4),
+                                   lambda: atlas.gl(2, 3),
+                                   lambda: atlas.sym(5)],
+                         ids=["sym(4)", "gl(2,3)", "sym(5)"])
+def test_two_generator_reduction_matches_exhaustive_search(build):
+    # in each group the first ranked pair spans a proper subgroup, so a
+    # subgroup is recorded before the generating pair is found
+    h = build()
+    assert two_generator_reduction(h, h.order()) == \
+        reference_two_generator_reduction(h)
+
+
+def test_two_generator_reduction_pins_the_d8_pair():
+    # the lift offsets and the degree-128 witness depend on this pair
+    qbar = atlas.matrix_handle(F4_GENS, "qbar")
+    elems = qbar.elements()
+    g1, g2 = two_generator_reduction(qbar, 1296)
+    assert (g1, g2) == (elems[8], elems[72])
+    assert (qbar.element_order(g1), qbar.element_order(g2)) == (9, 8)
+
+
 def test_f4_restriction_of_scalars():
     qbar = atlas.matrix_handle(F4_GENS, "qbar")
     assert qbar.order() == 1296
