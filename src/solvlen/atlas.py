@@ -316,15 +316,6 @@ def s3mat(p):
     return matrix_handle([a, b], f"s3mat({p})")
 
 
-def basic_group(name, *params):
-    table = {"cyclic": cyclic, "sym": sym, "gl": gl, "sl": sl,
-             "upper_triangular": upper_triangular, "regular": regular,
-             "s3mat": s3mat}
-    if name not in table:
-        raise BadParameter(f"unknown basic group {name!r}")
-    return table[name](*params)
-
-
 # ---------------------------------------------------------------------------
 # metacyclic, extraspecial, wreath, direct
 

@@ -15,7 +15,7 @@ import time
 from . import atlas, bounds as boundsmod
 from .dsl import Call, IntLiteral, Symbol, parse_spec, render
 from .errors import BadArity, GroupError, ParseError, UnknownBuilder
-from .grp import check_lemmas, derived_series, env_int, factorize
+from .grp import check_lemmas, derived_series, factorize
 
 REPORT_KEYS = ("spec", "order", "order_factored", "solvable", "c", "d", "n",
                "derived_orders", "checks", "engine", "elapsed_ms")
@@ -252,15 +252,7 @@ def _verify_one(d, spec_text):
 def _cmd_verify_table(args):
     ds = [d for d in range(args.max_d + 1)
           if not (args.skip_heavy and d >= 7)]
-    rows = []
-    threads = env_int("GRP_THREADS", 1)
-    if threads > 1 and len(ds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {d: pool.submit(_verify_one, d, WITNESSES[d]) for d in ds}
-            rows = [futs[d].result() for d in ds]
-    else:
-        rows = [_verify_one(d, WITNESSES[d]) for d in ds]
+    rows = [_verify_one(d, WITNESSES[d]) for d in ds]
     failed = False
     for d, spec_text, got_d, got_c, expect_c, ok, elapsed in rows:
         status = "PASS" if ok else "FAIL"

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import perm as permmod
-from .errors import BadParameter, CapExceeded, NotNormal, NotPGroup
+from .errors import (BadParameter, CapExceeded, GroupError, NotNormal,
+                     NotPGroup)
 
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
@@ -89,6 +90,9 @@ class GroupHandle:
         if self._bsgs is None:
             self._bsgs = permmod.schreier_sims(
                 [list(g) for g in self.generators], known_order=known_order)
+        elif known_order is not None and known_order != self._bsgs.order():
+            raise GroupError(f"order hint {known_order} disagrees with the "
+                             f"cached chain's order {self._bsgs.order()}")
         return self._bsgs
 
     def elements(self):
@@ -231,11 +235,6 @@ def _closure(mul, identity, gens, cap):
     return elems, eset
 
 
-def enumerate_closure(handle: GroupHandle):
-    """Exact element list of the group, deduplicated by element value."""
-    return handle.elements()
-
-
 def _closed_under_conjugation(mul, inv, identity, seed, conj_gens, cap):
     """Smallest subgroup containing seed and closed under conjugation by
     conj_gens (i.e. the normal closure when conj_gens generate the group)."""
@@ -263,7 +262,7 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
         b = permmod.normal_closure_perm(
             [list(g) for g in handle.generators],
             [list(s) for s in seed])
-        gens = [tuple(int(x) for x in g) for g in b.strong_generators()]
+        gens = [tuple(g.tolist()) for g in b.strong_generators()]
         return SubgroupHandle(handle, gens, b.order(), _bsgs=b)
     elems, eset, gens = _closed_under_conjugation(
         handle.mul, handle.inv, handle.identity, seed,
@@ -341,7 +340,7 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
         sg = nb.strong_generators()
         gens = sg
         subs.append(SubgroupHandle(
-            handle, [tuple(int(x) for x in g) for g in sg],
+            handle, [tuple(g.tolist()) for g in sg],
             nb.order(), _bsgs=nb))
         if nb.order() == 1:
             break

@@ -1,9 +1,17 @@
 """Permutation groups with a deterministic Schreier-Sims engine.
 
 Permutations are numpy int32 image arrays over 0-based points: point p maps
-to g[p], and products act left-to-right, (g*h)[p] = h[g[p]].  Transversals
-are stored as Schreier vectors (parent-pointer trees), so memory stays
-linear in the degree even at degree ~10^5.
+to g[p], and products act left-to-right, (g*h)[p] = h[g[p]].
+
+Transversals are Schreier vectors: each chain level keeps int32 arrays
+``parent`` (-1 off the orbit) and ``label`` (the generator index of the
+tree edge) of length degree, so memory stays linear in the degree even at
+degree ~10^5.  They are held as memoryviews, which Python indexes about
+twice as fast as numpy arrays and numpy wraps without a copy.  Orbits grow
+breadth-first one numpy step per layer, the first fresh image in (point,
+generator) order winning, which is exactly the order of a point-at-a-time
+FIFO.  Layers of at most SCALAR_LAYER (point, generator) pairs take a
+Python step instead, cheaper there than numpy's fixed cost per call.
 
 ``schreier_sims`` accepts an optional ``known_order``: when the caller has
 an independently computed order for the generated group, construction stops
@@ -20,6 +28,7 @@ import numpy as np
 from .errors import DegreeMismatch, GroupError
 
 MAX_DEGREE = 200_000
+SCALAR_LAYER = 512  # widest layer, in (point, generator) pairs, grown in Python
 
 
 def as_perm(images):
@@ -56,18 +65,51 @@ def is_identity(a):
 class _Level:
     """One level of the stabilizer chain."""
 
-    __slots__ = ("base", "gens", "invs", "tree", "order_list", "processed")
+    __slots__ = ("base", "gens", "invs", "parent", "label", "order_list",
+                 "processed")
 
-    def __init__(self, base):
+    def __init__(self, base, degree):
         self.base = base
         self.gens = []      # strong generators fixing all earlier base points
         self.invs = []
-        self.tree = {base: None}        # point -> (parent point, gen index)
+        self.parent = memoryview(np.full(degree, -1, dtype=np.int32))
+        self.label = memoryview(np.full(degree, -1, dtype=np.int32))
+        self.parent[base] = base
         self.order_list = [base]        # BFS discovery order
         self.processed = set()          # (point, gen index) Schreier pairs done
 
     def orbit_size(self):
-        return len(self.tree)
+        return len(self.order_list)
+
+    def grow(self, layer, gens, first_label):
+        """Add the fresh images of `layer` under `gens` to the orbit.
+
+        Images are taken in (point, generator) order and the first
+        occurrence of each fresh point wins; its edge is labelled
+        first_label + the generator's position in `gens`.  Returns the
+        new points in discovery order, i.e. the next BFS layer.
+        """
+        parent, label = self.parent, self.label
+        if len(layer) * len(gens) <= SCALAR_LAYER:
+            new = []
+            for p in layer:
+                for k, g in enumerate(gens):
+                    y = g.item(p)
+                    if parent[y] < 0:
+                        parent[y] = p
+                        label[y] = first_label + k
+                        new.append(y)
+            return new
+        parent, label = np.asarray(parent), np.asarray(label)
+        pts = np.asarray(layer, dtype=np.int32)
+        images = np.stack([g[pts] for g in gens], axis=1).ravel()
+        fresh = np.flatnonzero(parent[images] < 0)
+        _, first = np.unique(images[fresh], return_index=True)
+        idx = fresh[np.sort(first)]
+        new = images[idx]
+        parent[new] = pts[idx // len(gens)]
+        label[new] = first_label + idx % len(gens)
+        return new.tolist()
 
 
 class BSGS:
@@ -99,11 +141,11 @@ class BSGS:
     def transversal_inv_path(self, level, point):
         """Generator indices (deepest first) whose inverses undo u_point."""
         lv = self.levels[level]
+        parent, label = lv.parent, lv.label
         path = []
         while point != lv.base:
-            parent, gi = lv.tree[point]
-            path.append(gi)
-            point = parent
+            path.append(label[point])
+            point = parent[point]
         return path
 
     def sift(self, g):
@@ -115,13 +157,13 @@ class BSGS:
         """
         h = g
         for i, lv in enumerate(self.levels):
-            x = int(h[lv.base])
-            if x not in lv.tree:
+            parent, label = lv.parent, lv.label
+            x = h.item(lv.base)
+            if parent[x] < 0:
                 return h, i
             while x != lv.base:
-                parent, gi = lv.tree[x]
-                h = perm_mul(h, lv.invs[gi])
-                x = parent
+                h = perm_mul(h, lv.invs[label[x]])
+                x = parent[x]
         return h, len(self.levels)
 
     def contains(self, g):
@@ -140,24 +182,18 @@ class BSGS:
         paths stay valid; only newly reachable points get edges.
         """
         lv = self.levels[level]
-        frontier = []
-        gnew = lv.gens[new_gen_index]
-        for point in lv.order_list:
-            y = int(gnew[point])
-            if y not in lv.tree:
-                lv.tree[y] = (point, new_gen_index)
-                lv.order_list.append(y)
-                frontier.append(y)
-        qi = 0
-        while qi < len(frontier):
-            point = frontier[qi]
-            qi += 1
-            for gi, g in enumerate(lv.gens):
-                y = int(g[point])
-                if y not in lv.tree:
-                    lv.tree[y] = (point, gi)
-                    lv.order_list.append(y)
-                    frontier.append(y)
+        # close the old orbit under the new generator alone ...
+        found = []
+        layer = lv.order_list
+        while layer:
+            layer = lv.grow(layer, [lv.gens[new_gen_index]], new_gen_index)
+            found.extend(layer)
+        lv.order_list.extend(found)
+        # ... then run the points it added under every generator
+        layer = found
+        while layer:
+            layer = lv.grow(layer, lv.gens, 0)
+            lv.order_list.extend(layer)
 
     def _insert_generator(self, g, level):
         """Register g as a strong generator at the given chain level.
@@ -168,7 +204,7 @@ class BSGS:
         """
         if level == len(self.levels):
             moved = int(np.nonzero(np.arange(self.degree) != g)[0][0])
-            self.levels.append(_Level(moved))
+            self.levels.append(_Level(moved, self.degree))
         ginv = perm_inv(g)
         for i in range(level, -1, -1):
             lv = self.levels[i]
@@ -192,8 +228,8 @@ class BSGS:
                     continue
                 lv.processed.add(pair)
                 g = lv.gens[gi]
-                y = int(g[point])
-                if lv.tree.get(y) == (point, gi):
+                y = g.item(point)
+                if lv.parent[y] == point and lv.label[y] == gi:
                     continue  # tree edge: Schreier generator is the identity
                 # Schreier generator u_point * g * u_y^{-1}
                 s = self._transversal(level, point)
@@ -210,20 +246,15 @@ class BSGS:
 
     def _level_for(self, h):
         for i, lv in enumerate(self.levels):
-            if int(h[lv.base]) != lv.base:
+            if h.item(lv.base) != lv.base:
                 return i
         return len(self.levels)
 
     def _transversal(self, level, point):
         """The coset representative u mapping the base point to `point`."""
         lv = self.levels[level]
-        gis = []
-        while point != lv.base:
-            parent, gi = lv.tree[point]
-            gis.append(gi)
-            point = parent
         u = np.arange(self.degree, dtype=np.int32)
-        for gi in reversed(gis):
+        for gi in reversed(self.transversal_inv_path(level, point)):
             u = perm_mul(u, lv.gens[gi])
         return u
 
@@ -282,14 +313,6 @@ def schreier_sims(gens, known_order=None):
         raise GroupError(
             f"BSGS order {b.order()} disagrees with expected {known_order}")
     return b
-
-
-def group_order(b: BSGS):
-    return b.order()
-
-
-def contains(b: BSGS, g):
-    return b.contains(as_perm(g))
 
 
 def normal_closure_perm(group_gens, seed, known_order=None):

@@ -139,16 +139,8 @@ def test_witness_designations():
                          6: "gsp(gl(2,3),3,1)", 7: "prop8(7)", 8: "d8()"}
 
 
-def test_threaded_verify_table(capsys, monkeypatch):
-    monkeypatch.setenv("GRP_THREADS", "3")
-    code, out, _ = run(capsys, "verify-table", "--max-d", "4")
-    assert code == 0
-    assert len([ln for ln in out.splitlines() if ln.startswith("PASS")]) == 5
-
-
 @pytest.mark.parametrize("var, argv", [
     ("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)")),
-    ("GRP_THREADS", ("verify-table", "--max-d", "1")),
 ])
 def test_malformed_env_value_exit_code(capsys, monkeypatch, var, argv):
     monkeypatch.setenv(var, "abc")

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import corpus_perm_groups
 from solvlen import atlas, grp
-from solvlen.errors import CapExceeded, NotNormal, NotPGroup
+from solvlen.errors import CapExceeded, GroupError, NotNormal, NotPGroup
 from solvlen.grp import (SubgroupHandle, center, derived_series, factorize,
                          frattini_pgroup, is_cyclic, lower_central_series,
                          minimal_normal_subgroups, normal_closure, omega,
@@ -32,6 +32,15 @@ def test_s4_derived_series():
     assert rep.solvable and rep.d == 3 and rep.c == 4
     assert rep.n == (1, 1, 2)
     assert rep.quotient_orders == (2, 3, 4)
+
+
+def test_cached_bsgs_rejects_a_disagreeing_order_hint():
+    h = atlas.sym(4)
+    b = h.bsgs()
+    assert b.order() == 24
+    assert h.bsgs(known_order=24) is b
+    with pytest.raises(GroupError):
+        h.bsgs(known_order=12)
 
 
 def test_s4_lower_central_series_stabilizes_at_a4():

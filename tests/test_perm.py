@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import corpus_perm_groups
-from solvlen import atlas
+from solvlen import atlas, perm
 from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
                           perm_key, perm_mul, perm_order_of, schreier_sims)
 
@@ -136,3 +137,61 @@ def test_perm_primitives():
     # x^(ab) = (x^a)^b
     assert list(ab) == [b[a[i]] for i in range(4)]
     assert perm_key(a) == perm_key(as_perm((1, 2, 0, 3)))
+
+
+def reference_extend_orbit(tree, order_list, gens):
+    """Point-at-a-time FIFO orbit growth over a dict tree, after appending
+    gens[-1]: first close the old orbit under it, then run the new points
+    under every generator."""
+    new_gen_index = len(gens) - 1
+    frontier = []
+    gnew = gens[new_gen_index]
+    for point in order_list:
+        y = int(gnew[point])
+        if y not in tree:
+            tree[y] = (point, new_gen_index)
+            order_list.append(y)
+            frontier.append(y)
+    qi = 0
+    while qi < len(frontier):
+        point = frontier[qi]
+        qi += 1
+        for gi, g in enumerate(gens):
+            y = int(g[point])
+            if y not in tree:
+                tree[y] = (point, gi)
+                order_list.append(y)
+                frontier.append(y)
+
+
+def regular_c7_4():
+    """C_7^4 acting regularly on itself: 2,401 points, four translations."""
+    pts = np.arange(7 ** 4)
+    return [pts + (np.where(pts // 7 ** i % 7 == 6, -6, 1) * 7 ** i)
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("cutoff", [0, perm.SCALAR_LAYER, 10 ** 9])
+def test_layered_orbits_match_point_at_a_time_growth(monkeypatch, cutoff):
+    monkeypatch.setattr(perm, "SCALAR_LAYER", cutoff)
+    groups = [([list(g) for g in h.generators], None)
+              for h in (atlas.sym(5), atlas.wreath(atlas.sym(3), atlas.sym(3)),
+                        atlas.regular(atlas.gl(2, 3)))]
+    # the hint skips ~10^4 Schreier generators that test no orbit growth
+    groups.append((regular_c7_4(), 7 ** 4))
+    for gens, order in groups:
+        for b in (schreier_sims(gens, known_order=order),
+                  normal_closure_perm(gens, gens[1:])):
+            for lv in b.levels:
+                tree, order_list = {lv.base: None}, [lv.base]
+                for k in range(len(lv.gens)):
+                    reference_extend_orbit(tree, order_list, lv.gens[:k + 1])
+                parent = np.full(b.degree, -1)
+                label = np.full(b.degree, -1)
+                parent[lv.base] = lv.base
+                for y, edge in tree.items():
+                    if edge is not None:
+                        parent[y], label[y] = edge
+                assert lv.order_list == order_list
+                assert np.array_equal(lv.parent, parent)
+                assert np.array_equal(lv.label, label)
