@@ -15,7 +15,7 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
                      NotAutomorphism, ScalarSearchFailed, SearchFailed)
 from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
                     similitude_factor, spin_all_lines, wedge_square, wedge_vec)
-from .grp import GroupHandle, factorize
+from .grp import GroupHandle, factorize, tuple_inv, tuple_mul
 
 HOLOMORPH_CAP = 200_000
 
@@ -24,21 +24,10 @@ HOLOMORPH_CAP = 200_000
 # handle constructors
 
 
-def _perm_mul(a, b):
-    return tuple(b[x] for x in a)
-
-
-def _perm_inv(a):
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def perm_handle(gens, degree, name=""):
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens if tuple(g) != ident]
-    return GroupHandle(ident, gens, _perm_mul, _perm_inv,
+    return GroupHandle(ident, gens, tuple_mul, tuple_inv,
                        name=name, kind="perm", degree=degree)
 
 
@@ -329,9 +318,7 @@ def metacyclic(p, q):
              if _mult_order(k, q) == p)
     b = tuple((x + 1) % q for x in range(q))
     a = tuple(x * k % q for x in range(q))
-    h = perm_handle([a, b], q, f"metacyclic({p},{q})")
-    h.name = f"metacyclic({p},{q})"
-    return h
+    return perm_handle([a, b], q, f"metacyclic({p},{q})")
 
 
 def _mult_order(k, q):
@@ -355,7 +342,6 @@ def extraspecial(p, n, eps=None):
     else:
         model = ExtraspecialOddModel(p, n)
         h = model_handle(model, f"extraspecial({p},{n})")
-    h.model = model
     if p ** (1 + 2 * n) <= 2 ** 14:
         _check_extraspecial(h, model, p, n)
     return h
@@ -465,8 +451,7 @@ def gsp_extension(s_handle, p, n):
         raise BadParameter("gsp_extension needs p odd")
     form = SymplecticForm.standard(2 * n, p)
     lams = {}
-    for a in (s_handle.generators if hasattr(s_handle, "generators")
-              else s_handle):
+    for a in s_handle.generators:
         lams[a] = similitude_factor(a, form)  # raises NotSimilitude
     model = ExtraspecialOddModel(p, n)
     ph = model_handle(model, f"E_{p}^(1+{2*n})")
@@ -502,7 +487,7 @@ def qutrit_generator_candidates(p):
     s = FpMatrix.diagonal([1, 1, w], p)
     m = FpMatrix.from_rows([[pow(w, j * k, p) for k in range(3)]
                             for j in range(3)], p)
-    return x, z, s, m, w
+    return x, z, s, m
 
 
 def qutrit_normalizer(p):
@@ -510,7 +495,7 @@ def qutrit_normalizer(p):
         raise BadCongruence(f"qutrit_normalizer needs p = 1 mod 3, got {p}")
     if p > 31:
         raise BadParameter("qutrit_normalizer limited to p <= 31")
-    x, z, s, m, w = qutrit_generator_candidates(p)
+    x, z, s, m = qutrit_generator_candidates(p)
     achieved = []
     for c in range(1, p):
         gens = [x, z, s, m.scale(c)]
@@ -523,8 +508,6 @@ def qutrit_normalizer(p):
             continue
         achieved.append((c, order))
         if order == 648:
-            h.name = f"qutrit({p})"
-            h.omega = w
             if p <= 7:  # exhaustive spinning is a decision procedure here
                 irr, _ = spin_all_lines(gens)
                 if not irr:
@@ -558,19 +541,12 @@ def binary_octahedral():
         except CapExceeded:
             return None, None
 
-    def elt_order(m):
-        x, n = m, 1
-        while x != ident:
-            x = x * m
-            n += 1
-        return n
-
     quat = None
     for i in elems:
-        if elt_order(i) != 4:
+        if ambient.element_order(i) != 4:
             continue
         for j in elems:
-            if elt_order(j) != 4:
+            if ambient.element_order(j) != 4:
                 continue
             o, h = closure_order([i, j], 20)
             if o == 8:
@@ -585,7 +561,7 @@ def binary_octahedral():
         raise SearchFailed("no quaternion subgroup found in SL_2(7)")
     sl23 = None
     for w in elems:
-        if elt_order(w) != 3:
+        if ambient.element_order(w) != 3:
             continue
         o, h = closure_order(quat.generators + [w], 60)
         if o == 24:
@@ -594,7 +570,7 @@ def binary_octahedral():
     if sl23 is None:
         raise SearchFailed("no SL_2(3) overgroup of the quaternion subgroup")
     for t in elems:
-        if elt_order(t) != 8:
+        if ambient.element_order(t) != 8:
             continue
         o, h = closure_order(sl23.generators + [t], 100)
         if o == 48:
@@ -612,10 +588,7 @@ def binary_octahedral():
 
 def exterior_square_group(p):
     """The p^6 group V x Lambda^2 V with commutator v1 ^ v2."""
-    model = ExtSqModel(p)
-    h = model_handle(model, f"extsq({p})")
-    h.model = model
-    return h
+    return model_handle(ExtSqModel(p), f"extsq({p})")
 
 
 def _span_rank_closed(rows, mats, p):
@@ -705,7 +678,7 @@ def prop8_group(p):
     if p ** 6 > 200_000:
         raise BadParameter(f"degree {p**6} too large for the engine")
     k = qutrit_normalizer(p)
-    w = k.omega
+    w = smallest_cube_root(p)
     wedge_scalar = wedge_square(FpMatrix.diagonal([w, w, w], p))
     if wedge_scalar != FpMatrix.diagonal([w * w, w * w, w * w], p):
         raise SearchFailed("scalar omega does not act as omega^2 on wedges")

@@ -64,9 +64,26 @@ def omega(n):
     return sum(e for _, e in factorize(n))
 
 
+def tuple_mul(a, b):
+    """Product of image tuples: apply a, then b."""
+    return tuple(b[x] for x in a)
+
+
+def tuple_inv(a):
+    """Inverse of an image tuple."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
 @dataclass
 class GroupHandle:
-    """Immutable bundle of identity, generators and element operations."""
+    """Bundle of identity, generators and element operations.
+
+    The element list, element set and BSGS are computed on first use and
+    cached on the handle.
+    """
 
     identity: object
     generators: list
@@ -88,8 +105,8 @@ class GroupHandle:
         if not self.is_perm():
             raise CapExceeded("BSGS requires a permutation handle")
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(
-                [list(g) for g in self.generators], known_order=known_order)
+            self._bsgs = permmod.schreier_sims(self.generators,
+                                               known_order=known_order)
         elif known_order is not None and known_order != self._bsgs.order():
             raise GroupError(f"order hint {known_order} disagrees with the "
                              f"cached chain's order {self._bsgs.order()}")
@@ -163,7 +180,7 @@ class SubgroupHandle:
         if self._elem_set is not None:
             return x in self._elem_set
         if self._bsgs is not None:
-            return self._bsgs.contains(list(x))
+            return self._bsgs.contains(x)
         raise CapExceeded("subgroup has no membership backend")
 
     def contains_subgroup(self, other):
@@ -259,9 +276,7 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     if not seed:
         return SubgroupHandle(handle, [], 1, _elem_set={handle.identity})
     if handle.is_perm() and _needs_bsgs(handle):
-        b = permmod.normal_closure_perm(
-            [list(g) for g in handle.generators],
-            [list(s) for s in seed])
+        b = permmod.normal_closure_perm(handle.generators, seed)
         gens = [tuple(g.tolist()) for g in b.strong_generators()]
         return SubgroupHandle(handle, gens, b.order(), _bsgs=b)
     elems, eset, gens = _closed_under_conjugation(
@@ -315,7 +330,7 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
     hints = list(handle.series_order_hints or [])
     b = handle.bsgs(known_order=hints[0] if hints else None)
     orders = [b.order()]
-    gens = [permmod.as_perm(list(g)) for g in handle.generators]
+    gens = [permmod.as_perm(g) for g in handle.generators]
     group_gens = gens
     subs = [SubgroupHandle(handle, list(handle.generators), orders[0], _bsgs=b)]
     step = 0
@@ -349,15 +364,13 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
 
 def _finish_report(orders, subs, engine):
     solvable = orders[-1] == 1
+    n = tuple(omega(orders[i] // orders[i + 1])
+              for i in range(len(orders) - 1))
     if solvable:
-        n = tuple(omega(orders[i] // orders[i + 1])
-                  for i in range(len(orders) - 1))
         d = len(orders) - 1
         c = omega(orders[0])
         assert c == sum(n)
     else:
-        n = tuple(omega(orders[i] // orders[i + 1])
-                  for i in range(len(orders) - 1))
         d = None
         c = None
     return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
@@ -498,19 +511,9 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
         img = tuple(coset_of[handle.mul(r, g)] for r in reps)
         gen_perms.append(img)
     ident = tuple(range(index))
-
-    def mul(a, b):
-        return tuple(b[x] for x in a)
-
-    def inv(a):
-        out = [0] * len(a)
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
-
-    return GroupHandle(ident, [g for g in gen_perms if g != ident] or [],
-                       mul, inv, name=f"{handle.name}/N", kind="perm",
-                       degree=index, cap=handle.cap)
+    return GroupHandle(ident, [g for g in gen_perms if g != ident],
+                       tuple_mul, tuple_inv, name=f"{handle.name}/N",
+                       kind="perm", degree=index, cap=handle.cap)
 
 
 def is_cyclic(handle: GroupHandle):
@@ -527,14 +530,25 @@ class Finding:
     detail: str = ""
 
 
-def _section_handle(handle, report, i, j):
+def _section_handle(report, i, j):
     """The quotient G^(i)/G^(j) as a permutation group on cosets."""
     upper = report.subgroups[i].as_handle(f"G^({i})")
-    lower = report.subgroups[j]
-    lower.element_set()
-    return quotient_on_cosets(upper, SubgroupHandle(
-        upper, list(lower.generators), lower.order,
-        _elem_set=lower._elem_set))
+    return quotient_on_cosets(upper, report.subgroups[j])
+
+
+def _section_finding(name, applicable, fails, skips, what, if_none):
+    """Summary of a check over derived sections: fail, pass, skipped or
+    not-applicable, in that order of precedence."""
+    if fails:
+        return Finding(name, "fail", f"violations at {fails}")
+    if applicable:
+        msg = f"{what} at i = {applicable}"
+        if skips:
+            msg += f", skipped {skips}"
+        return Finding(name, "pass", msg)
+    if skips:
+        return Finding(name, "skipped", f"sections too large {skips}")
+    return Finding(name, "not-applicable", if_none)
 
 
 def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
@@ -574,8 +588,8 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
         fails, skips, done = [], [], []
         for i in range(2, d):
             try:
-                top = _section_handle(handle, report, i - 1, i)
-                bot = _section_handle(handle, report, i, i + 1)
+                top = _section_handle(report, i - 1, i)
+                bot = _section_handle(report, i, i + 1)
                 if is_cyclic(top) and is_cyclic(bot):
                     fails.append(i)
                 else:
@@ -647,18 +661,9 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
                 applicable.append(i)
         except CapExceeded:
             skips.append(i)
-    if fails:
-        findings.append(Finding("d", "fail", f"violations at {fails}"))
-    elif applicable:
-        msg = f"fixed-point-free coprime action at i = {applicable}"
-        if skips:
-            msg += f", skipped {skips}"
-        findings.append(Finding("d", "pass", msg))
-    elif skips:
-        findings.append(Finding("d", "skipped", f"sections too large {skips}"))
-    else:
-        findings.append(Finding("d", "not-applicable",
-                                "no cyclic prime sections"))
+    findings.append(_section_finding(
+        "d", applicable, fails, skips, "fixed-point-free coprime action",
+        "no cyclic prime sections"))
 
     # n_i = 2 over n_{i+1} = 1 forces an extraspecial p^3 section
     applicable, fails, skips = [], [], []
@@ -675,7 +680,7 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
             skips.append(i)
             continue
         try:
-            sec = _section_handle(handle, report, i - 1, i + 1)
+            sec = _section_handle(report, i - 1, i + 1)
             z = center(sec)
             abelian = z.order == sec.order
             if abelian or z.order != p:
@@ -685,18 +690,9 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
                 applicable.append(i)
         except CapExceeded:
             skips.append(i)
-    if fails:
-        findings.append(Finding("e", "fail", f"violations at {fails}"))
-    elif applicable:
-        msg = f"extraspecial p^3 sections at i = {applicable}"
-        if skips:
-            msg += f", skipped {skips}"
-        findings.append(Finding("e", "pass", msg))
-    elif skips:
-        findings.append(Finding("e", "skipped", f"sections too large {skips}"))
-    else:
-        findings.append(Finding("e", "not-applicable",
-                                "no n_i = 2, n_{i+1} = 1 step"))
+    findings.append(_section_finding(
+        "e", applicable, fails, skips, "extraspecial p^3 sections",
+        "no n_i = 2, n_{i+1} = 1 step"))
 
     # gamma chain collapse for p-groups with |P'/P''| = p^3 and P'' > 1
     fac = factorize(orders[0]) if orders[0] > 1 else []

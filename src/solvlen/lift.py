@@ -20,15 +20,6 @@ from .grp import derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle)
 
-F4_MUL = {}  # (a1, b1, a2, b2) -> product in F_4 = F_2[w]/(w^2+w+1)
-for a1 in (0, 1):
-    for b1 in (0, 1):
-        for a2 in (0, 1):
-            for b2 in (0, 1):
-                F4_MUL[(a1, b1, a2, b2)] = ((a1 & a2) ^ (b1 & b2),
-                                            (a1 & b2) ^ (a2 & b1) ^ (b1 & b2))
-
-
 @dataclass(frozen=True)
 class AutPair:
     """Automorphism (v, z) -> (vA, z + q(v)) of an Extraspecial2Model."""
@@ -127,16 +118,16 @@ def _linear_offset(lam, dim):
 
 
 def lift_generators(mats, model: Extraspecial2Model, target_order=None):
-    """Lift a 2-element matrix generating set to AutPairs generating a
-    split copy of the linear group inside Aut(2^{1+2n}).
+    """Lift a 1- or 2-element matrix generating set to AutPairs generating
+    a split copy of the linear group inside Aut(2^{1+2n}).
 
     Offsets by linear functionals keep each pair an automorphism; the
     search scans all 2^{2n} x 2^{2n} offset combinations in ascending
     order and accepts the first whose generated automorphism group has
     exactly the order of the linear group.
     """
-    if not mats:
-        raise BadParameter("need at least one matrix")
+    if not 1 <= len(mats) <= 2:
+        raise BadParameter(f"need one or two matrices, got {len(mats)}")
     lin = matrix_handle(list(mats), "lift target")
     lin_order = lin.order()
     if target_order is None:

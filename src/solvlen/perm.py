@@ -118,7 +118,6 @@ class BSGS:
     def __init__(self, degree):
         self.degree = degree
         self.levels = []
-        self.complete = False
         self.verified_by_order = False
 
     # -- queries ---------------------------------------------------------
@@ -215,8 +214,8 @@ class BSGS:
     def _check_level(self, level):
         """Sift unprocessed Schreier generators at `level`.
 
-        Returns the insertion level of a newly found strong generator, or
-        None when every Schreier generator strips to the identity.
+        Returns True as soon as one of them adds a strong generator, or
+        False when every Schreier generator strips to the identity.
         """
         lv = self.levels[level]
         idx = 0
@@ -236,13 +235,10 @@ class BSGS:
                 s = perm_mul(s, g)
                 for gj in self.transversal_inv_path(level, y):
                     s = perm_mul(s, lv.invs[gj])
-                h, at = self.sift(s)
-                if at < len(self.levels) or not is_identity(h):
-                    target = at if at < len(self.levels) else self._level_for(h)
-                    self._insert_generator(h, target)
-                    return target
+                if _sift_insert(self, s):
+                    return True
             idx += 1
-        return None
+        return False
 
     def _level_for(self, h):
         for i, lv in enumerate(self.levels):
@@ -253,8 +249,11 @@ class BSGS:
     def _transversal(self, level, point):
         """The coset representative u mapping the base point to `point`."""
         lv = self.levels[level]
-        u = np.arange(self.degree, dtype=np.int32)
-        for gi in reversed(self.transversal_inv_path(level, point)):
+        path = self.transversal_inv_path(level, point)
+        if not path:
+            return np.arange(self.degree, dtype=np.int32)
+        u = lv.gens[path[-1]]
+        for gi in reversed(path[:-1]):
             u = perm_mul(u, lv.gens[gi])
         return u
 
@@ -277,14 +276,8 @@ def _complete(b: BSGS, known_order=None):
         if known_order is not None and b.order() == known_order:
             b.verified_by_order = True
             return
-        level = len(b.levels) - 1
-        inserted = None
-        while level >= 0:
-            inserted = b._check_level(level)
-            if inserted is not None:
-                break
-            level -= 1
-        if inserted is None:
+        if not any(b._check_level(level)
+                   for level in reversed(range(len(b.levels)))):
             return
 
 
@@ -303,11 +296,9 @@ def schreier_sims(gens, known_order=None):
     for g in gens:
         _sift_insert(b, g)
         if known_order is not None and b.order() == known_order:
-            b.complete = True
             b.verified_by_order = True
             return b
     _complete(b, known_order)
-    b.complete = True
     if known_order is not None and not b.verified_by_order \
             and b.order() != known_order:
         raise GroupError(
@@ -339,7 +330,6 @@ def normal_closure_perm(group_gens, seed, known_order=None):
         (len(pending[0]) if pending else 0)
     b = BSGS(degree)
     if not pending:
-        b.complete = True
         return b
     conj_done = set()
     verified = False
@@ -348,7 +338,6 @@ def normal_closure_perm(group_gens, seed, known_order=None):
             _sift_insert(b, s)
             verified = False
         if known_order is not None and b.order() == known_order:
-            b.complete = True
             b.verified_by_order = True
             return b
         # membership tests below are certain only in the positive
@@ -367,13 +356,9 @@ def normal_closure_perm(group_gens, seed, known_order=None):
         if pending:
             continue
         if verified:
-            b.complete = True
             return b
         _complete(b, known_order)
         verified = True
-        if b.verified_by_order:
-            b.complete = True
-            return b
 
 
 def perm_order_of(g):

@@ -79,7 +79,7 @@ def test_criterion_04_proposition8_suite(prop8data):
     assert report.orders[5] == 7 ** 6  # G^(5) = P
     # the central element z of the acting group is the scalar omega; it
     # acts on P' = Lambda^2 V as omega^2
-    w = atlas.qutrit_normalizer(7).omega
+    w = atlas.smallest_cube_root(7)
     assert wedge_square(FpMatrix.diagonal([w, w, w], 7)) == \
         FpMatrix.diagonal([w * w % 7] * 3, 7)
     elapsed = time.monotonic() - t0

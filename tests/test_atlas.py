@@ -157,7 +157,7 @@ def test_holomorph_cap():
 def test_qutrit_normalizer():
     h = qutrit_normalizer(7)
     assert h.order() == 648
-    assert h.omega == 2  # smallest cube root of unity mod 7
+    assert atlas.smallest_cube_root(7) == 2  # the scalar omega in Z
     irr, _ = spin_all_lines(h.generators)
     assert irr
     rep = grp.derived_series(h)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from solvlen import atlas
 from solvlen.atlas import Extraspecial2Model, model_handle
-from solvlen.errors import NotOrthogonal, SearchExhausted, SearchFailed
+from solvlen.errors import (BadParameter, NotOrthogonal, SearchExhausted,
+                            SearchFailed)
 from solvlen.fpmat import FpMatrix, all_f2_vectors
 from solvlen.lift import (AutPair, _f2_nullspace, _form_from_function,
                           f4_model_generators, invariant_quadratic_form,
@@ -94,6 +95,17 @@ def test_lift_identity_and_unreachable_target():
         lift_generators([ident], MODEL, target_order=3 * 2 ** 7)
     with pytest.raises(SearchExhausted):
         lift_generators([ident], MODEL, target_order=2 ** 7 + 1)
+
+
+def test_lift_generators_rejects_more_than_two_matrices():
+    # the offset search combines two generators only; a third matrix must
+    # not be dropped silently
+    elems = atlas.matrix_handle(F4_GENS, "qbar").elements()
+    g1, g2 = elems[8], elems[72]  # the d = 8 pair
+    with pytest.raises(BadParameter):
+        lift_generators([g1, g2, g1 * g2], MODEL)
+    with pytest.raises(BadParameter):
+        lift_generators([], MODEL)
 
 
 def test_invariant_form_is_invariant_and_minus_type():

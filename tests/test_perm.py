@@ -1,5 +1,6 @@
 """Schreier-Sims engine vs breadth-first enumeration oracles."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import corpus_perm_groups
 from solvlen import atlas, perm
+from solvlen.cli import evaluate
+from solvlen.dsl import parse_spec
+from solvlen.grp import derived_series
 from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
                           perm_key, perm_mul, perm_order_of, schreier_sims)
 
@@ -195,3 +199,48 @@ def test_layered_orbits_match_point_at_a_time_growth(monkeypatch, cutoff):
                 assert lv.order_list == order_list
                 assert np.array_equal(lv.parent, parent)
                 assert np.array_equal(lv.label, label)
+
+
+def chain_fingerprint(b):
+    """sha256 over base, BFS order, Schreier vectors and strong generators
+    of every level of a chain."""
+    h = hashlib.sha256(b"%d:%d" % (b.degree, len(b.levels)))
+    for lv in b.levels:
+        h.update(b"%d:%d:%d" % (lv.base, len(lv.order_list), len(lv.gens)))
+        h.update(np.asarray(lv.order_list, dtype=np.int64).tobytes())
+        h.update(bytes(lv.parent))
+        h.update(bytes(lv.label))
+        for g in lv.gens:
+            h.update(np.asarray(g, dtype=np.int32).tobytes())
+    return h.hexdigest()[:16]
+
+
+# digests of the derived-series chains of each spec, G itself first; a
+# refactor of the engine or of its callers must leave every chain unchanged
+PINNED_CHAINS = {
+    "sym(5)": ["700ef17b4d4b7eb5", "5804591b79b98a31"],
+    "wr(sym(3),sym(3))": [
+        "811c8a8a1d498d46", "346bad756cba6bc1", "0ef6a354b6bcd2bb",
+        "19ebb42c77c44f12", "dfb3008225bed094"],
+    "regular(gl(2,3))": [
+        "1d1220d0caaf2b3d", "9022a6c17b4dcb10", "9a35bdac81e42ea3",
+        "5f5fd750e9fe2775", "4ee991989e0670d5"],
+    "natsd(s3mat(5),2)": [
+        "23c85429a9331800", "cd4a59a63accb470", "ba155414c4ab05ef",
+        "1c4d23304c170d58"],
+    "gsp(gl(2,3),3,1)": [
+        "37bee7d5af2bdb87", "6329d2420d859bc9", "de18fb9b31be4247",
+        "029258df5bc4ca7a", "2e6393f7aa8a9b74", "a2f2e6216f7557ae",
+        "1c4d1c8b156dca7b"],
+    "metacyclic(3,7)": [
+        "7179c66919b0697c", "1fd32654e8d74bbc", "f5ff61d7b533cd73"],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_CHAINS))
+def test_chains_are_pinned(spec):
+    handle = evaluate(parse_spec(spec))
+    report = derived_series(handle)
+    assert report.subgroups[0]._bsgs is handle.bsgs()
+    digests = [chain_fingerprint(s._bsgs) for s in report.subgroups]
+    assert digests == PINNED_CHAINS[spec]
