@@ -389,22 +389,49 @@ def direct(h, k):
 
 def holomorph_perm(p_handle, auts):
     """Faithful permutation group on the elements of P generated by right
-    translations and the given automorphism maps."""
+    translations and the given automorphism maps.
+
+    Each map a is checked on the generators S of P: a(1) = 1 (checked
+    outright, as S is empty for trivial P) and a(x g) = a(x) a(g) for all
+    x in P, g in S.  That suffices since elements() is the closure of S:
+    every y in P is a word in S (a finite group needs no inverses), and
+    induction on its length gives a(x y) = a(x) a(y).  With
+    col_g[x] = index of x g and amap[x] = index of a(x), the law for g is
+    amap[col_g] == col_{a(g)}[amap], |P| products per generator, so the
+    check is complete at every size, with no sampling for large P.  A
+    failure raises NotAutomorphism with the first offending (x, g), or
+    with (x, a(x)) when a(x) leaves P or x = 1 moves.
+    """
     elems = p_handle.elements()
     if len(elems) > HOLOMORPH_CAP:
         raise CapExceeded(f"holomorph base of size {len(elems)}")
     index = {e: i for i, e in enumerate(elems)}
-    exhaustive = len(elems) <= 10_000
+
+    def column(g):  # right translation by g, as an index array
+        return np.array([index[p_handle.mul(x, g)] for x in elems],
+                        dtype=np.int32)
+
+    cols = [column(g) for g in p_handle.generators]
+    amaps = []
     for a in auts:
-        pool = elems if exhaustive else elems[:200]
-        for x in pool:
-            for y in pool:
-                if a(p_handle.mul(x, y)) != p_handle.mul(a(x), a(y)):
-                    raise NotAutomorphism("map breaks multiplication",
-                                          witness=(x, y))
-    gens = [tuple(index[p_handle.mul(x, g)] for x in elems)
-            for g in p_handle.generators]
-    gens += [tuple(index[a(x)] for x in elems) for a in auts]
+        amap = np.empty(len(elems), dtype=np.int32)
+        for i, x in enumerate(elems):
+            amap[i] = index.get(a(x), -1)
+            if amap[i] < 0:
+                raise NotAutomorphism("map leaves the group",
+                                      witness=(x, a(x)))
+        one = index[p_handle.identity]
+        if amap[one] != one:
+            raise NotAutomorphism("map moves the identity",
+                                  witness=(elems[one], elems[amap[one]]))
+        for g, col in zip(p_handle.generators, cols):
+            col_ag = column(elems[amap[index[g]]])
+            bad = np.flatnonzero(amap[col] != col_ag[amap])
+            if len(bad):
+                raise NotAutomorphism("map breaks multiplication",
+                                      witness=(elems[bad[0]], g))
+        amaps.append(amap)
+    gens = [tuple(c.tolist()) for c in cols + amaps]
     return perm_handle(gens, len(elems), f"hol({p_handle.name})")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -82,7 +83,10 @@ class GroupHandle:
     """Bundle of identity, generators and element operations.
 
     The element list, element set and BSGS are computed on first use and
-    cached on the handle.
+    cached on the handle.  The derived-series report is cached by a weak
+    reference: its subgroups refer back to the handle, and a strong one
+    would make a cycle that keeps a dropped group's memory until the
+    cyclic collector runs.
     """
 
     identity: object
@@ -97,6 +101,7 @@ class GroupHandle:
     _elements: Optional[list] = field(default=None, repr=False)
     _element_set: Optional[set] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
+    _series: Optional[weakref.ref] = field(default=None, repr=False)
 
     def is_perm(self):
         return self.kind == "perm"
@@ -304,9 +309,19 @@ def derived_subgroup(handle: GroupHandle) -> SubgroupHandle:
 
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
-    """Iterate derived subgroups until the order stabilizes."""
-    if handle.is_perm() and _needs_bsgs(handle):
-        return _derived_series_bsgs(handle)
+    """Iterate derived subgroups until the order stabilizes; a report
+    still held by a caller is returned again."""
+    report = handle._series() if handle._series is not None else None
+    if report is None:
+        if handle.is_perm() and _needs_bsgs(handle):
+            report = _derived_series_bsgs(handle)
+        else:
+            report = _derived_series_closure(handle)
+        handle._series = weakref.ref(report)
+    return report
+
+
+def _derived_series_closure(handle: GroupHandle) -> SeriesReport:
     orders = [handle.order()]
     subs = [SubgroupHandle(handle, list(handle.generators), orders[0],
                            _elem_set=handle.element_set())]

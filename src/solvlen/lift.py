@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed, Singular)
 from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
@@ -51,16 +53,23 @@ class AutPair:
                                                    for _ in range(dim)]))
 
     def verify(self, model: Extraspecial2Model):
-        """Exhaustive automorphism-law check (4096 pairs for 2n = 6)."""
-        for v1 in all_f2_vectors(self.q.dim):
-            av1 = self.a.apply(v1)
-            for v2 in all_f2_vectors(self.q.dim):
-                lhs = self.q(tuple(x ^ y for x, y in zip(v1, v2))) \
-                    ^ self.q(v1) ^ self.q(v2)
-                rhs = model.bform(av1, self.a.apply(v2)) ^ model.bform(v1, v2)
-                if lhs != rhs:
-                    return False
-        return True
+        """Exhaustive automorphism-law check over all 2^{2n} x 2^{2n} pairs:
+        q(v1 + v2) + q(v1) + q(v2) = B(v1 A, v2 A) + B(v1, v2).
+
+        Bit k of a vector's index is its coordinate k, so v1 + v2 has
+        index i ^ j; with the q values of all vectors, their images vA and
+        the bilinear table (V C V^T) & 1 the whole law is one numpy
+        comparison.
+        """
+        vecs = all_f2_vectors(self.q.dim)
+        qv = np.array([self.q(v) for v in vecs])
+        idx = np.arange(len(vecs))
+        v = np.array(vecs)
+        va = v @ np.array(self.a.entries) & 1
+        c = np.array(model.cocycle)
+        lhs = qv[idx[:, None] ^ idx] ^ qv[:, None] ^ qv
+        rhs = ((va @ c @ va.T) ^ (v @ c @ v.T)) & 1
+        return bool(np.array_equal(lhs, rhs))
 
 
 def _form_from_function(f, dim):
@@ -117,6 +126,24 @@ def _linear_offset(lam, dim):
     return QuadraticFormF2.from_upper(coeffs)
 
 
+def _offset_perms(pair, elems, index):
+    """Index permutations of the model elements under pair offset by every
+    linear functional: row lam sends element i to the index of its image
+    under (v, z) -> (vA, z + q(v) + lam . v).
+
+    The offset only adds lam . v to z, so row lam is the image under pair
+    itself with z flipped where lam . v is odd; pair is applied once per
+    element.
+    """
+    img = np.array([index[pair.apply(e)] for e in elems], dtype=np.int32)
+    zflip = np.array([index[e[:-1] + (e[-1] ^ 1,)] for e in elems],
+                     dtype=np.int32)
+    dim = pair.q.dim
+    lam = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
+    odd = lam @ np.array([e[:-1] for e in elems]).T & 1
+    return np.where(odd == 1, zflip[img], img)
+
+
 def lift_generators(mats, model: Extraspecial2Model, target_order=None):
     """Lift a 1- or 2-element matrix generating set to AutPairs generating
     a split copy of the linear group inside Aut(2^{1+2n}).
@@ -139,9 +166,6 @@ def lift_generators(mats, model: Extraspecial2Model, target_order=None):
     elems = ph.elements()
     index = {e: i for i, e in enumerate(elems)}
 
-    def pair_perm(pair):
-        return tuple(index[pair.apply(e)] for e in elems)
-
     from . import perm as permmod
     achieved = []
     psize = 2 ** (2 * model.n + 1)
@@ -149,15 +173,12 @@ def lift_generators(mats, model: Extraspecial2Model, target_order=None):
     if want * psize != target_order or want > lin_order:
         raise SearchExhausted(
             f"target order {target_order} is unreachable", achieved)
-    offsets = range(2 ** dim)
     variants = []
-    for gi in range(len(base)):
-        vs = []
-        for lam in offsets:
-            p = AutPair(base[gi].a, _q_add(base[gi].q,
-                                           _linear_offset(lam, dim)))
-            vs.append((p, permmod.as_perm(pair_perm(p))))
-        variants.append(vs)
+    for b in base:
+        rows = _offset_perms(b, elems, index)
+        variants.append([
+            (AutPair(b.a, _q_add(b.q, _linear_offset(lam, dim))),
+             permmod.as_perm(row)) for lam, row in enumerate(rows)])
 
     if len(base) == 1:
         for p, perm in variants[0]:
@@ -272,7 +293,6 @@ def two_generator_reduction(handle, order):
     walk.  Only pairs proven to fail are skipped, so the returned pair is
     the same as for the exhaustive search.
     """
-    import numpy as np
     elems = handle.elements()
     if len(elems) != order:
         raise SearchFailed(f"group has order {len(elems)}, wanted {order}")

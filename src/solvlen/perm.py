@@ -36,9 +36,11 @@ def as_perm(images):
     g = np.asarray(images, dtype=np.int32)
     if g.ndim != 1:
         raise GroupError("permutation must be a 1-d image array")
-    if len(g) > MAX_DEGREE:
-        raise DegreeMismatch(f"degree {len(g)} exceeds {MAX_DEGREE}")
-    if not np.array_equal(np.sort(g), np.arange(len(g), dtype=np.int32)):
+    n = len(g)
+    if n > MAX_DEGREE:
+        raise DegreeMismatch(f"degree {n} exceeds {MAX_DEGREE}")
+    if n and (g.min() < 0 or g.max() >= n
+              or np.count_nonzero(np.bincount(g, minlength=n)) != n):
         raise GroupError("image array is not a bijection")
     return g
 
@@ -181,6 +183,8 @@ class BSGS:
         paths stay valid; only newly reachable points get edges.
         """
         lv = self.levels[level]
+        if len(lv.order_list) == self.degree:
+            return  # the orbit already holds every point
         # close the old orbit under the new generator alone ...
         found = []
         layer = lv.order_list

@@ -1,4 +1,8 @@
-"""Shared corpus builders for the test-suite."""
+"""Shared corpus builders and fingerprints for the test-suite."""
+
+import hashlib
+
+import numpy as np
 
 from solvlen import atlas
 
@@ -38,3 +42,17 @@ def corpus_perm_groups():
         ("gsp(gl(2,3),3,1)", atlas.gsp_extension(atlas.gl(2, 3), 3, 1), 1296),
     ]
     return groups
+
+
+def chain_fingerprint(b):
+    """sha256 over base, BFS order, Schreier vectors and strong generators
+    of every level of a chain."""
+    h = hashlib.sha256(b"%d:%d" % (b.degree, len(b.levels)))
+    for lv in b.levels:
+        h.update(b"%d:%d:%d" % (lv.base, len(lv.order_list), len(lv.gens)))
+        h.update(np.asarray(lv.order_list, dtype=np.int64).tobytes())
+        h.update(bytes(lv.parent))
+        h.update(bytes(lv.label))
+        for g in lv.gens:
+            h.update(np.asarray(g, dtype=np.int32).tobytes())
+    return h.hexdigest()[:16]

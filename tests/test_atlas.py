@@ -12,7 +12,9 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
                             KindMismatch, NotAutomorphism)
-from solvlen.fpmat import spin_all_lines
+from solvlen.fpmat import SymplecticForm, similitude_factor, spin_all_lines
+from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
+                          lift_generators)
 
 
 def involution_count(h):
@@ -152,6 +154,110 @@ def test_holomorph_rejects_non_automorphisms():
 def test_holomorph_cap():
     with pytest.raises(CapExceeded):
         holomorph_perm(atlas.cyclic(2 ** 18), [])
+
+
+def all_pairs_law_holds(p_handle, a):
+    """The former check: a(x y) = a(x) a(y) for every pair of elements."""
+    elems = p_handle.elements()
+    return all(a(p_handle.mul(x, y)) == p_handle.mul(a(x), a(y))
+               for x in elems for y in elems)
+
+
+def generator_law_witness(p_handle, a):
+    """What holomorph_perm must report for a, element by element: the
+    first x with a(x) outside P, a moved identity, or the first (x, g) in
+    generator-major order breaking a(x g) = a(x) a(g); None if a passes."""
+    elems, mul = p_handle.elements(), p_handle.mul
+    inside = set(elems)
+    for x in elems:
+        if a(x) not in inside:
+            return (x, a(x))
+    one = p_handle.identity
+    if a(one) != one:
+        return (one, a(one))
+    for g in p_handle.generators:
+        for x in elems:
+            if a(mul(x, g)) != mul(a(x), a(g)):
+                return (x, g)
+    return None
+
+
+def holomorph_law_cases():
+    """(handle, genuine automorphisms, map leaving P or None)."""
+    e27 = atlas.model_handle(ExtraspecialOddModel(3, 1), "E_3^(1+2)")
+    form = SymplecticForm.standard(2, 3)
+
+    def similitude(a):
+        lam = similitude_factor(a, form)
+        return lambda e: a.apply(e[:-1]) + (e[-1] * lam % 3,)
+
+    gl23 = gl(2, 3)
+    c = e27.generators[0]
+    auts27 = [similitude(a) for a in gl23.generators]
+    auts27.append(lambda e, c=c: e27.conj(e, c))
+    # the d = 8 pair and its lifts onto the pipeline's 2^(1+6)
+    elems = atlas.matrix_handle(f4_model_generators(), "qbar").elements()
+    pair = [elems[8], elems[72]]
+    model = Extraspecial2Model(
+        3, "-", cocycle=invariant_quadratic_form(pair).coeffs)
+    e128 = atlas.model_handle(model, "2^(1+6)-")
+    c = e128.elements()[77]
+    auts128 = [p.apply for p in lift_generators(pair, model)]
+    auts128.append(lambda e, c=c: e128.conj(e, c))
+    s4 = sym(4)
+    c = s4.generators[-1]
+    return [(e27, auts27, lambda e: e[:-1] + (e[-1] + 3,)),
+            (e128, auts128, lambda e: e[:-1] + (e[-1] + 2,)),
+            (s4, [lambda e, c=c: s4.conj(e, c)], None)]
+
+
+def coset_swap(p_handle, g):
+    """Swap two right cosets t<g>, u<g> outside <g>, t g^k <-> u g^k: a map
+    that keeps a(x g) = a(x) a(g) for this g but no group law."""
+    elems, mul = p_handle.elements(), p_handle.mul
+    cyc = [p_handle.identity]
+    while mul(cyc[-1], g) != p_handle.identity:
+        cyc.append(mul(cyc[-1], g))
+    t = next(e for e in elems if e not in cyc)
+    t_coset = [mul(t, c) for c in cyc]
+    u = next(e for e in elems if e not in cyc and e not in t_coset)
+    swap = {}
+    for c in cyc:
+        swap[mul(t, c)], swap[mul(u, c)] = mul(u, c), mul(t, c)
+    return swap
+
+
+def test_holomorph_generator_check_matches_all_pairs():
+    for p_handle, auts, outside in holomorph_law_cases():
+        elems = p_handle.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        swap = {elems[1]: elems[2], elems[2]: elems[1]}
+        for a in auts:
+            assert all_pairs_law_holds(p_handle, a)
+            assert generator_law_witness(p_handle, a) is None
+            h = holomorph_perm(p_handle, [a])
+            assert h.generators[-1] == tuple(index[a(x)] for x in elems)
+            blocks = coset_swap(p_handle, a(p_handle.generators[0]))
+
+            def swapped(e, a=a):
+                return swap.get(a(e), a(e))
+
+            def shifted(e, a=a):
+                return p_handle.mul(a(e), elems[-1])
+
+            def block_swapped(e, a=a, blocks=blocks):
+                # passes the law on the first generator, fails on a later one
+                return blocks.get(a(e), a(e))
+
+            broken = [swapped, shifted, block_swapped]
+            if outside is not None:
+                broken.append(lambda e, a=a: outside(a(e)))
+            for b in broken:
+                assert not all_pairs_law_holds(p_handle, b)
+                with pytest.raises(NotAutomorphism) as exc:
+                    holomorph_perm(p_handle, [a, b])
+                assert exc.value.witness == generator_law_witness(p_handle, b)
+                assert exc.value.witness is not None
 
 
 def test_qutrit_normalizer():

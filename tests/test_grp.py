@@ -1,5 +1,8 @@
 """Engine-level series, quotient and subgroup machinery."""
 
+import gc
+import weakref
+
 import pytest
 
 from helpers import corpus_perm_groups
@@ -32,6 +35,22 @@ def test_s4_derived_series():
     assert rep.solvable and rep.d == 3 and rep.c == 4
     assert rep.n == (1, 1, 2)
     assert rep.quotient_orders == (2, 3, 4)
+
+
+def test_derived_series_is_cached_without_a_cycle():
+    # the report's subgroups refer back to the handle, so the handle keeps
+    # only a weak reference to it: a held report is returned again, and
+    # dropping both frees them without the cyclic collector
+    h = atlas.sym(4)
+    rep = derived_series(h)
+    assert derived_series(h) is rep
+    handle_ref = weakref.ref(h)
+    gc.disable()
+    try:
+        del h, rep
+        assert handle_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cached_bsgs_rejects_a_disagreeing_order_hint():

@@ -1,14 +1,19 @@
 """Automorphism lifting over the minus-type 2^{1+6}."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solvlen import atlas
+from helpers import chain_fingerprint
+from solvlen import atlas, grp
 from solvlen.atlas import Extraspecial2Model, model_handle
 from solvlen.errors import (BadParameter, NotOrthogonal, SearchExhausted,
                             SearchFailed)
-from solvlen.fpmat import FpMatrix, all_f2_vectors
+from solvlen.fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors
 from solvlen.lift import (AutPair, _f2_nullspace, _form_from_function,
+                          _linear_offset, _offset_perms, _q_add,
                           f4_model_generators, invariant_quadratic_form,
                           lift_generators, quadratic_correction,
                           two_generator_reduction)
@@ -34,6 +39,60 @@ def test_quadratic_correction_satisfies_the_law():
             for y in h.elements()[:10]:
                 assert pair.apply(h.mul(x, y)) == \
                     h.mul(pair.apply(x), pair.apply(y))
+
+
+def pairwise_verify(pair, model):
+    """The former law check, one pair of vectors at a time."""
+    for v1 in all_f2_vectors(pair.q.dim):
+        av1 = pair.a.apply(v1)
+        for v2 in all_f2_vectors(pair.q.dim):
+            lhs = pair.q(tuple(x ^ y for x, y in zip(v1, v2))) \
+                ^ pair.q(v1) ^ pair.q(v2)
+            rhs = model.bform(av1, pair.a.apply(v2)) ^ model.bform(v1, v2)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def flip_coefficient(pair, i, j):
+    coeffs = [list(r) for r in pair.q.coeffs]
+    coeffs[i][j] ^= 1
+    return AutPair(pair.a, QuadraticFormF2.from_upper(coeffs))
+
+
+def test_autpair_verify_matches_pairwise_loop():
+    # an off-diagonal flip changes the polarization of q and breaks the
+    # law; a diagonal flip adds a linear functional and keeps it
+    pairs = corrected_pairs()
+    cases = [(p, True) for p in pairs]
+    cases += [(flip_coefficient(p, i, j), False)
+              for p in pairs for i, j in ((0, 1), (2, 5))]
+    cases.append((flip_coefficient(pairs[0], 3, 3), True))
+    for pair, holds in cases:
+        assert pair.verify(MODEL) is pairwise_verify(pair, MODEL) is holds
+
+
+def d8_lift_inputs():
+    """The d = 8 pair of matrices and the 2^(1+6) model built from their
+    invariant form, as d8_group builds them."""
+    elems = atlas.matrix_handle(F4_GENS, "qbar").elements()
+    mats = [elems[8], elems[72]]
+    model = Extraspecial2Model(
+        3, "-", cocycle=invariant_quadratic_form(mats).coeffs)
+    return mats, model
+
+
+def test_offset_permutations_match_pointwise_apply():
+    mats, model = d8_lift_inputs()
+    elems = model_handle(model, "e128").elements()
+    index = {e: i for i, e in enumerate(elems)}
+    for a in mats:
+        base = quadratic_correction(a, model)
+        rows = _offset_perms(base, elems, index)
+        assert rows.shape == (64, 128)
+        for lam, row in enumerate(rows):
+            pair = AutPair(a, _q_add(base.q, _linear_offset(lam, 6)))
+            assert row.tolist() == [index[pair.apply(e)] for e in elems]
 
 
 def test_compose_matches_pointwise_application():
@@ -217,3 +276,18 @@ def test_d8_pipeline(d8data):
                              2, 1)
     assert report.d == 8 and report.c == 15
     assert report.n == (1, 1, 2, 1, 2, 1, 6, 1)
+    # the report is cached on the handle, so a later report reuses it
+    assert grp.derived_series(h) is report
+
+
+def test_d8_witness_is_pinned(d8data):
+    # the degree-128 generators (right translations, then the lifted pair)
+    # and every derived-term chain: the same pair, the same offsets and
+    # the same witness as before the law checks moved to generators
+    h, report = d8data
+    digest = hashlib.sha256()
+    for g in h.generators:
+        digest.update(np.asarray(g, dtype=np.int32).tobytes())
+    for sub in report.subgroups:
+        digest.update(chain_fingerprint(sub._bsgs).encode())
+    assert digest.hexdigest()[:16] == "a97026097a0da863"

@@ -1,16 +1,16 @@
 """Schreier-Sims engine vs breadth-first enumeration oracles."""
 
-import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import corpus_perm_groups
+from helpers import chain_fingerprint, corpus_perm_groups
 from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
+from solvlen.errors import GroupError
 from solvlen.grp import derived_series
 from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
                           perm_key, perm_mul, perm_order_of, schreier_sims)
@@ -103,7 +103,6 @@ def test_known_order_early_exit_is_exact():
     b = schreier_sims(gens, known_order=720)
     assert b.order() == 720
     # a wrong (too large) claimed order must not be silently accepted
-    from solvlen.errors import GroupError
     with pytest.raises(GroupError):
         schreier_sims(gens, known_order=1440)
 
@@ -141,6 +140,17 @@ def test_perm_primitives():
     # x^(ab) = (x^a)^b
     assert list(ab) == [b[a[i]] for i in range(4)]
     assert perm_key(a) == perm_key(as_perm((1, 2, 0, 3)))
+
+
+def test_as_perm_rejects_non_bijections():
+    # a repeated, an out-of-range and a negative image
+    for images in ([0, 2, 2], [0, 1, 3], [1, -1, 0]):
+        with pytest.raises(GroupError, match="bijection"):
+            as_perm(images)
+    with pytest.raises(GroupError, match="1-d"):
+        as_perm([[0, 1], [1, 0]])
+    assert list(as_perm((2, 0, 1))) == [2, 0, 1]
+    assert len(as_perm([])) == 0
 
 
 def reference_extend_orbit(tree, order_list, gens):
@@ -199,20 +209,6 @@ def test_layered_orbits_match_point_at_a_time_growth(monkeypatch, cutoff):
                 assert lv.order_list == order_list
                 assert np.array_equal(lv.parent, parent)
                 assert np.array_equal(lv.label, label)
-
-
-def chain_fingerprint(b):
-    """sha256 over base, BFS order, Schreier vectors and strong generators
-    of every level of a chain."""
-    h = hashlib.sha256(b"%d:%d" % (b.degree, len(b.levels)))
-    for lv in b.levels:
-        h.update(b"%d:%d:%d" % (lv.base, len(lv.order_list), len(lv.gens)))
-        h.update(np.asarray(lv.order_list, dtype=np.int64).tobytes())
-        h.update(bytes(lv.parent))
-        h.update(bytes(lv.label))
-        for g in lv.gens:
-            h.update(np.asarray(g, dtype=np.int32).tobytes())
-    return h.hexdigest()[:16]
 
 
 # digests of the derived-series chains of each spec, G itself first; a
