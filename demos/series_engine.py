@@ -1,9 +1,10 @@
-"""Derived and lower central series through both engines.
+"""Derived and lower central series on the Schreier-Sims engine.
 
-Small groups are enumerated breadth-first; large permutation groups go
-through the Schreier-Sims chain transparently.  The wreath product
-wr(S4,S4) of order 24^5 demonstrates the BSGS path, including the
-closed-form checks c(G) = c(H)(4^r - 1)/3 and d(G) = 3r for r = 2.
+Every series runs on a BSGS chain: a permutation group's own, or for a
+matrix group the chain of its action on the orbits of the basis vectors.
+The wreath product wr(S4,S4) of order 24^5 shows the closed-form checks
+c(G) = c(H)(4^r - 1)/3 and d(G) = 3r for r = 2, and GL(2,3) a matrix
+group whose derived terms come back as matrices.
 """
 
 from solvlen import atlas, grp
@@ -35,6 +36,10 @@ def main():
     assert rep.c == ch * (4 ** r - 1) // 3
     assert rep.d == 3 * r
     print(f"  formulas: c = {ch}(4^{r}-1)/3 = {rep.c}, d = 3*{r} = {rep.d}")
+
+    gl23 = atlas.gl(2, 3)
+    rep = show("GL(2,3) on the 8 nonzero vectors of F_3^2", gl23)
+    print(f"  G^(3) is generated by {rep.subgroups[3].generators[0]}")
 
     v4 = grp.minimal_normal_subgroups(atlas.sym(4))[0]
     q = grp.quotient_on_cosets(atlas.sym(4), v4)

@@ -3,14 +3,18 @@
 Every builder returns a GroupHandle whose elements are plain hashable
 values: image tuples for permutation groups, FpMatrix for matrix groups,
 and coordinate tuples for the extraspecial / exterior-square models.
-Construction-time checks verify the cheap invariants (orders, centers);
+Matrix and model handles carry a BasisOrbitAction, their faithful
+permutation image.  Construction-time checks verify the cheap invariants (orders, centers);
 the expensive series invariants live in the test-suite.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
                      NotAutomorphism, ScalarSearchFailed, SearchFailed)
 from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
@@ -31,6 +35,67 @@ def perm_handle(gens, degree, name=""):
                        name=name, kind="perm", degree=degree)
 
 
+class BasisOrbitAction:
+    """Faithful permutation action of a matrix group on the union of the
+    orbits of the standard basis vectors, v -> vA (FpMatrix.apply).
+
+    A matrix is determined by its images of a basis, so the action is
+    faithful; the first n points are e_0..e_{n-1}, and a permutation reads
+    back as the matrix whose row i is the image of e_i.  A model acts
+    through a faithful matrix representation, to_matrix, and its inverse
+    from_matrix.  The points are found on first use, breadth-first from
+    the basis, and growth stops with CapExceeded once it passes
+    perm.MAX_DEGREE.
+    """
+
+    def __init__(self, identity, gens, to_matrix=None, from_matrix=None):
+        self.to_matrix = to_matrix or (lambda x: x)
+        self.from_matrix = from_matrix or (lambda m: m)
+        one = self.to_matrix(identity)
+        self.p, self.n = one.p, one.n
+        self._gens = gens  # the points are grown from these on first use
+
+    def _matrix(self, x):
+        return np.array(self.to_matrix(x).entries, dtype=np.int64)
+
+    @cached_property
+    def _points(self):
+        """(points, their keys sorted, the point index of each sorted key);
+        a point's key is its base-p number."""
+        p, mats = self.p, [self._matrix(g) for g in self._gens]
+        if p ** self.n >= 2 ** 62:
+            raise CapExceeded(f"F_{p}^{self.n} is too large to index")
+        self.weights = p ** np.arange(self.n, dtype=np.int64)
+        layer = np.eye(self.n, dtype=np.int64)
+        layers, keys = [layer], layer @ self.weights
+        while len(layer) and mats:
+            imgs = np.stack([layer @ a % p for a in mats], axis=1)
+            imgs = imgs.reshape(-1, self.n)
+            k = imgs @ self.weights
+            fresh = np.flatnonzero(~np.isin(k, keys))
+            _, first = np.unique(k[fresh], return_index=True)
+            layer = imgs[fresh[np.sort(first)]]
+            layers.append(layer)
+            keys = np.concatenate([keys, layer @ self.weights])
+            if len(keys) > permmod.MAX_DEGREE:
+                raise CapExceeded(
+                    f"basis orbits pass {permmod.MAX_DEGREE} points")
+        order = np.argsort(keys)
+        return np.concatenate(layers), keys[order], order.astype(np.int32)
+
+    def perm(self, x):
+        """Image array of x, or None when x moves a point off the orbits
+        (x is then outside the group)."""
+        points, keys, order = self._points
+        k = points @ self._matrix(x) % self.p @ self.weights
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return order[pos] if np.array_equal(keys[pos], k) else None
+
+    def element(self, g):
+        rows = self._points[0][np.asarray(g)[:self.n]].tolist()
+        return self.from_matrix(FpMatrix(self.p, tuple(map(tuple, rows))))
+
+
 def matrix_handle(gens, name=""):
     if not gens:
         raise BadParameter("matrix handle needs at least one generator")
@@ -40,17 +105,21 @@ def matrix_handle(gens, name=""):
             raise BadParameter("mixed matrix dimensions")
         mat_invert(g)
     ident = FpMatrix.identity(n, p)
+    gens = [g for g in gens if g != ident]
 
     def inv(a):
         return mat_invert(a)[0]
 
-    return GroupHandle(ident, [g for g in gens if g != ident],
-                       lambda a, b: a * b, inv,
-                       name=name, kind="matrix")
+    return GroupHandle(ident, gens, lambda a, b: a * b, inv, name=name,
+                       kind="matrix", action=BasisOrbitAction(ident, gens))
 
 
 # ---------------------------------------------------------------------------
 # extraspecial and exterior-square models
+
+
+def _unit_vectors(count, length):
+    return [tuple(int(i == j) for j in range(length)) for i in range(count)]
 
 
 class ExtraspecialOddModel:
@@ -87,12 +156,27 @@ class ExtraspecialOddModel:
         return tuple(-x % p for x in a)
 
     def generators(self):
-        out = []
-        for i in range(2 * self.n):
-            v = [0] * (2 * self.n + 1)
-            v[i] = 1
-            out.append(tuple(v))
-        return out
+        return _unit_vectors(2 * self.n, 2 * self.n + 1)
+
+    def matrix(self, a):
+        """[[1, x, c], [0, I, y^T], [0, 0, 1]] for v = (x, y): the Heisenberg
+        coordinate c = z + h x.y multiplies as c1 + c2 + x1.y2, as 2h = 1
+        mod p.  Its basis orbits have p^{n+1} + np + 1 points."""
+        p, n = self.p, self.n
+        x, y = a[:n], a[n:2 * n]
+        c = (a[-1] + self.half * sum(s * t for s, t in zip(x, y))) % p
+        rows = [(1,) + x + (c,)]
+        rows += [(0,) + u + (y[i],)
+                 for i, u in enumerate(_unit_vectors(n, n))]
+        rows.append((0,) * (n + 1) + (1,))
+        return FpMatrix.from_rows(rows, p)
+
+    def from_matrix(self, m):
+        p, n, rows = self.p, self.n, m.entries
+        x = rows[0][1:n + 1]
+        y = tuple(rows[i][n + 1] for i in range(1, n + 1))
+        z = rows[0][n + 1] - self.half * sum(s * t for s, t in zip(x, y))
+        return x + y + (z % p,)
 
 
 class Extraspecial2Model:
@@ -145,12 +229,24 @@ class Extraspecial2Model:
         return a[:-1] + (a[-1] ^ self.squaring(a[:-1]),)
 
     def generators(self):
-        out = []
-        for i in range(2 * self.n):
-            v = [0] * (2 * self.n + 1)
-            v[i] = 1
-            out.append(tuple(v))
-        return out
+        return _unit_vectors(2 * self.n, 2 * self.n + 1)
+
+    def matrix(self, a):
+        """[[1, 0, 0], [v^T, I, 0], [z, vC, 1]], the corner multiplying as
+        z1 + z2 + v1 C v2^T.  Its basis orbits have 1 + 4n + 2^{1+rank C}
+        points; in [[1, v, z], [0, I, C v^T], [0, 0, 1]] e_0 alone has
+        2^{2n+1}."""
+        v, dim = a[:-1], 2 * self.n
+        vc = tuple(sum(v[i] & self.cocycle[i][j] for i in range(dim)) & 1
+                   for j in range(dim))
+        rows = [(1,) + (0,) * (dim + 1)]
+        rows += [(v[i],) + u + (0,) for i, u in
+                 enumerate(_unit_vectors(dim, dim))]
+        rows.append((a[-1],) + vc + (1,))
+        return FpMatrix.from_rows(rows, 2)
+
+    def from_matrix(self, m):
+        return tuple(row[0] for row in m.entries[1:])
 
 
 class ExtSqModel:
@@ -175,17 +271,30 @@ class ExtSqModel:
         return tuple(-x % p for x in a)
 
     def generators(self):
-        out = []
-        for i in range(6):
-            v = [0] * 6
-            v[i] = 1
-            out.append(tuple(v))
-        return out
+        return _unit_vectors(6, 6)
+
+    def matrix(self, a):
+        """[[1, 0, 0], [v^T, I, 0], [w^T, K(v), I]], K(v) u^T = v ^ u, the
+        corner multiplying as w1 + w2 + v1 ^ v2.  Its basis orbits have
+        1 + 3p + 3p^3 points; in the transposed layout e_0 alone has p^6."""
+        p, v, w = self.p, a[:3], a[3:]
+        cols = [wedge_vec(v, u, p) for u in _unit_vectors(3, 3)]
+        rows = [(1,) + (0,) * 6]
+        rows += [(v[i],) + u + (0,) * 3 for i, u in
+                 enumerate(_unit_vectors(3, 3))]
+        rows += [(w[i],) + tuple(c[i] for c in cols) + u for i, u in
+                 enumerate(_unit_vectors(3, 3))]
+        return FpMatrix.from_rows(rows, p)
+
+    def from_matrix(self, m):
+        return tuple(row[0] for row in m.entries[1:])
 
 
 def model_handle(model, name=""):
-    return GroupHandle(model.identity, model.generators(),
-                       model.mul, model.inv, name=name, kind="model")
+    action = BasisOrbitAction(model.identity, model.generators(),
+                              model.matrix, model.from_matrix)
+    return GroupHandle(model.identity, model.generators(), model.mul,
+                       model.inv, name=name, kind="model", action=action)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +302,7 @@ def model_handle(model, name=""):
 
 
 def _primitive_root(p):
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise BadParameter(f"no primitive root mod {p}")
+    return next(g for g in range(1, p) if _mult_order(g, p) == p - 1)
 
 
 def cyclic(n):
@@ -230,13 +329,7 @@ def gl(n, p):
     check_prime(p)
     if n < 1:
         raise BadParameter("gl needs n >= 1")
-    zeta = _primitive_root(p)
-    gens = []
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 1
-    d[0][0] = zeta
-    gens.append(FpMatrix.from_rows(d, p))
+    gens = [FpMatrix.diagonal([_primitive_root(p)] + [1] * (n - 1), p)]
     if n >= 2:
         cyc = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -276,11 +369,8 @@ def sl(n, p):
 def upper_triangular(n, p):
     check_prime(p)
     zeta = _primitive_root(p)
-    gens = []
-    for k in range(n):
-        d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        d[k][k] = zeta
-        gens.append(FpMatrix.from_rows(d, p))
+    gens = [FpMatrix.diagonal([zeta if i == k else 1 for i in range(n)], p)
+            for k in range(n)]
     for i in range(n - 1):
         e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         e[i][i + 1] = 1
@@ -446,29 +536,12 @@ def natural_semidirect(m_handle, n):
     npts = p ** n
     if npts > HOLOMORPH_CAP:
         raise CapExceeded("affine point count too large")
-
-    def decode(i):
-        v = []
-        for _ in range(n):
-            v.append(i % p)
-            i //= p
-        return tuple(v)
-
-    def encode(v):
-        out = 0
-        for x in reversed(v):
-            out = out * p + x
-        return out
-
-    pts = [decode(i) for i in range(npts)]
-    gens = []
-    for a in m_handle.generators:
-        gens.append(tuple(encode(a.apply(v)) for v in pts))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        gens.append(tuple(encode(tuple((v[j] + e[j]) % p for j in range(n)))
-                          for v in pts))
+    weights = p ** np.arange(n, dtype=np.int64)
+    pts = np.arange(npts, dtype=np.int64)[:, None] // weights % p  # digits
+    images = [pts @ np.array(a.entries, dtype=np.int64)
+              for a in m_handle.generators]
+    images += [pts + np.eye(n, dtype=np.int64)[i] for i in range(n)]
+    gens = [tuple((img % p @ weights).tolist()) for img in images]
     return perm_handle(gens, npts, f"natsd({m_handle.name},{n})")
 
 
@@ -527,12 +600,7 @@ def qutrit_normalizer(p):
     for c in range(1, p):
         gens = [x, z, s, m.scale(c)]
         h = matrix_handle(gens, f"qutrit({p})")
-        h.cap = 4000
-        try:
-            order = h.order()
-        except CapExceeded:
-            achieved.append((c, ">cap"))
-            continue
+        order = h.order()
         achieved.append((c, order))
         if order == 648:
             if p <= 7:  # exhaustive spinning is a decision procedure here
@@ -553,60 +621,37 @@ def binary_octahedral():
     """Order-48 double cover of S4 found deterministically inside SL_2(7).
 
     Unlike GL_2(3) (the other order-48 extension of SL_2(3)) it has a
-    single involution; the construction verifies that count.
+    single involution; each step of the search Q8 < SL_2(3) < 2.S4
+    verifies that count.
     """
-    p = 7
-    ambient = sl(2, p)
+    ambient = sl(2, 7)
     elems = sorted(ambient.elements(), key=lambda m: m.packed())
-    ident = ambient.identity
 
-    def closure_order(gens, cap):
-        h = matrix_handle(list(gens), "tmp")
-        h.cap = cap
-        try:
-            return h.order(), h
-        except CapExceeded:
-            return None, None
-
-    quat = None
-    for i in elems:
-        if ambient.element_order(i) != 4:
-            continue
-        for j in elems:
-            if ambient.element_order(j) != 4:
+    def extend(gens, k, order, cap):
+        """First <gens, t>, t of order k, of the given order with a single
+        involution, by a closure capped at cap elements."""
+        for t in elems:
+            if ambient.element_order(t) != k:
                 continue
-            o, h = closure_order([i, j], 20)
-            if o == 8:
-                inv_count = sum(1 for x in h.elements()
-                                if x != ident and x * x == ident)
-                if inv_count == 1:
-                    quat = h
-                    break
-        if quat is not None:
-            break
-    if quat is None:
-        raise SearchFailed("no quaternion subgroup found in SL_2(7)")
-    sl23 = None
-    for w in elems:
-        if ambient.element_order(w) != 3:
-            continue
-        o, h = closure_order(quat.generators + [w], 60)
-        if o == 24:
-            sl23 = h
-            break
-    if sl23 is None:
-        raise SearchFailed("no SL_2(3) overgroup of the quaternion subgroup")
-    for t in elems:
-        if ambient.element_order(t) != 8:
-            continue
-        o, h = closure_order(sl23.generators + [t], 100)
-        if o == 48:
-            inv_count = sum(1 for x in h.elements()
-                            if x != ident and x * x == ident)
-            if inv_count == 1:
-                h.name = "bo()"
+            h = matrix_handle(gens + [t], "bo()")
+            h.cap = cap
+            try:
+                elements = h.elements()
+            except CapExceeded:
+                continue
+            if len(elements) == order and sum(
+                    x != h.identity and x * x == h.identity
+                    for x in elements) == 1:
                 return h
-    raise SearchFailed("no order-8 element extends SL_2(3) to order 48")
+        return None
+
+    quat = next(filter(None, (extend([i], 4, 8, 20) for i in elems
+                              if ambient.element_order(i) == 4)), None)
+    sl23 = quat and extend(quat.generators, 3, 24, 60)
+    bo = sl23 and extend(sl23.generators, 8, 48, 100)
+    if bo is None:
+        raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
+    return bo
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +690,11 @@ def semidirect_series_orders(k_handle, p):
     kr = derived_series(k_handle)
     if not kr.solvable:
         raise BadParameter("semidirect series needs a solvable acting group")
-    ident3 = FpMatrix.identity(3, p)
     top_mats = list(k_handle.generators)
-    top_wedges = [wedge_square(a) for a in top_mats]
+    # state -> (action on the P-part, acting matrices, rank name, next)
+    steps = {"full": (lambda a: a, top_mats, "v", "derived"),
+             "derived": (wedge_square, [wedge_square(a) for a in top_mats],
+                         "w", "trivial")}
     orders = [kr.orders[0] * p ** 6]
     state = "full"
     i = 1
@@ -657,35 +704,17 @@ def semidirect_series_orders(k_handle, p):
             if i - 1 < len(kr.subgroups) else []
         if i == 1:
             prev_gens = top_mats
-        if state == "full":
-            rows = []
-            for a in prev_gens:
-                diff = [[(int(x == y) - a.entries[x][y]) % p
-                         for y in range(3)] for x in range(3)]
-                rows.extend(diff)
-            rank = _span_rank_closed(rows, top_mats, p) if rows else 0
-            if rank == 3:
-                new_state = "full"
-            elif rank == 0:
-                new_state = "derived"
-            else:
-                raise SearchFailed(f"unsupported P-part shape (v-rank {rank})")
-        elif state == "derived":
-            rows = []
-            for a in prev_gens:
-                wa = wedge_square(a)
-                diff = [[(int(x == y) - wa.entries[x][y]) % p
-                         for y in range(3)] for x in range(3)]
-                rows.extend(diff)
-            rank = _span_rank_closed(rows, top_wedges, p) if rows else 0
-            if rank == 3:
-                new_state = "derived"
-            elif rank == 0:
-                new_state = "trivial"
-            else:
-                raise SearchFailed(f"unsupported P-part shape (w-rank {rank})")
-        else:
+        if state == "trivial":
             new_state = "trivial"
+        else:
+            act, mats, rank_name, lower = steps[state]
+            rows = [[(int(x == y) - b.entries[x][y]) % p for y in range(3)]
+                    for b in map(act, prev_gens) for x in range(3)]
+            rank = _span_rank_closed(rows, mats, p) if rows else 0
+            if rank not in (0, 3):
+                raise SearchFailed(f"unsupported P-part shape "
+                                   f"({rank_name}-rank {rank})")
+            new_state = state if rank == 3 else lower
         m_order = {"full": p ** 6, "derived": p ** 3, "trivial": 1}[new_state]
         order = b_order * m_order
         if order == orders[-1]:
@@ -712,14 +741,9 @@ def prop8_group(p):
     hints = semidirect_series_orders(k, p)
 
     npts = p ** 6
-    idx = np.arange(npts, dtype=np.int64)
-    digits = np.empty((npts, 6), dtype=np.int64)
-    rest = idx.copy()
-    for col in range(6):
-        digits[:, col] = rest % p
-        rest //= p
+    powers = p ** np.arange(6, dtype=np.int64)
+    digits = np.arange(npts, dtype=np.int64)[:, None] // powers % p
     v, wpart = digits[:, :3], digits[:, 3:]
-    powers = np.array([p ** c for c in range(6)], dtype=np.int64)
 
     def encode(vm, wm):
         return (np.concatenate([vm, wm], axis=1) % p) @ powers

@@ -2,7 +2,8 @@
 
 Grammar: expr := IDENT "(" [expr ("," expr)*] ")" | INT | IDENT.
 Whitespace-insensitive; every node carries its source position and parse
-errors report line:column plus the expected-token set.
+errors report line:column plus the expected-token set.  Calls nest at most
+MAX_DEPTH deep, so a 4 KiB input cannot exhaust the Python stack.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 
 MAX_INPUT = 4096
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self):
+    def expr(self, depth=0):
         kind, value, line, col = self.peek()
         if kind == "INT":
             self.take()
@@ -108,15 +110,18 @@ class _Parser:
             self.take()
             if self.peek()[0] != "(":
                 return Symbol(value, line, col)
+            if depth == MAX_DEPTH:
+                raise ParseError(f"calls nest deeper than {MAX_DEPTH}",
+                                 line, col)
             self.take("(")
             args = []
             if self.peek()[0] != ")":
-                args.append(self.expr())
+                args.append(self.expr(depth + 1))
                 while True:
                     k, _, tl, tc = self.peek()
                     if k == ",":
                         self.take()
-                        args.append(self.expr())
+                        args.append(self.expr(depth + 1))
                     elif k == ")":
                         break
                     else:

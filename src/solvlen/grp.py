@@ -1,10 +1,13 @@
-"""Engine-agnostic finite group algorithms.
+"""Finite group algorithms over one Schreier-Sims engine.
 
 A GroupHandle bundles an identity, a generator list and the element
-operations; elements themselves are plain hashable values (tuples, bytes,
-FpMatrix, ...).  Small groups are enumerated breadth-first; permutation
-groups past the enumeration cap delegate order and normal-closure work to
-the Schreier-Sims engine.
+operations; elements themselves are plain hashable values (image tuples,
+FpMatrix, model coordinate tuples).  Order, membership, normal closure and
+the derived series always run on a BSGS chain: a permutation handle's own,
+or for a matrix or model handle the chain of a faithful permutation image
+(its ``action``), whose results are read back into the handle's own
+elements.  Breadth-first enumeration is left to callers that need the
+elements themselves: element lists, coset tables and the lemma checks.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ class GroupHandle:
     name: str = ""
     kind: str = "generic"           # "perm" | "matrix" | "model" | "generic"
     degree: Optional[int] = None    # set for perm kind
+    action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
     series_order_hints: Optional[tuple] = None  # structurally known |G^(i)|
     _elements: Optional[list] = field(default=None, repr=False)
@@ -106,11 +110,22 @@ class GroupHandle:
     def is_perm(self):
         return self.kind == "perm"
 
+    def to_perm(self, x):
+        """x as an image sequence: itself for a perm handle, else its
+        image under the action (None if x is outside the group)."""
+        return x if self.action is None else self.action.perm(x)
+
+    def from_perm(self, g):
+        """The element of the handle's own type with image array g."""
+        return tuple(g.tolist()) if self.action is None else \
+            self.action.element(g)
+
+    def perm_generators(self):
+        return [self.to_perm(g) for g in self.generators]
+
     def bsgs(self, known_order=None):
-        if not self.is_perm():
-            raise CapExceeded("BSGS requires a permutation handle")
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(self.generators,
+            self._bsgs = permmod.schreier_sims(self.perm_generators(),
                                                known_order=known_order)
         elif known_order is not None and known_order != self._bsgs.order():
             raise GroupError(f"order hint {known_order} disagrees with the "
@@ -139,9 +154,7 @@ class GroupHandle:
         return self._element_set
 
     def order(self):
-        if self.is_perm():
-            return self.bsgs().order()
-        return len(self.elements())
+        return self.bsgs().order()
 
     def conj(self, x, g):
         return self.mul(self.mul(self.inv(g), x), g)
@@ -185,7 +198,8 @@ class SubgroupHandle:
         if self._elem_set is not None:
             return x in self._elem_set
         if self._bsgs is not None:
-            return self._bsgs.contains(x)
+            g = self.parent.to_perm(x)
+            return g is not None and self._bsgs.contains(g)
         raise CapExceeded("subgroup has no membership backend")
 
     def contains_subgroup(self, other):
@@ -204,7 +218,7 @@ class SubgroupHandle:
                         self.parent.mul, self.parent.inv,
                         name=name or f"subgroup of {self.parent.name}",
                         kind=self.parent.kind, degree=self.parent.degree,
-                        cap=self.parent.cap)
+                        cap=self.parent.cap, action=self.parent.action)
         if self._elem_set is not None:
             h._element_set = self._elem_set
             h._elements = sorted(self._elem_set, key=_sort_key)
@@ -226,7 +240,7 @@ class SeriesReport:
     n: tuple                 # composition lengths of the abelian quotients
     c: Optional[int]         # Omega(|G|) when solvable, else None
     d: Optional[int]         # derived length when solvable, else None
-    engine: str = "closure"
+    engine: str = "bsgs"
     subgroups: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -257,55 +271,14 @@ def _closure(mul, identity, gens, cap):
     return elems, eset
 
 
-def _closed_under_conjugation(mul, inv, identity, seed, conj_gens, cap):
-    """Smallest subgroup containing seed and closed under conjugation by
-    conj_gens (i.e. the normal closure when conj_gens generate the group)."""
-    work = [s for s in seed if s != identity]
-    elems, eset = _closure(mul, identity, work, cap)
-    while True:
-        new = []
-        for s in work:
-            for g in conj_gens:
-                c = mul(mul(inv(g), s), g)
-                if c not in eset:
-                    new.append(c)
-        if not new:
-            return elems, eset, work
-        work = work + new
-        elems, eset = _closure(mul, identity, work, cap)
-
-
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     """Smallest normal subgroup of the handle's group containing seed."""
-    seed = [s for s in seed if s != handle.identity]
+    seed = [handle.to_perm(s) for s in seed if s != handle.identity]
     if not seed:
         return SubgroupHandle(handle, [], 1, _elem_set={handle.identity})
-    if handle.is_perm() and _needs_bsgs(handle):
-        b = permmod.normal_closure_perm(handle.generators, seed)
-        gens = [tuple(g.tolist()) for g in b.strong_generators()]
-        return SubgroupHandle(handle, gens, b.order(), _bsgs=b)
-    elems, eset, gens = _closed_under_conjugation(
-        handle.mul, handle.inv, handle.identity, seed,
-        handle.generators, handle.cap)
-    return SubgroupHandle(handle, gens, len(eset), _elem_set=eset)
-
-
-def _needs_bsgs(handle):
-    # perm groups always get the BSGS engine unless already enumerated
-    return handle._element_set is None
-
-
-def derived_subgroup(handle: GroupHandle) -> SubgroupHandle:
-    gens = handle.generators
-    comms = []
-    seen = set()
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            c = handle.comm(a, b)
-            if c != handle.identity and c not in seen:
-                seen.add(c)
-                comms.append(c)
-    return normal_closure(handle, comms)
+    b = permmod.normal_closure_perm(handle.perm_generators(), seed)
+    gens = [handle.from_perm(g) for g in b.strong_generators()]
+    return SubgroupHandle(handle, gens, b.order(), _bsgs=b)
 
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
@@ -313,29 +286,9 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
     still held by a caller is returned again."""
     report = handle._series() if handle._series is not None else None
     if report is None:
-        if handle.is_perm() and _needs_bsgs(handle):
-            report = _derived_series_bsgs(handle)
-        else:
-            report = _derived_series_closure(handle)
+        report = _derived_series_bsgs(handle)
         handle._series = weakref.ref(report)
     return report
-
-
-def _derived_series_closure(handle: GroupHandle) -> SeriesReport:
-    orders = [handle.order()]
-    subs = [SubgroupHandle(handle, list(handle.generators), orders[0],
-                           _elem_set=handle.element_set())]
-    current = handle
-    while True:
-        der = derived_subgroup(current)
-        if der.order == orders[-1]:
-            break
-        orders.append(der.order)
-        subs.append(der)
-        if der.order == 1:
-            break
-        current = der.as_handle()
-    return _finish_report(orders, subs, "closure")
 
 
 def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
@@ -345,7 +298,7 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
     hints = list(handle.series_order_hints or [])
     b = handle.bsgs(known_order=hints[0] if hints else None)
     orders = [b.order()]
-    gens = [permmod.as_perm(g) for g in handle.generators]
+    gens = [permmod.as_perm(g) for g in handle.perm_generators()]
     group_gens = gens
     subs = [SubgroupHandle(handle, list(handle.generators), orders[0], _bsgs=b)]
     step = 0
@@ -370,14 +323,14 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
         sg = nb.strong_generators()
         gens = sg
         subs.append(SubgroupHandle(
-            handle, [tuple(g.tolist()) for g in sg],
+            handle, [handle.from_perm(g) for g in sg],
             nb.order(), _bsgs=nb))
         if nb.order() == 1:
             break
-    return _finish_report(orders, subs, "bsgs")
+    return _finish_report(orders, subs)
 
 
-def _finish_report(orders, subs, engine):
+def _finish_report(orders, subs):
     solvable = orders[-1] == 1
     n = tuple(omega(orders[i] // orders[i + 1])
               for i in range(len(orders) - 1))
@@ -389,7 +342,7 @@ def _finish_report(orders, subs, engine):
         d = None
         c = None
     return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
-                        c=c, d=d, engine=engine, subgroups=subs)
+                        c=c, d=d, subgroups=subs)
 
 
 def lower_central_series(handle: GroupHandle):
@@ -398,15 +351,8 @@ def lower_central_series(handle: GroupHandle):
     cur_gens = list(handle.generators)
     cur_order = handle.order()
     while True:
-        comms = []
-        seen = set()
-        for a in cur_gens:
-            for g in handle.generators:
-                c = handle.comm(a, g)
-                if c != handle.identity and c not in seen:
-                    seen.add(c)
-                    comms.append(c)
-        nxt = normal_closure(handle, comms)
+        nxt = normal_closure(handle, [handle.comm(a, g) for a in cur_gens
+                                      for g in handle.generators])
         if nxt.order == cur_order:
             break
         chain.append(nxt)
@@ -434,10 +380,9 @@ def frattini_pgroup(handle: GroupHandle) -> SubgroupHandle:
     if len(fac) != 1:
         raise NotPGroup(f"order {handle.order()} is not a prime power")
     p = fac[0][0]
-    seed = [handle.power(g, p) for g in handle.generators]
-    for i, a in enumerate(handle.generators):
-        for b in handle.generators[i + 1:]:
-            seed.append(handle.comm(a, b))
+    gens = handle.generators
+    seed = [handle.power(g, p) for g in gens] + [
+        handle.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
     return normal_closure(handle, seed)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
-                     SearchFailed, Singular)
+from .errors import (BadParameter, KindMismatch, NotOrthogonal,
+                     SearchExhausted, SearchFailed, Singular)
 from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
 from .grp import derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
@@ -296,9 +296,7 @@ def two_generator_reduction(handle, order):
     elems = handle.elements()
     if len(elems) != order:
         raise SearchFailed(f"group has order {len(elems)}, wanted {order}")
-    index = {e: i for i, e in enumerate(elems)}
-    gen_cols = [np.array([index[handle.mul(x, g)] for x in elems],
-                         dtype=np.int32) for g in handle.generators]
+    gen_cols = _generator_columns(handle, elems)
     cols = {0: np.arange(order, dtype=np.int32)}
     queue = [0]
     while queue:
@@ -350,6 +348,30 @@ def two_generator_reduction(handle, order):
                 member[e] |= bit
             bit <<= 1
     raise SearchFailed("no 2-element generating set found")
+
+
+def _generator_columns(handle, elems):
+    """col_g[x] = index of x * g for every generator g, from the elements
+    stacked as one array (matrix products, or g[x] for image tuples); one
+    np.unique finds each product row among the element rows."""
+    if handle.kind not in ("matrix", "perm"):
+        raise KindMismatch("generator columns need a matrix or perm handle")
+    if handle.kind == "matrix":
+        stack = np.array([e.entries for e in elems], dtype=np.int32)
+        prods = [stack @ np.array(g.entries, dtype=np.int32) % g.p
+                 for g in handle.generators]
+    else:
+        stack = np.array(elems, dtype=np.int32)
+        prods = [np.asarray(g)[stack] for g in handle.generators]
+    rows = np.concatenate([stack] + prods).reshape(-1, stack[0].size)
+    if handle.kind == "matrix":
+        rows = rows.astype(np.uint8)  # entries are below p <= 251
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    if len(first) != len(elems):
+        raise SearchFailed("elements are not closed under the generators")
+    cols = first[inverse.ravel()][len(elems):].astype(np.int32)
+    return cols.reshape(len(prods), len(elems))
 
 
 def invariant_quadratic_form(mats):

@@ -1,5 +1,6 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import numpy as np
 import pytest
 
 from solvlen import atlas, grp
@@ -12,7 +13,8 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
                             KindMismatch, NotAutomorphism)
-from solvlen.fpmat import SymplecticForm, similitude_factor, spin_all_lines
+from solvlen.fpmat import (FpMatrix, SymplecticForm, similitude_factor,
+                           spin_all_lines)
 from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
                           lift_generators)
 
@@ -328,3 +330,79 @@ def test_prop8_congruence_guards():
         atlas.prop8_group(5)
     with pytest.raises(BadParameter):
         atlas.prop8_group(13)
+
+
+IMAGE_SPECS = [("gl(2,3)", lambda: gl(2, 3)),
+               ("ut(3,3)", lambda: upper_triangular(3, 3)),
+               ("bo()", binary_octahedral),
+               ("extsq(3)", lambda: exterior_square_group(3)),
+               ("extraspecial(3,1)", lambda: extraspecial(3, 1)),
+               ("extraspecial(2,2,minus)", lambda: extraspecial(2, 2, "-"))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in IMAGE_SPECS],
+                         ids=[label for label, _ in IMAGE_SPECS])
+def test_perm_image_round_trips_every_element(build):
+    h = build()
+    elems = h.elements()
+    images = [h.to_perm(x) for x in elems]
+    assert all(h.from_perm(g) == x for g, x in zip(images, elems))
+    # faithful: distinct elements have distinct images
+    assert len({g.tobytes() for g in images}) == len(elems) == h.order()
+    # a product maps to the product of the images, applied left to right
+    for x, gx in zip(elems[:20], images):
+        for y, gy in zip(h.generators, h.perm_generators()):
+            assert np.array_equal(h.to_perm(h.mul(x, y)), gy[gx])
+    # series terms keep the handle's element type and use no order hint
+    rep = grp.derived_series(h)
+    assert rep.engine == "bsgs"
+    assert not h.bsgs().verified_by_order
+    for sub in rep.subgroups:
+        assert all(type(g) is type(h.identity) for g in sub.generators)
+        assert all(sub.contains(g) for g in sub.generators)
+
+
+def test_perm_image_rejects_elements_off_the_orbits():
+    # <u> of order 3 fixes e_1 and moves e_0 inside e_0 + <e_1>;
+    # diag(2, 1) sends e_0 off those points, so it has no image
+    u = atlas.matrix_handle([FpMatrix.from_rows([[1, 1], [0, 1]], 3)], "u")
+    d = FpMatrix.diagonal([2, 1], 3)
+    assert u.to_perm(d) is None
+    whole = grp.normal_closure(u, u.generators)
+    assert whole.order == 3 and not whole.contains(d)
+    assert whole.contains(u.generators[0])
+
+
+@pytest.mark.parametrize("spec, degree", [
+    ("gl(3,3)", 26), ("ut(4,3)", 80), ("ut(3,5)", 124), ("qutrit(7)", 72),
+    ("qutrit(13)", 72), ("bo()", 48), ("extsq(3)", 1 + 3 * 3 + 3 * 27),
+    ("extsq(7)", 1051), ("extraspecial(5,1)", 5 ** 2 + 5 + 1),
+    ("extraspecial(3,2)", 3 ** 3 + 2 * 3 + 1)])
+def test_basis_orbit_degrees(spec, degree):
+    from solvlen.cli import evaluate
+    from solvlen.dsl import parse_spec
+    h = evaluate(parse_spec(spec))
+    assert len(h.to_perm(h.identity)) == degree
+
+
+def test_model_matrix_is_a_homomorphism():
+    # every pair of elements of one small instance of each model
+    for model in (ExtraspecialOddModel(3, 1), Extraspecial2Model(2, "-"),
+                  Extraspecial2Model(2, "+"), atlas.ExtSqModel(3)):
+        h = atlas.model_handle(model, "m")
+        elems = h.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        mats = np.array([model.matrix(x).entries for x in elems])
+        p = model.matrix(model.identity).p
+        assert all(model.from_matrix(model.matrix(x)) == x for x in elems)
+        for i, x in enumerate(elems):
+            products = [index[model.mul(x, y)] for y in elems]
+            assert np.array_equal(mats[i] @ mats % p, mats[products])
+
+
+def test_primitive_root_is_the_least_generator():
+    from solvlen.fpmat import _SMALL_PRIMES
+    for p in sorted(_SMALL_PRIMES):
+        powers = [{pow(g, k, p) for k in range(1, p)} for g in range(1, p)]
+        least = next(g for g, s in enumerate(powers, 1) if len(s) == p - 1)
+        assert atlas._primitive_root(p) == least, p

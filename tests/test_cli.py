@@ -1,5 +1,6 @@
 """CLI surface: reports, schema, exit codes, verify-table."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -158,3 +159,49 @@ def test_env_element_cap(monkeypatch):
     h = atlas.metacyclic(2, 7)  # order 14 > cap
     with pytest.raises(CapExceeded):
         h.elements()
+
+
+def test_big_matrix_spec_stops_at_the_degree_guard(capsys, monkeypatch):
+    # gl(7,7) would grow its basis orbits toward 823,542 points; only the
+    # guard runs here, on gl(3,3)'s 26 points against a lowered limit
+    from solvlen import perm
+    monkeypatch.setattr(perm, "MAX_DEGREE", 20)
+    code, out, err = run(capsys, "eval", "gl(3,3)")
+    assert code == 2
+    assert err.splitlines() == [
+        "error: CapExceeded: basis orbits pass 20 points"]
+
+
+def test_deep_nesting_exit_code(capsys):
+    code, out, err = run(capsys, "eval", "wr(" * 1300)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == \
+        "parse error: 1:193: calls nest deeper than 64"
+
+
+# the eval-mix corpus of the benchmark: rows d = 0..6, matrix and model
+# groups, and small-degree permutation groups with deep chains
+EVAL_MIX = (
+    "cyclic(1)", "cyclic(2)", "metacyclic(2,3)", "natsd(s3mat(5),2)",
+    "gl(2,3)", "qutrit(7)", "gsp(gl(2,3),3,1)",
+    "ut(4,3)", "ut(3,5)", "gl(3,3)", "extsq(7)", "qutrit(13)", "bo()",
+    "extraspecial(3,1)", "extraspecial(5,1)", "extraspecial(2,2,minus)",
+    "sl(2,5)",
+    "wr(sym(3),wr(sym(3),sym(3)))", "wr(sym(4),sym(4))", "wr(sym(3),sym(3))",
+    "sym(7)", "sym(4)", "direct(sym(3),sym(4))", "regular(gl(2,3))",
+    "natsd(gl(2,3),2)",
+)
+
+
+def test_eval_mix_reports_are_pinned():
+    # full reports with checks, all through the BSGS engine; the digest
+    # covers every key but engine and elapsed_ms and was taken when
+    # matrix and model groups still ran on breadth-first closures
+    reports = [build_report(spec)[0] for spec in EVAL_MIX]
+    assert all(r["engine"] == "bsgs" for r in reports)
+    stripped = [{k: v for k, v in r.items()
+                 if k not in ("engine", "elapsed_ms")} for r in reports]
+    digest = hashlib.sha256(json.dumps(stripped).encode()).hexdigest()
+    assert digest == ("78959811d583c6d531c03bb2e4aebb9b"
+                      "921ecf045d979ab6b725d084e4e44241")

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solvlen.dsl import (Call, IntLiteral, Symbol, ast_equal, parse_spec,
-                         render)
+from solvlen.dsl import (MAX_DEPTH, Call, IntLiteral, Symbol, ast_equal,
+                         parse_spec, render)
 from solvlen.errors import ParseError
 
 DOCUMENTED = [
@@ -100,6 +100,19 @@ def test_multiline_positions():
 def test_input_size_limit():
     with pytest.raises(ParseError):
         parse_spec("cyclic(" + "1" * 5000 + ")")
+
+
+def test_nesting_depth_limit():
+    # 3.9 KiB of open calls, under the size cap, must not reach the
+    # Python recursion limit; the error points at the first call too deep
+    with pytest.raises(ParseError) as exc:
+        parse_spec("wr(" * 1300)
+    assert (exc.value.line, exc.value.col) == (1, 3 * MAX_DEPTH + 1)
+    deepest = "f(" * MAX_DEPTH + ")" * MAX_DEPTH
+    assert render(parse_spec(deepest)) == deepest
+    with pytest.raises(ParseError) as exc:
+        parse_spec("f(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1))
+    assert exc.value.col == 2 * MAX_DEPTH + 1
 
 
 def _asts(depth):

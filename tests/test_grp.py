@@ -114,15 +114,41 @@ def test_quotient_index_cap():
         quotient_on_cosets(big, triv)
 
 
+def bfs_normal_closure(handle, seed):
+    """Oracle: the subgroup generated by every conjugate of the seed,
+    enumerated breadth-first over the handle's own elements."""
+    conjugates = {handle.conj(s, g) for s in seed for g in handle.elements()}
+    found, frontier = {handle.identity}, [handle.identity]
+    while frontier:
+        x = frontier.pop()
+        for c in conjugates:
+            y = handle.mul(x, c)
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
+
 def test_normal_closure_engines_agree():
-    # same seed through the closure engine and the BSGS engine
-    s4 = atlas.sym(4)
-    seed = [(1, 0, 3, 2)]
-    bsgs_side = normal_closure(s4, seed)
-    s4_enum = atlas.sym(4)
-    s4_enum.elements()  # force the closure engine
-    closure_side = normal_closure(s4_enum, seed)
-    assert bsgs_side.order == closure_side.order == 4
+    # the BSGS normal closure against a breadth-first oracle, on perm,
+    # matrix and model handles
+    s4, gl23 = atlas.sym(4), atlas.gl(2, 3)
+    q32 = atlas.extraspecial(2, 2, "-")
+    ut33 = atlas.upper_triangular(3, 3)
+    cases = [(s4, [(1, 0, 3, 2)], 4), (s4, [(1, 0, 2, 3)], 24),
+             (gl23, [gl23.generators[0]], 48),
+             (gl23, [gl23.comm(*gl23.generators[:2])], 2),
+             (gl23, [gl23.comm(*gl23.generators[1:])], 24),
+             (q32, [q32.generators[0]], 4),
+             (ut33, [ut33.generators[-1]], 9),
+             (ut33, [ut33.generators[0]], 18)]
+    for handle, seed, order in cases:
+        sub = normal_closure(handle, seed)
+        oracle = bfs_normal_closure(handle, seed)
+        assert sub.order == len(oracle) == order
+        assert all(g in oracle for g in sub.generators)
+        assert all(sub.contains(x) == (x in oracle)
+                   for x in handle.elements())
 
 
 def test_frattini_of_p_groups():
