@@ -308,6 +308,7 @@ def _primitive_root(p):
 def cyclic(n):
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
+    permmod.check_degree(n)
     if n == 1:
         return perm_handle([], 1, "cyclic(1)")
     rot = tuple((i + 1) % n for i in range(n))
@@ -317,6 +318,7 @@ def cyclic(n):
 def sym(n):
     if n < 1:
         raise BadParameter("sym(n) needs n >= 1")
+    permmod.check_degree(n)
     if n == 1:
         return perm_handle([], 1, "sym(1)")
     swap = tuple([1, 0] + list(range(2, n)))
@@ -380,6 +382,10 @@ def upper_triangular(n, p):
 
 def regular(handle):
     """Right-regular permutation representation of an enumerable handle."""
+    if handle.enum_cap() > permmod.MAX_DEGREE:
+        # below that, elements() stops first; and order() would need the
+        # chain of a group of large degree, not bounded in time
+        permmod.check_degree(handle.order())
     elems = handle.elements()
     index = {e: i for i, e in enumerate(elems)}
     gens = [tuple(index[handle.mul(x, g)] for x in elems)
@@ -453,6 +459,7 @@ def wreath(h, k):
     if not (h.is_perm() and k.is_perm()):
         raise KindMismatch("wreath needs two permutation handles")
     m, n = h.degree, k.degree
+    permmod.check_degree(m * n)
     gens = []
     for g in h.generators:
         img = list(range(m * n))
@@ -468,6 +475,7 @@ def direct(h, k):
     if not (h.is_perm() and k.is_perm()):
         raise KindMismatch("direct needs two permutation handles")
     m, n = h.degree, k.degree
+    permmod.check_degree(m + n)
     gens = [tuple(list(g) + list(range(m, m + n))) for g in h.generators]
     gens += [tuple(list(range(m)) + [m + x for x in g]) for g in k.generators]
     return perm_handle(gens, m + n, f"direct({h.name},{k.name})")
@@ -492,9 +500,9 @@ def holomorph_perm(p_handle, auts):
     failure raises NotAutomorphism with the first offending (x, g), or
     with (x, a(x)) when a(x) leaves P or x = 1 moves.
     """
+    if p_handle.order() > HOLOMORPH_CAP:
+        raise CapExceeded(f"holomorph base of size {p_handle.order()}")
     elems = p_handle.elements()
-    if len(elems) > HOLOMORPH_CAP:
-        raise CapExceeded(f"holomorph base of size {len(elems)}")
     index = {e: i for i, e in enumerate(elems)}
 
     def column(g):  # right translation by g, as an index array

@@ -6,8 +6,10 @@ FpMatrix, model coordinate tuples).  Order, membership, normal closure and
 the derived series always run on a BSGS chain: a permutation handle's own,
 or for a matrix or model handle the chain of a faithful permutation image
 (its ``action``), whose results are read back into the handle's own
-elements.  Breadth-first enumeration is left to callers that need the
-elements themselves: element lists, coset tables and the lemma checks.
+elements.  A subgroup computed on a chain keeps that chain and reads its
+strong generators back into the handle's elements only on first use.
+Breadth-first enumeration is left to callers that need the elements
+themselves: element lists, coset tables and the lemma checks.
 """
 
 from __future__ import annotations
@@ -186,13 +188,24 @@ class GroupHandle:
 
 @dataclass
 class SubgroupHandle:
-    """A subgroup given by generators inside a parent handle."""
+    """A subgroup given by generators inside a parent handle.
+
+    Built from a chain with generators None, it reads the chain's strong
+    generators back into the parent's element type on first use.
+    """
 
     parent: GroupHandle
-    generators: list
+    _generators: Optional[list]
     order: int
     _elem_set: Optional[set] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = [self.parent.from_perm(g)
+                                for g in self._bsgs.strong_generators()]
+        return self._generators
 
     def contains(self, x):
         if self._elem_set is not None:
@@ -221,14 +234,10 @@ class SubgroupHandle:
                         cap=self.parent.cap, action=self.parent.action)
         if self._elem_set is not None:
             h._element_set = self._elem_set
-            h._elements = sorted(self._elem_set, key=_sort_key)
+            h._elements = list(self._elem_set)
         if self._bsgs is not None:
             h._bsgs = self._bsgs
         return h
-
-
-def _sort_key(x):
-    return repr(x)
 
 
 @dataclass
@@ -277,8 +286,7 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     if not seed:
         return SubgroupHandle(handle, [], 1, _elem_set={handle.identity})
     b = permmod.normal_closure_perm(handle.perm_generators(), seed)
-    gens = [handle.from_perm(g) for g in b.strong_generators()]
-    return SubgroupHandle(handle, gens, b.order(), _bsgs=b)
+    return SubgroupHandle(handle, None, b.order(), _bsgs=b)
 
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
@@ -299,16 +307,16 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
     b = handle.bsgs(known_order=hints[0] if hints else None)
     orders = [b.order()]
     gens = [permmod.as_perm(g) for g in handle.perm_generators()]
+    invs = [permmod.perm_inv(g) for g in gens]
     group_gens = gens
     subs = [SubgroupHandle(handle, list(handle.generators), orders[0], _bsgs=b)]
     step = 0
     while True:
         comms = []
         seen = set()
-        for i, a in enumerate(gens):
-            ai = permmod.perm_inv(a)
-            for bb in gens[i + 1:]:
-                c = permmod.perm_mul(permmod.perm_mul(ai, permmod.perm_inv(bb)),
+        for i, (a, ai) in enumerate(zip(gens, invs)):
+            for bb, bi in zip(gens[i + 1:], invs[i + 1:]):
+                c = permmod.perm_mul(permmod.perm_mul(ai, bi),
                                      permmod.perm_mul(a, bb))
                 k = permmod.perm_key(c)
                 if not permmod.is_identity(c) and k not in seen:
@@ -320,13 +328,10 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
         if nb.order() == orders[-1]:
             break
         orders.append(nb.order())
-        sg = nb.strong_generators()
-        gens = sg
-        subs.append(SubgroupHandle(
-            handle, [handle.from_perm(g) for g in sg],
-            nb.order(), _bsgs=nb))
+        subs.append(SubgroupHandle(handle, None, nb.order(), _bsgs=nb))
         if nb.order() == 1:
             break
+        gens, invs = nb.levels[0].gens, nb.levels[0].invs
     return _finish_report(orders, subs)
 
 
@@ -448,12 +453,9 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
         raise CapExceeded(f"index {index} exceeds {QUOTIENT_INDEX_CAP}")
     if handle.order() > min(ENUMERABLE_LIMIT, handle.enum_cap()):
         raise CapExceeded("group too large to label cosets")
-    nelems = sorted(nset, key=_sort_key)
-    coset_of = {}
-    reps = []
-    for n in nelems:
-        coset_of[n] = 0
-    reps.append(handle.identity)
+    # every key of coset_of is written once, so the order of nset is free
+    coset_of = dict.fromkeys(nset, 0)
+    reps = [handle.identity]
     qi = 0
     while qi < len(reps):
         r = reps[qi]
@@ -463,7 +465,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
             if e not in coset_of:
                 idx = len(reps)
                 reps.append(e)
-                for n in nelems:
+                for n in nset:
                     coset_of[handle.mul(n, e)] = idx
     assert len(reps) == index
     gen_perms = []

@@ -13,6 +13,10 @@ generator) order winning, which is exactly the order of a point-at-a-time
 FIFO.  Layers of at most SCALAR_LAYER (point, generator) pairs take a
 Python step instead, cheaper there than numpy's fixed cost per call.
 
+Level 0 owns every strong generator once, in insertion order; each deeper
+level's ``gens`` (and ``invs``) is the sub-list of those inserted at that
+level or below, so ``strong_generators()`` is level 0's list.
+
 ``schreier_sims`` accepts an optional ``known_order``: when the caller has
 an independently computed order for the generated group, construction stops
 as soon as the product of orbit lengths reaches it.  The product of orbit
@@ -25,10 +29,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeMismatch, GroupError
+from .errors import CapExceeded, DegreeMismatch, GroupError
 
 MAX_DEGREE = 200_000
 SCALAR_LAYER = 512  # widest layer, in (point, generator) pairs, grown in Python
+
+
+def check_degree(n):
+    """n itself, or CapExceeded when n points exceed MAX_DEGREE."""
+    if n > MAX_DEGREE:
+        raise CapExceeded(f"degree {n} exceeds {MAX_DEGREE}")
+    return n
 
 
 def as_perm(images):
@@ -36,9 +47,7 @@ def as_perm(images):
     g = np.asarray(images, dtype=np.int32)
     if g.ndim != 1:
         raise GroupError("permutation must be a 1-d image array")
-    n = len(g)
-    if n > MAX_DEGREE:
-        raise DegreeMismatch(f"degree {n} exceeds {MAX_DEGREE}")
+    n = check_degree(len(g))
     if n and (g.min() < 0 or g.max() >= n
               or np.count_nonzero(np.bincount(g, minlength=n)) != n):
         raise GroupError("image array is not a bijection")
@@ -134,10 +143,8 @@ class BSGS:
         return n
 
     def strong_generators(self):
-        out = []
-        for lv in self.levels:
-            out.extend(lv.gens)
-        return out
+        """Every strong generator once, in insertion order."""
+        return list(self.levels[0].gens) if self.levels else []
 
     def transversal_inv_path(self, level, point):
         """Generator indices (deepest first) whose inverses undo u_point."""
@@ -335,7 +342,7 @@ def normal_closure_perm(group_gens, seed, known_order=None):
     b = BSGS(degree)
     if not pending:
         return b
-    conj_done = set()
+    conjugated = 0  # level 0's generators only grow by appending
     verified = False
     while True:
         for s in pending:
@@ -348,12 +355,10 @@ def normal_closure_perm(group_gens, seed, known_order=None):
         # direction on an unverified chain; a false negative just inserts
         # a redundant conjugate, which sifts away later
         pending = []
-        for s in b.strong_generators():
-            ks = perm_key(s)
-            for i, (g, gi) in enumerate(zip(group_gens, ginvs)):
-                if (ks, i) in conj_done:
-                    continue
-                conj_done.add((ks, i))
+        fresh = b.levels[0].gens[conjugated:]
+        conjugated += len(fresh)
+        for s in fresh:
+            for g, gi in zip(group_gens, ginvs):
                 c = perm_mul(perm_mul(gi, s), g)
                 if not b.contains(c):
                     pending.append(c)

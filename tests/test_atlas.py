@@ -406,3 +406,23 @@ def test_primitive_root_is_the_least_generator():
         powers = [{pow(g, k, p) for k in range(1, p)} for g in range(1, p)]
         least = next(g for g, s in enumerate(powers, 1) if len(s) == p - 1)
         assert atlas._primitive_root(p) == least, p
+
+
+def test_builders_check_the_degree_before_building(monkeypatch):
+    # only the guards run: every builder below would pass 30 points, and
+    # none may build a permutation or enumerate a group first
+    from solvlen import perm
+    s5, s6, s20 = sym(5), sym(6), sym(20)
+    monkeypatch.setattr(perm, "MAX_DEGREE", 30)
+    monkeypatch.setattr(atlas, "HOLOMORPH_CAP", 30)
+
+    def built(*args, **kwargs):
+        pytest.fail("a handle was built before the degree check")
+    monkeypatch.setattr(atlas, "perm_handle", built)
+    for build, args in ((cyclic, (31,)), (sym, (31,)), (wreath, (s6, s6)),
+                        (direct, (s20, s20)), (regular, (s5,))):
+        with pytest.raises(CapExceeded, match="exceeds 30"):
+            build(*args)
+    with pytest.raises(CapExceeded, match="holomorph base of size 120"):
+        holomorph_perm(s5, [])
+    assert s5._elements is None

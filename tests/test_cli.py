@@ -172,6 +172,15 @@ def test_big_matrix_spec_stops_at_the_degree_guard(capsys, monkeypatch):
         "error: CapExceeded: basis orbits pass 20 points"]
 
 
+def test_big_perm_spec_stops_at_the_degree_guard(capsys, monkeypatch):
+    from solvlen import perm
+    monkeypatch.setattr(perm, "MAX_DEGREE", 30)
+    code, out, err = run(capsys, "eval", "wr(sym(6),sym(6))")
+    assert code == 2
+    assert err.splitlines() == [
+        "error: CapExceeded: degree 36 exceeds 30"]
+
+
 def test_deep_nesting_exit_code(capsys):
     code, out, err = run(capsys, "eval", "wr(" * 1300)
     assert code == 2

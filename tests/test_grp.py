@@ -7,6 +7,8 @@ import pytest
 
 from helpers import corpus_perm_groups
 from solvlen import atlas, grp
+from solvlen.cli import evaluate
+from solvlen.dsl import parse_spec
 from solvlen.errors import CapExceeded, GroupError, NotNormal, NotPGroup
 from solvlen.grp import (SubgroupHandle, center, derived_series, factorize,
                          frattini_pgroup, is_cyclic, lower_central_series,
@@ -149,6 +151,24 @@ def test_normal_closure_engines_agree():
         assert all(g in oracle for g in sub.generators)
         assert all(sub.contains(x) == (x in oracle)
                    for x in handle.elements())
+
+
+@pytest.mark.parametrize("spec", ["wr(sym(3),sym(3))", "gl(2,3)",
+                                  "extraspecial(3,1)", "bo()"])
+def test_chain_generators_are_read_back_on_first_use(spec):
+    # derived terms and normal closures keep their chain and convert its
+    # strong generators into the handle's element type only when asked
+    handle = evaluate(parse_spec(spec))
+    report = derived_series(handle)
+    subs = report.subgroups[1:] + [normal_closure(handle,
+                                                  handle.generators[:1])]
+    assert len(subs) >= 2
+    for sub in subs:
+        assert sub._generators is None
+        eager = [handle.from_perm(g) for g in sub._bsgs.strong_generators()]
+        assert sub.generators == eager
+        assert sub.generators is sub.generators
+        assert all(type(g) is type(handle.identity) for g in eager)
 
 
 def test_frattini_of_p_groups():

@@ -240,3 +240,71 @@ def test_chains_are_pinned(spec):
     assert report.subgroups[0]._bsgs is handle.bsgs()
     digests = [chain_fingerprint(s._bsgs) for s in report.subgroups]
     assert digests == PINNED_CHAINS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_CHAINS) + ["d8()"])
+def test_strong_generators_are_listed_once(spec):
+    # level 0 owns every strong generator once; a deeper level holds those
+    # inserted at it or below, in the same order
+    for sub in derived_series(evaluate(parse_spec(spec))).subgroups:
+        b = sub._bsgs
+        keys = [perm_key(g) for g in b.strong_generators()]
+        assert len(set(keys)) == len(keys)
+        assert keys == [perm_key(g) for g in b.levels[0].gens] \
+            if b.levels else keys == []
+        for lv in b.levels[1:]:
+            rest = iter(keys)
+            assert all(perm_key(g) in rest for g in lv.gens)
+
+
+def set_keyed_normal_closure(group_gens, seed):
+    """normal_closure_perm as it was when strong_generators() listed each
+    generator once per level it sits on: conjugates are skipped by a set
+    of (generator key, group generator index) pairs already done."""
+    group_gens = [as_perm(g) for g in group_gens]
+    ginvs = [perm_inv(g) for g in group_gens]
+    pending, seen = [], set()
+    for s in map(as_perm, seed):
+        if not is_identity(s) and perm_key(s) not in seen:
+            seen.add(perm_key(s))
+            pending.append(s)
+    b = perm.BSGS(len(group_gens[0]))
+    conj_done, verified = set(), False
+    while pending or not verified:
+        for s in pending:
+            perm._sift_insert(b, s)
+            verified = False
+        pending = []
+        for s in [g for lv in b.levels for g in lv.gens]:
+            ks = perm_key(s)
+            for i, (g, gi) in enumerate(zip(group_gens, ginvs)):
+                if (ks, i) not in conj_done:
+                    conj_done.add((ks, i))
+                    c = perm_mul(perm_mul(gi, s), g)
+                    if not b.contains(c):
+                        pending.append(c)
+        if not pending and not verified:
+            perm._complete(b)
+            verified = True
+    return b
+
+
+@pytest.mark.parametrize("spec", ["sym(5)", "wr(sym(3),sym(3))",
+                                  "regular(gl(2,3))"])
+def test_conjugation_count_matches_the_set_keyed_loop(spec):
+    handle = evaluate(parse_spec(spec))
+    gens = [as_perm(g) for g in handle.perm_generators()]
+    seeds = [[g] for g in gens]
+    seeds.append([perm_mul(perm_mul(perm_inv(a), perm_inv(b)), perm_mul(a, b))
+                  for a in gens for b in gens])
+    for sub in derived_series(handle).subgroups:
+        seeds.append(sub._bsgs.strong_generators()[-2:])
+    repeats = 0
+    for seed in seeds:
+        old = set_keyed_normal_closure(gens, seed)
+        assert chain_fingerprint(old) == \
+            chain_fingerprint(normal_closure_perm(gens, seed))
+        repeats += sum(len(lv.gens) for lv in old.levels[1:])
+    # the old loop met generators listed twice, except in a regular
+    # group, whose chains have one level
+    assert repeats or handle.order() == handle.degree
