@@ -19,7 +19,7 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
                      NotAutomorphism, ScalarSearchFailed, SearchFailed)
 from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
                     similitude_factor, spin_all_lines, wedge_square, wedge_vec)
-from .grp import GroupHandle, factorize, tuple_inv, tuple_mul
+from .grp import GroupHandle, center, factorize, tuple_inv, tuple_mul
 
 HOLOMORPH_CAP = 200_000
 
@@ -91,9 +91,12 @@ class BasisOrbitAction:
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return order[pos] if np.array_equal(keys[pos], k) else None
 
-    def element(self, g):
-        rows = self._points[0][np.asarray(g)[:self.n]].tolist()
-        return self.from_matrix(FpMatrix(self.p, tuple(map(tuple, rows))))
+    def elements(self, rows):
+        """The elements whose image rows are the rows of a 2-D array: the
+        matrix of a row has the points it sends e_0..e_{n-1} to as rows."""
+        mats = self._points[0][rows[:, :self.n]].tolist()
+        return [self.from_matrix(FpMatrix(self.p, tuple(map(tuple, m))))
+                for m in mats]
 
 
 def matrix_handle(gens, name=""):
@@ -381,16 +384,14 @@ def upper_triangular(n, p):
 
 
 def regular(handle):
-    """Right-regular permutation representation of an enumerable handle."""
+    """Right-regular permutation representation of an enumerable handle:
+    its generators are the handle's right-translation columns."""
     if handle.enum_cap() > permmod.MAX_DEGREE:
         # below that, elements() stops first; and order() would need the
         # chain of a group of large degree, not bounded in time
         permmod.check_degree(handle.order())
-    elems = handle.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    gens = [tuple(index[handle.mul(x, g)] for x in elems)
-            for g in handle.generators]
-    return perm_handle(gens, len(elems), f"regular({handle.name})")
+    return perm_handle(handle.columns().tolist(), len(handle.elements()),
+                       f"regular({handle.name})")
 
 
 def s3mat(p):
@@ -446,10 +447,7 @@ def extraspecial(p, n, eps=None):
 def _check_extraspecial(handle, model, p, n):
     elems = handle.elements()
     assert len(elems) == p ** (1 + 2 * n)
-    central = [e for e in elems
-               if all(handle.mul(e, g) == handle.mul(g, e)
-                      for g in handle.generators)]
-    assert len(central) == p
+    assert center(handle).order == p
     if p > 2:
         assert all(handle.power(e, p) == handle.identity for e in elems)
 
@@ -494,7 +492,8 @@ def holomorph_perm(p_handle, auts):
     x in P, g in S.  That suffices since elements() is the closure of S:
     every y in P is a word in S (a finite group needs no inverses), and
     induction on its length gives a(x y) = a(x) a(y).  With
-    col_g[x] = index of x g and amap[x] = index of a(x), the law for g is
+    col_g[x] = index of x g (P's own columns for its generators) and
+    amap[x] = index of a(x), the law for g is
     amap[col_g] == col_{a(g)}[amap], |P| products per generator, so the
     check is complete at every size, with no sampling for large P.  A
     failure raises NotAutomorphism with the first offending (x, g), or
@@ -504,12 +503,7 @@ def holomorph_perm(p_handle, auts):
         raise CapExceeded(f"holomorph base of size {p_handle.order()}")
     elems = p_handle.elements()
     index = {e: i for i, e in enumerate(elems)}
-
-    def column(g):  # right translation by g, as an index array
-        return np.array([index[p_handle.mul(x, g)] for x in elems],
-                        dtype=np.int32)
-
-    cols = [column(g) for g in p_handle.generators]
+    cols = list(p_handle.columns())
     amaps = []
     for a in auts:
         amap = np.empty(len(elems), dtype=np.int32)
@@ -523,7 +517,8 @@ def holomorph_perm(p_handle, auts):
             raise NotAutomorphism("map moves the identity",
                                   witness=(elems[one], elems[amap[one]]))
         for g, col in zip(p_handle.generators, cols):
-            col_ag = column(elems[amap[index[g]]])
+            ag = elems[amap[index[g]]]
+            col_ag = np.array([index[p_handle.mul(x, ag)] for x in elems])
             bad = np.flatnonzero(amap[col] != col_ag[amap])
             if len(bad):
                 raise NotAutomorphism("map breaks multiplication",

@@ -8,8 +8,9 @@ or for a matrix or model handle the chain of a faithful permutation image
 (its ``action``), whose results are read back into the handle's own
 elements.  A subgroup computed on a chain keeps that chain and reads its
 strong generators back into the handle's elements only on first use.
-Breadth-first enumeration is left to callers that need the elements
-themselves: element lists, coset tables and the lemma checks.
+Element lists are enumerated breadth-first over the same images as 2-D
+arrays (``_closure``), with the right-translation columns of the
+generators as a by-product, and read back in one step per kind.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import perm as permmod
 from .errors import (BadParameter, CapExceeded, GroupError, NotNormal,
                      NotPGroup)
@@ -28,6 +31,7 @@ DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
 ENUMERABLE_LIMIT = 10 ** 6
 MEMORY_BUDGET = 5 * 10 ** 7  # element entries across an enumeration
+READ_ROWS = 4096  # image rows read back as one nested list
 
 
 def env_int(name, default):
@@ -87,11 +91,11 @@ def tuple_inv(a):
 class GroupHandle:
     """Bundle of identity, generators and element operations.
 
-    The element list, element set and BSGS are computed on first use and
-    cached on the handle.  The derived-series report is cached by a weak
-    reference: its subgroups refer back to the handle, and a strong one
-    would make a cycle that keeps a dropped group's memory until the
-    cyclic collector runs.
+    The element list with its right-translation columns, and the BSGS, are
+    computed on first use and cached on the handle.  The derived-series
+    report is cached by a weak reference: its subgroups refer back to the
+    handle, and a strong one would make a cycle that keeps a dropped
+    group's memory until the cyclic collector runs.
     """
 
     identity: object
@@ -105,7 +109,7 @@ class GroupHandle:
     cap: int = field(default_factory=_env_cap)
     series_order_hints: Optional[tuple] = None  # structurally known |G^(i)|
     _elements: Optional[list] = field(default=None, repr=False)
-    _element_set: Optional[set] = field(default=None, repr=False)
+    _columns: Optional[np.ndarray] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
     _series: Optional[weakref.ref] = field(default=None, repr=False)
 
@@ -119,8 +123,15 @@ class GroupHandle:
 
     def from_perm(self, g):
         """The element of the handle's own type with image array g."""
-        return tuple(g.tolist()) if self.action is None else \
-            self.action.element(g)
+        return self.from_perms(np.asarray(g)[None])[0]
+
+    def from_perms(self, rows):
+        """The elements with the image rows of a 2-D array, read back
+        READ_ROWS rows per numpy step."""
+        read = (lambda part: map(tuple, part.tolist())) \
+            if self.action is None else self.action.elements
+        return [x for i in range(0, len(rows), READ_ROWS)
+                for x in read(rows[i:i + READ_ROWS])]
 
     def perm_generators(self):
         return [self.to_perm(g) for g in self.generators]
@@ -135,13 +146,27 @@ class GroupHandle:
         return self._bsgs
 
     def elements(self):
-        """Deterministic BFS enumeration of the full element list."""
+        """The element list, breadth-first from the identity over the
+        generators (see _closure)."""
         if self._elements is None:
-            elems, eset = _closure(self.mul, self.identity,
-                                   self.generators, self.enum_cap())
-            self._elements = elems
-            self._element_set = eset
+            self._elements, self._columns = self.closure(
+                self.perm_generators())
         return self._elements
+
+    def columns(self):
+        """Right-translation columns: cols[k, i] is the index in elements()
+        of elements()[i] * generators[k] (an int32 array)."""
+        self.elements()
+        return self._columns
+
+    def closure(self, images):
+        """(elements, columns) of the group generated by the given image
+        arrays, read back into this handle's elements; see _closure."""
+        n = len(self.to_perm(self.identity))
+        dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points
+        return _closure(self.from_perms, np.arange(n, dtype=dtype),
+                        np.array(images, dtype).reshape(len(images), n),
+                        self.enum_cap())
 
     def enum_cap(self):
         # high-degree permutation elements are large; keep total entries
@@ -150,10 +175,6 @@ class GroupHandle:
         if self.is_perm() and self.degree:
             cap = min(cap, max(1, MEMORY_BUDGET // self.degree))
         return cap
-
-    def element_set(self):
-        self.elements()
-        return self._element_set
 
     def order(self):
         return self.bsgs().order()
@@ -222,8 +243,10 @@ class SubgroupHandle:
         if self._elem_set is None:
             if self.order > min(ENUMERABLE_LIMIT, self.parent.enum_cap()):
                 raise CapExceeded("subgroup too large to enumerate")
-            _, self._elem_set = _closure(self.parent.mul, self.parent.identity,
-                                         self.generators, self.parent.cap)
+            images = (self._bsgs.strong_generators()
+                      if self._generators is None else
+                      [self.parent.to_perm(g) for g in self._generators])
+            self._elem_set = set(self.parent.closure(images)[0])
         return self._elem_set
 
     def as_handle(self, name=""):
@@ -232,9 +255,6 @@ class SubgroupHandle:
                         name=name or f"subgroup of {self.parent.name}",
                         kind=self.parent.kind, degree=self.parent.degree,
                         cap=self.parent.cap, action=self.parent.action)
-        if self._elem_set is not None:
-            h._element_set = self._elem_set
-            h._elements = list(self._elem_set)
         if self._bsgs is not None:
             h._bsgs = self._bsgs
         return h
@@ -262,22 +282,41 @@ class SeriesReport:
 # closure / enumeration
 
 
-def _closure(mul, identity, gens, cap):
-    """BFS closure of <gens>; returns (ordered list, set)."""
-    elems = [identity]
-    eset = {identity}
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        qi += 1
-        for g in gens:
-            y = mul(x, g)
-            if y not in eset:
-                if len(eset) >= cap:
+def _closure(read, identity, gens, cap):
+    """Breadth-first closure of the image rows gens (k x n) from the
+    identity row: (read(rows), cols), cols[k, i] = index of rows[i] * gens[k].
+
+    x * g is g[x].  Slices of elements, in index order, are multiplied by
+    all generators in one fancy-index step, in (element, generator) order,
+    and the first occurrence of a new row gets the next index: the order of
+    a FIFO search.  A dict of row bytes is the only store of the rows until
+    read; the rows held plus the image rows in flight, as an array and as
+    bytes, stay within cap rows (or one element's images).  CapExceeded
+    once there are more than cap rows.
+    """
+    k, n = gens.shape
+    row = np.dtype((np.void, n * identity.itemsize))  # a row as one item
+    index = {identity.tobytes(): 0}
+    keys = list(index)
+    which = np.arange(k)[None, :, None]
+    cols, done = [], 0
+    while done < len(keys):
+        step = max(1, (cap - len(keys)) // max(2 * k, 1))
+        part = np.frombuffer(b"".join(keys[done:done + step]),
+                             identity.dtype).reshape(-1, n)
+        done += len(part)
+        images = gens[which, part[:, None, :]].view(row).ravel().tolist()
+        for key in images:
+            i = index.setdefault(key, len(keys))
+            if i == len(keys):
+                if i == cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
-                eset.add(y)
-                elems.append(y)
-    return elems, eset
+                keys.append(key)
+            cols.append(i)
+        del part, images  # free this slice before the next is built
+    rows = np.frombuffer(b"".join(keys), identity.dtype).reshape(-1, n)
+    del index, keys  # read() sees one copy of the rows
+    return read(rows), np.array(cols, np.int32).reshape(len(rows), k).T.copy()
 
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
@@ -410,10 +449,7 @@ def minimal_normal_subgroups(handle: GroupHandle):
         # mark the conjugation orbit of <x> (all generators of all conjugates)
         orbit = [x]
         oset = {x}
-        qi = 0
-        while qi < len(orbit):
-            y = orbit[qi]
-            qi += 1
+        for y in orbit:
             for g in handle.generators:
                 z = handle.conj(y, g)
                 if z not in oset:
@@ -456,10 +492,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     # every key of coset_of is written once, so the order of nset is free
     coset_of = dict.fromkeys(nset, 0)
     reps = [handle.identity]
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
+    for r in reps:
         for g in handle.generators:
             e = handle.mul(r, g)
             if e not in coset_of:

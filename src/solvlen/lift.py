@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParameter, KindMismatch, NotOrthogonal,
-                     SearchExhausted, SearchFailed, Singular)
+from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
+                     SearchFailed, Singular)
 from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
 from .grp import derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
@@ -282,9 +282,10 @@ def two_generator_reduction(handle, order):
     generating the whole group.
 
     Works on the Cayley graph: each element e gets its right-translation
-    index array col_e (col_e[x] = index of x * e), built by composing
-    generator columns along the BFS, so a candidate pair is tested by an
-    integer orbit walk instead of matrix arithmetic.
+    index array col_e (col_e[x] = index of x * e), its parent's composed
+    with the generator column that first reached e in the enumeration
+    (handle.columns()), so a candidate pair is tested by an integer orbit
+    walk instead of matrix arithmetic.
 
     A walk from the identity visits exactly the subgroup <g1, g2>, so a
     failed walk yields a whole proper subgroup.  Each one found gets a bit
@@ -296,19 +297,13 @@ def two_generator_reduction(handle, order):
     elems = handle.elements()
     if len(elems) != order:
         raise SearchFailed(f"group has order {len(elems)}, wanted {order}")
-    gen_cols = _generator_columns(handle, elems)
-    cols = {0: np.arange(order, dtype=np.int32)}
-    queue = [0]
-    while queue:
-        e = queue.pop()
-        for gc in gen_cols:
-            new = gc[cols[e]]
-            ni = int(new[0])
-            if ni not in cols:
-                cols[ni] = new
-                queue.append(ni)
-    if len(cols) != order:
-        raise SearchFailed("translation table construction incomplete")
+    gen_cols = handle.columns()
+    # first[e]: where e first occurs in (element, generator) order
+    _, first = np.unique(gen_cols.T, return_index=True)
+    cols = [np.arange(order, dtype=np.int32)]
+    for i in range(1, order):
+        parent, k = divmod(int(first[i]), len(gen_cols))
+        cols.append(gen_cols[k][cols[parent]])
 
     def elt_order(i):
         x, n = int(cols[i][0]), 1
@@ -348,30 +343,6 @@ def two_generator_reduction(handle, order):
                 member[e] |= bit
             bit <<= 1
     raise SearchFailed("no 2-element generating set found")
-
-
-def _generator_columns(handle, elems):
-    """col_g[x] = index of x * g for every generator g, from the elements
-    stacked as one array (matrix products, or g[x] for image tuples); one
-    np.unique finds each product row among the element rows."""
-    if handle.kind not in ("matrix", "perm"):
-        raise KindMismatch("generator columns need a matrix or perm handle")
-    if handle.kind == "matrix":
-        stack = np.array([e.entries for e in elems], dtype=np.int32)
-        prods = [stack @ np.array(g.entries, dtype=np.int32) % g.p
-                 for g in handle.generators]
-    else:
-        stack = np.array(elems, dtype=np.int32)
-        prods = [np.asarray(g)[stack] for g in handle.generators]
-    rows = np.concatenate([stack] + prods).reshape(-1, stack[0].size)
-    if handle.kind == "matrix":
-        rows = rows.astype(np.uint8)  # entries are below p <= 251
-    _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                  return_inverse=True)
-    if len(first) != len(elems):
-        raise SearchFailed("elements are not closed under the generators")
-    cols = first[inverse.ravel()][len(elems):].astype(np.int32)
-    return cols.reshape(len(prods), len(elems))
 
 
 def invariant_quadratic_form(mats):

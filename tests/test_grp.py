@@ -3,6 +3,7 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from helpers import corpus_perm_groups
@@ -14,6 +15,7 @@ from solvlen.grp import (SubgroupHandle, center, derived_series, factorize,
                          frattini_pgroup, is_cyclic, lower_central_series,
                          minimal_normal_subgroups, normal_closure, omega,
                          quotient_on_cosets)
+from solvlen.lift import f4_model_generators
 
 
 def test_factorize_and_omega():
@@ -222,3 +224,112 @@ def test_element_helpers():
     assert s4.comm(x, x) == s4.identity
     assert is_cyclic(atlas.cyclic(12))
     assert not is_cyclic(atlas.sym(3))
+
+
+def fifo_closure(handle, gens):
+    """The former enumeration: a FIFO search over handle.mul, each element
+    times each generator in turn, the first occurrence of a product new."""
+    elems, seen = [handle.identity], {handle.identity}
+    for x in elems:
+        for g in gens:
+            y = handle.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def qbar():
+    return atlas.matrix_handle(f4_model_generators(), "qbar")
+
+
+ENUMERATED = ["sym(5)", "wr(sym(3),sym(3))", "gl(2,3)", "qbar", "bo()",
+              "extraspecial(3,1)", "extraspecial(2,2,minus)", "extsq(3)"]
+
+
+def build(spec):
+    return qbar() if spec == "qbar" else evaluate(parse_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ENUMERATED)
+def test_elements_follow_the_fifo_search(spec):
+    # the image-array closure lists the same elements in the same order
+    handle = build(spec)
+    assert handle.elements() == fifo_closure(handle, handle.generators)
+
+
+@pytest.mark.parametrize("spec", ["wr(sym(3),sym(3))", "gl(2,3)",
+                                  "extsq(3)"])
+def test_element_sets_match_the_fifo_closure(spec):
+    # chain-built terms enumerate from their chain without reading its
+    # generators back; their generator-built twins give the same set
+    handle = build(spec)
+    for sub in derived_series(handle).subgroups:
+        chain_built = sub._generators is None
+        got = sub.element_set()
+        assert (sub._generators is None) == chain_built
+        assert got == set(fifo_closure(handle, sub.generators))
+        assert len(got) == sub.order
+        twin = SubgroupHandle(handle, list(sub.generators), sub.order)
+        assert twin.element_set() == got
+
+
+@pytest.mark.parametrize("make", [lambda: atlas.sym(4), lambda: atlas.gl(2, 3),
+                                  lambda: atlas.exterior_square_group(3)],
+                         ids=["perm", "matrix", "model"])
+def test_enumeration_cap_is_the_group_order(make):
+    order = make().order()
+    short = make()
+    short.cap = order - 1
+    with pytest.raises(CapExceeded):
+        short.elements()
+    exact = make()
+    exact.cap = order
+    assert len(exact.elements()) == order
+
+
+class RecordingRows(np.ndarray):
+    """Generator images that record how many elements each fancy-index
+    step multiplies."""
+
+    slices = []
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        RecordingRows.slices.append(out.shape[0])
+        return out
+
+
+def test_enumeration_slices_stay_within_the_cap(monkeypatch):
+    # ten transpositions generate S5; the budget admits exactly |S5| rows,
+    # and the rows held plus the image rows in flight, each held twice (as
+    # an array and as bytes), must stay within it
+    gens = [tuple(j if j not in (a, b) else a + b - j for j in range(5))
+            for a in range(5) for b in range(a + 1, 5)]
+    handle = atlas.perm_handle(gens, 5, "S5 by transpositions")
+    monkeypatch.setattr(grp, "MEMORY_BUDGET", 120 * 5)
+    assert handle.enum_cap() == 120
+    closure = grp._closure
+
+    def recording(read, identity, images, cap):
+        return closure(read, identity, images.view(RecordingRows), cap)
+    monkeypatch.setattr(grp, "_closure", recording)
+    RecordingRows.slices = []
+    assert handle.elements() == fifo_closure(handle, handle.generators)
+    cols, done = handle.columns(), 0
+    for m in RecordingRows.slices:
+        held = max(done, int(cols[:, :done].max(initial=0)) + 1)
+        assert held + 2 * m * 10 <= 120 or m == 1
+        done += m
+    assert done == 120 and max(RecordingRows.slices) > 1
+
+
+def test_generator_columns_match_products():
+    e27 = atlas.model_handle(atlas.ExtraspecialOddModel(3, 1), "e27")
+    for h in (atlas.sym(4), atlas.gl(2, 3), qbar(), e27):
+        elems = h.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        cols = h.columns()
+        assert cols.dtype == np.int32
+        assert cols.tolist() == [[index[h.mul(x, g)] for x in elems]
+                                 for g in h.generators]

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import chain_fingerprint
 from solvlen import atlas, grp
 from solvlen.atlas import Extraspecial2Model, model_handle
-from solvlen.errors import (BadParameter, KindMismatch, NotOrthogonal,
-                            SearchExhausted, SearchFailed)
+from solvlen.errors import (BadParameter, NotOrthogonal, SearchExhausted,
+                            SearchFailed)
 from solvlen.fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors
 from solvlen.lift import (AutPair, _f2_nullspace, _form_from_function,
-                          _generator_columns, _linear_offset, _offset_perms, _q_add,
+                          _linear_offset, _offset_perms, _q_add,
                           f4_model_generators, invariant_quadratic_form,
                           lift_generators, quadratic_correction,
                           two_generator_reduction)
@@ -247,19 +247,6 @@ def test_two_generator_reduction_matches_exhaustive_search(build):
     h = build()
     assert two_generator_reduction(h, h.order()) == \
         reference_two_generator_reduction(h)
-
-
-def test_generator_columns_match_products():
-    for h in (atlas.sym(4), atlas.gl(2, 3),
-              atlas.matrix_handle(F4_GENS, "qbar")):
-        elems = h.elements()
-        index = {e: i for i, e in enumerate(elems)}
-        cols = _generator_columns(h, elems)
-        assert cols.dtype == np.int32
-        assert cols.tolist() == [[index[h.mul(x, g)] for x in elems]
-                                 for g in h.generators]
-    with pytest.raises(KindMismatch):
-        _generator_columns(atlas.extraspecial(3, 1), [])
 
 
 def test_two_generator_reduction_pins_the_d8_pair():
