@@ -65,6 +65,16 @@ def perm_inv(a):
     return inv
 
 
+def perm_power(a, k):
+    """a to the k-th power (k >= 0), by repeated squaring."""
+    out = np.arange(len(a), dtype=np.int32)
+    while k:
+        if k & 1:
+            out = a[out]
+        a, k = a[a], k >> 1
+    return out
+
+
 def perm_key(a):
     return a.tobytes()
 

@@ -75,6 +75,15 @@ def test_s4_lower_central_series_stabilizes_at_a4():
     assert [c.order for c in chain] == [24, 12]
 
 
+def test_lower_central_series_terms_answer_membership():
+    # gamma_1 is the group itself on the handle's chain, like G^(0)
+    s4 = atlas.sym(4)
+    g1, g2 = lower_central_series(s4)
+    assert all(g1.contains(g) for g in s4.generators)
+    assert g1.contains((1, 0, 2, 3)) and not g2.contains((1, 0, 2, 3))
+    assert g2.contains((1, 2, 0, 3))
+
+
 def test_a5_not_solvable():
     a5 = atlas.perm_handle([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5, "a5")
     rep = derived_series(a5)
