@@ -305,7 +305,9 @@ def model_handle(model, name=""):
 
 
 def _primitive_root(p):
-    return next(g for g in range(1, p) if _mult_order(g, p) == p - 1)
+    # the order of a unit g mod p is that of x -> gx on Z/p
+    return next(g for g in range(1, p)
+                if permmod.perm_order_of(np.arange(p) * g % p) == p - 1)
 
 
 def cyclic(n):
@@ -387,10 +389,10 @@ def regular(handle):
     """Right-regular permutation representation of an enumerable handle:
     its generators are the handle's right-translation columns."""
     if handle.enum_cap() > permmod.MAX_DEGREE:
-        # below that, elements() stops first; and order() would need the
+        # below that, rows() stops first; and order() would need the
         # chain of a group of large degree, not bounded in time
         permmod.check_degree(handle.order())
-    return perm_handle(handle.columns().tolist(), len(handle.elements()),
+    return perm_handle(handle.columns().tolist(), len(handle.rows()),
                        f"regular({handle.name})")
 
 
@@ -412,19 +414,10 @@ def metacyclic(p, q):
     if q % p != 1:
         raise BadCongruence(f"metacyclic({p},{q}) needs q = 1 mod p")
     k = next(k for k in range(2, q)
-             if _mult_order(k, q) == p)
+             if permmod.perm_order_of(np.arange(q) * k % q) == p)
     b = tuple((x + 1) % q for x in range(q))
     a = tuple(x * k % q for x in range(q))
     return perm_handle([a, b], q, f"metacyclic({p},{q})")
-
-
-def _mult_order(k, q):
-    x = k % q
-    n = 1
-    while x != 1:
-        x = x * k % q
-        n += 1
-    return n
 
 
 def extraspecial(p, n, eps=None):
@@ -445,16 +438,16 @@ def extraspecial(p, n, eps=None):
 
 
 def _check_extraspecial(handle, model, p, n):
-    elems = handle.elements()
-    assert len(elems) == p ** (1 + 2 * n)
+    rows = handle.rows()
+    assert len(rows) == p ** (1 + 2 * n)
     assert center(handle).order == p
-    if p > 2:
-        assert all(handle.power(e, p) == handle.identity for e in elems)
+    if p > 2:  # exponent p
+        assert set(permmod.perm_order_of(rows).tolist()) <= {1, p}
 
 
 def wreath(h, k):
     """Imprimitive wreath product: base h^deg(k) permuted by the top k."""
-    if not (h.is_perm() and k.is_perm()):
+    if not h.kind == k.kind == "perm":
         raise KindMismatch("wreath needs two permutation handles")
     m, n = h.degree, k.degree
     permmod.check_degree(m * n)
@@ -470,7 +463,7 @@ def wreath(h, k):
 
 
 def direct(h, k):
-    if not (h.is_perm() and k.is_perm()):
+    if not h.kind == k.kind == "perm":
         raise KindMismatch("direct needs two permutation handles")
     m, n = h.degree, k.degree
     permmod.check_degree(m + n)
@@ -628,28 +621,29 @@ def binary_octahedral():
     verifies that count.
     """
     ambient = sl(2, 7)
-    elems = sorted(ambient.elements(), key=lambda m: m.packed())
+    orders = dict(zip(ambient.elements(),
+                      permmod.perm_order_of(ambient.rows()).tolist()))
+    elems = sorted(orders, key=lambda m: m.packed())
 
     def extend(gens, k, order, cap):
         """First <gens, t>, t of order k, of the given order with a single
         involution, by a closure capped at cap elements."""
         for t in elems:
-            if ambient.element_order(t) != k:
+            if orders[t] != k:
                 continue
             h = matrix_handle(gens + [t], "bo()")
             h.cap = cap
             try:
-                elements = h.elements()
+                rows = h.rows()
             except CapExceeded:
                 continue
-            if len(elements) == order and sum(
-                    x != h.identity and x * x == h.identity
-                    for x in elements) == 1:
+            if len(rows) == order and np.count_nonzero(
+                    permmod.perm_order_of(rows) == 2) == 1:
                 return h
         return None
 
     quat = next(filter(None, (extend([i], 4, 8, 20) for i in elems
-                              if ambient.element_order(i) == 4)), None)
+                              if orders[i] == 4)), None)
     sl23 = quat and extend(quat.generators, 3, 24, 60)
     bo = sl23 and extend(sl23.generators, 8, 48, 100)
     if bo is None:

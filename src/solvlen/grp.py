@@ -92,8 +92,9 @@ def tuple_inv(a):
 class GroupHandle:
     """Bundle of identity, generators and element operations.
 
-    The element list with its right-translation columns, and the BSGS, are
-    computed on first use and cached on the handle.  The derived-series
+    The image rows of the elements with their right-translation columns,
+    the element list read back from them, and the BSGS, are computed on
+    first use and cached on the handle.  The derived-series
     report is cached by a weak reference: its subgroups refer back to the
     handle, and a strong one would make a cycle that keeps a dropped
     group's memory until the cyclic collector runs.
@@ -109,13 +110,11 @@ class GroupHandle:
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
     series_order_hints: Optional[tuple] = None  # structurally known |G^(i)|
+    _rows: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
     _series: Optional[weakref.ref] = field(default=None, repr=False)
-
-    def is_perm(self):
-        return self.kind == "perm"
 
     def to_perm(self, x):
         """x as an image sequence: itself for a perm handle, else its
@@ -146,36 +145,39 @@ class GroupHandle:
                              f"cached chain's order {self._bsgs.order()}")
         return self._bsgs
 
+    def rows(self):
+        """The image rows of the elements (a 2-D array), breadth-first
+        from the identity over the generators (see _closure)."""
+        if self._rows is None:
+            self._rows, self._columns = self.closure(self.perm_generators())
+        return self._rows
+
     def elements(self):
-        """The element list, breadth-first from the identity over the
-        generators (see _closure)."""
+        """The element list: rows() read back into the handle's type."""
         if self._elements is None:
-            self._elements, self._columns = self.closure(
-                self.perm_generators())
+            self._elements = self.from_perms(self.rows())
         return self._elements
 
     def columns(self):
-        """Right-translation columns: cols[k, i] is the index in elements()
-        of elements()[i] * generators[k] (an int32 array)."""
-        self.elements()
+        """Right-translation columns: cols[k, i] is the index in rows() of
+        rows()[i] * generators[k] (an int32 array)."""
+        self.rows()
         return self._columns
 
     def closure(self, images):
-        """(elements, columns) of the group generated by the given image
-        arrays, read back into this handle's elements; see _closure."""
+        """(rows, columns) of the group generated by the given image
+        arrays; see _closure."""
         n = len(self.to_perm(self.identity))
         dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points
-        return _closure(self.from_perms, np.arange(n, dtype=dtype),
+        return _closure(lambda rows: rows, np.arange(n, dtype=dtype),
                         np.array(images, dtype).reshape(len(images), n),
                         self.enum_cap())
 
     def enum_cap(self):
-        # high-degree permutation elements are large; keep total entries
-        # (order x degree) bounded as well as the raw count
-        cap = self.cap
-        if self.is_perm() and self.degree:
-            cap = min(cap, max(1, MEMORY_BUDGET // self.degree))
-        return cap
+        # every enumeration stores rows of the image's degree; keep total
+        # entries (order x degree) bounded as well as the raw count
+        n = len(self.to_perm(self.identity))
+        return min(self.cap, max(1, MEMORY_BUDGET // max(n, 1)))
 
     def order(self):
         return self.bsgs().order()
@@ -198,14 +200,7 @@ class GroupHandle:
         return out
 
     def element_order(self, x):
-        y = x
-        n = 1
-        while y != self.identity:
-            y = self.mul(y, x)
-            n += 1
-            if n > self.cap:
-                raise CapExceeded("element order exceeded cap")
-        return n
+        return permmod.perm_order_of(self.to_perm(x))
 
 
 @dataclass
@@ -247,7 +242,8 @@ class SubgroupHandle:
             images = (self._bsgs.strong_generators()
                       if self._generators is None else
                       [self.parent.to_perm(g) for g in self._generators])
-            self._elem_set = set(self.parent.closure(images)[0])
+            self._elem_set = set(self.parent.from_perms(
+                self.parent.closure(images)[0]))
         return self._elem_set
 
     def as_handle(self, name=""):
@@ -296,7 +292,6 @@ def _closure(read, identity, gens, cap):
     once there are more than cap rows.
     """
     k, n = gens.shape
-    row = np.dtype((np.void, n * identity.itemsize))  # a row as one item
     index = {identity.tobytes(): 0}
     keys = list(index)
     which = np.arange(k)[None, :, None]
@@ -306,7 +301,7 @@ def _closure(read, identity, gens, cap):
         part = np.frombuffer(b"".join(keys[done:done + step]),
                              identity.dtype).reshape(-1, n)
         done += len(part)
-        images = gens[which, part[:, None, :]].view(row).ravel().tolist()
+        images = _keys(gens[which, part[:, None, :]])
         for key in images:
             i = index.setdefault(key, len(keys))
             if i == len(keys):
@@ -318,6 +313,18 @@ def _closure(read, identity, gens, cap):
     rows = np.frombuffer(b"".join(keys), identity.dtype).reshape(-1, n)
     del index, keys  # read() sees one copy of the rows
     return read(rows), np.array(cols, np.int32).reshape(len(rows), k).T.copy()
+
+
+def _keys(rows):
+    """The rows of an array as bytes, one per row."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view((np.void, rows.shape[-1] * rows.itemsize)).ravel().tolist()
+
+
+def _row_index(rows):
+    """Indices in `rows` of the rows of an array, by one dict of bytes."""
+    where = dict(zip(_keys(rows), range(len(rows))))
+    return lambda part: list(map(where.__getitem__, _keys(part)))
 
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
@@ -405,13 +412,15 @@ def lower_central_series(handle: GroupHandle):
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:
-    elems = handle.elements()
-    central = [z for z in elems
-               if all(handle.mul(z, g) == handle.mul(g, z)
-                      for g in handle.generators)]
-    eset = set(central)
-    return SubgroupHandle(handle, [z for z in central if z != handle.identity],
-                          len(central), _elem_set=eset)
+    """Z(G) on the image rows: x is central iff g[x] = x[g] (x g = g x) for
+    each generator row g; central rows are read back in order."""
+    rows = handle.rows()
+    central = np.arange(len(rows))
+    for g in rows[handle.columns()[:, 0]]:
+        x = rows[central]
+        central = central[(g[x] == x[:, g]).all(axis=1)]
+    elems = handle.from_perms(rows[central])
+    return SubgroupHandle(handle, elems[1:], len(elems), _elem_set=set(elems))
 
 
 def frattini_pgroup(handle: GroupHandle) -> SubgroupHandle:
@@ -429,35 +438,35 @@ def frattini_pgroup(handle: GroupHandle) -> SubgroupHandle:
 
 def minimal_normal_subgroups(handle: GroupHandle):
     """All minimal normal subgroups, via normal closures of prime-order
-    cyclic subgroups.  Conjugate elements share a closure, so each
-    conjugacy class is processed once."""
+    cyclic subgroups, on the image rows.  Each generator of a conjugate of
+    <x> has the closure of x, so each class of such subgroups is closed
+    once, from its first element in enumeration order."""
     if handle.order() > ENUMERABLE_LIMIT:
         raise CapExceeded("group too large for minimal normal subgroups")
-    elems = handle.elements()
-    processed = set()
+    rows = handle.rows()
+    find = _row_index(rows)
+    gens = rows[handle.columns()[:, 0]]
+    ginvs = np.argsort(gens, axis=1)
+    perm_gens = handle.perm_generators()
+    orders = permmod.perm_order_of(rows)
+    todo = np.isin(orders, [q for q in set(orders.tolist()) if _is_prime(q)])
     family = []
-    for x in elems:
-        if x == handle.identity or x in processed:
+    for i in np.flatnonzero(todo).tolist():
+        if not todo[i]:
             continue
-        n = handle.element_order(x)
-        if not _is_prime(n):
-            processed.add(x)
-            continue
-        # mark the conjugation orbit of <x> (all generators of all conjugates)
-        orbit = [x]
-        oset = {x}
-        for y in orbit:
-            for g in handle.generators:
-                z = handle.conj(y, g)
-                if z not in oset:
-                    oset.add(z)
-                    orbit.append(z)
-        for y in orbit:
-            w = y
-            for _ in range(n - 1):
-                processed.add(w)
-                w = handle.mul(w, y)
-        closure = normal_closure(handle, [x])
+        # the conjugacy class of x: conj(y, g) = g^-1 y g is g[y[g^-1]]
+        orbit, layer = {i}, [i]
+        while layer:
+            y = rows[layer]
+            images = np.concatenate([g[y[:, gi]] for g, gi in zip(gens, ginvs)])
+            layer = list(set(find(images)) - orbit)
+            orbit.update(layer)
+        conj = power = rows[list(orbit)]
+        for _ in range(orders[i] - 1):
+            todo[find(power)] = False
+            power = np.take_along_axis(conj, power, axis=1)  # power * y
+        b = permmod.normal_closure_perm(perm_gens, [rows[i]])
+        closure = SubgroupHandle(handle, None, b.order(), _bsgs=b)
         if not any(f.order == closure.order and
                    f.contains_subgroup(closure) for f in family):
             family.append(closure)
@@ -475,33 +484,29 @@ def _is_prime(n):
 
 
 def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
-    """Permutation action of G on right cosets of a normal subgroup."""
-    nset = sub.element_set()
-    for s in sub.generators:
-        for g in handle.generators:
-            if handle.conj(s, g) not in nset:
-                raise NotNormal("subgroup is not normal")
-    index = handle.order() // len(nset)
+    """Permutation action of G on right cosets of a normal subgroup N, on
+    the image rows: the coset N e is the rows e[n], n in N, and cosets are
+    numbered breadth-first from N over the generators."""
+    if not all(sub.contains(handle.conj(s, g))
+               for s in sub.generators for g in handle.generators):
+        raise NotNormal("subgroup is not normal")
+    index = handle.order() // sub.order
     if index > QUOTIENT_INDEX_CAP:
         raise CapExceeded(f"index {index} exceeds {QUOTIENT_INDEX_CAP}")
     if handle.order() > min(ENUMERABLE_LIMIT, handle.enum_cap()):
         raise CapExceeded("group too large to label cosets")
-    # every key of coset_of is written once, so the order of nset is free
-    coset_of = dict.fromkeys(nset, 0)
-    reps = [handle.identity]
+    rows, cols = handle.rows(), handle.columns()
+    find = _row_index(rows)
+    nrows = handle.closure([handle.to_perm(s) for s in sub.generators])[0]
+    coset, reps = np.full(len(rows), -1), [0]
+    coset[find(nrows)] = 0
     for r in reps:
-        for g in handle.generators:
-            e = handle.mul(r, g)
-            if e not in coset_of:
-                idx = len(reps)
+        for e in cols[:, r].tolist():
+            if coset[e] < 0:
+                coset[find(rows[e][nrows])] = len(reps)
                 reps.append(e)
-                for n in nset:
-                    coset_of[handle.mul(n, e)] = idx
     assert len(reps) == index
-    gen_perms = []
-    for g in handle.generators:
-        img = tuple(coset_of[handle.mul(r, g)] for r in reps)
-        gen_perms.append(img)
+    gen_perms = [tuple(coset[c[reps]].tolist()) for c in cols]
     ident = tuple(range(index))
     return GroupHandle(ident, [g for g in gen_perms if g != ident],
                        tuple_mul, tuple_inv, name=f"{handle.name}/N",
@@ -509,8 +514,8 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
 
 
 def is_cyclic(handle: GroupHandle):
-    n = handle.order()
-    return any(handle.element_order(x) == n for x in handle.elements())
+    orders = permmod.perm_order_of(handle.rows())
+    return bool((orders == handle.order()).any())
 
 
 @dataclass

@@ -11,10 +11,13 @@ combination generating a split extension of the right order.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import perm as permmod
 from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed, Singular)
 from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
@@ -166,7 +169,6 @@ def lift_generators(mats, model: Extraspecial2Model, target_order=None):
     elems = ph.elements()
     index = {e: i for i, e in enumerate(elems)}
 
-    from . import perm as permmod
     achieved = []
     psize = 2 ** (2 * model.n + 1)
     want = target_order // psize
@@ -193,23 +195,18 @@ def lift_generators(mats, model: Extraspecial2Model, target_order=None):
     # order of every word in the lifts must match the matrix side; short
     # words prune the 64 x 64 offset grid to a handful of candidates
     mat_words = [(0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1)]
-    mat_order = {w: _word_order_mat(mats, lin, w) for w in mat_words}
-    keep0 = [(p, perm) for p, perm in variants[0]
-             if permmod.perm_order_of(perm) == mat_order[(0,)]]
-    keep1 = [(p, perm) for p, perm in variants[1]
-             if permmod.perm_order_of(perm) == mat_order[(1,)]]
+    mat_order = {w: lin.element_order(math.prod([mats[i] for i in w[1:]],
+                                                start=mats[w[0]]))
+                 for w in mat_words}
+    keep0, keep1 = ([(p, perm) for p, perm in v
+                     if permmod.perm_order_of(perm) == mat_order[(j,)]]
+                    for j, v in enumerate(variants))
     for p0, perm0 in keep0:
         for p1, perm1 in keep1:
-            ok = True
-            for w in mat_words[2:]:
-                prod = perm0 if w[0] == 0 else perm1
-                for idx in w[1:]:
-                    prod = permmod.perm_mul(prod,
-                                            perm0 if idx == 0 else perm1)
-                if permmod.perm_order_of(prod) != mat_order[w]:
-                    ok = False
-                    break
-            if not ok:
+            pair = (perm0, perm1)
+            if any(permmod.perm_order_of(functools.reduce(
+                    permmod.perm_mul, [pair[i] for i in w])) != mat_order[w]
+                   for w in mat_words[2:]):
                 continue
             b = permmod.schreier_sims([perm0, perm1])
             achieved.append(b.order())
@@ -217,13 +214,6 @@ def lift_generators(mats, model: Extraspecial2Model, target_order=None):
                 return [p0, p1]
     raise SearchExhausted(
         f"no offsets reach order {target_order}", sorted(set(achieved)))
-
-
-def _word_order_mat(mats, lin, word):
-    prod = mats[word[0]]
-    for idx in word[1:]:
-        prod = prod * mats[idx]
-    return lin.element_order(prod)
 
 
 def _q_add(q1, q2):
@@ -294,9 +284,9 @@ def two_generator_reduction(handle, order):
     walk.  Only pairs proven to fail are skipped, so the returned pair is
     the same as for the exhaustive search.
     """
-    elems = handle.elements()
-    if len(elems) != order:
-        raise SearchFailed(f"group has order {len(elems)}, wanted {order}")
+    rows = handle.rows()
+    if len(rows) != order:
+        raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
     gen_cols = handle.columns()
     # first[e]: where e first occurs in (element, generator) order
     _, first = np.unique(gen_cols.T, return_index=True)
@@ -304,15 +294,8 @@ def two_generator_reduction(handle, order):
     for i in range(1, order):
         parent, k = divmod(int(first[i]), len(gen_cols))
         cols.append(gen_cols[k][cols[parent]])
-
-    def elt_order(i):
-        x, n = int(cols[i][0]), 1
-        while x != 0:
-            x = int(cols[i][x])
-            n += 1
-        return n
-
-    ranked = sorted(range(order), key=lambda i: (-elt_order(i), i))
+    orders = permmod.perm_order_of(rows)
+    ranked = np.argsort(-orders, kind="stable").tolist()
 
     def subgroup(i1, i2):
         c1, c2 = cols[i1], cols[i2]
@@ -338,7 +321,7 @@ def two_generator_reduction(handle, order):
                 continue
             visited = subgroup(i1, i2)
             if len(visited) == order:
-                return [elems[i1], elems[i2]]
+                return handle.from_perms(rows[[i1, i2]])
             for e in visited:
                 member[e] |= bit
             bit <<= 1

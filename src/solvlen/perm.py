@@ -381,18 +381,35 @@ def normal_closure_perm(group_gens, seed, known_order=None):
 
 
 def perm_order_of(g):
-    """Order of a single permutation via its cycle lengths."""
-    g = np.asarray(g, dtype=np.int32)
-    n = len(g)
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = int(g[j])
-                length += 1
-            out = out * length // np.gcd(out, length)
-    return int(out)
+    """Order of a permutation (an int), or of each row of a 2-D stack of
+    them (an array): the lcm of its cycle lengths.  Rows go in chunks of
+    at most MAX_DEGREE points, each one flat permutation (_chunk_orders).
+    """
+    g = np.asarray(g)
+    rows = g if g.ndim == 2 else g[None]
+    step = max(1, MAX_DEGREE // max(rows.shape[1], 1))
+    orders = np.concatenate([np.ones(0, np.int64)] + [
+        _chunk_orders(rows[i:i + step]) for i in range(0, len(rows), step)])
+    return orders if g.ndim == 2 else int(orders[0])
+
+
+def _chunk_orders(rows):
+    """Pointer doubling labels each point with the least point of its
+    cycle, in log2(degree) rounds of two 1-D gathers; a cycle's length is
+    the count of its label, and a row's order the lcm of its distinct
+    cycle lengths, in Python integers if their product may pass int64."""
+    r, n = rows.shape
+    if n == 0:
+        return np.ones(r, np.int64)
+    jump = (rows + np.arange(0, r * n, n)[:, None]).ravel()
+    low, reach = np.arange(r * n), 1
+    while reach < n:  # low[x] = least of x, ..., x g^(2 reach - 1)
+        low, jump, reach = np.minimum(low, low[jump]), jump[jump], 2 * reach
+    count = np.bincount(low)
+    least = np.flatnonzero(count)  # one point per cycle, grouped by row
+    key = np.unique(least // n * (n + 1) + count[least])
+    lens = key % (n + 1)
+    starts = np.flatnonzero(np.diff(key // (n + 1), prepend=-1))
+    if np.add.reduceat(np.log2(lens), starts).max() >= 63:
+        lens = lens.astype(object)
+    return np.lcm.reduceat(lens, starts)

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from solvlen import atlas
+from solvlen import atlas, grp
 
 
 def corpus_perm_groups():
@@ -56,3 +56,46 @@ def chain_fingerprint(b):
         for g in lv.gens:
             h.update(np.asarray(g, dtype=np.int32).tobytes())
     return h.hexdigest()[:16]
+
+
+def element_order_by_products(handle, x):
+    """Order of x by repeated multiplication in the handle's own type."""
+    y, n = x, 1
+    while y != handle.identity:
+        y, n = handle.mul(y, x), n + 1
+    return n
+
+
+def minimal_normal_subgroups_by_elements(handle):
+    """The former per-element search for minimal normal subgroups: over
+    elements() in order, the normal closure of each prime-order element
+    whose conjugacy class of cyclic subgroups is new, with tuple, matrix
+    or model products throughout."""
+    processed, family = set(), []
+    for x in handle.elements():
+        if x == handle.identity or x in processed:
+            continue
+        n = element_order_by_products(handle, x)
+        if n < 2 or grp.factorize(n) != [(n, 1)]:
+            processed.add(x)
+            continue
+        orbit, oset = [x], {x}
+        for y in orbit:
+            for g in handle.generators:
+                z = handle.conj(y, g)
+                if z not in oset:
+                    oset.add(z)
+                    orbit.append(z)
+        for y in orbit:
+            w = y
+            for _ in range(n - 1):
+                processed.add(w)
+                w = handle.mul(w, y)
+        closure = grp.normal_closure(handle, [x])
+        if not any(f.order == closure.order and f.contains_subgroup(closure)
+                   for f in family):
+            family.append(closure)
+    minimal = [c for c in family
+               if not any(o.order < c.order and c.contains_subgroup(o)
+                          for o in family)]
+    return sorted(minimal, key=lambda s: s.order)

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import corpus_perm_groups
+from helpers import (corpus_perm_groups, element_order_by_products,
+                     minimal_normal_subgroups_by_elements)
 from solvlen import atlas, grp
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -103,6 +104,49 @@ def test_center_and_minimal_normals():
     mins = minimal_normal_subgroups(e27)
     assert [m.order for m in mins] == [3]
     assert mins[0].contains_subgroup(z)
+
+
+ORACLE_SPECS = ["gl(2,3)", "bo()", "qutrit(7)", "extraspecial(3,1)",
+                "extraspecial(2,2,minus)", "ut(3,5)"]
+
+
+def test_minimal_normals_match_the_per_element_search():
+    # the row search against the former per-element one, in the same
+    # order; cyclic(6), direct(s4,c5), wr(c2,c3) and ut(3,5) have two
+    cases = [(label, h) for label, h, _ in corpus_perm_groups()]
+    cases += [(spec, evaluate(parse_spec(spec))) for spec in ORACLE_SPECS]
+    twice = set()
+    for label, handle in cases:
+        got = minimal_normal_subgroups(handle)
+        want = minimal_normal_subgroups_by_elements(handle)
+        assert [m.order for m in got] == [m.order for m in want], label
+        for m, w in zip(got, want):
+            assert m.contains_subgroup(w) and w.contains_subgroup(m), label
+        if len(got) == 2:
+            twice.add(label)
+    assert {"cyclic(6)", "direct(s4,c5)", "wr(c2,c3)", "ut(3,5)"} <= twice
+
+
+@pytest.mark.parametrize("spec", ["gl(2,3)", "qutrit(7)", "gsp(gl(2,3),3,1)",
+                                  "direct(sym(4),cyclic(5))"])
+def test_element_questions_read_no_elements_back(spec, monkeypatch):
+    # the handle is built first: some builders enumerate
+    handle = evaluate(parse_spec(spec))
+    elems, n = handle.elements(), handle.order()
+    mins = [m.order for m in minimal_normal_subgroups_by_elements(handle)]
+    central = [z for z in elems if all(handle.mul(z, g) == handle.mul(g, z)
+                                       for g in handle.generators)]
+    cyclic = any(element_order_by_products(handle, x) == n for x in elems)
+    handle = evaluate(parse_spec(spec))
+
+    def refuse(*args):
+        raise AssertionError("element read back")
+    monkeypatch.setattr(grp.GroupHandle, "elements", refuse)
+    monkeypatch.setattr(grp.GroupHandle, "element_order", refuse)
+    assert [m.order for m in minimal_normal_subgroups(handle)] == mins
+    z = center(handle)
+    assert (z.order, z.element_set()) == (len(central), set(central))
+    assert is_cyclic(handle) == cyclic
 
 
 def test_quotient_on_cosets():
@@ -295,6 +339,15 @@ def test_enumeration_cap_is_the_group_order(make):
     exact = make()
     exact.cap = order
     assert len(exact.elements()) == order
+
+
+def test_one_element_budget_for_every_kind_of_handle():
+    # matrix and model enumerations store rows of their image's degree
+    # too; only the guard is asked, nothing is enumerated
+    assert atlas.exterior_square_group(7).enum_cap() == \
+        grp.MEMORY_BUDGET // 1051
+    assert atlas.gl(2, 3).enum_cap() == grp.MEMORY_BUDGET // 8
+    assert atlas.sym(5).enum_cap() == grp.MEMORY_BUDGET // 5
 
 
 class RecordingRows(np.ndarray):

@@ -1,5 +1,6 @@
 """Schreier-Sims engine vs breadth-first enumeration oracles."""
 
+import math
 import random
 
 import numpy as np
@@ -140,6 +141,44 @@ def test_perm_primitives():
     # x^(ab) = (x^a)^b
     assert list(ab) == [b[a[i]] for i in range(4)]
     assert perm_key(a) == perm_key(as_perm((1, 2, 0, 3)))
+
+
+def cycle_walk_order(g):
+    """Scalar oracle: walk each cycle once, lcm of the lengths."""
+    seen, out = set(), 1
+    for i in range(len(g)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, length = g[j], length + 1
+        out = math.lcm(out, max(length, 1))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=6)))
+def test_batched_perm_order_of_matches_the_cycle_walk(perms):
+    stack = np.array(perms + [list(range(len(perms[0])))], dtype=np.uint8)
+    want = [cycle_walk_order(g) for g in stack.tolist()]
+    assert want[-1] == 1  # the identity
+    assert perm_order_of(stack).tolist() == want
+    assert [perm_order_of(g) for g in stack] == want
+    assert type(perm_order_of(stack[0])) is int
+
+
+def test_perm_order_of_edge_cases():
+    assert perm_order_of([0]) == 1
+    assert perm_order_of(np.zeros((3, 1), np.int32)).tolist() == [1, 1, 1]
+    # disjoint cycles of the first 19 prime lengths: the order passes int64
+    primes = [p for p in range(2, 68) if all(p % d for d in range(2, p))]
+    g, start = [], 0
+    for p in primes:
+        g += [start + (i + 1) % p for i in range(p)]
+        start += p
+    assert perm_order_of(g) == math.prod(primes) > 2 ** 63
+    assert perm_order_of(np.array([g, sorted(g)])).tolist() == \
+        [math.prod(primes), 1]
 
 
 def test_as_perm_rejects_non_bijections():
