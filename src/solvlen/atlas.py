@@ -10,6 +10,7 @@ the expensive series invariants live in the test-suite.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -660,71 +661,62 @@ def exterior_square_group(p):
     return model_handle(ExtSqModel(p), f"extsq({p})")
 
 
-def _span_rank_closed(rows, mats, p):
-    """Rank of the span of the rows after closing under the given matrices."""
-    from .fpmat import _row_reduce
-    basis = _row_reduce(rows, p)
-    while True:
-        vecs = [row for row, _ in basis]
-        grown = _row_reduce(vecs + [m.apply(v) for v in vecs for m in mats], p)
-        if len(grown) == len(basis):
-            return len(basis)
-        basis = grown
+def wedge_automorphism(a):
+    """The automorphism (v, w) -> (vA, w wedge^2(A)) of the exterior-square
+    group, for A in GL(3, p): it sends v1 ^ v2 to vA1 ^ vA2, which is
+    (v1 ^ v2) wedge^2(A)."""
+    wa = wedge_square(a)
+    return lambda x: a.apply(x[:3]) + wa.apply(x[3:])
 
 
 def semidirect_series_orders(k_handle, p):
-    """Orders of the derived series of K |x P for P the exterior-square
-    group over F_p and K acting naturally on V and by wedge on Lambda^2 V.
+    """Certified orders of the derived series of G = P |x K, for P the
+    exterior-square group over F_p and K <= GL(3, p) acting by
+    wedge_automorphism.
 
-    G^(i) = K^(i) |x M_i where M_i is the P-part; each derived term of G
-    is characteristic, so its P-part is determined by the v-parts of the
-    commutators [K^(i-1), M_{i-1}] together with [M_{i-1}, M_{i-1}].
-    The routine tracks M through the states full P, the derived subgroup
-    Lambda^2 V, and trivial; intermediate shapes do not occur for the
-    actions used here and raise instead of guessing.
+    K^(i) <= G^(i) and G^(i)P/P = K^(i), so G^(i) = M_i |x K^(i) with
+    M_i = G^(i) n P.  Let N be the normal closure in P of [a, a'] and
+    [a, k] = a^-1 a^k, for a, a' strong generators of M_(i-1) and k
+    generators of K^(i-1); N <= M_i, as G^(i) is normal in G.  Since
+    [xy, k] = [x, k]^y [y, k], [M_(i-1), k] <= N, so N is normal in
+    G^(i-1) and M_(i-1) is central modulo N.  Hence G^(i) = N K^(i) and
+    M_i = N.
+
+    |K^(i)| comes from K's own chain, taking the last term of its series
+    past its end (K need not be solvable).  M_i is N on P's chain,
+    stopped at |M_(i-1)|, a proven upper bound.  Every chain here acts on
+    K's or P's basis orbits (72 and 1,051 points for qutrit(7) and
+    extsq(7)), none on G's p^6 points.
     """
     from .grp import derived_series
-    kr = derived_series(k_handle)
-    if not kr.solvable:
-        raise BadParameter("semidirect series needs a solvable acting group")
-    top_mats = list(k_handle.generators)
-    # state -> (action on the P-part, acting matrices, rank name, next)
-    steps = {"full": (lambda a: a, top_mats, "v", "derived"),
-             "derived": (wedge_square, [wedge_square(a) for a in top_mats],
-                         "w", "trivial")}
-    orders = [kr.orders[0] * p ** 6]
-    state = "full"
-    i = 1
-    while orders[-1] > 1:
-        b_order = kr.orders[i] if i < len(kr.orders) else 1
-        prev_gens = list(kr.subgroups[i - 1].generators) \
-            if i - 1 < len(kr.subgroups) else []
-        if i == 1:
-            prev_gens = top_mats
-        if state == "trivial":
-            new_state = "trivial"
-        else:
-            act, mats, rank_name, lower = steps[state]
-            rows = [[(int(x == y) - b.entries[x][y]) % p for y in range(3)]
-                    for b in map(act, prev_gens) for x in range(3)]
-            rank = _span_rank_closed(rows, mats, p) if rows else 0
-            if rank not in (0, 3):
-                raise SearchFailed(f"unsupported P-part shape "
-                                   f"({rank_name}-rank {rank})")
-            new_state = state if rank == 3 else lower
-        m_order = {"full": p ** 6, "derived": p ** 3, "trivial": 1}[new_state]
-        order = b_order * m_order
+    ks = derived_series(k_handle)
+    last = len(ks.orders) - 1
+    ph = exterior_square_group(p)
+    gens = ph.perm_generators()
+    m = ph.bsgs()
+    orders = [ks.orders[0] * m.order()]
+    for i in itertools.count(1):
+        auts = [wedge_automorphism(k)
+                for k in ks.subgroups[min(i - 1, last)].generators]
+        a = m.strong_generators()
+        ai = [permmod.perm_inv(x) for x in a]
+        seed = permmod.commutators(a, ai) + [
+            permmod.perm_mul(xi, ph.to_perm(f(x)))
+            for x, xi in zip(ph.from_perms(np.array(a)), ai) for f in auts]
+        m = permmod.normal_closure_perm(gens, seed, upper_bound=m.order())
+        order = ks.orders[min(i, last)] * m.order()
         if order == orders[-1]:
-            break
+            return tuple(orders)
         orders.append(order)
-        state = new_state
-        i += 1
-    return tuple(orders)
 
 
 def prop8_group(p):
-    """The qutrit normalizer acting on the p^6 exterior-square group,
-    realized on p^6 points with a structurally precomputed derived series.
+    """The qutrit normalizer K acting on the p^6 exterior-square group P,
+    realized on P's p^6 elements: right translations and the
+    wedge_automorphism of each generator of K.  The group is P |x K, so
+    its derived-series orders are certified on the chains of K and P
+    (semidirect_series_orders) and kept as split_orders; no chain is
+    built on the p^6 points.
     """
     if p % 3 != 1:
         raise BadCongruence(f"prop8_group needs p = 1 mod 3, got {p}")
@@ -735,7 +727,7 @@ def prop8_group(p):
     wedge_scalar = wedge_square(FpMatrix.diagonal([w, w, w], p))
     if wedge_scalar != FpMatrix.diagonal([w * w, w * w, w * w], p):
         raise SearchFailed("scalar omega does not act as omega^2 on wedges")
-    hints = semidirect_series_orders(k, p)
+    orders = semidirect_series_orders(k, p)
 
     npts = p ** 6
     powers = p ** np.arange(6, dtype=np.int64)
@@ -763,8 +755,5 @@ def prop8_group(p):
         gens.append(tuple(encode(v @ am, wpart @ wm).tolist()))
 
     h = perm_handle(gens, npts, f"prop8({p})")
-    h.series_order_hints = hints
-    b = h.bsgs(known_order=hints[0])
-    if b.order() != hints[0]:
-        raise SearchFailed("permutation order disagrees with structural order")
+    h.split_orders = orders
     return h

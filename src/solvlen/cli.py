@@ -50,7 +50,7 @@ REPORT_SCHEMA = {
                 "required": ["name", "status"],
             },
         },
-        "engine": {"enum": ["closure", "bsgs"]},
+        "engine": {"enum": ["bsgs", "split"]},
         "elapsed_ms": {"type": "number", "minimum": 0},
     },
     "required": list(REPORT_KEYS),

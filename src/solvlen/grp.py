@@ -3,11 +3,14 @@
 A GroupHandle bundles an identity, a generator list and the element
 operations; elements themselves are plain hashable values (image tuples,
 FpMatrix, model coordinate tuples).  Order, membership, normal closure and
-the derived series always run on a BSGS chain: a permutation handle's own,
-or for a matrix or model handle the chain of a faithful permutation image
-(its ``action``), whose results are read back into the handle's own
-elements.  A subgroup computed on a chain keeps that chain and reads its
-strong generators back into the handle's elements only on first use.
+the derived series run on a BSGS chain: a permutation handle's own, or for
+a matrix or model handle the chain of a faithful permutation image (its
+``action``), whose results are read back into the handle's own elements.
+A subgroup computed on a chain keeps that chain and reads its strong
+generators back into the handle's elements only on first use.  A handle
+built as a split extension carries its derived-series orders, certified on
+the chains of its factors (``split_orders``): its order and derived series
+answer from them, with no chain of its own.
 Element lists are enumerated breadth-first over the same images as 2-D
 arrays (``_closure``), with the right-translation columns of the
 generators as a by-product, and read back in one step per kind.
@@ -25,8 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import perm as permmod
-from .errors import (BadParameter, CapExceeded, GroupError, NotNormal,
-                     NotPGroup)
+from .errors import BadParameter, CapExceeded, NotNormal, NotPGroup
 
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
@@ -109,7 +111,7 @@ class GroupHandle:
     degree: Optional[int] = None    # set for perm kind
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
-    series_order_hints: Optional[tuple] = None  # structurally known |G^(i)|
+    split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
     _rows: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
@@ -136,13 +138,9 @@ class GroupHandle:
     def perm_generators(self):
         return [self.to_perm(g) for g in self.generators]
 
-    def bsgs(self, known_order=None):
+    def bsgs(self):
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(self.perm_generators(),
-                                               known_order=known_order)
-        elif known_order is not None and known_order != self._bsgs.order():
-            raise GroupError(f"order hint {known_order} disagrees with the "
-                             f"cached chain's order {self._bsgs.order()}")
+            self._bsgs = permmod.schreier_sims(self.perm_generators())
         return self._bsgs
 
     def rows(self):
@@ -180,6 +178,8 @@ class GroupHandle:
         return min(self.cap, max(1, MEMORY_BUDGET // max(n, 1)))
 
     def order(self):
+        if self.split_orders is not None:
+            return self.split_orders[0]
         return self.bsgs().order()
 
     def conj(self, x, g):
@@ -208,7 +208,9 @@ class SubgroupHandle:
     """A subgroup given by generators inside a parent handle.
 
     Built from a chain with generators None, it reads the chain's strong
-    generators back into the parent's element type on first use.
+    generators back into the parent's element type on first use.  A term
+    of a split series has neither: it answers only its order, and asking
+    it for generators or membership raises CapExceeded.
     """
 
     parent: GroupHandle
@@ -221,16 +223,20 @@ class SubgroupHandle:
     def generators(self):
         if self._generators is None:
             self._generators = [self.parent.from_perm(g)
-                                for g in self._bsgs.strong_generators()]
+                                for g in self._chain().strong_generators()]
         return self._generators
+
+    def _chain(self):
+        if self._bsgs is None:
+            raise CapExceeded("a split derived term knows only its order")
+        return self._bsgs
 
     def contains(self, x):
         if self._elem_set is not None:
             return x in self._elem_set
-        if self._bsgs is not None:
-            g = self.parent.to_perm(x)
-            return g is not None and self._bsgs.contains(g)
-        raise CapExceeded("subgroup has no membership backend")
+        chain = self._chain()
+        g = self.parent.to_perm(x)
+        return g is not None and chain.contains(g)
 
     def contains_subgroup(self, other):
         return all(self.contains(g) for g in other.generators)
@@ -239,7 +245,7 @@ class SubgroupHandle:
         if self._elem_set is None:
             if self.order > min(ENUMERABLE_LIMIT, self.parent.enum_cap()):
                 raise CapExceeded("subgroup too large to enumerate")
-            images = (self._bsgs.strong_generators()
+            images = (self._chain().strong_generators()
                       if self._generators is None else
                       [self.parent.to_perm(g) for g in self._generators])
             self._elem_set = set(self.parent.from_perms(
@@ -266,7 +272,7 @@ class SeriesReport:
     n: tuple                 # composition lengths of the abelian quotients
     c: Optional[int]         # Omega(|G|) when solvable, else None
     d: Optional[int]         # derived length when solvable, else None
-    engine: str = "bsgs"
+    engine: str = "bsgs"     # "split" when taken from handle.split_orders
     subgroups: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -338,40 +344,31 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
     """Iterate derived subgroups until the order stabilizes; a report
-    still held by a caller is returned again."""
+    still held by a caller is returned again.  A handle with split_orders
+    gets them as they are, with terms that know only their orders."""
     report = handle._series() if handle._series is not None else None
     if report is None:
-        report = _derived_series_bsgs(handle)
+        if handle.split_orders is not None:
+            orders = handle.split_orders
+            report = _finish_report(
+                orders, [SubgroupHandle(handle, None, n) for n in orders],
+                "split")
+        else:
+            report = _derived_series_bsgs(handle)
         handle._series = weakref.ref(report)
     return report
 
 
 def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
-    # series_order_hints, when present, lists |G^(0)|, |G^(1)|, ... as
-    # computed by an independent structural route; they let the BSGS
-    # normal closures terminate by order instead of full verification.
-    hints = list(handle.series_order_hints or [])
-    b = handle.bsgs(known_order=hints[0] if hints else None)
+    b = handle.bsgs()
     orders = [b.order()]
     gens = [permmod.as_perm(g) for g in handle.perm_generators()]
     invs = [permmod.perm_inv(g) for g in gens]
     group_gens = gens
     subs = [SubgroupHandle(handle, list(handle.generators), orders[0], _bsgs=b)]
-    step = 0
     while True:
-        comms = []
-        seen = set()
-        for i, (a, ai) in enumerate(zip(gens, invs)):
-            for bb, bi in zip(gens[i + 1:], invs[i + 1:]):
-                c = permmod.perm_mul(permmod.perm_mul(ai, bi),
-                                     permmod.perm_mul(a, bb))
-                k = permmod.perm_key(c)
-                if not permmod.is_identity(c) and k not in seen:
-                    seen.add(k)
-                    comms.append(c)
-        step += 1
-        known = hints[step] if step < len(hints) else None
-        nb = permmod.normal_closure_perm(group_gens, comms, known_order=known)
+        nb = permmod.normal_closure_perm(group_gens,
+                                         permmod.commutators(gens, invs))
         if nb.order() == orders[-1]:
             break
         orders.append(nb.order())
@@ -382,7 +379,7 @@ def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
     return _finish_report(orders, subs)
 
 
-def _finish_report(orders, subs):
+def _finish_report(orders, subs, engine="bsgs"):
     solvable = orders[-1] == 1
     n = tuple(omega(orders[i] // orders[i + 1])
               for i in range(len(orders) - 1))
@@ -394,7 +391,7 @@ def _finish_report(orders, subs):
         d = None
         c = None
     return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
-                        c=c, d=d, subgroups=subs)
+                        c=c, d=d, engine=engine, subgroups=subs)
 
 
 def lower_central_series(handle: GroupHandle):
@@ -542,7 +539,7 @@ def _cyclic_section(gens, upper, lower):
         seed = lower.strong_generators() + [
             permmod.perm_power(x, p) for x in upper.strong_generators()]
         if permmod.normal_closure_perm(
-                gens, seed, known_order=target).order() != target:
+                gens, seed, upper_bound=target).order() != target:
             return False
     return True
 
@@ -565,7 +562,7 @@ def _fixed_point_free(gens, upper, mid, low):
         permmod.perm_mul(permmod.perm_mul(permmod.perm_mul(gi, x), g), xi)
         for x, xi in zip(lv.gens, lv.invs)]
     return permmod.normal_closure_perm(
-        gens, seed, known_order=mid.order()).order() == mid.order()
+        gens, seed, upper_bound=mid.order()).order() == mid.order()
 
 
 def _section_finding(name, applicable, fails, skips, what, if_none):

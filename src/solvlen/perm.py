@@ -17,12 +17,11 @@ Level 0 owns every strong generator once, in insertion order; each deeper
 level's ``gens`` (and ``invs``) is the sub-list of those inserted at that
 level or below, so ``strong_generators()`` is level 0's list.
 
-``schreier_sims`` accepts an optional ``known_order``: when the caller has
-an independently computed order for the generated group, construction stops
-as soon as the product of orbit lengths reaches it.  The product of orbit
-lengths of a partial chain never exceeds the true order, so this early exit
-is exact.  Without ``known_order`` every Schreier generator is sifted, which
-fully verifies the chain.
+``schreier_sims`` sifts every Schreier generator, which verifies the
+chain in full.  ``normal_closure_perm`` may stop earlier, at an
+``upper_bound`` the caller has proven: the orbit product of a partial
+chain of the closure never exceeds the closure's order, so reaching a
+proven upper bound means the chain is complete.
 """
 
 from __future__ import annotations
@@ -63,6 +62,14 @@ def perm_inv(a):
     inv = np.empty_like(a)
     inv[a] = np.arange(len(a), dtype=np.int32)
     return inv
+
+
+def commutators(gens, invs):
+    """[a, b] = a^-1 b^-1 a b for each pair of gens, a listed before b;
+    invs are the inverses of gens."""
+    return [perm_mul(perm_mul(ai, bi), perm_mul(a, b))
+            for i, (a, ai) in enumerate(zip(gens, invs))
+            for b, bi in zip(gens[i + 1:], invs[i + 1:])]
 
 
 def perm_power(a, k):
@@ -139,7 +146,6 @@ class BSGS:
     def __init__(self, degree):
         self.degree = degree
         self.levels = []
-        self.verified_by_order = False
 
     # -- queries ---------------------------------------------------------
 
@@ -290,19 +296,15 @@ def _sift_insert(b: BSGS, g):
     return False
 
 
-def _complete(b: BSGS, known_order=None):
+def _complete(b: BSGS, upper_bound=None):
     """Process Schreier generators (deepest levels first) until the chain
-    verifies, or until the orbit product reaches known_order."""
-    while True:
-        if known_order is not None and b.order() == known_order:
-            b.verified_by_order = True
-            return
-        if not any(b._check_level(level)
-                   for level in reversed(range(len(b.levels)))):
-            return
+    verifies, or until its order reaches upper_bound."""
+    while b.order() != upper_bound and any(
+            b._check_level(level) for level in reversed(range(len(b.levels)))):
+        pass
 
 
-def schreier_sims(gens, known_order=None):
+def schreier_sims(gens):
     """Deterministic Schreier-Sims.  Base points are the smallest moved
     points encountered; generator and orbit processing order is fixed, so
     two runs on the same input produce identical chains."""
@@ -316,26 +318,21 @@ def schreier_sims(gens, known_order=None):
     b = BSGS(degree)
     for g in gens:
         _sift_insert(b, g)
-        if known_order is not None and b.order() == known_order:
-            b.verified_by_order = True
-            return b
-    _complete(b, known_order)
-    if known_order is not None and not b.verified_by_order \
-            and b.order() != known_order:
-        raise GroupError(
-            f"BSGS order {b.order()} disagrees with expected {known_order}")
+    _complete(b)
     return b
 
 
-def normal_closure_perm(group_gens, seed, known_order=None):
+def normal_closure_perm(group_gens, seed, upper_bound=None):
     """BSGS of the smallest normal subgroup of <group_gens> containing seed.
 
     The chain is grown incrementally: every inserted element is a product
     of seeds and their conjugates, so the partial chain always sits inside
     the true closure and its orbit product never exceeds the closure's
-    order.  With ``known_order`` equal to that order, construction stops
-    exactly when the product reaches it; without it, conjugation passes
-    alternate with full Schreier verification until both are stable.
+    order.  ``upper_bound`` must be a proven upper bound on that order:
+    construction stops when the orbit product reaches it, which is then
+    the exact order.  Otherwise, and always when the bound is above the
+    order, conjugation passes alternate with full Schreier verification
+    until both are stable.
     """
     group_gens = [as_perm(g) for g in group_gens]
     ginvs = [perm_inv(g) for g in group_gens]
@@ -358,8 +355,7 @@ def normal_closure_perm(group_gens, seed, known_order=None):
         for s in pending:
             _sift_insert(b, s)
             verified = False
-        if known_order is not None and b.order() == known_order:
-            b.verified_by_order = True
+        if b.order() == upper_bound:
             return b
         # membership tests below are certain only in the positive
         # direction on an unverified chain; a false negative just inserts
@@ -376,7 +372,7 @@ def normal_closure_perm(group_gens, seed, known_order=None):
             continue
         if verified:
             return b
-        _complete(b, known_order)
+        _complete(b, upper_bound)
         verified = True
 
 

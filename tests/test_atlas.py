@@ -12,7 +12,7 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            semidirect_series_orders, sl, sym,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
-                            KindMismatch, NotAutomorphism)
+                            GroupError, KindMismatch, NotAutomorphism)
 from solvlen.fpmat import (FpMatrix, SymplecticForm, similitude_factor,
                            spin_all_lines)
 from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
@@ -313,16 +313,59 @@ def test_semidirect_series_orders():
                      7 ** 3, 1)
 
 
-def test_semidirect_series_orders_refuses_unsupported_shapes():
+SPLIT_ORACLE = {
     # permutation matrices of S3 move only the augmentation subspace of V
-    # (v-rank 2); the routine must refuse rather than guess
-    from solvlen.errors import SearchFailed
-    from solvlen.fpmat import FpMatrix
-    rot = FpMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7)
-    swap = FpMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 7)
-    k = atlas.matrix_handle([rot, swap], "s3perm")
-    with pytest.raises(SearchFailed):
-        semidirect_series_orders(k, 7)
+    "s3perm": lambda: atlas.matrix_handle(
+        [FpMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3),
+         FpMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 3)], "s3perm"),
+    "ut(3,3)": lambda: upper_triangular(3, 3),
+    "sl(3,3)": lambda: sl(3, 3),  # not solvable: P |x K is perfect
+    "diag(2,1,1)": lambda: atlas.matrix_handle(
+        [FpMatrix.diagonal([2, 1, 1], 3)], "diag(2,1,1)"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SPLIT_ORACLE))
+def test_semidirect_series_orders_match_full_chains(label):
+    # the split route against unhinted chains of the same group on 729
+    # points: P = extsq(3) under right translations and K's automorphisms
+    k = SPLIT_ORACLE[label]()
+    auts = [atlas.wedge_automorphism(a) for a in k.generators]
+    whole = holomorph_perm(exterior_square_group(3), auts)
+    orders = semidirect_series_orders(k, 3)
+    assert orders == grp.derived_series(whole).orders
+    if label == "sl(3,3)":
+        assert orders == (4094064,)
+
+
+def test_prop8_builds_no_chain_on_its_points(monkeypatch):
+    # the certified orders come from the chains of K (72 points) and P
+    # (1,051 points); nothing builds one on the 7^6 points of G
+    from solvlen import perm
+    degrees = []
+    init = perm.BSGS.__init__
+
+    def recording(self, degree):
+        degrees.append(degree)
+        init(self, degree)
+    monkeypatch.setattr(perm.BSGS, "__init__", recording)
+    h = atlas.prop8_group(7)
+    rep = grp.derived_series(h)
+    assert h.order() == rep.orders[0] == 76236552
+    assert rep.engine == "split"
+    assert degrees and max(degrees) <= 1051
+
+
+def test_split_terms_answer_only_their_orders(prop8data):
+    handle, rep = prop8data
+    for sub in rep.subgroups:
+        with pytest.raises(CapExceeded) as err:
+            sub.generators
+        with pytest.raises(CapExceeded):
+            sub.contains(handle.identity)
+        # a GroupError, so the command line exits 2 with one line
+        assert isinstance(err.value, GroupError)
+        assert "\n" not in str(err.value)
 
 
 def test_prop8_congruence_guards():
@@ -353,10 +396,9 @@ def test_perm_image_round_trips_every_element(build):
     for x, gx in zip(elems[:20], images):
         for y, gy in zip(h.generators, h.perm_generators()):
             assert np.array_equal(h.to_perm(h.mul(x, y)), gy[gx])
-    # series terms keep the handle's element type and use no order hint
+    # series terms keep the handle's element type
     rep = grp.derived_series(h)
     assert rep.engine == "bsgs"
-    assert not h.bsgs().verified_by_order
     for sub in rep.subgroups:
         assert all(type(g) is type(h.identity) for g in sub.generators)
         assert all(sub.contains(g) for g in sub.generators)

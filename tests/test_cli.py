@@ -64,6 +64,16 @@ def test_eval_json_output(capsys):
     jsonschema.validate(payload, REPORT_SCHEMA)
 
 
+def test_prop8_report_says_split(capsys):
+    # the d = 7 row's orders are certified on the chains of its factors
+    code, out, err = run(capsys, "eval", "prop8(7)", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["engine"] == "split"
+    assert payload["d"] == 7 and payload["c"] == 13
+
+
 def test_eval_text_output(capsys):
     code, out, err = run(capsys, "eval", "gl(2,3)")
     assert code == 0

@@ -101,11 +101,13 @@ def test_bsgs_order_on_random_generating_sets(data):
 def test_known_order_early_exit_is_exact():
     s6 = atlas.sym(6)
     gens = [list(g) for g in s6.generators]
-    b = schreier_sims(gens, known_order=720)
+    b = normal_closure_perm(gens, gens, upper_bound=720)
     assert b.order() == 720
-    # a wrong (too large) claimed order must not be silently accepted
-    with pytest.raises(GroupError):
-        schreier_sims(gens, known_order=1440)
+    # a bound above the true order is never reached: the chain is
+    # verified in full and has the true order
+    b = normal_closure_perm(gens, gens, upper_bound=1440)
+    assert b.order() == 720
+    assert all(b.contains(g) for g in gens)
 
 
 def test_normal_closure_matches_enumeration():
@@ -127,7 +129,7 @@ def test_normal_closure_matches_enumeration():
 def test_normal_closure_with_known_order_hint():
     s5 = atlas.sym(5)
     gens = [list(g) for g in s5.generators]
-    b = normal_closure_perm(gens, [[1, 2, 0, 3, 4]], known_order=60)
+    b = normal_closure_perm(gens, [[1, 2, 0, 3, 4]], upper_bound=60)
     assert b.order() == 60
 
 
@@ -230,11 +232,12 @@ def test_layered_orbits_match_point_at_a_time_growth(monkeypatch, cutoff):
     groups = [([list(g) for g in h.generators], None)
               for h in (atlas.sym(5), atlas.wreath(atlas.sym(3), atlas.sym(3)),
                         atlas.regular(atlas.gl(2, 3)))]
-    # the hint skips ~10^4 Schreier generators that test no orbit growth
+    # the bound skips ~10^4 Schreier generators that test no orbit growth
     groups.append((regular_c7_4(), 7 ** 4))
     for gens, order in groups:
-        for b in (schreier_sims(gens, known_order=order),
-                  normal_closure_perm(gens, gens[1:])):
+        whole = schreier_sims(gens) if order is None else \
+            normal_closure_perm(gens, gens, upper_bound=order)
+        for b in (whole, normal_closure_perm(gens, gens[1:])):
             for lv in b.levels:
                 tree, order_list = {lv.base: None}, [lv.base]
                 for k in range(len(lv.gens)):
