@@ -22,8 +22,6 @@ from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
                     similitude_factor, spin_all_lines, wedge_square, wedge_vec)
 from .grp import GroupHandle, center, factorize, tuple_inv, tuple_mul
 
-HOLOMORPH_CAP = 200_000
-
 
 # ---------------------------------------------------------------------------
 # handle constructors
@@ -425,6 +423,9 @@ def extraspecial(p, n, eps=None):
     check_prime(p)
     if n < 1:
         raise BadParameter("extraspecial needs n >= 1")
+    if p != 2 and eps is not None:
+        raise BadParameter(f"extraspecial({p}, n) takes no eps: for odd p "
+                           "it builds the exponent-p group")
     if p == 2:
         if eps not in ("+", "-"):
             raise BadParameter("extraspecial(2, n, eps) needs eps '+' or '-'")
@@ -493,8 +494,7 @@ def holomorph_perm(p_handle, auts):
     failure raises NotAutomorphism with the first offending (x, g), or
     with (x, a(x)) when a(x) leaves P or x = 1 moves.
     """
-    if p_handle.order() > HOLOMORPH_CAP:
-        raise CapExceeded(f"holomorph base of size {p_handle.order()}")
+    permmod.check_degree(p_handle.order())
     elems = p_handle.elements()
     index = {e: i for i, e in enumerate(elems)}
     cols = list(p_handle.columns())
@@ -526,13 +526,10 @@ def natural_semidirect(m_handle, n):
     """Affine group: matrix group m_handle acting on F_p^n by x -> xA + t."""
     if m_handle.kind != "matrix":
         raise KindMismatch("natural_semidirect needs a matrix handle")
-    sample = m_handle.generators[0] if m_handle.generators else m_handle.identity
-    p = sample.p
-    if sample.n != n:
-        raise BadParameter(f"matrix dimension {sample.n} != {n}")
-    npts = p ** n
-    if npts > HOLOMORPH_CAP:
-        raise CapExceeded("affine point count too large")
+    p, dim = m_handle.identity.p, m_handle.identity.n
+    if dim != n:
+        raise BadParameter(f"matrix dimension {dim} != {n}")
+    npts = permmod.check_degree(p ** n)
     weights = p ** np.arange(n, dtype=np.int64)
     pts = np.arange(npts, dtype=np.int64)[:, None] // weights % p  # digits
     images = [pts @ np.array(a.entries, dtype=np.int64)
@@ -544,8 +541,13 @@ def natural_semidirect(m_handle, n):
 
 def gsp_extension(s_handle, p, n):
     """GSp-type split extension acting on the odd extraspecial p^{1+2n}."""
+    if s_handle.kind != "matrix":
+        raise KindMismatch("gsp_extension needs a matrix handle")
     if p == 2:
         raise BadParameter("gsp_extension needs p odd")
+    if s_handle.identity.n != 2 * n:
+        raise BadParameter(
+            f"matrix dimension {s_handle.identity.n} != {2 * n}")
     form = SymplecticForm.standard(2 * n, p)
     lams = {}
     for a in s_handle.generators:
@@ -711,12 +713,16 @@ def semidirect_series_orders(k_handle, p):
 
 
 def prop8_group(p):
-    """The qutrit normalizer K acting on the p^6 exterior-square group P,
-    realized on P's p^6 elements: right translations and the
-    wedge_automorphism of each generator of K.  The group is P |x K, so
-    its derived-series orders are certified on the chains of K and P
-    (semidirect_series_orders) and kept as split_orders; no chain is
-    built on the p^6 points.
+    """G = P |x K for the p^6 exterior-square group P and the qutrit
+    normalizer K acting by wedge_automorphism.
+
+    The handle holds only what certifies it: the derived-series orders
+    from the chains of K and P (semidirect_series_orders), as
+    split_orders.  It has no elements of its own (no generators, no
+    element operations) and no permutation image, so asking it for a
+    chain or an enumeration raises CapExceeded
+    (GroupHandle.perm_generators) and the builders that take a
+    permutation or matrix handle refuse it.
     """
     if p % 3 != 1:
         raise BadCongruence(f"prop8_group needs p = 1 mod 3, got {p}")
@@ -727,33 +733,6 @@ def prop8_group(p):
     wedge_scalar = wedge_square(FpMatrix.diagonal([w, w, w], p))
     if wedge_scalar != FpMatrix.diagonal([w * w, w * w, w * w], p):
         raise SearchFailed("scalar omega does not act as omega^2 on wedges")
-    orders = semidirect_series_orders(k, p)
-
-    npts = p ** 6
-    powers = p ** np.arange(6, dtype=np.int64)
-    digits = np.arange(npts, dtype=np.int64)[:, None] // powers % p
-    v, wpart = digits[:, :3], digits[:, 3:]
-
-    def encode(vm, wm):
-        return (np.concatenate([vm, wm], axis=1) % p) @ powers
-
-    def cross_const(vm, e):
-        # rows of vm wedged with the constant vector e
-        return np.stack([vm[:, 1] * e[2] - vm[:, 2] * e[1],
-                         vm[:, 2] * e[0] - vm[:, 0] * e[2],
-                         vm[:, 0] * e[1] - vm[:, 1] * e[0]], axis=1)
-
-    gens = []
-    for i in range(3):
-        e = np.zeros(3, dtype=np.int64)
-        e[i] = 1
-        gens.append(tuple(encode(v + e, wpart + cross_const(v, e)).tolist()))
-        gens.append(tuple(encode(v, wpart + e).tolist()))
-    for a in k.generators:
-        am = np.array(a.entries, dtype=np.int64)
-        wm = np.array(wedge_square(a).entries, dtype=np.int64)
-        gens.append(tuple(encode(v @ am, wpart @ wm).tolist()))
-
-    h = perm_handle(gens, npts, f"prop8({p})")
-    h.split_orders = orders
-    return h
+    return GroupHandle(identity=(), generators=[], mul=None, inv=None,
+                       name=f"prop8({p})", kind="split",
+                       split_orders=semidirect_series_orders(k, p))

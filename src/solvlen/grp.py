@@ -7,10 +7,11 @@ the derived series run on a BSGS chain: a permutation handle's own, or for
 a matrix or model handle the chain of a faithful permutation image (its
 ``action``), whose results are read back into the handle's own elements.
 A subgroup computed on a chain keeps that chain and reads its strong
-generators back into the handle's elements only on first use.  A handle
-built as a split extension carries its derived-series orders, certified on
-the chains of its factors (``split_orders``): its order and derived series
-answer from them, with no chain of its own.
+generators back into the handle's elements only on first use.  A split
+handle (``prop8``) holds only its derived-series orders, certified on the
+chains of its two factors (``split_orders``): its order and derived series
+answer from them, and every question that needs a chain or the elements
+is refused in one place, ``GroupHandle.perm_generators``.
 Element lists are enumerated breadth-first over the same images as 2-D
 arrays (``_closure``), with the right-translation columns of the
 generators as a by-product, and read back in one step per kind.
@@ -107,7 +108,7 @@ class GroupHandle:
     mul: Callable
     inv: Callable
     name: str = ""
-    kind: str = "generic"           # "perm" | "matrix" | "model" | "generic"
+    kind: str = "generic"  # "perm" | "matrix" | "model" | "split" | "generic"
     degree: Optional[int] = None    # set for perm kind
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
@@ -136,6 +137,12 @@ class GroupHandle:
                 for x in read(rows[i:i + READ_ROWS])]
 
     def perm_generators(self):
+        """The generators as image arrays, the start of every chain and
+        enumeration.  A split handle has no image: CapExceeded."""
+        if self.split_orders is not None:
+            raise CapExceeded(f"{self.name} is a split extension with no "
+                              "permutation image; only its derived series "
+                              "is known")
         return [self.to_perm(g) for g in self.generators]
 
     def bsgs(self):
@@ -335,10 +342,11 @@ def _row_index(rows):
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     """Smallest normal subgroup of the handle's group containing seed."""
+    gens = handle.perm_generators()  # refuses a split handle, seed or not
     seed = [handle.to_perm(s) for s in seed if s != handle.identity]
     if not seed:
         return SubgroupHandle(handle, [], 1, _elem_set={handle.identity})
-    b = permmod.normal_closure_perm(handle.perm_generators(), seed)
+    b = permmod.normal_closure_perm(gens, seed)
     return SubgroupHandle(handle, None, b.order(), _bsgs=b)
 
 
@@ -587,7 +595,8 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     true order, so the closure stops early exactly when the answer is yes
     and is verified in full when it is no: every verdict is certified.
     Nothing is enumerated; ENUMERABLE_LIMIT in front of these two checks
-    only bounds their time, and past it they report "skipped".
+    only bounds their time, and past it they report "skipped" and the
+    handle's generators are not read (a split handle has none).
 
     `e` is order arithmetic: if S = G^(i-1)/G^(i+1) has order p^3, its
     derived subgroup G^(i)/G^(i+1) has order p, so S is non-abelian, and
@@ -599,7 +608,7 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
         return [Finding("solvable", "not-applicable", "group is not solvable")]
     n, d, orders = report.n, report.d, report.orders
     enumerable = orders[0] <= ENUMERABLE_LIMIT
-    gens = handle.perm_generators()
+    gens = handle.perm_generators() if enumerable else None
     chains = [sub._bsgs for sub in report.subgroups]
 
     # consecutive abelian quotients: c-weak by order arithmetic

@@ -73,6 +73,10 @@ def test_extraspecial_models():
         extraspecial(2, 1)
     with pytest.raises(BadParameter):
         extraspecial(2, 1, "x")
+    # p^{1+2}_- names the exponent-p^2 group, which the odd model is not
+    for eps in ("+", "-"):
+        with pytest.raises(BadParameter):
+            extraspecial(3, 1, eps)
 
 
 def test_extraspecial2_model_cocycle_algebra():
@@ -140,6 +144,11 @@ def test_gsp_extension():
     assert rep.quotient_orders == (2, 3, 4, 2, 9, 3)
     with pytest.raises(BadParameter):
         gsp_extension(gl(2, 3), 2, 1)
+    with pytest.raises(KindMismatch):
+        gsp_extension(sym(3), 3, 1)
+    # sl(1,3) has no generators left: the dimension is its identity's
+    with pytest.raises(BadParameter, match="dimension 1 != 2"):
+        gsp_extension(sl(1, 3), 3, 1)
 
 
 def test_holomorph_rejects_non_automorphisms():
@@ -354,6 +363,9 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     assert h.order() == rep.orders[0] == 76236552
     assert rep.engine == "split"
     assert degrees and max(degrees) <= 1051
+    # the handle has no permutation image, so no chain can start on it
+    with pytest.raises(CapExceeded, match="prop8"):
+        h.perm_generators()
 
 
 def test_split_terms_answer_only_their_orders(prop8data):
@@ -366,6 +378,20 @@ def test_split_terms_answer_only_their_orders(prop8data):
         # a GroupError, so the command line exits 2 with one line
         assert isinstance(err.value, GroupError)
         assert "\n" not in str(err.value)
+
+
+def test_split_handle_refuses_every_chain(prop8data):
+    # one refusal, in perm_generators, for every question that needs a
+    # chain or the elements: none answers with an empty chain of order 1
+    handle, _ = prop8data
+    for ask in (handle.bsgs, handle.rows,
+                lambda: grp.normal_closure(handle, []),
+                lambda: grp.lower_central_series(handle),
+                lambda: grp.center(handle), lambda: grp.is_cyclic(handle)):
+        with pytest.raises(CapExceeded, match="prop8"):
+            ask()
+    with pytest.raises(CapExceeded):
+        grp.minimal_normal_subgroups(handle)
 
 
 def test_prop8_congruence_guards():
@@ -456,15 +482,14 @@ def test_builders_check_the_degree_before_building(monkeypatch):
     from solvlen import perm
     s5, s6, s20 = sym(5), sym(6), sym(20)
     monkeypatch.setattr(perm, "MAX_DEGREE", 30)
-    monkeypatch.setattr(atlas, "HOLOMORPH_CAP", 30)
 
     def built(*args, **kwargs):
         pytest.fail("a handle was built before the degree check")
     monkeypatch.setattr(atlas, "perm_handle", built)
     for build, args in ((cyclic, (31,)), (sym, (31,)), (wreath, (s6, s6)),
-                        (direct, (s20, s20)), (regular, (s5,))):
+                        (direct, (s20, s20)), (regular, (s5,)),
+                        (holomorph_perm, (s5, [])),
+                        (natural_semidirect, (gl(2, 7), 2))):
         with pytest.raises(CapExceeded, match="exceeds 30"):
             build(*args)
-    with pytest.raises(CapExceeded, match="holomorph base of size 120"):
-        holomorph_perm(s5, [])
     assert s5._elements is None

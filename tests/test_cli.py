@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import jsonschema
 import pytest
@@ -189,6 +190,29 @@ def test_big_perm_spec_stops_at_the_degree_guard(capsys, monkeypatch):
     assert code == 2
     assert err.splitlines() == [
         "error: CapExceeded: degree 36 exceeds 30"]
+
+
+# one handle of each kind (perm, matrix, model, split) in every builder
+# that takes a group
+KINDS = ("sym(3)", "gl(2,3)", "extsq(3)", "prop8(7)")
+COMPOSERS = ("regular({})", "natsd({},2)", "gsp({},3,1)", "wr({},cyclic(2))",
+             "wr(cyclic(2),{})", "direct({},cyclic(2))",
+             "direct(cyclic(2),{})")
+
+
+@pytest.mark.parametrize("spec", [c.format(k) for c in COMPOSERS
+                                  for k in KINDS])
+def test_every_builder_takes_or_refuses_every_kind(capsys, spec):
+    # a handle of the wrong kind is refused in one line, and the split
+    # handle, which has no permutation image, never starts a chain
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "series", spec)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if "prop8" in spec:
+        assert code == 2 and time.monotonic() - t0 < 5
 
 
 def test_deep_nesting_exit_code(capsys):
