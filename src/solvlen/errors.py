@@ -21,10 +21,6 @@ class CapExceeded(GroupError):
     """Enumeration or index exceeded the configured cap."""
 
 
-class NotPGroup(GroupError):
-    """Operation requires a group of prime-power order."""
-
-
 class NotNormal(GroupError):
     """Subgroup is not normal in its parent."""
 
@@ -66,11 +62,7 @@ class NotOrthogonal(GroupError):
 
 
 class SearchExhausted(SearchFailed):
-    """Lift offset search ran out of candidates; carries achieved orders."""
-
-    def __init__(self, msg, achieved=None):
-        super().__init__(msg)
-        self.achieved = achieved or []
+    """Lift offset search ran out of candidates."""
 
 
 class OutOfRange(GroupError):

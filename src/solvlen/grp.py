@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import perm as permmod
-from .errors import BadParameter, CapExceeded, NotNormal, NotPGroup
+from .errors import BadParameter, CapExceeded, NotNormal
 
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
@@ -426,19 +426,6 @@ def center(handle: GroupHandle) -> SubgroupHandle:
         central = central[(g[x] == x[:, g]).all(axis=1)]
     elems = handle.from_perms(rows[central])
     return SubgroupHandle(handle, elems[1:], len(elems), _elem_set=set(elems))
-
-
-def frattini_pgroup(handle: GroupHandle) -> SubgroupHandle:
-    """Phi(P) = P^p P' for a p-group P, via generator p-th powers and
-    commutators (sufficient because P/P' is abelian)."""
-    fac = factorize(handle.order())
-    if len(fac) != 1:
-        raise NotPGroup(f"order {handle.order()} is not a prime power")
-    p = fac[0][0]
-    gens = handle.generators
-    seed = [handle.power(g, p) for g in gens] + [
-        handle.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
-    return normal_closure(handle, seed)
 
 
 def minimal_normal_subgroups(handle: GroupHandle):

@@ -11,9 +11,9 @@ from helpers import (corpus_perm_groups, element_order_by_products,
 from solvlen import atlas, grp
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
-from solvlen.errors import CapExceeded, NotNormal, NotPGroup
+from solvlen.errors import CapExceeded, NotNormal
 from solvlen.grp import (SubgroupHandle, center, derived_series, factorize,
-                         frattini_pgroup, is_cyclic, lower_central_series,
+                         is_cyclic, lower_central_series,
                          minimal_normal_subgroups, normal_closure, omega,
                          quotient_on_cosets)
 from solvlen.lift import f4_model_generators
@@ -215,16 +215,6 @@ def test_chain_generators_are_read_back_on_first_use(spec):
         assert sub.generators == eager
         assert sub.generators is sub.generators
         assert all(type(g) is type(handle.identity) for g in eager)
-
-
-def test_frattini_of_p_groups():
-    e27 = atlas.extraspecial(3, 1)
-    phi = frattini_pgroup(e27)
-    assert phi.order == 3
-    q8 = atlas.extraspecial(2, 1, "-")
-    assert frattini_pgroup(q8).order == 2
-    with pytest.raises(NotPGroup):
-        frattini_pgroup(atlas.sym(3))
 
 
 def test_wreath_s4_s4_series_frozen():

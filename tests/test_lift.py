@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import chain_fingerprint
 from solvlen import atlas, grp
+from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, model_handle
 from solvlen.errors import (BadParameter, NotOrthogonal, SearchExhausted,
                             SearchFailed)
@@ -95,28 +96,6 @@ def test_offset_permutations_match_pointwise_apply():
             assert row.tolist() == [index[pair.apply(e)] for e in elems]
 
 
-def test_compose_matches_pointwise_application():
-    pairs = corrected_pairs()
-    a, b = pairs[0], pairs[3]
-    ab = a.compose(b)
-    h = model_handle(MODEL, "e128")
-    for e in h.elements():
-        assert ab.apply(e) == b.apply(a.apply(e))
-    ident = AutPair.identity(6)
-    for e in h.elements():
-        assert ident.apply(e) == e
-    assert a.compose(ident).a == a.a
-    assert a.compose(ident).q.coeffs == a.q.coeffs
-
-
-def test_compose_is_associative_on_sample():
-    pairs = corrected_pairs()
-    a, b, c = pairs[0], pairs[1], pairs[4]
-    lhs = a.compose(b).compose(c)
-    rhs = a.compose(b.compose(c))
-    assert lhs.a == rhs.a and lhs.q.coeffs == rhs.q.coeffs
-
-
 def test_not_orthogonal_exhibit():
     # a symplectic transvection along a direction of square 1 preserves
     # the polarization but moves the squaring form
@@ -145,15 +124,40 @@ def test_form_from_function_reads_off_coefficients():
     assert q2.coeffs == q.coeffs
 
 
-def test_lift_identity_and_unreachable_target():
+def test_lift_identity_and_exhausted_grid():
     ident = FpMatrix.identity(6, 2)
-    pairs = lift_generators([ident], MODEL, target_order=2 ** 7)
+    pairs = lift_generators([ident], MODEL)
     assert len(pairs) == 1
     assert pairs[0].a == ident
+    assert pairs[0].q.coeffs == _linear_offset(0, 6).coeffs
+    # these generate a group of order 192 that no choice of offsets lifts
+    # to a split copy: every product of kept offsets overflows the cap
+    a = FpMatrix.from_rows(((0, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0),
+                            (0, 0, 1, 0, 0, 0), (1, 0, 1, 1, 0, 0),
+                            (0, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 1)), 2)
+    b = FpMatrix.from_rows(((1, 1, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0),
+                            (0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+                            (0, 1, 1, 1, 1, 0), (1, 0, 1, 0, 0, 1)), 2)
+    assert len(atlas.matrix_handle([a, b]).rows()) == 192
     with pytest.raises(SearchExhausted):
-        lift_generators([ident], MODEL, target_order=3 * 2 ** 7)
-    with pytest.raises(SearchExhausted):
-        lift_generators([ident], MODEL, target_order=2 ** 7 + 1)
+        lift_generators([a, b], DEFAULT_MODEL)
+
+
+def test_d8_lift_runs_no_schreier_sims(monkeypatch):
+    # the enumeration itself certifies the split; the forms are pinned
+    # (offsets 0 and 63 on the corrections)
+    mats, model = d8_lift_inputs()
+
+    def refuse(gens):
+        raise AssertionError("schreier_sims called")
+
+    monkeypatch.setattr(permmod, "schreier_sims", refuse)
+    pairs = lift_generators(mats, model)
+    assert [p.a for p in pairs] == mats
+    assert pairs[0].q.coeffs == ((0,) * 6,) * 6
+    assert pairs[1].q.coeffs == ((1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                                 (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 0, 0),
+                                 (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1))
 
 
 def test_lift_generators_rejects_more_than_two_matrices():
