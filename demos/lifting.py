@@ -6,7 +6,8 @@ cocycle; the obstruction is quadratic and the correction, when it exists,
 is again a quadratic form.  Stages:
 
   i.   build the order-1296 linear group over F_2^6
-  ii.  reduce it to two generators via a Cayley-graph search (~0.03s)
+  ii.  reduce it to two generators: the first pair, by element order,
+       whose closure is the whole group (~0.05s)
   iii. find the invariant quadratic form (Arf invariant 1: minus type)
   iv.  lift the two generators to automorphism pairs whose enumeration,
        capped at 1,296 elements, closes at 1,296: a split copy

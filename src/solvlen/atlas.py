@@ -20,7 +20,8 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
                      NotAutomorphism, ScalarSearchFailed, SearchFailed)
 from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
                     similitude_factor, spin_all_lines, wedge_square, wedge_vec)
-from .grp import GroupHandle, center, factorize, tuple_inv, tuple_mul
+from .grp import (GroupHandle, _row_index, center, factorize, tuple_inv,
+                  tuple_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +490,17 @@ def holomorph_perm(p_handle, auts):
     induction on its length gives a(x y) = a(x) a(y).  With
     col_g[x] = index of x g (P's own columns for its generators) and
     amap[x] = index of a(x), the law for g is
-    amap[col_g] == col_{a(g)}[amap], |P| products per generator, so the
-    check is complete at every size, with no sampling for large P.  A
-    failure raises NotAutomorphism with the first offending (x, g), or
-    with (x, a(x)) when a(x) leaves P or x = 1 moves.
+    amap[col_g] == col_{a(g)}[amap], with col_{a(g)} read off P's image
+    rows in one gather per generator, so the check is complete at every
+    size, with no sampling for large P.  A failure raises NotAutomorphism
+    with the first offending (x, g), or with (x, a(x)) when a(x) leaves P
+    or x = 1 moves.
     """
     permmod.check_degree(p_handle.order())
     elems = p_handle.elements()
     index = {e: i for i, e in enumerate(elems)}
-    cols = list(p_handle.columns())
+    rows, cols = p_handle.rows(), list(p_handle.columns())
+    find = _row_index(rows)
     amaps = []
     for a in auts:
         amap = np.empty(len(elems), dtype=np.int32)
@@ -511,8 +514,7 @@ def holomorph_perm(p_handle, auts):
             raise NotAutomorphism("map moves the identity",
                                   witness=(elems[one], elems[amap[one]]))
         for g, col in zip(p_handle.generators, cols):
-            ag = elems[amap[index[g]]]
-            col_ag = np.array([index[p_handle.mul(x, ag)] for x in elems])
+            col_ag = np.array(find(rows[amap[col[one]]][rows]))  # x a(g)
             bad = np.flatnonzero(amap[col] != col_ag[amap])
             if len(bad):
                 raise NotAutomorphism("map breaks multiplication",
@@ -590,6 +592,7 @@ def qutrit_generator_candidates(p):
 
 
 def qutrit_normalizer(p):
+    check_prime(p)
     if p % 3 != 1:
         raise BadCongruence(f"qutrit_normalizer needs p = 1 mod 3, got {p}")
     if p > 31:
@@ -726,8 +729,6 @@ def prop8_group(p):
     """
     if p % 3 != 1:
         raise BadCongruence(f"prop8_group needs p = 1 mod 3, got {p}")
-    if p ** 6 > 200_000:
-        raise BadParameter(f"degree {p**6} too large for the engine")
     k = qutrit_normalizer(p)
     w = smallest_cube_root(p)
     wedge_scalar = wedge_square(FpMatrix.diagonal([w, w, w], p))

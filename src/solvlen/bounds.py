@@ -61,7 +61,7 @@ def g89_min_length(d):
         old = iv.prec
         try:
             iv.prec = prec
-            alpha = 5 * iv.log(2) / iv.log(9) + 1
+            alpha = alpha_interval(prec)
             t = iv.mpf(2) ** (iv.mpf(d - 9) / alpha)
             lo, hi = t.a, t.b
             n_lo = int(mp.ceil(lo))

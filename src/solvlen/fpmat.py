@@ -324,7 +324,7 @@ class QuadraticFormF2:
 
     def zeros(self):
         """Number of vectors with q(v) = 0 (Arf invariant readout)."""
-        return sum(1 for v in _all_vectors(self.dim) if self(v) == 0)
+        return sum(1 for v in all_f2_vectors(self.dim) if self(v) == 0)
 
     def arf(self):
         """Arf invariant: 0 for plus type, 1 for minus type.
@@ -344,11 +344,7 @@ class QuadraticFormF2:
 
 
 @lru_cache(maxsize=None)
-def _all_vectors(dim):
-    return tuple(tuple((idx >> i) & 1 for i in range(dim))
-                 for idx in range(2 ** dim))
-
-
 def all_f2_vectors(dim):
     """All vectors of F_2^dim in index order (bit i of the index is v_i)."""
-    return _all_vectors(dim)
+    return tuple(tuple((idx >> i) & 1 for i in range(dim))
+                 for idx in range(2 ** dim))

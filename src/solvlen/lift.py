@@ -21,7 +21,7 @@ from . import perm as permmod
 from .errors import (BadParameter, CapExceeded, NotOrthogonal,
                      SearchExhausted, SearchFailed)
 from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
-from .grp import derived_series
+from .grp import _row_index, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle, perm_handle)
 
@@ -226,58 +226,29 @@ def two_generator_reduction(handle, order):
     """First pair (by descending element order, then enumeration index)
     generating the whole group.
 
-    Works on the Cayley graph: each element e gets its right-translation
-    index array col_e (col_e[x] = index of x * e), its parent's composed
-    with the generator column that first reached e in the enumeration
-    (handle.columns()), so a candidate pair is tested by an integer orbit
-    walk instead of matrix arithmetic.
-
-    A walk from the identity visits exactly the subgroup <g1, g2>, so a
-    failed walk yields a whole proper subgroup.  Each one found gets a bit
-    in member[e], set for every element it contains; a pair whose members
-    share a bit lies in a known proper subgroup and is skipped without a
-    walk.  Only pairs proven to fail are skipped, so the returned pair is
-    the same as for the exhaustive search.
+    Each candidate pair's subgroup is enumerated by handle.closure on its
+    two image rows, so a failed pair yields a whole proper subgroup.  Each
+    one found gets a bit in member[e], set for every element it contains;
+    a pair whose members share a bit lies in a known proper subgroup and
+    is skipped without a closure.  Only pairs proven to fail are skipped,
+    so the returned pair is the same as for the exhaustive search.
     """
     rows = handle.rows()
     if len(rows) != order:
         raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
-    gen_cols = handle.columns()
-    # first[e]: where e first occurs in (element, generator) order
-    _, first = np.unique(gen_cols.T, return_index=True)
-    cols = [np.arange(order, dtype=np.int32)]
-    for i in range(1, order):
-        parent, k = divmod(int(first[i]), len(gen_cols))
-        cols.append(gen_cols[k][cols[parent]])
+    find = _row_index(rows)
     orders = permmod.perm_order_of(rows)
     ranked = np.argsort(-orders, kind="stable").tolist()
-
-    def subgroup(i1, i2):
-        c1, c2 = cols[i1], cols[i2]
-        seen = bytearray(order)
-        seen[0] = 1
-        stack = [0]
-        visited = [0]
-        while stack:
-            x = stack.pop()
-            for c in (c1, c2):
-                y = int(c[x])
-                if not seen[y]:
-                    seen[y] = 1
-                    visited.append(y)
-                    stack.append(y)
-        return visited
-
     member = [0] * order
     bit = 1
     for i1 in ranked:
         for i2 in ranked:
             if member[i1] & member[i2]:
                 continue
-            visited = subgroup(i1, i2)
-            if len(visited) == order:
+            sub = handle.closure(rows[[i1, i2]])[0]
+            if len(sub) == order:
                 return handle.from_perms(rows[[i1, i2]])
-            for e in visited:
+            for e in find(sub):
                 member[e] |= bit
             bit <<= 1
     raise SearchFailed("no 2-element generating set found")

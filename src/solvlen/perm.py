@@ -94,7 +94,7 @@ class _Level:
     """One level of the stabilizer chain."""
 
     __slots__ = ("base", "gens", "invs", "parent", "label", "order_list",
-                 "processed")
+                 "paired")
 
     def __init__(self, base, degree):
         self.base = base
@@ -104,7 +104,9 @@ class _Level:
         self.label = memoryview(np.full(degree, -1, dtype=np.int32))
         self.parent[base] = base
         self.order_list = [base]        # BFS discovery order
-        self.processed = set()          # (point, gen index) Schreier pairs done
+        # paired[p]: how many gens have had their Schreier generator at p
+        # sifted; always a prefix of gens, which only grows by appending
+        self.paired = memoryview(np.zeros(degree, dtype=np.int32))
 
     def orbit_size(self):
         return len(self.order_list)
@@ -149,9 +151,6 @@ class BSGS:
 
     # -- queries ---------------------------------------------------------
 
-    def base(self):
-        return [lv.base for lv in self.levels]
-
     def order(self):
         n = 1
         for lv in self.levels:
@@ -161,16 +160,6 @@ class BSGS:
     def strong_generators(self):
         """Every strong generator once, in insertion order."""
         return list(self.levels[0].gens) if self.levels else []
-
-    def transversal_inv_path(self, level, point):
-        """Generator indices (deepest first) whose inverses undo u_point."""
-        lv = self.levels[level]
-        parent, label = lv.parent, lv.label
-        path = []
-        while point != lv.base:
-            path.append(label[point])
-            point = parent[point]
-        return path
 
     def sift(self, g):
         """Strip g through the chain.
@@ -239,59 +228,48 @@ class BSGS:
             self._extend_orbit(i, len(lv.gens) - 1)
 
     def _check_level(self, level):
-        """Sift unprocessed Schreier generators at `level`.
+        """Sift unpaired Schreier generators at `level`.
 
-        Returns True as soon as one of them adds a strong generator, or
+        The Schreier generator of (point, g) is u_point g u_y^-1 with
+        y = g[point]; sifting u_point g strips u_y at this level with the
+        same products, and passes earlier levels untouched, since u_point
+        and g fix their base points.  Tree edges give the identity and are
+        skipped.  Returns True as soon as one adds a strong generator, or
         False when every Schreier generator strips to the identity.
         """
         lv = self.levels[level]
-        idx = 0
-        while idx < len(lv.order_list):
-            point = lv.order_list[idx]
-            for gi in range(len(lv.gens)):
-                pair = (point, gi)
-                if pair in lv.processed:
+        gens, parent, label, paired = lv.gens, lv.parent, lv.label, lv.paired
+        for point in lv.order_list:
+            if paired[point] == len(gens):
+                continue
+            u = self._transversal(level, point)
+            for gi in range(paired[point], len(gens)):
+                paired[point] = gi + 1
+                y = gens[gi].item(point)
+                if parent[y] == point and label[y] == gi:
                     continue
-                lv.processed.add(pair)
-                g = lv.gens[gi]
-                y = g.item(point)
-                if lv.parent[y] == point and lv.label[y] == gi:
-                    continue  # tree edge: Schreier generator is the identity
-                # Schreier generator u_point * g * u_y^{-1}
-                s = self._transversal(level, point)
-                s = perm_mul(s, g)
-                for gj in self.transversal_inv_path(level, y):
-                    s = perm_mul(s, lv.invs[gj])
-                if _sift_insert(self, s):
+                if _sift_insert(self, perm_mul(u, gens[gi])):
                     return True
-            idx += 1
         return False
 
-    def _level_for(self, h):
-        for i, lv in enumerate(self.levels):
-            if h.item(lv.base) != lv.base:
-                return i
-        return len(self.levels)
-
     def _transversal(self, level, point):
-        """The coset representative u mapping the base point to `point`."""
+        """The coset representative u mapping the base point to `point`:
+        the tree-edge generators from the base out to `point`."""
         lv = self.levels[level]
-        path = self.transversal_inv_path(level, point)
-        if not path:
-            return np.arange(self.degree, dtype=np.int32)
-        u = lv.gens[path[-1]]
-        for gi in reversed(path[:-1]):
-            u = perm_mul(u, lv.gens[gi])
+        u = np.arange(self.degree, dtype=np.int32)
+        while point != lv.base:
+            u = perm_mul(lv.gens[lv.label[point]], u)
+            point = lv.parent[point]
         return u
 
 
 def _sift_insert(b: BSGS, g):
-    """Sift g and insert the residual if nontrivial.  Returns True when the
-    chain grew."""
+    """Sift g and insert the residual if nontrivial, at the level where the
+    sift stopped (a new level when it fixes every base point).  Returns
+    True when the chain grew."""
     h, lev = b.sift(g)
     if lev < len(b.levels) or not is_identity(h):
-        target = lev if lev < len(b.levels) else b._level_for(h)
-        b._insert_generator(h, target)
+        b._insert_generator(h, lev)
         return True
     return False
 

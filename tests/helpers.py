@@ -44,6 +44,16 @@ def corpus_perm_groups():
     return groups
 
 
+# matrix and model handles, each with its permutation image: (label, builder)
+IMAGE_SPECS = [("gl(2,3)", lambda: atlas.gl(2, 3)),
+               ("ut(3,3)", lambda: atlas.upper_triangular(3, 3)),
+               ("bo()", atlas.binary_octahedral),
+               ("extsq(3)", lambda: atlas.exterior_square_group(3)),
+               ("extraspecial(3,1)", lambda: atlas.extraspecial(3, 1)),
+               ("extraspecial(2,2,minus)",
+                lambda: atlas.extraspecial(2, 2, "-"))]
+
+
 def chain_fingerprint(b):
     """sha256 over base, BFS order, Schreier vectors and strong generators
     of every level of a chain."""

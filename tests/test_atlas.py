@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import IMAGE_SPECS
 from solvlen import atlas, grp
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            binary_octahedral, cyclic, direct, extraspecial,
@@ -397,16 +398,9 @@ def test_split_handle_refuses_every_chain(prop8data):
 def test_prop8_congruence_guards():
     with pytest.raises(BadCongruence):
         atlas.prop8_group(5)
-    with pytest.raises(BadParameter):
-        atlas.prop8_group(13)
-
-
-IMAGE_SPECS = [("gl(2,3)", lambda: gl(2, 3)),
-               ("ut(3,3)", lambda: upper_triangular(3, 3)),
-               ("bo()", binary_octahedral),
-               ("extsq(3)", lambda: exterior_square_group(3)),
-               ("extraspecial(3,1)", lambda: extraspecial(3, 1)),
-               ("extraspecial(2,2,minus)", lambda: extraspecial(2, 2, "-"))]
+    # the split route needs no chain on p^6 points: p = 13 is in reach
+    rep = grp.derived_series(atlas.prop8_group(13))
+    assert (rep.d, rep.c) == (7, 13)
 
 
 @pytest.mark.parametrize("build", [b for _, b in IMAGE_SPECS],

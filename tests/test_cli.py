@@ -120,6 +120,11 @@ def test_construction_error_exit_code(capsys):
     assert "BadCongruence" in err
     code, out, err = run(capsys, "eval", "nonsense(3)")
     assert code == 2
+    # a modulus that is no prime is named as such, before any congruence
+    for spec in ("qutrit(4)", "prop8(4)", "prop8(1)"):
+        code, out, err = run(capsys, "series", spec)
+        assert code == 2
+        assert "not a prime" in err and err.count("\n") == 1
 
 
 def test_verify_table_small(capsys):

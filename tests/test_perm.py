@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_fingerprint, corpus_perm_groups
+from helpers import IMAGE_SPECS, chain_fingerprint, corpus_perm_groups
 from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -350,3 +350,67 @@ def test_conjugation_count_matches_the_set_keyed_loop(spec):
     # the old loop met generators listed twice, except in a regular
     # group, whose chains have one level
     assert repeats or handle.order() == handle.degree
+
+
+def pair_set_check_level(b, level):
+    """BSGS._check_level as it was with a set of (point, generator index)
+    pairs done per level: each Schreier generator u_point g u_y^-1 is
+    built in full from the tree paths, then sifted from the top, and a
+    residual is inserted at the first level whose base point it moves."""
+    lv = b.levels[level]
+    done = b.__dict__.setdefault("pairs_done", {}).setdefault(level, set())
+
+    def path(point):  # labels from `point` up to the base
+        labels = []
+        while point != lv.base:
+            labels.append(lv.label[point])
+            point = lv.parent[point]
+        return labels
+
+    idx = 0
+    while idx < len(lv.order_list):
+        point = lv.order_list[idx]
+        for gi in range(len(lv.gens)):
+            if (point, gi) in done:
+                continue
+            done.add((point, gi))
+            g = lv.gens[gi]
+            y = g.item(point)
+            if lv.parent[y] == point and lv.label[y] == gi:
+                continue
+            s = np.arange(b.degree, dtype=np.int32)
+            for gj in reversed(path(point)):
+                s = perm_mul(s, lv.gens[gj])
+            s = perm_mul(s, g)
+            for gj in path(y):
+                s = perm_mul(s, lv.invs[gj])
+            h, lev = b.sift(s)
+            if lev < len(b.levels) or not is_identity(h):
+                lev = next((i for i, other in enumerate(b.levels)
+                            if h.item(other.base) != other.base),
+                           len(b.levels))
+                b._insert_generator(h, lev)
+                return True
+        idx += 1
+    return False
+
+
+def chain_corpus():
+    return [(label, h) for label, h, _ in corpus_perm_groups()] + \
+        [(label, build()) for label, build in IMAGE_SPECS]
+
+
+def series_fingerprints(handles):
+    """Chain digests of each handle's derived series, G's own (its
+    schreier_sims chain) first."""
+    return {label: [chain_fingerprint(sub._bsgs)
+                    for sub in derived_series(h).subgroups]
+            for label, h in handles}
+
+
+def test_check_level_matches_the_pair_set_loop(monkeypatch):
+    new = series_fingerprints(chain_corpus())
+    monkeypatch.setattr(perm.BSGS, "_check_level", pair_set_check_level)
+    old = series_fingerprints(chain_corpus())
+    assert old == new
+    assert len(new) == 30 and sum(map(len, new.values())) == 100
