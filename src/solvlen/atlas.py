@@ -727,13 +727,7 @@ def prop8_group(p):
     (GroupHandle.perm_generators) and the builders that take a
     permutation or matrix handle refuse it.
     """
-    if p % 3 != 1:
-        raise BadCongruence(f"prop8_group needs p = 1 mod 3, got {p}")
     k = qutrit_normalizer(p)
-    w = smallest_cube_root(p)
-    wedge_scalar = wedge_square(FpMatrix.diagonal([w, w, w], p))
-    if wedge_scalar != FpMatrix.diagonal([w * w, w * w, w * w], p):
-        raise SearchFailed("scalar omega does not act as omega^2 on wedges")
     return GroupHandle(identity=(), generators=[], mul=None, inv=None,
                        name=f"prop8({p})", kind="split",
                        split_orders=semidirect_series_orders(k, p))

@@ -250,9 +250,7 @@ def _verify_one(d, spec_text):
 
 
 def _cmd_verify_table(args):
-    ds = [d for d in range(args.max_d + 1)
-          if not (args.skip_heavy and d >= 7)]
-    rows = [_verify_one(d, WITNESSES[d]) for d in ds]
+    rows = [_verify_one(d, WITNESSES[d]) for d in range(args.max_d + 1)]
     failed = False
     for d, spec_text, got_d, got_c, expect_c, ok, elapsed in rows:
         status = "PASS" if ok else "FAIL"
@@ -294,7 +292,6 @@ def make_parser():
 
     pv = sub.add_parser("verify-table", help="reconstruct the witness table")
     pv.add_argument("--max-d", type=int, default=8, dest="max_d")
-    pv.add_argument("--skip-heavy", action="store_true", dest="skip_heavy")
     pv.set_defaults(func=_cmd_verify_table)
     return p
 

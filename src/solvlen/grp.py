@@ -53,7 +53,10 @@ def env_int(name, default):
 
 
 def _env_cap():
-    return env_int("GRP_MAX_ELEMENTS", DEFAULT_CAP)
+    cap = env_int("GRP_MAX_ELEMENTS", DEFAULT_CAP)
+    if cap < 1:
+        raise BadParameter(f"GRP_MAX_ELEMENTS={cap} is below 1")
+    return cap
 
 
 def factorize(n):
@@ -342,11 +345,8 @@ def _row_index(rows):
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     """Smallest normal subgroup of the handle's group containing seed."""
-    gens = handle.perm_generators()  # refuses a split handle, seed or not
-    seed = [handle.to_perm(s) for s in seed if s != handle.identity]
-    if not seed:
-        return SubgroupHandle(handle, [], 1, _elem_set={handle.identity})
-    b = permmod.normal_closure_perm(gens, seed)
+    b = permmod.normal_closure_perm(handle.perm_generators(),
+                                    [handle.to_perm(s) for s in seed])
     return SubgroupHandle(handle, None, b.order(), _bsgs=b)
 
 
@@ -362,29 +362,36 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
                 orders, [SubgroupHandle(handle, None, n) for n in orders],
                 "split")
         else:
-            report = _derived_series_bsgs(handle)
+            subs = _series(handle, lambda gens, invs, *_:
+                           permmod.commutators(gens, invs))
+            report = _finish_report([s.order for s in subs], subs)
         handle._series = weakref.ref(report)
     return report
 
 
-def _derived_series_bsgs(handle: GroupHandle) -> SeriesReport:
-    b = handle.bsgs()
-    orders = [b.order()]
-    gens = [permmod.as_perm(g) for g in handle.perm_generators()]
-    invs = [permmod.perm_inv(g) for g in gens]
-    group_gens = gens
-    subs = [SubgroupHandle(handle, list(handle.generators), orders[0], _bsgs=b)]
-    while True:
-        nb = permmod.normal_closure_perm(group_gens,
-                                         permmod.commutators(gens, invs))
-        if nb.order() == orders[-1]:
+def _series(handle: GroupHandle, seed):
+    """The terms T_0 = G > T_1 > ... of a series, each on its chain.
+
+    T_(i+1) is the normal closure in G of seed(gens, invs, group, ginvs):
+    group holds the image arrays of G's generators, gens those of T_i's
+    (G's for T_0, the strong generators of T_i's chain after), and invs
+    and ginvs their inverses.  The series stops before the first
+    term whose order does not fall, or after order 1.  T_0 keeps the
+    handle's generators and chain.
+    """
+    group = [permmod.as_perm(g) for g in handle.perm_generators()]
+    ginvs = [permmod.perm_inv(g) for g in group]
+    gens, invs = group, ginvs
+    terms = [SubgroupHandle(handle, list(handle.generators), handle.order(),
+                            _bsgs=handle.bsgs())]
+    while terms[-1].order > 1:
+        b = permmod.normal_closure_perm(group, seed(gens, invs, group, ginvs))
+        if b.order() == terms[-1].order:
             break
-        orders.append(nb.order())
-        subs.append(SubgroupHandle(handle, None, nb.order(), _bsgs=nb))
-        if nb.order() == 1:
-            break
-        gens, invs = nb.levels[0].gens, nb.levels[0].invs
-    return _finish_report(orders, subs)
+        terms.append(SubgroupHandle(handle, None, b.order(), _bsgs=b))
+        if b.levels:  # else the order is 1 and the series ends
+            gens, invs = b.levels[0].gens, b.levels[0].invs
+    return terms
 
 
 def _finish_report(orders, subs, engine="bsgs"):
@@ -403,17 +410,13 @@ def _finish_report(orders, subs, engine="bsgs"):
 
 
 def lower_central_series(handle: GroupHandle):
-    """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]> normally closed."""
-    chain = [SubgroupHandle(handle, list(handle.generators), handle.order(),
-                            _bsgs=handle.bsgs())]
-    while chain[-1].order > 1:
-        nxt = normal_closure(handle, [handle.comm(a, g)
-                                      for a in chain[-1].generators
-                                      for g in handle.generators])
-        if nxt.order == chain[-1].order:
-            break
-        chain.append(nxt)
-    return chain
+    """gamma_1 = G, gamma_(i+1) = [gamma_i, G]: the normal closure of the
+    commutators [a, g], a running over gamma_i's generators (see _series)
+    and, for each a, g over G's generators."""
+    mul = permmod.perm_mul
+    return _series(handle, lambda gens, invs, group, ginvs: [
+        mul(mul(ai, gi), mul(a, g))
+        for a, ai in zip(gens, invs) for g, gi in zip(group, ginvs)])
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:
@@ -679,22 +682,16 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
         p = fac[0][0]
         pp, ppp = orders[1], orders[2]
         if pp // ppp == p ** 3 and ppp > 1:
-            try:
-                gammas = lower_central_series(handle)
-                gorders = [g.order for g in gammas]
-                while len(gorders) < 5:
-                    gorders.append(gorders[-1])
-                g5 = gammas[4] if len(gammas) > 4 else gammas[-1]
-                ok = (gorders[1] > gorders[2] > gorders[3] > gorders[4]
-                      and g5.order == ppp
-                      and all(g5.contains(x)
-                              for x in report.subgroups[2].generators))
-                findings.append(Finding(
-                    "lemma6", "pass" if ok else "fail",
-                    f"gamma orders {gorders[:6]}, P'' = {ppp}"))
-            except CapExceeded:
-                findings.append(Finding("lemma6", "skipped",
-                                        "gamma chain too large"))
+            gammas = lower_central_series(handle)
+            gammas += gammas[-1:] * (5 - len(gammas))
+            gorders = [g.order for g in gammas]
+            g5 = gammas[4]._bsgs
+            ok = (gorders[1] > gorders[2] > gorders[3] > gorders[4]
+                  and g5.order() == ppp
+                  and all(map(g5.contains, chains[2].strong_generators())))
+            findings.append(Finding(
+                "lemma6", "pass" if ok else "fail",
+                f"gamma orders {gorders[:6]}, P'' = {ppp}"))
         else:
             findings.append(Finding("lemma6", "not-applicable",
                                     f"|P'/P''| = {pp // ppp}, P'' = {ppp}"))

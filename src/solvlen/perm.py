@@ -303,55 +303,36 @@ def schreier_sims(gens):
 def normal_closure_perm(group_gens, seed, upper_bound=None):
     """BSGS of the smallest normal subgroup of <group_gens> containing seed.
 
-    The chain is grown incrementally: every inserted element is a product
-    of seeds and their conjugates, so the partial chain always sits inside
-    the true closure and its orbit product never exceeds the closure's
-    order.  ``upper_bound`` must be a proven upper bound on that order:
-    construction stops when the orbit product reaches it, which is then
-    the exact order.  Otherwise, and always when the bound is above the
-    order, conjugation passes alternate with full Schreier verification
-    until both are stable.
+    Every seed, and each conjugate of a new strong generator by a group
+    generator, is sifted once; an empty or identity seed gives the chain
+    of order 1.  An element that sifts to the identity is a product of
+    strong generators, and stays one as the chain grows (tree edges are
+    never rewritten).  So once no conjugate is pending, the strong
+    generators generate a normal subgroup, and completing its chain
+    (_complete) ends the closure.
+
+    The partial chain always sits inside the closure, so its orbit
+    product never exceeds the closure's order.  ``upper_bound`` must be
+    a proven upper bound on that order: construction stops when the
+    orbit product reaches it, which is then the exact order.
     """
     group_gens = [as_perm(g) for g in group_gens]
     ginvs = [perm_inv(g) for g in group_gens]
-    pending = []
-    seen = set()
-    for s in seed:
-        s = as_perm(s)
-        k = perm_key(s)
-        if not is_identity(s) and k not in seen:
-            seen.add(k)
-            pending.append(s)
+    pending = [as_perm(s) for s in seed]
     degree = len(group_gens[0]) if group_gens else \
         (len(pending[0]) if pending else 0)
     b = BSGS(degree)
-    if not pending:
-        return b
     conjugated = 0  # level 0's generators only grow by appending
-    verified = False
-    while True:
+    while pending:
         for s in pending:
             _sift_insert(b, s)
-            verified = False
-        if b.order() == upper_bound:
-            return b
-        # membership tests below are certain only in the positive
-        # direction on an unverified chain; a false negative just inserts
-        # a redundant conjugate, which sifts away later
-        pending = []
-        fresh = b.levels[0].gens[conjugated:]
+        fresh = b.strong_generators()[conjugated:]
         conjugated += len(fresh)
-        for s in fresh:
-            for g, gi in zip(group_gens, ginvs):
-                c = perm_mul(perm_mul(gi, s), g)
-                if not b.contains(c):
-                    pending.append(c)
-        if pending:
-            continue
-        if verified:
-            return b
-        _complete(b, upper_bound)
-        verified = True
+        pending = [] if b.order() == upper_bound else [
+            perm_mul(perm_mul(gi, s), g)
+            for s in fresh for g, gi in zip(group_gens, ginvs)]
+    _complete(b, upper_bound)
+    return b
 
 
 def perm_order_of(g):

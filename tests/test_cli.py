@@ -156,16 +156,23 @@ def test_witness_designations():
                          6: "gsp(gl(2,3),3,1)", 7: "prop8(7)", 8: "d8()"}
 
 
-@pytest.mark.parametrize("var, argv", [
-    ("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)")),
+@pytest.mark.parametrize("var, argv, value, message", [
+    pytest.param("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)"), "abc",
+                 "GRP_MAX_ELEMENTS='abc' is not an integer",
+                 id="GRP_MAX_ELEMENTS-argv0"),
+    # a cap below 1 would never be hit, so it is refused, not ignored
+    pytest.param("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)"), "0",
+                 "GRP_MAX_ELEMENTS=0 is below 1", id="GRP_MAX_ELEMENTS-0"),
+    pytest.param("GRP_MAX_ELEMENTS", ("eval", "gl(2,3)"), "-5",
+                 "GRP_MAX_ELEMENTS=-5 is below 1", id="GRP_MAX_ELEMENTS--5"),
 ])
-def test_malformed_env_value_exit_code(capsys, monkeypatch, var, argv):
-    monkeypatch.setenv(var, "abc")
+def test_malformed_env_value_exit_code(capsys, monkeypatch, var, argv, value,
+                                       message):
+    monkeypatch.setenv(var, value)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
-    assert err.splitlines() == [
-        f"error: BadParameter: {var}='abc' is not an integer"]
+    assert err.splitlines() == [f"error: BadParameter: {message}"]
 
 
 def test_env_element_cap(monkeypatch):

@@ -12,7 +12,8 @@ from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
 from solvlen.errors import GroupError
-from solvlen.grp import derived_series
+from solvlen.grp import (SubgroupHandle, derived_series, lower_central_series,
+                         normal_closure)
 from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
                           perm_key, perm_mul, perm_order_of, schreier_sims)
 
@@ -299,10 +300,12 @@ def test_strong_generators_are_listed_once(spec):
             assert all(perm_key(g) in rest for g in lv.gens)
 
 
-def set_keyed_normal_closure(group_gens, seed):
+def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
     """normal_closure_perm as it was when strong_generators() listed each
     generator once per level it sits on: conjugates are skipped by a set
-    of (generator key, group generator index) pairs already done."""
+    of (generator key, group generator index) pairs already done, and
+    non-members found by a membership test before they are sifted.  Like
+    normal_closure_perm, it stops when the order reaches upper_bound."""
     group_gens = [as_perm(g) for g in group_gens]
     ginvs = [perm_inv(g) for g in group_gens]
     pending, seen = [], set()
@@ -316,6 +319,8 @@ def set_keyed_normal_closure(group_gens, seed):
         for s in pending:
             perm._sift_insert(b, s)
             verified = False
+        if b.order() == upper_bound:
+            return b
         pending = []
         for s in [g for lv in b.levels for g in lv.gens]:
             ks = perm_key(s)
@@ -326,30 +331,76 @@ def set_keyed_normal_closure(group_gens, seed):
                     if not b.contains(c):
                         pending.append(c)
         if not pending and not verified:
-            perm._complete(b)
+            perm._complete(b, upper_bound)
             verified = True
     return b
 
 
-@pytest.mark.parametrize("spec", ["sym(5)", "wr(sym(3),sym(3))",
-                                  "regular(gl(2,3))"])
+def chain_corpus():
+    return [(label, h) for label, h, _ in corpus_perm_groups()] + \
+        [(label, build()) for label, build in IMAGE_SPECS]
+
+
+def commutator(a, b):
+    return perm_mul(perm_mul(perm_inv(a), perm_inv(b)), perm_mul(a, b))
+
+
+@pytest.mark.parametrize("spec", sorted(
+    [label for label, _ in chain_corpus()] +
+    ["wr(sym(3),sym(3))", "regular(gl(2,3))"]))
 def test_conjugation_count_matches_the_set_keyed_loop(spec):
-    handle = evaluate(parse_spec(spec))
+    handle = dict(chain_corpus()).get(spec) or evaluate(parse_spec(spec))
     gens = [as_perm(g) for g in handle.perm_generators()]
-    seeds = [[g] for g in gens]
-    seeds.append([perm_mul(perm_mul(perm_inv(a), perm_inv(b)), perm_mul(a, b))
-                  for a in gens for b in gens])
+    comms = [commutator(a, b) for a in gens for b in gens]
+    runs = [([g], None) for g in gens] + [(comms, None)]
     for sub in derived_series(handle).subgroups:
-        seeds.append(sub._bsgs.strong_generators()[-2:])
+        runs.append((sub._bsgs.strong_generators()[-2:], None))
+    # the seeds of the lower central series: [a, g] for a in gamma_i's
+    # generators and g in G's
+    for term in [gens] + [t._bsgs.strong_generators()
+                          for t in lower_central_series(handle)[1:]]:
+        runs.append(([commutator(a, g) for a in term for g in gens], None))
+    # G' from all commutators, stopped at its order
+    runs.append((comms, normal_closure_perm(gens, comms).order()))
     repeats = 0
-    for seed in seeds:
-        old = set_keyed_normal_closure(gens, seed)
+    for seed, bound in runs:
+        old = set_keyed_normal_closure(gens, seed, bound)
         assert chain_fingerprint(old) == \
-            chain_fingerprint(normal_closure_perm(gens, seed))
+            chain_fingerprint(normal_closure_perm(gens, seed, bound))
         repeats += sum(len(lv.gens) for lv in old.levels[1:])
-    # the old loop met generators listed twice, except in a regular
-    # group, whose chains have one level
-    assert repeats or handle.order() == handle.degree
+    # the old loop met generators listed twice, except in a group whose
+    # chains have one level, such as a regular one
+    assert repeats or len(handle.bsgs().levels) == 1
+
+
+def element_lower_central_series(handle):
+    """lower_central_series as it was on the handle's own elements: the
+    commutators [a, g], a over the generators read back from gamma_i's
+    chain and g over G's, formed by handle.comm, without the identity
+    and repeats, and normally closed by grp.normal_closure."""
+    chain = [SubgroupHandle(handle, list(handle.generators), handle.order(),
+                            _bsgs=handle.bsgs())]
+    while chain[-1].order > 1:
+        seed = dict.fromkeys(handle.comm(a, g) for a in chain[-1].generators
+                             for g in handle.generators)
+        seed.pop(handle.identity, None)
+        nxt = normal_closure(handle, list(seed))
+        if nxt.order == chain[-1].order:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def test_lower_central_series_matches_the_element_loop():
+    digests = {}
+    for label, handle in chain_corpus():
+        new, old = (
+            [(t.order, chain_fingerprint(t._bsgs)) for t in series(handle)]
+            for series in (lower_central_series,
+                           element_lower_central_series))
+        assert new == old, label
+        digests[label] = new
+    assert len(digests) == 30 and sum(map(len, digests.values())) == 67
 
 
 def pair_set_check_level(b, level):
@@ -393,11 +444,6 @@ def pair_set_check_level(b, level):
                 return True
         idx += 1
     return False
-
-
-def chain_corpus():
-    return [(label, h) for label, h, _ in corpus_perm_groups()] + \
-        [(label, build()) for label, build in IMAGE_SPECS]
 
 
 def series_fingerprints(handles):
