@@ -1,9 +1,9 @@
 """Structural findings along the derived series.
 
 check_lemmas verifies, per group: no two consecutive cyclic derived
-quotients, coprime fixed-point-free action of cyclic prime sections,
-extraspecial p^3 sections at n_i = 2 over n_{i+1} = 1 steps, and the
-gamma-chain collapse for odd p-groups.  The section checks are orders of
+quotients, coprime fixed-point-free action of cyclic prime sections, and
+extraspecial p^3 sections at n_i = 2 over n_{i+1} = 1 steps.  The
+section checks are orders of
 normal closures on the chains of the derived terms, and `e` is order
 arithmetic, so nothing is enumerated: the d = 8 witness, 165,888 elements,
 takes about a second.  Past ENUMERABLE_LIMIT the two closure checks report

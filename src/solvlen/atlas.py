@@ -218,9 +218,6 @@ class Extraspecial2Model:
     def squaring(self, v):
         return self.bform(v, v)
 
-    def polarization(self, v, w):
-        return (self.bform(v, w) + self.bform(w, v)) % 2
-
     def mul(self, a, b):
         dim = 2 * self.n
         v = tuple(a[i] ^ b[i] for i in range(dim))

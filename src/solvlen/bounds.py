@@ -7,32 +7,19 @@ precision; floats are never trusted for comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import iv, mp
 
-from .errors import BadParameter, OutOfRange
+from .errors import BadParameter
 
 CS_TABLE = (0, 1, 2, 4, 5, 7, 8, 13, 15)        # d = 0..8
 CN_TABLE = (0, 1, 3, 6, 14)                     # d = 0..4
-CR_TABLE = (1, 4, 5, 5, 5, 6, 6, 8)             # n = 1..8
-LEMMA4_TABLE = (1, 4, 5, 6)                     # |P| = p^k, k = 1..4
 
 ANNOTATIONS = {
     ("cs", 10): ((18, 24), "stored annotation: sharper published interval "
                            "for d = 10, not derivable from the recurrences"),
-    ("cn", 10): ((532, 1022), "stored annotation: matches the formula "
-                              "bounds for d = 10"),
 }
-
-
-@dataclass
-class BoundsTables:
-    cs_table: tuple = CS_TABLE
-    cn_table: tuple = CN_TABLE
-    cr_table: tuple = CR_TABLE
-    lemma4_table: tuple = LEMMA4_TABLE
-    annotations: dict = field(default_factory=lambda: dict(ANNOTATIONS))
 
 
 def alpha_interval(prec=80):
@@ -82,9 +69,6 @@ class BoundsResult:
     provenance: tuple
     annotation: tuple = None
 
-    def as_pair(self):
-        return (self.lower, self.upper)
-
 
 def cs_bounds(d):
     """Lower and upper bounds for the minimal composition length over all
@@ -93,9 +77,7 @@ def cs_bounds(d):
         raise BadParameter("d must be nonnegative")
     if d <= 8:
         v = CS_TABLE[d]
-        ann = ANNOTATIONS.get(("cs", d))
-        return BoundsResult(v, v, ("exact table value",),
-                            ann[0] if ann else None)
+        return BoundsResult(v, v, ("exact table value",))
     prov = []
     lower_inc = CS_TABLE[8] + (d - 8)
     prov.append(f"increment recurrence from d = 8: 15 + {d - 8}")
@@ -138,29 +120,3 @@ def cn_bounds(d):
                 half + 3 * d - 10)
     return (lower, 2 ** d - 2)
 
-
-def table_lookup(kind, index):
-    tables = {"cs": (CS_TABLE, 0), "cn": (CN_TABLE, 0),
-              "cr": (CR_TABLE, 1), "lemma4": (LEMMA4_TABLE, 1)}
-    if kind not in tables:
-        raise BadParameter(f"unknown table {kind!r}")
-    table, start = tables[kind]
-    pos = index - start
-    if not 0 <= pos < len(table):
-        raise OutOfRange(
-            f"{kind} table covers {start}..{start + len(table) - 1}, "
-            f"got {index}")
-    return table[pos]
-
-
-def tables_as_dict():
-    """All tables and annotations in JSON-friendly form."""
-    return {
-        "cs": {str(d): CS_TABLE[d] for d in range(len(CS_TABLE))},
-        "cn": {str(d): CN_TABLE[d] for d in range(len(CN_TABLE))},
-        "cr": {str(n + 1): CR_TABLE[n] for n in range(len(CR_TABLE))},
-        "lemma4": {str(k + 1): LEMMA4_TABLE[k]
-                   for k in range(len(LEMMA4_TABLE))},
-        "annotations": {f"{kind}({idx})": list(val)
-                        for (kind, idx), (val, _) in ANNOTATIONS.items()},
-    }

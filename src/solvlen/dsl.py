@@ -19,23 +19,23 @@ MAX_DEPTH = 64
 @dataclass(frozen=True)
 class IntLiteral:
     value: int
-    line: int = 1
-    col: int = 1
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
 
 @dataclass(frozen=True)
 class Symbol:
     name: str
-    line: int = 1
-    col: int = 1
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     name: str
     args: tuple
-    line: int = 1
-    col: int = 1
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
 
 @dataclass
@@ -158,14 +158,3 @@ def render(ast):
         return f"{ast.name}({','.join(render(a) for a in ast.args)})"
     raise TypeError(f"not an AST node: {ast!r}")
 
-
-def ast_equal(a, b):
-    """Structural equality ignoring source positions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, IntLiteral):
-        return a.value == b.value
-    if isinstance(a, Symbol):
-        return a.name == b.name
-    return (a.name == b.name and len(a.args) == len(b.args)
-            and all(ast_equal(x, y) for x, y in zip(a.args, b.args)))

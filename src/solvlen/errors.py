@@ -65,10 +65,6 @@ class SearchExhausted(SearchFailed):
     """Lift offset search ran out of candidates."""
 
 
-class OutOfRange(GroupError):
-    """Table lookup outside the stored range."""
-
-
 class ParseError(GroupError):
     """DSL syntax error with position information."""
 

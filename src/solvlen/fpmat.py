@@ -93,10 +93,6 @@ class FpMatrix:
                 out = (out << bits) | x
         return out
 
-    def is_identity(self):
-        return all(self.entries[i][j] == (1 if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
-
 
 def mat_invert(a: FpMatrix):
     """Invert by Gaussian elimination.  Returns (inverse, det mod p).
@@ -123,13 +119,6 @@ def mat_invert(a: FpMatrix):
                 m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
     inverse = FpMatrix(p, tuple(tuple(row[n:]) for row in m))
     return inverse, det % p
-
-
-def mat_det(a: FpMatrix):
-    try:
-        return mat_invert(a)[1]
-    except Singular:
-        return 0
 
 
 def wedge_square(a: FpMatrix):
@@ -318,9 +307,6 @@ class QuadraticFormF2:
                 row = self.coeffs[i]
                 s ^= sum(row[j] & v[j] for j in range(i, self.dim)) & 1
         return s
-
-    def polarize(self, v, w):
-        return self(tuple(a ^ b for a, b in zip(v, w))) ^ self(v) ^ self(w)
 
     def zeros(self):
         """Number of vectors with q(v) = 0 (Arf invariant readout)."""

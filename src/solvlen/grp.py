@@ -38,22 +38,20 @@ MEMORY_BUDGET = 5 * 10 ** 7  # element entries across an enumeration
 READ_ROWS = 4096  # image rows read back as one nested list
 
 
-def env_int(name, default):
-    """Integer value of environment variable `name`, or `default` if unset.
-
-    A value that does not parse raises BadParameter, so the CLI exits 2.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameter(f"{name}={raw!r} is not an integer") from None
-
-
 def _env_cap():
-    cap = env_int("GRP_MAX_ELEMENTS", DEFAULT_CAP)
+    """GRP_MAX_ELEMENTS as an int, or DEFAULT_CAP if unset.
+
+    A value that does not parse, or is below 1, raises BadParameter, so
+    the CLI exits 2.
+    """
+    raw = os.environ.get("GRP_MAX_ELEMENTS")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise BadParameter(
+            f"GRP_MAX_ELEMENTS={raw!r} is not an integer") from None
     if cap < 1:
         raise BadParameter(f"GRP_MAX_ELEMENTS={cap} is below 1")
     return cap
@@ -195,20 +193,6 @@ class GroupHandle:
     def conj(self, x, g):
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def comm(self, x, y):
-        return self.mul(self.mul(self.inv(x), self.inv(y)),
-                        self.mul(x, y))
-
-    def power(self, x, k):
-        out = self.identity
-        base = x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def element_order(self, x):
         return permmod.perm_order_of(self.to_perm(x))
 
@@ -262,16 +246,6 @@ class SubgroupHandle:
                 self.parent.closure(images)[0]))
         return self._elem_set
 
-    def as_handle(self, name=""):
-        h = GroupHandle(self.parent.identity, list(self.generators),
-                        self.parent.mul, self.parent.inv,
-                        name=name or f"subgroup of {self.parent.name}",
-                        kind=self.parent.kind, degree=self.parent.degree,
-                        cap=self.parent.cap, action=self.parent.action)
-        if self._bsgs is not None:
-            h._bsgs = self._bsgs
-        return h
-
 
 @dataclass
 class SeriesReport:
@@ -284,11 +258,6 @@ class SeriesReport:
     d: Optional[int]         # derived length when solvable, else None
     engine: str = "bsgs"     # "split" when taken from handle.split_orders
     subgroups: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def quotient_orders(self):
-        return tuple(self.orders[i] // self.orders[i + 1]
-                     for i in range(len(self.orders) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +322,14 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
 def derived_series(handle: GroupHandle) -> SeriesReport:
     """Iterate derived subgroups until the order stabilizes; a report
     still held by a caller is returned again.  A handle with split_orders
-    gets them as they are, with terms that know only their orders."""
+    gets them as they are, with terms that know only their orders.
+
+    Otherwise each term is on its chain: G^(i+1) is the normal closure in
+    G of the commutators of G^(i)'s generators (G's for G^(0), the strong
+    generators of G^(i)'s chain after).  The series stops before the
+    first term whose order does not fall, or after order 1.  G^(0) keeps
+    the handle's generators and chain.
+    """
     report = handle._series() if handle._series is not None else None
     if report is None:
         if handle.split_orders is not None:
@@ -362,36 +338,21 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
                 orders, [SubgroupHandle(handle, None, n) for n in orders],
                 "split")
         else:
-            subs = _series(handle, lambda gens, invs, *_:
-                           permmod.commutators(gens, invs))
+            group = [permmod.as_perm(g) for g in handle.perm_generators()]
+            gens, invs = group, [permmod.perm_inv(g) for g in group]
+            subs = [SubgroupHandle(handle, list(handle.generators),
+                                   handle.order(), _bsgs=handle.bsgs())]
+            while subs[-1].order > 1:
+                b = permmod.normal_closure_perm(
+                    group, permmod.commutators(gens, invs))
+                if b.order() == subs[-1].order:
+                    break
+                subs.append(SubgroupHandle(handle, None, b.order(), _bsgs=b))
+                if b.levels:  # else the order is 1 and the series ends
+                    gens, invs = b.levels[0].gens, b.levels[0].invs
             report = _finish_report([s.order for s in subs], subs)
         handle._series = weakref.ref(report)
     return report
-
-
-def _series(handle: GroupHandle, seed):
-    """The terms T_0 = G > T_1 > ... of a series, each on its chain.
-
-    T_(i+1) is the normal closure in G of seed(gens, invs, group, ginvs):
-    group holds the image arrays of G's generators, gens those of T_i's
-    (G's for T_0, the strong generators of T_i's chain after), and invs
-    and ginvs their inverses.  The series stops before the first
-    term whose order does not fall, or after order 1.  T_0 keeps the
-    handle's generators and chain.
-    """
-    group = [permmod.as_perm(g) for g in handle.perm_generators()]
-    ginvs = [permmod.perm_inv(g) for g in group]
-    gens, invs = group, ginvs
-    terms = [SubgroupHandle(handle, list(handle.generators), handle.order(),
-                            _bsgs=handle.bsgs())]
-    while terms[-1].order > 1:
-        b = permmod.normal_closure_perm(group, seed(gens, invs, group, ginvs))
-        if b.order() == terms[-1].order:
-            break
-        terms.append(SubgroupHandle(handle, None, b.order(), _bsgs=b))
-        if b.levels:  # else the order is 1 and the series ends
-            gens, invs = b.levels[0].gens, b.levels[0].invs
-    return terms
 
 
 def _finish_report(orders, subs, engine="bsgs"):
@@ -407,16 +368,6 @@ def _finish_report(orders, subs, engine="bsgs"):
         c = None
     return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
                         c=c, d=d, engine=engine, subgroups=subs)
-
-
-def lower_central_series(handle: GroupHandle):
-    """gamma_1 = G, gamma_(i+1) = [gamma_i, G]: the normal closure of the
-    commutators [a, g], a running over gamma_i's generators (see _series)
-    and, for each a, g over G's generators."""
-    mul = permmod.perm_mul
-    return _series(handle, lambda gens, invs, group, ginvs: [
-        mul(mul(ai, gi), mul(a, g))
-        for a, ai in zip(gens, invs) for g, gi in zip(group, ginvs)])
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:
@@ -506,11 +457,6 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     return GroupHandle(ident, [g for g in gen_perms if g != ident],
                        tuple_mul, tuple_inv, name=f"{handle.name}/N",
                        kind="perm", degree=index, cap=handle.cap)
-
-
-def is_cyclic(handle: GroupHandle):
-    orders = permmod.perm_order_of(handle.rows())
-    return bool((orders == handle.order()).any())
 
 
 @dataclass
@@ -675,27 +621,4 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     findings.append(_section_finding(
         "e", steps, fails, [], "extraspecial p^3 sections",
         "no n_i = 2, n_{i+1} = 1 step"))
-
-    # gamma chain collapse for p-groups with |P'/P''| = p^3 and P'' > 1
-    fac = factorize(orders[0]) if orders[0] > 1 else []
-    if len(fac) == 1 and fac[0][0] >= 3 and d >= 3:
-        p = fac[0][0]
-        pp, ppp = orders[1], orders[2]
-        if pp // ppp == p ** 3 and ppp > 1:
-            gammas = lower_central_series(handle)
-            gammas += gammas[-1:] * (5 - len(gammas))
-            gorders = [g.order for g in gammas]
-            g5 = gammas[4]._bsgs
-            ok = (gorders[1] > gorders[2] > gorders[3] > gorders[4]
-                  and g5.order() == ppp
-                  and all(map(g5.contains, chains[2].strong_generators())))
-            findings.append(Finding(
-                "lemma6", "pass" if ok else "fail",
-                f"gamma orders {gorders[:6]}, P'' = {ppp}"))
-        else:
-            findings.append(Finding("lemma6", "not-applicable",
-                                    f"|P'/P''| = {pp // ppp}, P'' = {ppp}"))
-    else:
-        findings.append(Finding("lemma6", "not-applicable",
-                                "not an odd p-group of length >= 3"))
     return findings

@@ -82,10 +82,6 @@ def perm_power(a, k):
     return out
 
 
-def perm_key(a):
-    return a.tobytes()
-
-
 def is_identity(a):
     return bool(np.array_equal(a, np.arange(len(a), dtype=np.int32)))
 

@@ -4,7 +4,9 @@ import hashlib
 
 import numpy as np
 
-from solvlen import atlas, grp
+from solvlen import atlas, grp, perm
+from solvlen.errors import Singular
+from solvlen.fpmat import mat_invert
 
 
 def corpus_perm_groups():
@@ -109,3 +111,29 @@ def minimal_normal_subgroups_by_elements(handle):
                if not any(o.order < c.order and c.contains_subgroup(o)
                           for o in family)]
     return sorted(minimal, key=lambda s: s.order)
+
+
+def is_cyclic(handle):
+    """Whether some element's order is the group's, on the image rows."""
+    orders = perm.perm_order_of(handle.rows())
+    return bool((orders == handle.order()).any())
+
+
+def as_handle(sub, name=""):
+    """A subgroup as a handle of its own, on the subgroup's chain."""
+    h = grp.GroupHandle(sub.parent.identity, list(sub.generators),
+                        sub.parent.mul, sub.parent.inv,
+                        name=name or f"subgroup of {sub.parent.name}",
+                        kind=sub.parent.kind, degree=sub.parent.degree,
+                        cap=sub.parent.cap, action=sub.parent.action)
+    if sub._bsgs is not None:
+        h._bsgs = sub._bsgs
+    return h
+
+
+def mat_det(a):
+    """Determinant mod p: mat_invert's, or 0 for a singular matrix."""
+    try:
+        return mat_invert(a)[1]
+    except Singular:
+        return 0

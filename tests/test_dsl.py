@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solvlen.dsl import (MAX_DEPTH, Call, IntLiteral, Symbol, ast_equal,
-                         parse_spec, render)
+from solvlen.dsl import (MAX_DEPTH, Call, IntLiteral, Symbol, parse_spec,
+                         render)
 from solvlen.errors import ParseError
 
 DOCUMENTED = [
@@ -35,7 +35,7 @@ def test_documented_forms_round_trip():
     for text in DOCUMENTED:
         ast = parse_spec(text)
         assert render(ast) == text
-        assert ast_equal(parse_spec(render(ast)), ast)
+        assert parse_spec(render(ast)) == ast
 
 
 def test_parse_structure():
@@ -54,7 +54,7 @@ def test_parse_structure():
 def test_whitespace_insensitive():
     a = parse_spec("gl(2,3)")
     b = parse_spec("  gl ( 2 ,\n 3 ) ")
-    assert ast_equal(a, b)
+    assert a == b
     assert render(a) == render(b)
 
 
@@ -135,4 +135,4 @@ def test_render_parse_round_trip_random(ast):
     text = render(ast)
     if isinstance(ast, (IntLiteral, Symbol)) or len(text.encode()) > 4096:
         return  # bare literals are valid exprs; keep within the size cap
-    assert ast_equal(parse_spec(text), ast)
+    assert parse_spec(text) == ast

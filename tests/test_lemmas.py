@@ -2,13 +2,12 @@
 
 import pytest
 
-from helpers import corpus_perm_groups
+from helpers import as_handle, corpus_perm_groups, is_cyclic
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
-from solvlen.grp import (check_lemmas, derived_series, is_cyclic,
-                         lower_central_series, minimal_normal_subgroups,
-                         quotient_on_cosets)
+from solvlen.grp import (check_lemmas, derived_series,
+                         minimal_normal_subgroups, quotient_on_cosets)
 
 
 def findings_by_name(handle, assert_cs=False):
@@ -23,7 +22,6 @@ def test_gl23_findings():
     assert f["d"].status == "pass"
     # Q8-over-C2 section: n_2 = 2, n_3 = 1 forces an extraspecial 2^3
     assert f["e"].status == "pass"
-    assert f["lemma6"].status == "not-applicable"
 
 
 def test_gl23_with_minimality_assertion():
@@ -43,12 +41,6 @@ def test_natsd_coprime_fixed_point_free():
     f = findings_by_name(atlas.natural_semidirect(atlas.s3mat(5), 2))
     assert f["d"].status == "pass"
     assert "i = [1, 2]" in f["d"].detail
-
-
-def test_heisenberg_lemma6_not_applicable():
-    # derived length 2, so the hypothesis P'' != 1 cannot hold
-    f = findings_by_name(atlas.extraspecial(3, 1))
-    assert f["lemma6"].status == "not-applicable"
 
 
 def test_nonsolvable_short_circuit():
@@ -72,58 +64,6 @@ def test_big_group_skips_instead_of_failing():
     assert f["c-weak"].status == "pass"       # order arithmetic always runs
     assert f["c-full"].status == "skipped"    # 24^5 exceeds the enum limit
     assert f["d"].status == "skipped"
-
-
-def test_lemma6_search_over_wreath_tower_quotients():
-    """Open question: does any quotient of W = C3 wr C3 wr C3 by a
-    lower-central term satisfy |P'/P''| = 3^3 with P'' != 1?
-
-    The answer is no, and it is decided by order arithmetic: W'' equals
-    gamma_4(W), so quotients by gamma_k with k <= 4 have trivial second
-    derived subgroup, while for k >= 5 the section P'/P'' always has
-    order |gamma_2/gamma_4| = 3^4.  The finding is therefore
-    not-applicable for every candidate, never pass.
-    """
-    c3 = atlas.cyclic(3)
-    w = atlas.wreath(atlas.wreath(c3, c3), c3)
-    assert w.order() == 3 ** 13
-    rep = derived_series(w)
-    assert rep.orders == (3 ** 13, 3 ** 10, 3 ** 6, 1)
-    gammas = lower_central_series(w)
-    gorders = [g.order for g in gammas]
-    assert gorders == [3 ** 13, 3 ** 10, 3 ** 8, 3 ** 6, 3 ** 5, 3 ** 4,
-                       3 ** 3, 3 ** 2, 3, 1]
-    # W'' = gamma_4: same order and containment of generators
-    wpp = rep.subgroups[2]
-    g4 = gammas[3]
-    assert wpp.order == g4.order
-    assert all(g4.contains(x) for x in wpp.generators)
-    # the hypothesis fails in every quotient W/gamma_k
-    satisfying = []
-    for k in range(2, len(gammas) + 1):
-        gk = gorders[k - 1] if k - 1 < len(gorders) else 1
-        if gk >= 3 ** 6:
-            qpp = 1                      # P'' collapses: gamma_k >= W''
-            section = rep.orders[1] // max(gk, 3 ** 6)
-        else:
-            qpp = 3 ** 6 // gk
-            section = 3 ** 10 // 3 ** 6  # |gamma_2 / gamma_4| = 3^4
-        if qpp > 1 and section == 3 ** 3:
-            satisfying.append(k)
-    assert satisfying == []
-
-
-def test_lemma6_fires_on_a_synthetic_instance():
-    """The check itself is exercised positively on a 3-group built to
-    satisfy the hypothesis: the Sylow 3-subgroup of the qutrit witness
-    tower would do, but a direct wreath construction is cheaper."""
-    # C3 wr C3 has derived length 2; its gamma chain strictly decreases,
-    # so check that lemma6 reports not-applicable (P'' = 1) rather than
-    # silently passing
-    c3 = atlas.cyclic(3)
-    w2 = atlas.wreath(c3, c3)
-    f = findings_by_name(w2)
-    assert f["lemma6"].status == "not-applicable"
 
 
 def test_minimal_normal_subgroup_of_gsp_witness():
@@ -167,7 +107,6 @@ def test_d8_findings_are_pinned(d8data):
         ("a", "not-applicable", "caller did not assert minimal length"),
         ("d", "pass", "fixed-point-free coprime action at i = [1, 2, 4, 6]"),
         ("e", "pass", "extraspecial p^3 sections at i = [3, 5]"),
-        ("lemma6", "not-applicable", "not an odd p-group of length >= 3"),
     ]
 
 
@@ -202,7 +141,7 @@ def test_section_checks_match_coset_tables(label, handle):
     gens = handle.perm_generators()
     subs = rep.subgroups
     for j in range(1, len(subs)):
-        top = subs[j - 1].as_handle()
+        top = as_handle(subs[j - 1])
         assert grp._cyclic_section(gens, subs[j - 1]._bsgs, subs[j]._bsgs) \
             == is_cyclic(quotient_on_cosets(top, subs[j])), j
     for i in range(1, len(subs) - 1):

@@ -12,10 +12,9 @@ from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
 from solvlen.errors import GroupError
-from solvlen.grp import (SubgroupHandle, derived_series, lower_central_series,
-                         normal_closure)
+from solvlen.grp import derived_series
 from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
-                          perm_key, perm_mul, perm_order_of, schreier_sims)
+                          perm_mul, perm_order_of, schreier_sims)
 
 
 def bfs_order(handle):
@@ -143,7 +142,7 @@ def test_perm_primitives():
     ab = perm_mul(a, b)
     # x^(ab) = (x^a)^b
     assert list(ab) == [b[a[i]] for i in range(4)]
-    assert perm_key(a) == perm_key(as_perm((1, 2, 0, 3)))
+    assert a.tobytes() == as_perm((1, 2, 0, 3)).tobytes()
 
 
 def cycle_walk_order(g):
@@ -291,13 +290,13 @@ def test_strong_generators_are_listed_once(spec):
     # inserted at it or below, in the same order
     for sub in derived_series(evaluate(parse_spec(spec))).subgroups:
         b = sub._bsgs
-        keys = [perm_key(g) for g in b.strong_generators()]
+        keys = [g.tobytes() for g in b.strong_generators()]
         assert len(set(keys)) == len(keys)
-        assert keys == [perm_key(g) for g in b.levels[0].gens] \
+        assert keys == [g.tobytes() for g in b.levels[0].gens] \
             if b.levels else keys == []
         for lv in b.levels[1:]:
             rest = iter(keys)
-            assert all(perm_key(g) in rest for g in lv.gens)
+            assert all(g.tobytes() in rest for g in lv.gens)
 
 
 def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
@@ -310,8 +309,8 @@ def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
     ginvs = [perm_inv(g) for g in group_gens]
     pending, seen = [], set()
     for s in map(as_perm, seed):
-        if not is_identity(s) and perm_key(s) not in seen:
-            seen.add(perm_key(s))
+        if not is_identity(s) and s.tobytes() not in seen:
+            seen.add(s.tobytes())
             pending.append(s)
     b = perm.BSGS(len(group_gens[0]))
     conj_done, verified = set(), False
@@ -323,7 +322,7 @@ def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
             return b
         pending = []
         for s in [g for lv in b.levels for g in lv.gens]:
-            ks = perm_key(s)
+            ks = s.tobytes()
             for i, (g, gi) in enumerate(zip(group_gens, ginvs)):
                 if (ks, i) not in conj_done:
                     conj_done.add((ks, i))
@@ -356,10 +355,17 @@ def test_conjugation_count_matches_the_set_keyed_loop(spec):
     for sub in derived_series(handle).subgroups:
         runs.append((sub._bsgs.strong_generators()[-2:], None))
     # the seeds of the lower central series: [a, g] for a in gamma_i's
-    # generators and g in G's
-    for term in [gens] + [t._bsgs.strong_generators()
-                          for t in lower_central_series(handle)[1:]]:
+    # generators and g in G's, gamma_(i+1) their normal closure, until
+    # its order stops falling
+    term, order = gens, handle.order()
+    while True:
         runs.append(([commutator(a, g) for a in term for g in gens], None))
+        if order == 1:
+            break
+        b = normal_closure_perm(gens, runs[-1][0])
+        if b.order() == order:
+            break
+        term, order = b.strong_generators(), b.order()
     # G' from all commutators, stopped at its order
     runs.append((comms, normal_closure_perm(gens, comms).order()))
     repeats = 0
@@ -371,36 +377,6 @@ def test_conjugation_count_matches_the_set_keyed_loop(spec):
     # the old loop met generators listed twice, except in a group whose
     # chains have one level, such as a regular one
     assert repeats or len(handle.bsgs().levels) == 1
-
-
-def element_lower_central_series(handle):
-    """lower_central_series as it was on the handle's own elements: the
-    commutators [a, g], a over the generators read back from gamma_i's
-    chain and g over G's, formed by handle.comm, without the identity
-    and repeats, and normally closed by grp.normal_closure."""
-    chain = [SubgroupHandle(handle, list(handle.generators), handle.order(),
-                            _bsgs=handle.bsgs())]
-    while chain[-1].order > 1:
-        seed = dict.fromkeys(handle.comm(a, g) for a in chain[-1].generators
-                             for g in handle.generators)
-        seed.pop(handle.identity, None)
-        nxt = normal_closure(handle, list(seed))
-        if nxt.order == chain[-1].order:
-            break
-        chain.append(nxt)
-    return chain
-
-
-def test_lower_central_series_matches_the_element_loop():
-    digests = {}
-    for label, handle in chain_corpus():
-        new, old = (
-            [(t.order, chain_fingerprint(t._bsgs)) for t in series(handle)]
-            for series in (lower_central_series,
-                           element_lower_central_series))
-        assert new == old, label
-        digests[label] = new
-    assert len(digests) == 30 and sum(map(len, digests.values())) == 67
 
 
 def pair_set_check_level(b, level):
