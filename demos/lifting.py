@@ -8,16 +8,20 @@ is again a quadratic form.  Stages:
   i.   build the order-1296 linear group over F_2^6
   ii.  reduce it to two generators: the first pair, by element order,
        whose closure is the whole group (~0.05s)
-  iii. find the invariant quadratic form (Arf invariant 1: minus type)
+  iii. find the invariant quadratic form (Arf invariant 1: minus type);
+       its upper table is the cocycle of 2^{1+6}_-, so its squaring form
+       is the invariant form
   iv.  lift the two generators to automorphism pairs whose enumeration,
        capped at 1,296 elements, closes at 1,296: a split copy
-  v.   form the holomorph as a degree-128 permutation group
+  v.   form the holomorph as a degree-128 permutation group, which checks
+       each lifted map against the group law
 
 Run with --small to only demonstrate the correction law on a tiny example.
 """
 
 import sys
 
+from solvlen.atlas import holomorph_perm, model_handle
 from solvlen.errors import NotOrthogonal
 from solvlen.fpmat import FpMatrix
 from solvlen.lift import (Extraspecial2Model, d8_group,
@@ -30,7 +34,10 @@ def small_demo():
     swap = FpMatrix.from_rows([[0, 1], [1, 0]], 2)
     pair = quadratic_correction(swap, model)
     print(f"swap on F_2^2: correction q has coeffs {pair.q.coeffs}")
-    assert pair.verify(model)
+    # holomorph_perm raises NotAutomorphism unless the map obeys the law
+    hol = holomorph_perm(model_handle(model, "2^(1+2)+"), [pair.apply])
+    print(f"the corrected swap is an automorphism: holomorph of order "
+          f"{hol.order()}")
     # a transvection sends xy to xy + x: no correction exists
     t = FpMatrix.from_rows([[1, 1], [0, 1]], 2)
     try:

@@ -18,8 +18,8 @@ import numpy as np
 from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
                      NotAutomorphism, ScalarSearchFailed, SearchFailed)
-from .fpmat import (FpMatrix, SymplecticForm, check_prime, mat_invert,
-                    similitude_factor, spin_all_lines, wedge_square, wedge_vec)
+from .fpmat import (FpMatrix, check_prime, mat_invert, similitude_factor,
+                    spin_all_lines, wedge_square, wedge_vec)
 from .grp import (GroupHandle, _row_index, center, factorize, tuple_inv,
                   tuple_mul)
 
@@ -109,12 +109,9 @@ def matrix_handle(gens, name=""):
         mat_invert(g)
     ident = FpMatrix.identity(n, p)
     gens = [g for g in gens if g != ident]
-
-    def inv(a):
-        return mat_invert(a)[0]
-
-    return GroupHandle(ident, gens, lambda a, b: a * b, inv, name=name,
-                       kind="matrix", action=BasisOrbitAction(ident, gens))
+    return GroupHandle(ident, gens, lambda a, b: a * b, mat_invert,
+                       name=name, kind="matrix",
+                       action=BasisOrbitAction(ident, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +544,9 @@ def gsp_extension(s_handle, p, n):
     if s_handle.identity.n != 2 * n:
         raise BadParameter(
             f"matrix dimension {s_handle.identity.n} != {2 * n}")
-    form = SymplecticForm.standard(2 * n, p)
     lams = {}
     for a in s_handle.generators:
-        lams[a] = similitude_factor(a, form)  # raises NotSimilitude
+        lams[a] = similitude_factor(a)  # raises NotSimilitude
     model = ExtraspecialOddModel(p, n)
     ph = model_handle(model, f"E_{p}^(1+{2*n})")
 

@@ -95,41 +95,26 @@ class FpMatrix:
 
 
 def mat_invert(a: FpMatrix):
-    """Invert by Gaussian elimination.  Returns (inverse, det mod p).
+    """The inverse, read off the echelon form of [A | I].
 
-    Raises Singular when det = 0.
+    Raises Singular when det = 0, i.e. when some pivot falls in the I half.
     """
     p, n = a.p, a.n
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a.entries)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if pivot is None:
-            raise Singular(f"matrix is singular over F_{p}")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        m[col] = [x * inv % p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] % p:
-                f = m[r][col] % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    inverse = FpMatrix(p, tuple(tuple(row[n:]) for row in m))
-    return inverse, det % p
+    rows = _echelon([row + tuple(int(i == j) for j in range(n))
+                     for i, row in enumerate(a.entries)], p)
+    if sorted(rows) != list(range(n)):
+        raise Singular(f"matrix is singular over F_{p}")
+    return FpMatrix(p, tuple(tuple(rows[i][n:]) for i in range(n)))
 
 
 def wedge_square(a: FpMatrix):
-    """Action of a on the exterior square of F_p^3.
-
-    Relative to the basis e2^e3, e3^e1, e1^e2 this is det(a) * (a^-1)^T.
-    """
+    """Action of a on the exterior square of F_p^3, relative to the basis
+    e2^e3, e3^e1, e1^e2: its rows are (e_i ^ e_j)A = (e_i A) ^ (e_j A)."""
     if a.n != 3:
         raise BadParameter("wedge_square is defined for 3x3 matrices")
-    inv, det = mat_invert(a)
-    return inv.transpose().scale(det)
+    r = a.entries
+    return FpMatrix(a.p, tuple(wedge_vec(r[i], r[j], a.p)
+                               for i, j in ((1, 2), (2, 0), (0, 1))))
 
 
 def wedge_vec(v, w, p):
@@ -139,71 +124,20 @@ def wedge_vec(v, w, p):
             (v[0] * w[1] - v[1] * w[0]) % p)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Invertible antisymmetric Gram matrix over F_p (alternating for p=2)."""
-
-    gram: FpMatrix
-
-    def __post_init__(self):
-        j = self.gram
-        p = j.p
-        for i in range(j.n):
-            if j.entries[i][i] != 0:
-                raise BadParameter("symplectic Gram matrix has nonzero diagonal")
-            for k in range(j.n):
-                if (j.entries[i][k] + j.entries[k][i]) % p != 0:
-                    raise BadParameter("Gram matrix is not antisymmetric")
-        mat_invert(j)  # raises Singular if degenerate
-
-    @property
-    def p(self):
-        return self.gram.p
-
-    @property
-    def dim(self):
-        return self.gram.n
-
-    @staticmethod
-    def standard(n2, p):
-        """Block antidiagonal [[0, I], [-I, 0]] of dimension n2 = 2n."""
-        if n2 % 2:
-            raise BadParameter("symplectic dimension must be even")
-        n = n2 // 2
-        rows = []
-        for i in range(n):
-            rows.append(tuple(1 if j == n + i else 0 for j in range(n2)))
-        for i in range(n):
-            rows.append(tuple((p - 1) if j == i else 0 for j in range(n2)))
-        return SymplecticForm(FpMatrix(p, tuple(rows)))
-
-    def pair(self, v, w):
-        p = self.p
-        return sum(v[i] * self.gram.entries[i][k] * w[k]
-                   for i in range(self.dim) for k in range(self.dim)) % p
-
-
-def similitude_factor(a: FpMatrix, form: SymplecticForm):
-    """The scalar l with a J a^T = l J, or NotSimilitude if none exists."""
-    if a.n != form.dim or a.p != form.p:
-        raise BadParameter("matrix and form dimensions differ")
-    p = a.p
+def similitude_factor(a: FpMatrix):
+    """The scalar l with a J a^T = l J, for the standard symplectic Gram
+    matrix J = [[0, I], [-I, 0]], or NotSimilitude if none exists."""
+    p, n2 = a.p, a.n
+    if n2 % 2:
+        raise BadParameter("symplectic dimension must be even")
     mat_invert(a)  # require invertibility
-    lhs = a * form.gram * a.transpose()
-    lam = None
-    for i in range(a.n):
-        for k in range(a.n):
-            g = form.gram.entries[i][k]
-            if g:
-                cand = lhs.entries[i][k] * pow(g, p - 2, p) % p
-                if lam is None:
-                    lam = cand
-                elif lam != cand:
-                    raise NotSimilitude("aJa^T is not a scalar multiple of J")
-            elif lhs.entries[i][k] % p:
-                raise NotSimilitude("aJa^T has support outside J")
-    if lam is None or lam % p == 0:
-        raise NotSimilitude("no nonzero similitude factor")
+    n = n2 // 2
+    j = FpMatrix.from_rows([[int(k == i + n) - int(i == k + n)
+                             for k in range(n2)] for i in range(n2)], p)
+    lhs = a * j * a.transpose()
+    lam = lhs.entries[0][n]
+    if lhs != j.scale(lam):
+        raise NotSimilitude("aJa^T is not a scalar multiple of J")
     return lam
 
 
@@ -224,21 +158,42 @@ def _projective_lines(n, p):
     return tuple(lines)
 
 
-def _row_reduce(vectors, p):
-    """Return a reduced basis (list of pivot rows) for the span of vectors."""
-    basis = []  # rows in echelon form, pivot column strictly increasing
+def _echelon(vectors, p):
+    """Reduced row echelon form of the span of vectors over F_p, as
+    {pivot column: row}: each row is 1 at its pivot and 0 at every other
+    pivot column."""
+    rows = {}
     for v in vectors:
-        v = list(v)
-        for row, piv in basis:
-            if v[piv]:
-                f = v[piv]
+        v = [x % p for x in v]
+        for col, row in rows.items():
+            if v[col]:
+                f = v[col]
                 v = [(x - f * y) % p for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:
-            inv = pow(v[piv], p - 2, p)
-            v = [x * inv % p for x in v]
-            basis.append((v, piv))
-            basis.sort(key=lambda t: t[1])
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], p - 2, p)
+        v = [x * inv % p for x in v]
+        for col, row in rows.items():
+            if row[lead]:
+                f = row[lead]
+                rows[col] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows[lead] = v
+    return rows
+
+
+def nullspace(rows, ncols, p):
+    """Basis of {x : row . x = 0 for every row} over F_p: one vector per
+    free column f of the echelon form, 1 at f and 0 at the other free
+    columns."""
+    pivots = _echelon(rows, p)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [int(c == f) for c in range(ncols)]
+            for col, row in pivots.items():
+                vec[col] = -row[f] % p
+            basis.append(vec)
     return basis
 
 
@@ -259,18 +214,18 @@ def spin_all_lines(generators):
     for g in generators:
         mat_invert(g)
     for start in _projective_lines(n, p):
-        basis = _row_reduce([start], p)
+        basis = _echelon([start], p)
         frontier = [start]
         while frontier and len(basis) < n:
             v = frontier.pop()
             for g in generators:
                 w = g.apply(v)
-                before = len(basis)
-                basis = _row_reduce([row for row, _ in basis] + [w], p)
-                if len(basis) > before:
+                grown = _echelon([*basis.values(), w], p)
+                if len(grown) > len(basis):
+                    basis = grown
                     frontier.append(w)
         if len(basis) < n:
-            return False, tuple(tuple(row) for row, _ in basis)
+            return False, tuple(tuple(basis[c]) for c in sorted(basis))
     return True, None
 
 

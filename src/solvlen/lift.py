@@ -20,7 +20,8 @@ import numpy as np
 from . import perm as permmod
 from .errors import (BadParameter, CapExceeded, NotOrthogonal,
                      SearchExhausted, SearchFailed)
-from .fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert
+from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert,
+                    nullspace)
 from .grp import _row_index, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle, perm_handle)
@@ -40,39 +41,6 @@ class AutPair:
         v = self.a.apply(e[:-1])
         return v + (e[-1] ^ self.q(e[:-1]),)
 
-    def verify(self, model: Extraspecial2Model):
-        """Exhaustive automorphism-law check over all 2^{2n} x 2^{2n} pairs:
-        q(v1 + v2) + q(v1) + q(v2) = B(v1 A, v2 A) + B(v1, v2).
-
-        Bit k of a vector's index is its coordinate k, so v1 + v2 has
-        index i ^ j; with the q values of all vectors, their images vA and
-        the bilinear table (V C V^T) & 1 the whole law is one numpy
-        comparison.
-        """
-        vecs = all_f2_vectors(self.q.dim)
-        qv = np.array([self.q(v) for v in vecs])
-        idx = np.arange(len(vecs))
-        v = np.array(vecs)
-        va = v @ np.array(self.a.entries) & 1
-        c = np.array(model.cocycle)
-        lhs = qv[idx[:, None] ^ idx] ^ qv[:, None] ^ qv
-        rhs = ((va @ c @ va.T) ^ (v @ c @ v.T)) & 1
-        return bool(np.array_equal(lhs, rhs))
-
-
-def _form_from_function(f, dim):
-    """The unique quadratic form agreeing with f on F_2^dim (f must be
-    quadratic with f(0) = 0; coefficients read off basis values)."""
-    basis = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
-    coeffs = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        coeffs[i][i] = f(basis[i])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vij = tuple(x ^ y for x, y in zip(basis[i], basis[j]))
-            coeffs[i][j] = f(vij) ^ f(basis[i]) ^ f(basis[j])
-    return QuadraticFormF2.from_upper(coeffs)
-
 
 def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
     """Solve for q making (v,z) -> (vA, z + q(v)) an automorphism.
@@ -91,9 +59,10 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
                 "matrix moves the squaring form; no correction exists")
 
     # the law says the polarization of q must equal the bilinear defect
-    # dB(v1, v2) = B(v1 A, v2 A) + B(v1, v2); dB is symmetric with zero
-    # diagonal (the squaring check above), so the off-diagonal monomial
-    # form with those coefficients works and has zero linear part
+    # dB(v1, v2) = B(v1 A, v2 A) + B(v1, v2).  dB(v, v) = 0 for every v
+    # (the squaring check above), so dB is alternating, and the
+    # off-diagonal monomial form with coefficients dB(e_i, e_j), i < j,
+    # has polarization exactly dB: the law holds, with zero linear part
     basis = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
     imgs = [a.apply(b) for b in basis]
     coeffs = [[0] * dim for _ in range(dim)]
@@ -101,17 +70,7 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
         for j in range(i + 1, dim):
             coeffs[i][j] = model.bform(imgs[i], imgs[j]) \
                 ^ model.bform(basis[i], basis[j])
-    pair = AutPair(a, QuadraticFormF2.from_upper(coeffs))
-    if not pair.verify(model):
-        raise SearchFailed("correction failed the exhaustive law check")
-    return pair
-
-
-def _linear_offset(lam, dim):
-    coeffs = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        coeffs[i][i] = (lam >> i) & 1
-    return QuadraticFormF2.from_upper(coeffs)
+    return AutPair(a, QuadraticFormF2.from_upper(coeffs))
 
 
 def _offset_perms(pair, elems, index):
@@ -165,16 +124,12 @@ def lift_generators(mats, model: Extraspecial2Model):
             closed = len(h.rows()) == want
         except CapExceeded:  # a kernel of offsets: not split
             continue
-        if closed:
-            return [AutPair(b.a, _q_add(b.q, _linear_offset(lam, b.q.dim)))
-                    for b, (lam, _) in zip(base, choice)]
+        if closed:  # lam . v = sum of lam_i v_i^2: flip q's diagonal
+            return [AutPair(b.a, QuadraticFormF2.from_upper(
+                [[c ^ (i == j and lam >> i & 1) for j, c in enumerate(row)]
+                 for i, row in enumerate(b.q.coeffs)]))
+                for b, (lam, _) in zip(base, choice)]
     raise SearchExhausted(f"no offsets give a split lift of order {want}")
-
-
-def _q_add(q1, q2):
-    coeffs = [[a ^ b for a, b in zip(r1, r2)]
-              for r1, r2 in zip(q1.coeffs, q2.coeffs)]
-    return QuadraticFormF2.from_upper(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +223,7 @@ def invariant_quadratic_form(mats):
             row = [(av[i] & av[j]) ^ (v[i] & v[j]) for i, j in pairs]
             if any(row):
                 rows.append(row)
-    basis = _f2_nullspace(rows, len(pairs))
+    basis = nullspace(rows, len(pairs), 2)
     best = None
     for mask in range(1, 2 ** len(basis)):
         combo = [0] * len(pairs)
@@ -291,36 +246,6 @@ def invariant_quadratic_form(mats):
     raise SearchFailed("no nondegenerate invariant quadratic form")
 
 
-def _f2_nullspace(rows, ncols):
-    """Basis of the right nullspace of the F_2 matrix given by rows.
-
-    Maintains reduced row echelon form so each pivot row is supported on
-    its pivot column and free columns only; nullspace vectors then read
-    off directly.
-    """
-    pivots = {}  # pivot column -> row
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                row = [a ^ b for a, b in zip(row, prow)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            for col, prow in list(pivots.items()):
-                if prow[lead]:
-                    pivots[col] = [a ^ b for a, b in zip(prow, row)]
-            pivots[lead] = row
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for col, prow in pivots.items():
-            vec[col] = prow[f]
-        basis.append(vec)
-    return basis
-
-
 _D8_CACHE = {}
 
 
@@ -337,12 +262,7 @@ def d8_group():
     mats = f4_model_generators()
     g1, g2 = two_generator_reduction(matrix_handle(mats, "qbar"), 1296)
     q_inv = invariant_quadratic_form([g1, g2])
-    dim = 6
-    coeffs = [list(r) for r in q_inv.coeffs]
-    model = Extraspecial2Model(3, "-", cocycle=tuple(tuple(r)
-                                                     for r in coeffs))
-    if _form_from_function(model.squaring, dim).coeffs != q_inv.coeffs:
-        raise SearchFailed("stage iii: cocycle does not reproduce the form")
+    model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model)
     ph = model_handle(model, "2^(1+6)-")
     h = holomorph_perm(ph, [p.apply for p in pairs])

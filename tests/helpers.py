@@ -1,12 +1,11 @@
 """Shared corpus builders and fingerprints for the test-suite."""
 
 import hashlib
+import itertools
 
 import numpy as np
 
 from solvlen import atlas, grp, perm
-from solvlen.errors import Singular
-from solvlen.fpmat import mat_invert
 
 
 def corpus_perm_groups():
@@ -132,8 +131,47 @@ def as_handle(sub, name=""):
 
 
 def mat_det(a):
-    """Determinant mod p: mat_invert's, or 0 for a singular matrix."""
-    try:
-        return mat_invert(a)[1]
-    except Singular:
-        return 0
+    """Determinant mod p by the Leibniz formula, the independent oracle."""
+    n, p = a.n, a.p
+    total = 0
+    for sigma in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if sigma[i] > sigma[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= a.entries[i][sigma[i]]
+        total += term
+    return total % p
+
+
+def f2_nullspace(rows, ncols):
+    """Basis of the right nullspace of the F_2 matrix given by rows.
+
+    Maintains reduced row echelon form so each pivot row is supported on
+    its pivot column and free columns only; nullspace vectors then read
+    off directly.
+    """
+    pivots = {}  # pivot column -> row
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots.items():
+            if row[col]:
+                row = [a ^ b for a, b in zip(row, prow)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            for col, prow in list(pivots.items()):
+                if prow[lead]:
+                    pivots[col] = [a ^ b for a, b in zip(prow, row)]
+            pivots[lead] = row
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for col, prow in pivots.items():
+            vec[col] = prow[f]
+        basis.append(vec)
+    return basis

@@ -14,8 +14,7 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
                             GroupError, KindMismatch, NotAutomorphism)
-from solvlen.fpmat import (FpMatrix, SymplecticForm, similitude_factor,
-                           spin_all_lines)
+from solvlen.fpmat import FpMatrix, similitude_factor, spin_all_lines
 from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
                           lift_generators)
 
@@ -198,10 +197,9 @@ def generator_law_witness(p_handle, a):
 def holomorph_law_cases():
     """(handle, genuine automorphisms, map leaving P or None)."""
     e27 = atlas.model_handle(ExtraspecialOddModel(3, 1), "E_3^(1+2)")
-    form = SymplecticForm.standard(2, 3)
 
     def similitude(a):
-        lam = similitude_factor(a, form)
+        lam = similitude_factor(a)
         return lambda e: a.apply(e[:-1]) + (e[-1] * lam % 3,)
 
     gl23 = gl(2, 3)

@@ -20,22 +20,38 @@ DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def references(node):
-    """How often each identifier is read or called below a node, as a
-    name or as an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+    """How often each identifier is read below a node: (attribute reads
+    x.name, name reads)."""
+    attrs, names = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs[n.attr] += 1
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+    return attrs, names
+
+
+def reads(counts, name, method):
+    """A method is reached only as an attribute; a function or class also
+    by its name."""
+    attrs, names = counts
+    return attrs[name] + (0 if method else names[name])
 
 
 def unreached():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    everywhere = sum(map(references, trees), Counter())
+    everywhere = [sum(counts, Counter())
+                  for counts in zip(*map(references, trees))]
     for tree in trees:
+        methods = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for d in c.body if isinstance(d, DEFINITION)}
         for node in ast.walk(tree):
             name = getattr(node, "name", "")
+            method = id(node) in methods
             if (isinstance(node, DEFINITION)
                     and not (name.startswith("__") and name.endswith("__"))
-                    and everywhere[name] == references(node)[name]):
+                    and reads(everywhere, name, method)
+                    == reads(references(node), name, method)):
                 yield name
 
 

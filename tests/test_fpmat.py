@@ -1,8 +1,9 @@
 """Oracle tests for the F_p linear algebra layer.
 
-Determinants are checked against the permutation expansion, inverses
-against the defining identity, and the wedge action against direct
-computation on decomposable vectors.
+Inverses are checked against the defining identity and a Leibniz
+determinant, the wedge action against det(A) (A^-1)^T and direct
+computation on decomposable vectors, and null spaces against the echelon
+rank and the former F_2 routine.
 """
 
 import itertools
@@ -10,30 +11,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat_det
+from helpers import f2_nullspace, mat_det
 from solvlen.errors import (BadParameter, DimensionTooLarge, NotSimilitude,
                             Singular)
-from solvlen.fpmat import (FpMatrix, QuadraticFormF2, SymplecticForm,
-                           _projective_lines, _row_reduce, all_f2_vectors,
-                           mat_invert, similitude_factor,
-                           spin_all_lines, wedge_square, wedge_vec)
-
-
-def det_by_permanent_expansion(a):
-    """Leibniz formula, the independent determinant oracle."""
-    n, p = a.n, a.p
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= a.entries[i][perm[i]]
-        total += term
-    return total % p
+from solvlen.fpmat import (FpMatrix, QuadraticFormF2, _echelon,
+                           _projective_lines, all_f2_vectors, mat_invert,
+                           nullspace, similitude_factor, spin_all_lines,
+                           wedge_square, wedge_vec)
 
 
 def rand_matrix(draw_entries, n, p):
@@ -52,32 +36,16 @@ def fp_matrices(draw, nmax=4):
 
 @settings(max_examples=150, deadline=None)
 @given(fp_matrices())
-def test_det_matches_leibniz(a):
-    assert mat_det(a) == det_by_permanent_expansion(a)
-
-
-@settings(max_examples=150, deadline=None)
-@given(fp_matrices())
 def test_inverse_identity(a):
     try:
-        inv, det = mat_invert(a)
+        inv = mat_invert(a)
     except Singular:
-        assert det_by_permanent_expansion(a) == 0
+        assert mat_det(a) == 0
         return
-    assert det != 0
+    assert mat_det(a) != 0
     one = FpMatrix.identity(a.n, a.p)
     assert a * inv == one
     assert inv * a == one
-
-
-@settings(max_examples=100, deadline=None)
-@given(fp_matrices(), st.data())
-def test_det_multiplicative(a, data):
-    n, p = a.n, a.p
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n,
-                                 max_size=n * n))
-    b = rand_matrix(entries, n, p)
-    assert mat_det(a * b) == mat_det(a) * mat_det(b) % p
 
 
 def test_matrix_validation():
@@ -131,6 +99,17 @@ def test_wedge_square_functorial(p, data):
             assert lhs == rhs
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_wedge_square_matches_cofactor_oracle(p, data):
+    # on the basis e2^e3, e3^e1, e1^e2 the exterior square of A is its
+    # cofactor matrix det(A) (A^-1)^T
+    a = _make_invertible(
+        data.draw(st.lists(st.integers(0, p - 1), min_size=9, max_size=9)),
+        p)
+    assert wedge_square(a) == mat_invert(a).transpose().scale(mat_det(a))
+
+
 def test_wedge_of_scalar_is_scalar_squared():
     for p in (7, 13):
         for c in range(2, 5):
@@ -146,30 +125,32 @@ def test_wedge_vec_is_cross_product():
 
 
 def test_symplectic_standard_and_similitude():
-    form = SymplecticForm.standard(4, 3)
-    assert form.pair((1, 0, 0, 0), (0, 0, 1, 0)) == 1
-    assert form.pair((0, 0, 1, 0), (1, 0, 0, 0)) == 2
-    # scalar c scales the form by c^2
+    # scalar c scales the standard form by c^2
     c = FpMatrix.diagonal([2, 2, 2, 2], 3)
-    assert similitude_factor(c, form) == 1
+    assert similitude_factor(c) == 1
     # a non-similitude: unequal scaling on the two hyperbolic planes
     bad = FpMatrix.diagonal([1, 1, 1, 2], 3)
     with pytest.raises(NotSimilitude):
-        similitude_factor(bad, form)
+        similitude_factor(bad)
+    # swapping e1 and e3 maps the form to its negative
+    swap = FpMatrix.from_rows([[0, 0, 1, 0], [0, 1, 0, 0],
+                               [1, 0, 0, 0], [0, 0, 0, 1]], 3)
+    with pytest.raises(NotSimilitude):
+        similitude_factor(swap)
     with pytest.raises(BadParameter):
-        SymplecticForm(FpMatrix.from_rows([[1, 0], [0, 1]], 3))
+        similitude_factor(FpMatrix.identity(3, 3))
+    with pytest.raises(Singular):
+        similitude_factor(FpMatrix.diagonal([1, 0], 3))
 
 
 def test_every_gl2_element_is_a_similitude():
     # in dimension 2 the symplectic form is the determinant pairing
-    form = SymplecticForm.standard(2, 5)
-    import itertools as it
-    for entries in it.product(range(5), repeat=4):
+    for entries in itertools.product(range(5), repeat=4):
         m = FpMatrix.from_rows([entries[:2], entries[2:]], 5)
         d = mat_det(m)
         if d == 0:
             continue
-        assert similitude_factor(m, form) == d
+        assert similitude_factor(m) == d
 
 
 def test_projective_line_count():
@@ -186,16 +167,35 @@ def test_row_reduce_span_invariants(p, data):
     vecs = data.draw(st.lists(
         st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
         min_size=0, max_size=6))
-    basis = _row_reduce(vecs, p)
+    basis = _echelon(vecs, p)
     assert len(basis) <= n
-    pivots = [piv for _, piv in basis]
-    assert pivots == sorted(pivots)
-    assert len(set(pivots)) == len(pivots)
-    for row, piv in basis:
-        assert row[piv] == 1
-    # reducing the basis rows again changes nothing
-    again = _row_reduce([row for row, _ in basis], p)
-    assert [r for r, _ in again] == [r for r, _ in basis]
+    for piv, row in basis.items():
+        assert row[piv] == 1 and not any(row[:piv])
+        assert all(row[c] == 0 for c in basis if c != piv)
+    # reducing the basis rows again changes nothing, and every input
+    # vector lies in their span
+    assert _echelon(basis.values(), p) == basis
+    for v in vecs:
+        assert len(_echelon([*basis.values(), v], p)) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_nullspace_oracle(p, data):
+    ncols = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols),
+        min_size=0, max_size=10))
+    basis = nullspace(rows, ncols, p)
+    # every basis vector annihilates every row
+    for vec in basis:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) % p == 0
+    # rank-nullity against the echelon rank, and independence
+    assert len(basis) == ncols - len(_echelon(rows, p))
+    assert len(_echelon(basis, p)) == len(basis)
+    if p == 2:  # the d = 8 form is chosen from this exact basis
+        assert basis == f2_nullspace(rows, ncols)
 
 
 def test_spin_detects_reducibility():

@@ -4,20 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from helpers import chain_fingerprint
 from solvlen import atlas, grp
 from solvlen import perm as permmod
-from solvlen.atlas import Extraspecial2Model, model_handle
-from solvlen.errors import (BadParameter, NotOrthogonal, SearchExhausted,
-                            SearchFailed)
+from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
+from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
+                            SearchExhausted, SearchFailed)
 from solvlen.fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors
-from solvlen.lift import (AutPair, _f2_nullspace, _form_from_function,
-                          _linear_offset, _offset_perms, _q_add,
-                          f4_model_generators, invariant_quadratic_form,
-                          lift_generators, quadratic_correction,
-                          two_generator_reduction)
+from solvlen.lift import (AutPair, _offset_perms, f4_model_generators,
+                          invariant_quadratic_form, lift_generators,
+                          quadratic_correction, two_generator_reduction)
 
 F4_GENS = f4_model_generators()
 # the F4 matrices preserve the computed invariant form, not the default
@@ -33,7 +30,7 @@ def corrected_pairs():
 
 def test_quadratic_correction_satisfies_the_law():
     for pair in corrected_pairs():
-        assert pair.verify(MODEL)
+        assert pairwise_verify(pair, MODEL)
         # the correction acts as a genuine automorphism on the group
         h = model_handle(MODEL, "e128")
         for x in h.elements()[:40]:
@@ -43,7 +40,8 @@ def test_quadratic_correction_satisfies_the_law():
 
 
 def pairwise_verify(pair, model):
-    """The former law check, one pair of vectors at a time."""
+    """The automorphism law q(v1 + v2) + q(v1) + q(v2) =
+    B(v1 A, v2 A) + B(v1, v2), one pair of vectors at a time."""
     for v1 in all_f2_vectors(pair.q.dim):
         av1 = pair.a.apply(v1)
         for v2 in all_f2_vectors(pair.q.dim):
@@ -61,16 +59,22 @@ def flip_coefficient(pair, i, j):
     return AutPair(pair.a, QuadraticFormF2.from_upper(coeffs))
 
 
-def test_autpair_verify_matches_pairwise_loop():
+def test_holomorph_perm_checks_flipped_corrections():
     # an off-diagonal flip changes the polarization of q and breaks the
     # law; a diagonal flip adds a linear functional and keeps it
+    ph = model_handle(MODEL, "e128")
     pairs = corrected_pairs()
     cases = [(p, True) for p in pairs]
     cases += [(flip_coefficient(p, i, j), False)
               for p in pairs for i, j in ((0, 1), (2, 5))]
     cases.append((flip_coefficient(pairs[0], 3, 3), True))
     for pair, holds in cases:
-        assert pair.verify(MODEL) is pairwise_verify(pair, MODEL) is holds
+        assert pairwise_verify(pair, MODEL) is holds
+        if holds:
+            holomorph_perm(ph, [pair.apply])
+        else:
+            with pytest.raises(NotAutomorphism):
+                holomorph_perm(ph, [pair.apply])
 
 
 def d8_lift_inputs():
@@ -92,8 +96,13 @@ def test_offset_permutations_match_pointwise_apply():
         rows = _offset_perms(base, elems, index)
         assert rows.shape == (64, 128)
         for lam, row in enumerate(rows):
-            pair = AutPair(a, _q_add(base.q, _linear_offset(lam, 6)))
-            assert row.tolist() == [index[pair.apply(e)] for e in elems]
+            # (v, z) -> (vA, z + q(v) + lam . v)
+            want = []
+            for e in elems:
+                img = base.apply(e)
+                odd = sum(lam >> i & x for i, x in enumerate(e[:-1])) & 1
+                want.append(index[img[:-1] + (img[-1] ^ odd,)])
+            assert row.tolist() == want
 
 
 def test_not_orthogonal_exhibit():
@@ -120,11 +129,13 @@ def test_not_orthogonal_exhibit():
         quadratic_correction(t, model)
 
 
-def test_form_from_function_reads_off_coefficients():
-    pair = corrected_pairs()[3]
-    q = pair.q
-    q2 = _form_from_function(q, 6)
-    assert q2.coeffs == q.coeffs
+def test_model_squaring_is_the_invariant_form():
+    # d8_group takes the invariant form's upper table as the cocycle, so
+    # the model's squaring map B(v, v) is that form
+    mats, model = d8_lift_inputs()
+    q = invariant_quadratic_form(mats)
+    for v in all_f2_vectors(6):
+        assert model.squaring(v) == q(v)
 
 
 def test_lift_identity_and_exhausted_grid():
@@ -132,7 +143,7 @@ def test_lift_identity_and_exhausted_grid():
     pairs = lift_generators([ident], MODEL)
     assert len(pairs) == 1
     assert pairs[0].a == ident
-    assert pairs[0].q.coeffs == _linear_offset(0, 6).coeffs
+    assert pairs[0].q.coeffs == ((0,) * 6,) * 6
     # these generate a group of order 192 that no choice of offsets lifts
     # to a split copy: every product of kept offsets overflows the cap
     a = FpMatrix.from_rows(((0, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0),
@@ -187,27 +198,6 @@ def test_invariant_form_failure_path():
     g = atlas.gl(6, 2)
     with pytest.raises(SearchFailed):
         invariant_quadratic_form(list(g.generators))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_f2_nullspace_oracle(data):
-    ncols = data.draw(st.integers(1, 8))
-    rows = data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols),
-        min_size=0, max_size=10))
-    basis = _f2_nullspace(rows, ncols)
-    # every basis vector annihilates every row
-    for vec in basis:
-        for row in rows:
-            assert sum(a & b for a, b in zip(row, vec)) % 2 == 0
-    # rank-nullity against an independent rank computation
-    from solvlen.fpmat import _row_reduce
-    rank = len(_row_reduce(rows, 2))
-    assert len(basis) == ncols - rank
-    # basis vectors are linearly independent (distinct free columns)
-    from solvlen.fpmat import _row_reduce as rr
-    assert len(rr(basis, 2)) == len(basis)
 
 
 def test_two_generator_reduction_small():
