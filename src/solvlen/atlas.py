@@ -16,12 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from . import perm as permmod
-from .errors import (BadCongruence, BadParameter, CapExceeded, KindMismatch,
-                     NotAutomorphism, ScalarSearchFailed, SearchFailed)
+from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
+                     KindMismatch, NotAutomorphism, ScalarSearchFailed,
+                     SearchFailed)
 from .fpmat import (FpMatrix, check_prime, mat_invert, similitude_factor,
                     spin_all_lines, wedge_square, wedge_vec)
-from .grp import (GroupHandle, _row_index, center, factorize, tuple_inv,
-                  tuple_mul)
+from .grp import GroupHandle, _row_index, center, tuple_inv, tuple_mul
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +308,6 @@ def cyclic(n):
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
     permmod.check_degree(n)
-    if n == 1:
-        return perm_handle([], 1, "cyclic(1)")
     rot = tuple((i + 1) % n for i in range(n))
     return perm_handle([rot], n, f"cyclic({n})")
 
@@ -430,16 +428,17 @@ def extraspecial(p, n, eps=None):
         model = ExtraspecialOddModel(p, n)
         h = model_handle(model, f"extraspecial({p},{n})")
     if p ** (1 + 2 * n) <= 2 ** 14:
-        _check_extraspecial(h, model, p, n)
+        _check_extraspecial(h, p, n)
     return h
 
 
-def _check_extraspecial(handle, model, p, n):
+def _check_extraspecial(handle, p, n):
     rows = handle.rows()
-    assert len(rows) == p ** (1 + 2 * n)
-    assert center(handle).order == p
-    if p > 2:  # exponent p
-        assert set(permmod.perm_order_of(rows).tolist()) <= {1, p}
+    orders = set(permmod.perm_order_of(rows).tolist()) if p > 2 else {1}
+    found = (len(rows), center(handle).order, orders <= {1, p})
+    if found != (p ** (1 + 2 * n), p, True):
+        raise GroupError(f"{handle.name} is not extraspecial: (order, "
+                         f"centre order, exponent p) = {found}")
 
 
 def wreath(h, k):
@@ -477,18 +476,18 @@ def holomorph_perm(p_handle, auts):
     """Faithful permutation group on the elements of P generated by right
     translations and the given automorphism maps.
 
-    Each map a is checked on the generators S of P: a(1) = 1 (checked
-    outright, as S is empty for trivial P) and a(x g) = a(x) a(g) for all
-    x in P, g in S.  That suffices since elements() is the closure of S:
-    every y in P is a word in S (a finite group needs no inverses), and
-    induction on its length gives a(x y) = a(x) a(y).  With
-    col_g[x] = index of x g (P's own columns for its generators) and
+    Each map a is checked on the generators S of P: a(x g) = a(x) a(g)
+    for all x in P, g in S.  That suffices since elements() is the
+    closure of S: every y in P is a word in S (a finite group needs no
+    inverses), and induction on its length gives a(x y) = a(x) a(y).
+    It forces a(1) = 1: the law at x = 1 reads a(g) = a(1) a(g), and
+    for trivial P, where S is empty, a(1) is in P = {1}.  With
+    col_g[x] = index of x g (P's own columns, so col_g[0] is g) and
     amap[x] = index of a(x), the law for g is
     amap[col_g] == col_{a(g)}[amap], with col_{a(g)} read off P's image
     rows in one gather per generator, so the check is complete at every
     size, with no sampling for large P.  A failure raises NotAutomorphism
-    with the first offending (x, g), or with (x, a(x)) when a(x) leaves P
-    or x = 1 moves.
+    with the first offending (x, g), or with (x, a(x)) when a(x) leaves P.
     """
     permmod.check_degree(p_handle.order())
     elems = p_handle.elements()
@@ -503,12 +502,8 @@ def holomorph_perm(p_handle, auts):
             if amap[i] < 0:
                 raise NotAutomorphism("map leaves the group",
                                       witness=(x, a(x)))
-        one = index[p_handle.identity]
-        if amap[one] != one:
-            raise NotAutomorphism("map moves the identity",
-                                  witness=(elems[one], elems[amap[one]]))
         for g, col in zip(p_handle.generators, cols):
-            col_ag = np.array(find(rows[amap[col[one]]][rows]))  # x a(g)
+            col_ag = np.array(find(rows[amap[col[0]]][rows]))  # x a(g)
             bad = np.flatnonzero(amap[col] != col_ag[amap])
             if len(bad):
                 raise NotAutomorphism("map breaks multiplication",
@@ -595,7 +590,10 @@ def qutrit_normalizer(p):
     for c in range(1, p):
         gens = [x, z, s, m.scale(c)]
         h = matrix_handle(gens, f"qutrit({p})")
-        order = h.order()
+        try:  # one closure capped at 648; the chain is left for later
+            order = len(h.closure(h.perm_generators(), 648)[0])
+        except CapExceeded:
+            order = "> 648"
         achieved.append((c, order))
         if order == 648:
             if p <= 7:  # exhaustive spinning is a decision procedure here
@@ -620,34 +618,32 @@ def binary_octahedral():
     verifies that count.
     """
     ambient = sl(2, 7)
-    orders = dict(zip(ambient.elements(),
-                      permmod.perm_order_of(ambient.rows()).tolist()))
-    elems = sorted(orders, key=lambda m: m.packed())
+    rows, elems = ambient.rows(), ambient.elements()
+    orders = permmod.perm_order_of(rows).tolist()
+    ranked = sorted(range(len(elems)), key=lambda i: elems[i].packed())
 
     def extend(gens, k, order, cap):
-        """First <gens, t>, t of order k, of the given order with a single
-        involution, by a closure capped at cap elements."""
-        for t in elems:
+        """gens + [t], t the first of order k with <gens, t> of the given
+        order and a single involution; closures capped at cap elements."""
+        for t in ranked:
             if orders[t] != k:
                 continue
-            h = matrix_handle(gens + [t], "bo()")
-            h.cap = cap
             try:
-                rows = h.rows()
+                sub = ambient.closure(rows[gens + [t]], cap)[0]
             except CapExceeded:
                 continue
-            if len(rows) == order and np.count_nonzero(
-                    permmod.perm_order_of(rows) == 2) == 1:
-                return h
+            if len(sub) == order and np.count_nonzero(
+                    permmod.perm_order_of(sub) == 2) == 1:
+                return gens + [t]
         return None
 
-    quat = next(filter(None, (extend([i], 4, 8, 20) for i in elems
+    quat = next(filter(None, (extend([i], 4, 8, 20) for i in ranked
                               if orders[i] == 4)), None)
-    sl23 = quat and extend(quat.generators, 3, 24, 60)
-    bo = sl23 and extend(sl23.generators, 8, 48, 100)
+    sl23 = quat and extend(quat, 3, 24, 60)
+    bo = sl23 and extend(sl23, 8, 48, 100)
     if bo is None:
         raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
-    return bo
+    return matrix_handle([elems[i] for i in bo], "bo()")
 
 
 # ---------------------------------------------------------------------------

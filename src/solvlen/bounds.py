@@ -116,7 +116,6 @@ def cn_bounds(d):
         v = CN_TABLE[d]
         return (v, v)
     half = 2 ** (d - 1)
-    lower = max(half + d - 1, half + d + 1, half + 2 * d - 4,
-                half + 3 * d - 10)
+    lower = max(half + d + 1, half + 2 * d - 4, half + 3 * d - 10)
     return (lower, 2 ** d - 2)
 

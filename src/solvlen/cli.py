@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import atlas, bounds as boundsmod
-from .dsl import Call, IntLiteral, Symbol, parse_spec, render
+from .dsl import IntLiteral, Symbol, parse_spec, render
 from .errors import BadArity, GroupError, ParseError, UnknownBuilder
 from .grp import check_lemmas, derived_series, factorize
 

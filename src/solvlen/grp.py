@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import perm as permmod
-from .errors import BadParameter, CapExceeded, NotNormal
+from .errors import BadParameter, CapExceeded, GroupError, NotNormal
 
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
@@ -170,20 +170,21 @@ class GroupHandle:
         self.rows()
         return self._columns
 
-    def closure(self, images):
+    def closure(self, images, cap=None):
         """(rows, columns) of the group generated by the given image
-        arrays; see _closure."""
+        arrays, within enum_cap(cap) rows; see _closure."""
         n = len(self.to_perm(self.identity))
         dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points
         return _closure(lambda rows: rows, np.arange(n, dtype=dtype),
                         np.array(images, dtype).reshape(len(images), n),
-                        self.enum_cap())
+                        self.enum_cap(cap))
 
-    def enum_cap(self):
-        # every enumeration stores rows of the image's degree; keep total
-        # entries (order x degree) bounded as well as the raw count
+    def enum_cap(self, cap=None):
+        # a search's cap replaces the handle's; rows of the image's degree
+        # are stored, so entries (order x degree) stay bounded as well
         n = len(self.to_perm(self.identity))
-        return min(self.cap, max(1, MEMORY_BUDGET // max(n, 1)))
+        return min(self.cap if cap is None else cap,
+                   max(1, MEMORY_BUDGET // max(n, 1)))
 
     def order(self):
         if self.split_orders is not None:
@@ -451,7 +452,8 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
             if coset[e] < 0:
                 coset[find(rows[e][nrows])] = len(reps)
                 reps.append(e)
-    assert len(reps) == index
+    if len(reps) != index:
+        raise GroupError(f"{len(reps)} cosets labelled, index is {index}")
     gen_perms = [tuple(coset[c[reps]].tolist()) for c in cols]
     ident = tuple(range(index))
     return GroupHandle(ident, [g for g in gen_perms if g != ident],

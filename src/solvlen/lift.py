@@ -116,12 +116,12 @@ def lift_generators(mats, model: Extraspecial2Model):
         rows = _offset_perms(b, elems, index)
         lams = np.flatnonzero(permmod.perm_order_of(rows)
                               == lin.element_order(b.a))
-        kept.append([(lam, rows[lam].tolist()) for lam in lams.tolist()])
+        kept.append([(lam, rows[lam]) for lam in lams.tolist()])
+    on_elems = perm_handle([], len(elems), "lift")
     for choice in itertools.product(*kept):
-        h = perm_handle([row for _, row in choice], len(elems), "lift")
-        h.cap = want
         try:
-            closed = len(h.rows()) == want
+            closed = len(on_elems.closure([row for _, row in choice],
+                                          want)[0]) == want
         except CapExceeded:  # a kernel of offsets: not split
             continue
         if closed:  # lam . v = sum of lam_i v_i^2: flip q's diagonal

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import IMAGE_SPECS
 from solvlen import atlas, grp
+from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            binary_octahedral, cyclic, direct, extraspecial,
                            exterior_square_group, gl, gl_order, gsp_extension,
@@ -162,6 +163,21 @@ def test_holomorph_rejects_non_automorphisms():
         holomorph_perm(e27, [bogus])
     assert exc.value.witness is not None
 
+    # a translation moves the identity; the law fails at x = 1
+    c = e27.generators[0]
+    with pytest.raises(NotAutomorphism, match="breaks multiplication") as exc:
+        holomorph_perm(e27, [lambda e: e27.mul(e, c)])
+    assert exc.value.witness == (e27.identity, e27.generators[0])
+
+
+def test_extraspecial_checks_are_errors(monkeypatch):
+    # the order, centre and exponent checks hold under python -O too
+    centre = atlas.center
+    monkeypatch.setattr(atlas, "center", lambda h: grp.SubgroupHandle(
+        h, [], 2 * centre(h).order))
+    with pytest.raises(GroupError, match="not extraspecial"):
+        extraspecial(3, 1)
+
 
 def test_holomorph_cap():
     with pytest.raises(CapExceeded):
@@ -177,16 +193,13 @@ def all_pairs_law_holds(p_handle, a):
 
 def generator_law_witness(p_handle, a):
     """What holomorph_perm must report for a, element by element: the
-    first x with a(x) outside P, a moved identity, or the first (x, g) in
-    generator-major order breaking a(x g) = a(x) a(g); None if a passes."""
+    first x with a(x) outside P, or the first (x, g) in generator-major
+    order breaking a(x g) = a(x) a(g); None if a passes."""
     elems, mul = p_handle.elements(), p_handle.mul
     inside = set(elems)
     for x in elems:
         if a(x) not in inside:
             return (x, a(x))
-    one = p_handle.identity
-    if a(one) != one:
-        return (one, a(one))
     for g in p_handle.generators:
         for x in elems:
             if a(mul(x, g)) != mul(a(x), a(g)):
@@ -300,6 +313,31 @@ def test_binary_octahedral():
     rep = grp.derived_series(bo)
     assert rep.orders == (48, 24, 8, 2, 1)
     assert rep.n == (1, 1, 2, 1)
+
+
+def test_binary_octahedral_generators_are_pinned():
+    # i, t, t3, t8 of the search Q8 < SL_2(3) < 2.S4, in packed order
+    assert [g.entries for g in binary_octahedral().generators] == [
+        ((0, 1), (6, 0)), ((2, 3), (3, 5)), ((0, 4), (5, 6)),
+        ((1, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("p, c", [(7, 3), (13, 2), (19, 2), (31, 17)])
+def test_qutrit_normalizer_scalar_is_pinned(p, c):
+    x, z, s, m = atlas.qutrit_generator_candidates(p)
+    assert qutrit_normalizer(p).generators == [x, z, s, m.scale(c)]
+
+
+def test_searches_run_no_schreier_sims(monkeypatch):
+    # each candidate is tested by one capped closure; the winner's chain
+    # is left to whoever asks for it
+    def refuse(gens):
+        raise AssertionError("schreier_sims called")
+
+    monkeypatch.setattr(permmod, "schreier_sims", refuse)
+    assert len(binary_octahedral().generators) == 4
+    for p in (7, 13):
+        assert len(qutrit_normalizer(p).generators) == 4
 
 
 def test_exterior_square_group():

@@ -1,4 +1,5 @@
-"""Every function, method and class in src/solvlen is reached from src/."""
+"""Every function, method and class in src/solvlen is reached from src/,
+and every name a module imports is read in that module."""
 
 import ast
 import pathlib
@@ -57,3 +58,24 @@ def unreached():
 
 def test_no_definition_is_unreached():
     assert sorted(unreached()) == sorted(ALLOWED)
+
+
+def unread_imports():
+    """module.name for each name a module other than __init__.py imports
+    (at any depth) and never reads."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = references(tree)[1]
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if not names[name]:
+                        yield f"{path.stem}.{name}"
+
+
+def test_every_import_is_read():
+    assert list(unread_imports()) == []

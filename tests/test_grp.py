@@ -322,6 +322,24 @@ def test_enumeration_cap_is_the_group_order(make):
     assert len(exact.elements()) == order
 
 
+def test_a_search_cap_bounds_its_own_closure_only(monkeypatch):
+    # closure(images, cap) replaces the handle's cap for that call alone,
+    # above or below it; the memory budget still binds
+    s4 = atlas.sym(4)
+    s4.cap = 5
+    gens = s4.perm_generators()
+    assert len(s4.closure(gens, 24)[0]) == 24
+    with pytest.raises(CapExceeded):
+        s4.closure(gens, 23)
+    assert s4.cap == 5
+    with pytest.raises(CapExceeded):
+        s4.rows()
+    monkeypatch.setattr(grp, "MEMORY_BUDGET", 4 * 23)
+    assert s4.enum_cap(24) == 23
+    with pytest.raises(CapExceeded):
+        s4.closure(gens, 24)
+
+
 def test_one_element_budget_for_every_kind_of_handle():
     # matrix and model enumerations store rows of their image's degree
     # too; only the guard is asked, nothing is enumerated
