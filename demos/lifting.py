@@ -11,8 +11,11 @@ is again a quadratic form.  Stages:
   iii. find the invariant quadratic form (Arf invariant 1: minus type);
        its upper table is the cocycle of 2^{1+6}_-, so its squaring form
        is the invariant form
-  iv.  lift the two generators to automorphism pairs whose enumeration,
-       capped at 1,296 elements, closes at 1,296: a split copy
+  iv.  lift the two generators to automorphism pairs generating a split
+       copy: the offsets enter each lift affinely over F_2, so one
+       enumeration of the 1,296 matrices gives the Schreier relators of
+       its spanning tree, and the first offsets under which every relator
+       lifts to the identity are taken
   v.   form the holomorph as a degree-128 permutation group, which checks
        each lifted map against the group law
 

@@ -194,9 +194,6 @@ class GroupHandle:
     def conj(self, x, g):
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def element_order(self, x):
-        return permmod.perm_order_of(self.to_perm(x))
-
 
 @dataclass
 class SubgroupHandle:

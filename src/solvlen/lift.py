@@ -5,26 +5,26 @@ Over F_2 a matrix A preserving the polarization of an extraspecial model
 quadratic defect.  quadratic_correction solves for a form q so that
 (v, z) -> (vA, z + q(v)) multiplies correctly, which is possible exactly
 when A also preserves the squaring form.  The corrections are unique up to
-a linear functional, and lift_generators picks the first offsets whose
-lifts split: their enumeration, capped at the order of the linear group,
-closes at exactly that order.
+a linear functional, and the offsets enter every lift affinely, so
+lift_generators decides all of them at once: the lifts split exactly when
+each Schreier relator of the linear group's spanning tree lifts to the
+identity, a system of affine equations in the offsets over F_2.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import perm as permmod
-from .errors import (BadParameter, CapExceeded, NotOrthogonal,
-                     SearchExhausted, SearchFailed)
+from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
+                     SearchFailed)
 from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert,
                     nullspace)
 from .grp import _row_index, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
-                    model_handle, perm_handle)
+                    model_handle)
 
 @dataclass(frozen=True)
 class AutPair:
@@ -73,63 +73,63 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
     return AutPair(a, QuadraticFormF2.from_upper(coeffs))
 
 
-def _offset_perms(pair, elems, index):
-    """Index permutations of the model elements under pair offset by every
-    linear functional: row lam sends element i to the index of its image
-    under (v, z) -> (vA, z + q(v) + lam . v).
-
-    The offset only adds lam . v to z, so row lam is the image under pair
-    itself with z flipped where lam . v is odd; pair is applied once per
-    element.
-    """
-    img = np.array([index[pair.apply(e)] for e in elems], dtype=np.int32)
-    zflip = np.array([index[e[:-1] + (e[-1] ^ 1,)] for e in elems],
-                     dtype=np.int32)
-    dim = pair.q.dim
-    lam = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
-    odd = lam @ np.array([e[:-1] for e in elems]).T & 1
-    return np.where(odd == 1, zflip[img], img)
-
-
 def lift_generators(mats, model: Extraspecial2Model):
     """Lift a 1- or 2-element matrix generating set to AutPairs generating
     a split copy of the linear group inside Aut(2^{1+2n}).
 
-    Offsets by linear functionals keep each pair an automorphism.  The
-    lifts of one offset per matrix generate a group that maps onto
-    <mats> with a kernel of offsets alone, so they split exactly when
-    their enumeration, capped at |<mats>| elements, closes at that many
-    (CapExceeded otherwise).  A split maps each lift isomorphically, so
-    per matrix only the offsets whose lift has the matrix's order are
-    kept; their combinations are scanned in ascending order and the first
-    that closes is returned.
+    Offsets lam_j by linear functionals keep each pair an automorphism and
+    enter every lift affinely over F_2.  The relators u_i g_j u_h^-1 of a
+    spanning tree of <mats> generate the kernel of the free group onto
+    <mats> (Schreier's lemma), so the lifts split iff each relator lifts
+    to the identity.  That lift has matrix I, so its z-part is linear: one
+    affine equation in the offsets per basis vector.  The first offsets,
+    lam_1 major and ascending, that solve every equation are returned.
     """
     if not 1 <= len(mats) <= 2:
         raise BadParameter(f"need one or two matrices, got {len(mats)}")
     lin = matrix_handle(list(mats), "lift target")
-    want = len(lin.rows())
+    rows, cols = lin.closure([lin.to_perm(a) for a in mats])
     base = [quadratic_correction(a, model) for a in mats]
-    elems = model_handle(model, "lift base").elements()
-    index = {e: i for i, e in enumerate(elems)}
-    kept = []
-    for b in base:
-        rows = _offset_perms(b, elems, index)
-        lams = np.flatnonzero(permmod.perm_order_of(rows)
-                              == lin.element_order(b.a))
-        kept.append([(lam, rows[lam]) for lam in lams.tolist()])
-    on_elems = perm_handle([], len(elems), "lift")
-    for choice in itertools.product(*kept):
-        try:
-            closed = len(on_elems.closure([row for _, row in choice],
-                                          want)[0]) == want
-        except CapExceeded:  # a kernel of offsets: not split
-            continue
-        if closed:  # lam . v = sum of lam_i v_i^2: flip q's diagonal
+    dim, k = base[0].q.dim, len(mats)
+    # a z-bit is packed as an affine function of the offsets: bit 0 its
+    # value at lam = 0, bit 1 + dim * j + i its coefficient in lam_j[i]
+    dtype = np.min_scalar_type(1 << 1 + dim * k)
+    vecs, weight = all_f2_vectors(dim), 1 << np.arange(dim)
+    img = np.array([np.array(vecs) @ b.a.entries % 2 @ weight for b in base])
+    step = np.array([[b.q(v) | w << 1 + dim * j for w, v in enumerate(vecs)]
+                     for j, b in enumerate(base)], dtype)
+    # the first edge (i, j) into each element h spans a BFS tree: walk it a
+    # stretch at a time, tracking e_m u_h and the z-bit at e_m of its lift
+    first = np.unique(cols.T.ravel(), return_index=True)[1]
+    first[0] = 0  # the root; the other parents ascend
+    parent, gen = first // k, first % k
+    vec = np.zeros((len(rows), dim), np.int16)
+    z = np.zeros((len(rows), dim), dtype)
+    vec[0], done = weight, 1
+    while done < len(rows):
+        stop = np.searchsorted(parent, done)
+        i, j = parent[done:stop], gen[done:stop, None]
+        vec[done:stop], z[done:stop] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
+        done = stop
+    # the relator of edge (i, j) -> h lifts to the identity iff its z-part
+    # z_i + q_j(e_m u_i) + z_h vanishes at every e_m
+    eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols])
+    # an equation holds iff it shares an even number of bits with the mask
+    # of bit 0 and the offsets' coefficient bits; one lam_1 at a time
+    odd = np.zeros(1, bool)  # odd[w]: w has an odd number of bits
+    for _ in range(1 + dim * k):
+        odd = np.concatenate([odd, ~odd])
+    lams = np.indices((1 << dim,) * k).reshape(k, -1)
+    masks = (lams << 1 + dim * np.arange(k)[:, None]).sum(0) | 1
+    for start in range(0, len(masks), 1 << dim):
+        part = masks[start:start + (1 << dim), None].astype(dtype)
+        split = np.flatnonzero(~odd[eqs & part].any(1))
+        if len(split):  # lam . v = sum of lam_i v_i^2: flip q's diagonal
             return [AutPair(b.a, QuadraticFormF2.from_upper(
-                [[c ^ (i == j and lam >> i & 1) for j, c in enumerate(row)]
+                [[c ^ (i == m and lam >> i & 1) for m, c in enumerate(row)]
                  for i, row in enumerate(b.q.coeffs)]))
-                for b, (lam, _) in zip(base, choice)]
-    raise SearchExhausted(f"no offsets give a split lift of order {want}")
+                for b, lam in zip(base, lams[:, start + split[0]].tolist())]
+    raise SearchExhausted(f"no offsets give a split lift of order {len(rows)}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,9 @@ def d8_group():
 
     two_generator_reduction certifies the order 1296 as it picks the
     pair, the invariant form fixes the model, and lift_generators
-    certifies the split by enumeration.  Returns (handle, report), cached.
+    certifies the split by the Schreier relators of one enumeration of the
+    linear group; the order 165888 of the holomorph checks it again.
+    Returns (handle, report), cached.
     """
     if "group" in _D8_CACHE:
         return _D8_CACHE["group"]

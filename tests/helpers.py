@@ -6,6 +6,11 @@ import itertools
 import numpy as np
 
 from solvlen import atlas, grp, perm
+from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
+                           perm_handle)
+from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
+from solvlen.fpmat import QuadraticFormF2
+from solvlen.lift import AutPair, quadratic_correction
 
 
 def corpus_perm_groups():
@@ -175,3 +180,64 @@ def f2_nullspace(rows, ncols):
             vec[col] = prow[f]
         basis.append(vec)
     return basis
+
+
+def offset_perms(pair, elems, index):
+    """Index permutations of the model elements under pair offset by every
+    linear functional: row lam sends element i to the index of its image
+    under (v, z) -> (vA, z + q(v) + lam . v).
+
+    The offset only adds lam . v to z, so row lam is the image under pair
+    itself with z flipped where lam . v is odd; pair is applied once per
+    element.
+    """
+    img = np.array([index[pair.apply(e)] for e in elems], dtype=np.int32)
+    zflip = np.array([index[e[:-1] + (e[-1] ^ 1,)] for e in elems],
+                     dtype=np.int32)
+    dim = pair.q.dim
+    lam = np.arange(2 ** dim)[:, None] >> np.arange(dim) & 1
+    odd = lam @ np.array([e[:-1] for e in elems]).T & 1
+    return np.where(odd == 1, zflip[img], img)
+
+
+def lift_by_closure(mats, model: Extraspecial2Model):
+    """The oracle for lift.lift_generators, by one capped closure per
+    offset choice: lift a 1- or 2-element matrix generating set to
+    AutPairs generating a split copy of the linear group inside
+    Aut(2^{1+2n}).
+
+    Offsets by linear functionals keep each pair an automorphism.  The
+    lifts of one offset per matrix generate a group that maps onto
+    <mats> with a kernel of offsets alone, so they split exactly when
+    their enumeration, capped at |<mats>| elements, closes at that many
+    (CapExceeded otherwise).  A split maps each lift isomorphically, so
+    per matrix only the offsets whose lift has the matrix's order are
+    kept; their combinations are scanned in ascending order and the first
+    that closes is returned.
+    """
+    if not 1 <= len(mats) <= 2:
+        raise BadParameter(f"need one or two matrices, got {len(mats)}")
+    lin = matrix_handle(list(mats), "lift target")
+    want = len(lin.rows())
+    base = [quadratic_correction(a, model) for a in mats]
+    elems = model_handle(model, "lift base").elements()
+    index = {e: i for i, e in enumerate(elems)}
+    kept = []
+    for b in base:
+        rows = offset_perms(b, elems, index)
+        lams = np.flatnonzero(perm.perm_order_of(rows)
+                              == perm.perm_order_of(lin.to_perm(b.a)))
+        kept.append([(lam, rows[lam]) for lam in lams.tolist()])
+    on_elems = perm_handle([], len(elems), "lift")
+    for choice in itertools.product(*kept):
+        try:
+            closed = len(on_elems.closure([row for _, row in choice],
+                                          want)[0]) == want
+        except CapExceeded:  # a kernel of offsets: not split
+            continue
+        if closed:  # lam . v = sum of lam_i v_i^2: flip q's diagonal
+            return [AutPair(b.a, QuadraticFormF2.from_upper(
+                [[c ^ (i == j and lam >> i & 1) for j, c in enumerate(row)]
+                 for i, row in enumerate(b.q.coeffs)]))
+                for b, (lam, _) in zip(base, choice)]
+    raise SearchExhausted(f"no offsets give a split lift of order {want}")

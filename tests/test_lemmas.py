@@ -158,7 +158,7 @@ def test_fixed_point_free_sees_fixed_points():
     h = atlas.direct(atlas.sym(3), atlas.cyclic(3))
     top = derived_series(h).subgroups[0]
     mid = grp.normal_closure(
-        h, [x for x in h.elements() if h.element_order(x) == 3])
+        h, [x for x in h.elements() if perm.perm_order_of(h.to_perm(x)) == 3])
     low = grp.normal_closure(h, [])
     assert mid.order == 9
     gens = h.perm_generators()

@@ -1,18 +1,19 @@
 """Automorphism lifting over the minus-type 2^{1+6}."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from helpers import chain_fingerprint
+from helpers import chain_fingerprint, lift_by_closure, offset_perms
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
 from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
                             SearchExhausted, SearchFailed)
 from solvlen.fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors
-from solvlen.lift import (AutPair, _offset_perms, f4_model_generators,
+from solvlen.lift import (AutPair, f4_model_generators,
                           invariant_quadratic_form, lift_generators,
                           quadratic_correction, two_generator_reduction)
 
@@ -93,7 +94,7 @@ def test_offset_permutations_match_pointwise_apply():
     index = {e: i for i, e in enumerate(elems)}
     for a in mats:
         base = quadratic_correction(a, model)
-        rows = _offset_perms(base, elems, index)
+        rows = offset_perms(base, elems, index)
         assert rows.shape == (64, 128)
         for lam, row in enumerate(rows):
             # (v, z) -> (vA, z + q(v) + lam . v)
@@ -138,35 +139,75 @@ def test_model_squaring_is_the_invariant_form():
         assert model.squaring(v) == q(v)
 
 
-def test_lift_identity_and_exhausted_grid():
-    ident = FpMatrix.identity(6, 2)
-    pairs = lift_generators([ident], MODEL)
-    assert len(pairs) == 1
-    assert pairs[0].a == ident
-    assert pairs[0].q.coeffs == ((0,) * 6,) * 6
-    # these generate a group of order 192 that no choice of offsets lifts
-    # to a split copy: every product of kept offsets overflows the cap
+def order_192_grid():
+    """Two matrices generating a group of order 192 that no choice of
+    offsets lifts to a split copy."""
     a = FpMatrix.from_rows(((0, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0),
                             (0, 0, 1, 0, 0, 0), (1, 0, 1, 1, 0, 0),
                             (0, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 1)), 2)
     b = FpMatrix.from_rows(((1, 1, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0),
                             (0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0),
                             (0, 1, 1, 1, 1, 0), (1, 0, 1, 0, 0, 1)), 2)
+    return [a, b]
+
+
+def lift_or_exhausted(lift, mats, model):
+    """The lifted forms, or the message of SearchExhausted."""
+    try:
+        return [(p.a, p.q.coeffs) for p in lift(mats, model)]
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+def test_lift_generators_matches_the_closure_search():
+    # the relator equations pick the same offsets as one capped closure
+    # per offset choice, on subgroups of orders 1 to 1296, and exhaust on
+    # the same grid
+    mats, model = d8_lift_inputs()
+    elems = atlas.matrix_handle(F4_GENS, "qbar").elements()
+    rng = random.Random(5)
+    cases = [(mats, model), ([mats[0]], model), ([mats[1]], model),
+             ([FpMatrix.identity(6, 2)], model),
+             (order_192_grid(), DEFAULT_MODEL)]
+    cases += [(rng.sample(elems, 2), model) for _ in range(12)]
+    for case_mats, case_model in cases:
+        assert lift_or_exhausted(lift_generators, case_mats, case_model) \
+            == lift_or_exhausted(lift_by_closure, case_mats, case_model)
+
+
+def test_lift_identity_and_exhausted_grid():
+    ident = FpMatrix.identity(6, 2)
+    pairs = lift_generators([ident], MODEL)
+    assert len(pairs) == 1
+    assert pairs[0].a == ident
+    assert pairs[0].q.coeffs == ((0,) * 6,) * 6
+    # no offset pair solves every relator equation of this grid
+    a, b = order_192_grid()
     assert len(atlas.matrix_handle([a, b]).rows()) == 192
     with pytest.raises(SearchExhausted):
         lift_generators([a, b], DEFAULT_MODEL)
 
 
 def test_d8_lift_runs_no_schreier_sims(monkeypatch):
-    # the enumeration itself certifies the split; the forms are pinned
-    # (offsets 0 and 63 on the corrections)
+    # one enumeration of the linear group gives the Schreier relators,
+    # whose equations in the offsets certify the split; the forms are
+    # pinned (offsets 0 and 63 on the corrections)
     mats, model = d8_lift_inputs()
 
     def refuse(gens):
         raise AssertionError("schreier_sims called")
 
+    closures = []
+    closure = grp.GroupHandle.closure
+
+    def count(self, images, cap=None):
+        closures.append(len(images))
+        return closure(self, images, cap)
+
     monkeypatch.setattr(permmod, "schreier_sims", refuse)
+    monkeypatch.setattr(grp.GroupHandle, "closure", count)
     pairs = lift_generators(mats, model)
+    assert closures == [2]
     assert [p.a for p in pairs] == mats
     assert pairs[0].q.coeffs == ((0,) * 6,) * 6
     assert pairs[1].q.coeffs == ((1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
@@ -206,7 +247,7 @@ def test_two_generator_reduction_small():
     h = atlas.perm_handle([g1, g2], 4, "pair")
     assert h.order() == 24
     # ranking prefers elements of maximal order first
-    assert s4.element_order(g1) == 4
+    assert permmod.perm_order_of(s4.to_perm(g1)) == 4
     with pytest.raises(SearchFailed):
         two_generator_reduction(s4, 25)
 
@@ -216,7 +257,8 @@ def reference_two_generator_reduction(handle):
     (-order, index) order and return the first that spans the group."""
     elems = handle.elements()
     ranked = sorted(range(len(elems)),
-                    key=lambda i: (-handle.element_order(elems[i]), i))
+                    key=lambda i: (-permmod.perm_order_of(
+                        handle.to_perm(elems[i])), i))
     for i1 in ranked:
         for i2 in ranked:
             pair = (elems[i1], elems[i2])
@@ -252,7 +294,8 @@ def test_two_generator_reduction_pins_the_d8_pair():
     elems = qbar.elements()
     g1, g2 = two_generator_reduction(qbar, 1296)
     assert (g1, g2) == (elems[8], elems[72])
-    assert (qbar.element_order(g1), qbar.element_order(g2)) == (9, 8)
+    assert (permmod.perm_order_of(qbar.to_perm(g1)),
+            permmod.perm_order_of(qbar.to_perm(g2))) == (9, 8)
 
 
 def test_f4_restriction_of_scalars():

@@ -145,6 +145,20 @@ def test_perm_primitives():
     assert a.tobytes() == as_perm((1, 2, 0, 3)).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_is_identity_matches_array_equal(dtype):
+    # the byte comparison against the identity of the array's own dtype
+    # agrees with the value comparison
+    rng = np.random.default_rng(3)
+    arrays = [np.arange(n, dtype=dtype) for n in (0, 1, 5, 128)]
+    arrays += [rng.permutation(n).astype(dtype) for n in (2, 5, 128)]
+    arrays += [np.array([1, 0], dtype), np.array([0, 2, 1], dtype)]
+    for a in arrays:
+        assert is_identity(a) == np.array_equal(a, np.arange(len(a)))
+    assert is_identity(np.arange(0, dtype=dtype))
+    assert not is_identity(np.array([0, 2, 1], dtype))
+
+
 def cycle_walk_order(g):
     """Scalar oracle: walk each cycle once, lcm of the lengths."""
     seen, out = set(), 1
