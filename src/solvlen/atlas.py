@@ -99,7 +99,7 @@ class BasisOrbitAction:
                 for m in mats]
 
 
-def matrix_handle(gens, name=""):
+def matrix_handle(gens, name="", upper_bound=None):
     if not gens:
         raise BadParameter("matrix handle needs at least one generator")
     p, n = gens[0].p, gens[0].n
@@ -110,7 +110,7 @@ def matrix_handle(gens, name=""):
     ident = FpMatrix.identity(n, p)
     gens = [g for g in gens if g != ident]
     return GroupHandle(ident, gens, lambda a, b: a * b, mat_invert,
-                       name=name, kind="matrix",
+                       name=name, kind="matrix", upper_bound=upper_bound,
                        action=BasisOrbitAction(ident, gens))
 
 
@@ -337,7 +337,7 @@ def gl(n, p):
         tv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         tv[0][1] = 1
         gens.append(FpMatrix.from_rows(tv, p))
-    return matrix_handle(gens, f"gl({n},{p})")
+    return matrix_handle(gens, f"gl({n},{p})", gl_order(n, p))
 
 
 def gl_order(n, p):
@@ -362,7 +362,7 @@ def sl(n, p):
         cyc[i][(i + 1) % n] = 1
     cyc[n - 1][0] = (-1) ** (n - 1) % p
     gens.append(FpMatrix.from_rows(cyc, p))
-    return matrix_handle(gens, f"sl({n},{p})")
+    return matrix_handle(gens, f"sl({n},{p})", gl_order(n, p) // (p - 1))
 
 
 def upper_triangular(n, p):
@@ -374,7 +374,8 @@ def upper_triangular(n, p):
         e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         e[i][i + 1] = 1
         gens.append(FpMatrix.from_rows(e, p))
-    return matrix_handle(gens, f"ut({n},{p})")
+    return matrix_handle(gens, f"ut({n},{p})",
+                         (p - 1) ** n * p ** (n * (n - 1) // 2))
 
 
 def regular(handle):
@@ -447,14 +448,9 @@ def wreath(h, k):
         raise KindMismatch("wreath needs two permutation handles")
     m, n = h.degree, k.degree
     permmod.check_degree(m * n)
-    gens = []
-    for g in h.generators:
-        img = list(range(m * n))
-        for j in range(m):
-            img[j] = g[j]
-        gens.append(tuple(img))
-    for g in k.generators:
-        gens.append(tuple(g[i // m] * m + (i % m) for i in range(m * n)))
+    gens = [tuple(g) + tuple(range(m, m * n)) for g in h.generators]
+    gens += [tuple(g[i // m] * m + i % m for i in range(m * n))
+             for g in k.generators]
     return perm_handle(gens, m * n, f"wr({h.name},{k.name})")
 
 
@@ -620,7 +616,7 @@ def binary_octahedral():
     ambient = sl(2, 7)
     rows, elems = ambient.rows(), ambient.elements()
     orders = permmod.perm_order_of(rows).tolist()
-    ranked = sorted(range(len(elems)), key=lambda i: elems[i].packed())
+    ranked = sorted(range(len(elems)), key=lambda i: elems[i].entries)
 
     def extend(gens, k, order, cap):
         """gens + [t], t the first of order k with <gens, t> of the given
@@ -697,7 +693,8 @@ def semidirect_series_orders(k_handle, p):
         seed = permmod.commutators(a, ai) + [
             permmod.perm_mul(xi, ph.to_perm(f(x)))
             for x, xi in zip(ph.from_perms(np.array(a)), ai) for f in auts]
-        m = permmod.normal_closure_perm(gens, seed, upper_bound=m.order())
+        bound, m = m.order(), None  # the old chain's tables go first
+        m = permmod.normal_closure_perm(gens, seed, upper_bound=bound)
         order = ks.orders[min(i, last)] * m.order()
         if order == orders[-1]:
             return tuple(orders)

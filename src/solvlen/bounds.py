@@ -50,9 +50,7 @@ def g89_min_length(d):
             iv.prec = prec
             alpha = alpha_interval(prec)
             t = iv.mpf(2) ** (iv.mpf(d - 9) / alpha)
-            lo, hi = t.a, t.b
-            n_lo = int(mp.ceil(lo))
-            n_hi = int(mp.ceil(hi))
+            n_lo, n_hi = int(mp.ceil(t.a)), int(mp.ceil(t.b))
         finally:
             iv.prec = old
         if n_lo == n_hi:
@@ -78,16 +76,12 @@ def cs_bounds(d):
     if d <= 8:
         v = CS_TABLE[d]
         return BoundsResult(v, v, ("exact table value",))
-    prov = []
-    lower_inc = CS_TABLE[8] + (d - 8)
-    prov.append(f"increment recurrence from d = 8: 15 + {d - 8}")
     lower_g89 = g89_min_length(d)
-    prov.append(f"least n with d <= alpha*log2(n) + 9: {lower_g89}")
-    lower = max(lower_inc, lower_g89)
+    lower = max(CS_TABLE[8] + (d - 8), lower_g89)
+    prov = [f"increment recurrence from d = 8: 15 + {d - 8}",
+            f"least n with d <= alpha*log2(n) + 9: {lower_g89}"]
 
-    upper = CS_TABLE[8]
-    for _ in range(d - 8):
-        upper = 2 * upper + 1
+    upper = (CS_TABLE[8] + 1) * 2 ** (d - 8) - 1  # u -> 2u + 1, d - 8 times
     prov.append(f"doubling recurrence from d = 8: {upper}")
     uppers = [upper]
     if d % 3 == 0:

@@ -115,10 +115,9 @@ def evaluate(ast):
         raise UnknownBuilder(f"{ast.line}:{ast.col}: unknown builder "
                              f"{ast.name!r}")
     fn, kinds = table[ast.name]
-    required = len(kinds.replace("?", ""))
-    optional = kinds.count("?")
     base_kinds = kinds.replace("?", "")
-    min_args = required - optional
+    required = len(base_kinds)
+    min_args = required - kinds.count("?")
     if not min_args <= len(ast.args) <= required:
         raise BadArity(f"{ast.line}:{ast.col}: {ast.name} takes "
                        f"{min_args}..{required} arguments, got "
@@ -143,10 +142,8 @@ def build_report(spec_text, run_checks=True):
     ast = parse_spec(spec_text)
     handle = evaluate(ast)
     series = derived_series(handle)
-    checks = []
-    if run_checks:
-        checks = [{"name": f.name, "status": f.status, "detail": f.detail}
-                  for f in check_lemmas(handle, series)]
+    checks = [{"name": f.name, "status": f.status, "detail": f.detail}
+              for f in check_lemmas(handle, series)] if run_checks else []
     elapsed = (time.monotonic() - t0) * 1000.0
     order = series.orders[0]
     report = {
@@ -187,9 +184,7 @@ def _print_report(report, as_json):
 def _cmd_eval(args):
     report, _ = build_report(args.expr)
     _print_report(report, args.json)
-    if any(c["status"] == "fail" for c in report["checks"]):
-        return 1
-    return 0
+    return 1 if any(c["status"] == "fail" for c in report["checks"]) else 0
 
 
 def _cmd_series(args):
@@ -251,14 +246,10 @@ def _verify_one(d, spec_text):
 
 def _cmd_verify_table(args):
     rows = [_verify_one(d, WITNESSES[d]) for d in range(args.max_d + 1)]
-    failed = False
     for d, spec_text, got_d, got_c, expect_c, ok, elapsed in rows:
-        status = "PASS" if ok else "FAIL"
-        line = (f"{status} d={d} {spec_text:20s} d(G)={got_d} "
-                f"c(G)={got_c} expected c={expect_c} ({elapsed:.1f}s)")
-        print(line)
-        failed = failed or not ok
-    return 1 if failed else 0
+        print(f"{'PASS' if ok else 'FAIL'} d={d} {spec_text:20s} d(G)={got_d} "
+              f"c(G)={got_c} expected c={expect_c} ({elapsed:.1f}s)")
+    return 0 if all(row[5] for row in rows) else 1
 
 
 def make_parser():

@@ -6,6 +6,7 @@ immutable and hashable so they can double as group elements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,15 +85,6 @@ class FpMatrix:
         cols = tuple(zip(*self.entries))
         return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
 
-    def packed(self):
-        """Canonical packed encoding (row-major), usable as a dedup key."""
-        bits = max(1, (self.p - 1).bit_length())
-        out = 0
-        for row in self.entries:
-            for x in row:
-                out = (out << bits) | x
-        return out
-
 
 def mat_invert(a: FpMatrix):
     """The inverse, read off the echelon form of [A | I].
@@ -143,19 +135,11 @@ def similitude_factor(a: FpMatrix):
 
 @lru_cache(maxsize=None)
 def _projective_lines(n, p):
-    """One normalized representative per 1-dimensional subspace of F_p^n."""
-    lines = []
-    for idx in range(p ** n):
-        v = []
-        rest = idx
-        for _ in range(n):
-            v.append(rest % p)
-            rest //= p
-        v = tuple(v)
-        lead = next((x for x in v if x), None)
-        if lead == 1:  # normalized: first nonzero entry is 1
-            lines.append(v)
-    return tuple(lines)
+    """One normalized representative per 1-dimensional subspace of F_p^n,
+    its first nonzero entry 1, in the order of the base-p index with v[0]
+    the lowest digit."""
+    vectors = (t[::-1] for t in itertools.product(range(p), repeat=n))
+    return tuple(v for v in vectors if next((x for x in v if x), 0) == 1)
 
 
 def _echelon(vectors, p):

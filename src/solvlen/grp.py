@@ -34,7 +34,6 @@ from .errors import BadParameter, CapExceeded, GroupError, NotNormal
 DEFAULT_CAP = 1 << 24
 QUOTIENT_INDEX_CAP = 10_000
 ENUMERABLE_LIMIT = 10 ** 6
-MEMORY_BUDGET = 5 * 10 ** 7  # element entries across an enumeration
 READ_ROWS = 4096  # image rows read back as one nested list
 
 
@@ -114,6 +113,7 @@ class GroupHandle:
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
     split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
+    upper_bound: Optional[int] = None  # proven bound on |G|: the chain stops
     _rows: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
@@ -148,7 +148,8 @@ class GroupHandle:
 
     def bsgs(self):
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(self.perm_generators())
+            self._bsgs = permmod.schreier_sims(self.perm_generators(),
+                                               self.upper_bound)
         return self._bsgs
 
     def rows(self):
@@ -184,7 +185,7 @@ class GroupHandle:
         # are stored, so entries (order x degree) stay bounded as well
         n = len(self.to_perm(self.identity))
         return min(self.cap if cap is None else cap,
-                   max(1, MEMORY_BUDGET // max(n, 1)))
+                   max(1, permmod.MEMORY_BUDGET // max(n, 1)))
 
     def order(self):
         if self.split_orders is not None:
@@ -357,15 +358,10 @@ def _finish_report(orders, subs, engine="bsgs"):
     solvable = orders[-1] == 1
     n = tuple(omega(orders[i] // orders[i + 1])
               for i in range(len(orders) - 1))
-    if solvable:
-        d = len(orders) - 1
-        c = omega(orders[0])
-        assert c == sum(n)
-    else:
-        d = None
-        c = None
     return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
-                        c=c, d=d, engine=engine, subgroups=subs)
+                        c=omega(orders[0]) if solvable else None,
+                        d=len(orders) - 1 if solvable else None,
+                        engine=engine, subgroups=subs)
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:
@@ -414,13 +410,9 @@ def minimal_normal_subgroups(handle: GroupHandle):
         if not any(f.order == closure.order and
                    f.contains_subgroup(closure) for f in family):
             family.append(closure)
-    minimal = []
-    for cand in family:
-        if not any(other.order < cand.order and cand.contains_subgroup(other)
-                   for other in family):
-            minimal.append(cand)
-    minimal.sort(key=lambda s: s.order)
-    return minimal
+    return sorted((c for c in family if not any(
+        o.order < c.order and c.contains_subgroup(o) for o in family)),
+        key=lambda s: s.order)
 
 
 def _is_prime(n):

@@ -143,10 +143,8 @@ def _f4_matrix_to_gl6(rows):
     for i in range(3):
         for j in range(3):
             a, b = rows[i][j]
-            out[2 * i][2 * j] = a
-            out[2 * i][2 * j + 1] = b
-            out[2 * i + 1][2 * j] = b
-            out[2 * i + 1][2 * j + 1] = a ^ b
+            out[2 * i][2 * j:2 * j + 2] = a, b
+            out[2 * i + 1][2 * j:2 * j + 2] = b, a ^ b
     return FpMatrix.from_rows(out, 2)
 
 
@@ -155,8 +153,7 @@ def _frobenius_gl6():
     out = [[0] * 6 for _ in range(6)]
     for i in range(3):
         out[2 * i][2 * i] = 1
-        out[2 * i + 1][2 * i] = 1
-        out[2 * i + 1][2 * i + 1] = 1
+        out[2 * i + 1][2 * i:2 * i + 2] = 1, 1
     return FpMatrix.from_rows(out, 2)
 
 

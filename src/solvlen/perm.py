@@ -3,28 +3,33 @@
 Permutations are numpy int32 image arrays over 0-based points: point p maps
 to g[p], and products act left-to-right, (g*h)[p] = h[g[p]].
 
-Transversals are Schreier vectors: each chain level keeps int32 arrays
-``parent`` (-1 off the orbit) and ``label`` (the generator index of the
-tree edge) of length degree, so memory stays linear in the degree even at
-degree ~10^5.  They are held as memoryviews, which Python indexes about
-twice as fast as numpy arrays and numpy wraps without a copy.  Orbits grow
-breadth-first one numpy step per layer, the first fresh image in (point,
-generator) order winning, which is exactly the order of a point-at-a-time
-FIFO.  Layers of at most SCALAR_LAYER (point, generator) pairs take a
-Python step instead, cheaper there than numpy's fixed cost per call.
+Each chain level keeps its BFS tree in ``parent`` (-1 off the orbit) and
+``label`` (the generator index of the edge), int32 memoryviews that Python
+indexes about twice as fast as numpy arrays, and its transversal as a
+table: row i is u_x^-1 for x = order_list[i], u_x the tree-edge generators
+from the base out to x, in the smallest dtype that holds a point.  The
+tables of one chain hold at most MEMORY_BUDGET entries (CapExceeded past
+it).  Orbits grow breadth-first, the first fresh image in (point,
+generator) order winning, exactly as in a point-at-a-time FIFO; a layer of
+more than SCALAR_LAYER (point, generator) pairs takes one numpy step.
+
+``BSGS.strip`` strips a 2-D stack of permutations with one gather per
+level and names its first row that does not strip.  Inserting that row's
+residual and stripping the rows after it again sifts a list exactly as a
+one-at-a-time loop does; a level's Schreier generators are checked so.
 
 Level 0 owns every strong generator once, in insertion order; each deeper
 level's ``gens`` (and ``invs``) is the sub-list of those inserted at that
 level or below, so ``strong_generators()`` is level 0's list.
 
-``schreier_sims`` sifts every Schreier generator, which verifies the
-chain in full.  ``normal_closure_perm`` may stop earlier, at an
-``upper_bound`` the caller has proven: the orbit product of a partial
-chain of the closure never exceeds the closure's order, so reaching a
-proven upper bound means the chain is complete.
+A chain is verified in full unless the caller passes an ``upper_bound`` it
+has proven: the orbit product of a partial chain never exceeds the group's
+order, so reaching such a bound means the chain is complete.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +37,8 @@ from .errors import CapExceeded, DegreeMismatch, GroupError
 
 MAX_DEGREE = 200_000
 SCALAR_LAYER = 512  # widest layer, in (point, generator) pairs, grown in Python
+MEMORY_BUDGET = 5 * 10 ** 7  # entries in one enumeration or one chain's tables
+STACK_ENTRIES = 1 << 14  # entries in one stack of Schreier generators
 
 
 def check_degree(n):
@@ -91,7 +98,7 @@ class _Level:
     """One level of the stabilizer chain."""
 
     __slots__ = ("base", "gens", "invs", "parent", "label", "order_list",
-                 "paired")
+                 "row", "table", "paired")
 
     def __init__(self, base, degree):
         self.base = base
@@ -101,9 +108,13 @@ class _Level:
         self.label = memoryview(np.full(degree, -1, dtype=np.int32))
         self.parent[base] = base
         self.order_list = [base]        # BFS discovery order
+        self.row = np.full(degree, -1, dtype=np.intp)  # x -> its table row
+        self.row[base] = 0
+        self.table = np.arange(
+            degree, dtype=np.min_scalar_type(degree - 1)).reshape(1, -1)
         # paired[p]: how many gens have had their Schreier generator at p
         # sifted; always a prefix of gens, which only grows by appending
-        self.paired = memoryview(np.zeros(degree, dtype=np.int32))
+        self.paired = np.zeros(degree, dtype=np.int32)
 
     def orbit_size(self):
         return len(self.order_list)
@@ -138,9 +149,27 @@ class _Level:
         label[new] = first_label + idx % len(gens)
         return new.tolist()
 
+    def tabulate(self, start, room):
+        """Rows for order_list[start:], parents first: u_y = u_p g on the
+        edge p -> y, so u_y^-1 is g^-1, then u_p^-1 (one take per row, mode
+        "clip" to write it unbuffered).  CapExceeded past `room` entries."""
+        stop, n = len(self.order_list), len(self.row)
+        if stop * n > room:
+            raise CapExceeded(f"a stabilizer chain of degree {n} needs more "
+                              f"than MEMORY_BUDGET = {MEMORY_BUDGET} entries")
+        table = np.empty((stop, n), dtype=self.table.dtype)
+        table[:start] = self.table
+        new = self.order_list[start:]
+        self.row[new] = range(start, stop)
+        src = self.row[np.asarray(self.parent)[new]].tolist()
+        for j, p, k in zip(range(start, stop), src,
+                           np.asarray(self.label)[new].tolist()):
+            table[p].take(self.invs[k], out=table[j], mode="clip")
+        self.table = table
+
 
 class BSGS:
-    """Base and strong generating set with Schreier-vector transversals."""
+    """Base and strong generating set with tabulated transversals."""
 
     def __init__(self, degree):
         self.degree = degree
@@ -149,32 +178,38 @@ class BSGS:
     # -- queries ---------------------------------------------------------
 
     def order(self):
-        n = 1
-        for lv in self.levels:
-            n *= lv.orbit_size()
-        return n
+        return math.prod(lv.orbit_size() for lv in self.levels)
 
     def strong_generators(self):
         """Every strong generator once, in insertion order."""
         return list(self.levels[0].gens) if self.levels else []
 
-    def sift(self, g):
-        """Strip g through the chain.
+    def strip(self, h, start=0):
+        """Strip the rows of the 2-D stack h through the levels from
+        `start` on, one gather per level.  Returns (k, residual, level) for
+        the first row k that does not strip to the identity: its residual
+        after the levels it passed, and the level where its base image
+        left the orbit, or len(levels) if it fixes every base point.  When
+        every row strips: (len(h), the identity, len(levels))."""
+        k, out = len(h), None
+        for i in range(start, len(self.levels)):
+            lv = self.levels[i]
+            r = lv.row[h[:, lv.base]]
+            off = r < 0
+            if off.any():  # rows after the first that leaves come too late
+                k = int(off.argmax())
+                out, h, r = (h[k].astype(np.int32), i), h[:k], r[:k]
+            h = _gather(lv.table, r, h)
+        moved = (h != np.arange(self.degree)).any(axis=1)
+        if moved.any():
+            k = int(moved.argmax())
+            out = (h[k].astype(np.int32), len(self.levels))
+        return (k, *out) if out else \
+            (k, np.arange(self.degree, dtype=np.int32), len(self.levels))
 
-        Returns (residual, level): level is the first chain position where
-        the residual's base image left the orbit, or len(levels) when the
-        residual fixes every base point.
-        """
-        h = g
-        for i, lv in enumerate(self.levels):
-            parent, label = lv.parent, lv.label
-            x = h.item(lv.base)
-            if parent[x] < 0:
-                return h, i
-            while x != lv.base:
-                h = perm_mul(h, lv.invs[label[x]])
-                x = parent[x]
-        return h, len(self.levels)
+    def sift(self, g):
+        """Strip g through the chain: (residual, level) as in strip."""
+        return self.strip(g[None])[1:]
 
     def contains(self, g):
         g = np.asarray(g, dtype=np.int32)
@@ -188,24 +223,26 @@ class BSGS:
     def _extend_orbit(self, level, new_gen_index):
         """Grow the level's orbit BFS after appending one generator.
 
-        Existing tree edges are kept, so previously issued transversal
-        paths stay valid; only newly reachable points get edges.
+        Existing tree edges and table rows are kept; only newly reachable
+        points get them, within MEMORY_BUDGET entries for all tables.
         """
         lv = self.levels[level]
         if len(lv.order_list) == self.degree:
             return  # the orbit already holds every point
         # close the old orbit under the new generator alone ...
-        found = []
+        old = len(lv.order_list)
         layer = lv.order_list
         while layer:
             layer = lv.grow(layer, [lv.gens[new_gen_index]], new_gen_index)
-            found.extend(layer)
-        lv.order_list.extend(found)
+            lv.order_list.extend(layer)
         # ... then run the points it added under every generator
-        layer = found
+        layer = lv.order_list[old:]
         while layer:
             layer = lv.grow(layer, lv.gens, 0)
             lv.order_list.extend(layer)
+        if len(lv.order_list) > old:
+            lv.tabulate(old, MEMORY_BUDGET + lv.table.size - sum(
+                other.table.size for other in self.levels))
 
     def _insert_generator(self, g, level):
         """Register g as a strong generator at the given chain level.
@@ -217,7 +254,7 @@ class BSGS:
         if level == len(self.levels):
             moved = int(np.nonzero(np.arange(self.degree) != g)[0][0])
             self.levels.append(_Level(moved, self.degree))
-        ginv = perm_inv(g)
+        ginv = perm_inv(g).astype(np.intp)  # take() indexes by intp
         for i in range(level, -1, -1):
             lv = self.levels[i]
             lv.gens.append(g)
@@ -225,50 +262,63 @@ class BSGS:
             self._extend_orbit(i, len(lv.gens) - 1)
 
     def _check_level(self, level):
-        """Sift unpaired Schreier generators at `level`.
+        """Sift the unpaired Schreier generators at `level` in (point,
+        generator) order, in stacks of at most STACK_ENTRIES entries.
 
-        The Schreier generator of (point, g) is u_point g u_y^-1 with
-        y = g[point]; sifting u_point g strips u_y at this level with the
-        same products, and passes earlier levels untouched, since u_point
-        and g fix their base points.  Tree edges give the identity and are
-        skipped.  Returns True as soon as one adds a strong generator, or
-        False when every Schreier generator strips to the identity.
-        """
-        lv = self.levels[level]
-        gens, parent, label, paired = lv.gens, lv.parent, lv.label, lv.paired
-        for point in lv.order_list:
-            if paired[point] == len(gens):
-                continue
-            u = self._transversal(level, point)
-            for gi in range(paired[point], len(gens)):
-                paired[point] = gi + 1
-                y = gens[gi].item(point)
-                if parent[y] == point and label[y] == gi:
-                    continue
-                if _sift_insert(self, perm_mul(u, gens[gi])):
-                    return True
+        The Schreier generator of (p, g) is s = u_p g u_y^-1, y = g[p]: it
+        sends table[row[p]][q] to table[row[y]][g[q]] (one take and one
+        scatter), and it fixes the base points up to this level's, so it
+        is stripped from the next level on.  Tree edges give the identity
+        and are skipped.  Inserts the residual of the first that does not
+        strip and returns True; False when all strip to the identity."""
+        lv, n = self.levels[level], self.degree
+        k, paired = len(lv.gens), lv.paired
+        todo = np.asarray(lv.order_list)
+        todo = todo[paired[todo] < k]
+        if not len(todo):
+            return False
+        owner, gi = np.nonzero(np.arange(k) >= paired[todo][:, None])
+        point, gens = todo[owner], np.array(lv.gens)
+        y = gens[gi, point]
+        keep = (np.asarray(lv.parent)[y] != point) | \
+            (np.asarray(lv.label)[y] != gi)
+        owner, gi, point, y = owner[keep], gi[keep], point[keep], y[keep]
+        step = max(1, STACK_ENTRIES // n)
+        for i in range(0, len(point), step):
+            at = slice(i, i + step)
+            image = _gather(lv.table, lv.row[y[at]], gens[gi[at]])
+            flat = lv.table[lv.row[point[at]]] + np.arange(
+                0, image.size, n)[:, None]
+            h = np.empty_like(image)
+            h.ravel()[flat.ravel()] = image.ravel()
+            j, res, lev = self.strip(h, level + 1)
+            if j < len(h):
+                j += i
+                paired[todo[:owner[j]]] = k
+                paired[point[j]] = gi[j] + 1
+                self._insert_generator(res, lev)
+                return True
+        paired[todo] = k
         return False
 
-    def _transversal(self, level, point):
-        """The coset representative u mapping the base point to `point`:
-        the tree-edge generators from the base out to `point`."""
-        lv = self.levels[level]
-        u = np.arange(self.degree, dtype=np.int32)
-        while point != lv.base:
-            u = perm_mul(lv.gens[lv.label[point]], u)
-            point = lv.parent[point]
-        return u
+
+def _gather(table, rows, h):
+    """table[rows[i]][h[i, q]] at (i, q): h[i] followed by that row."""
+    return table.ravel().take(h + (rows * table.shape[1])[:, None])
 
 
-def _sift_insert(b: BSGS, g):
-    """Sift g and insert the residual if nontrivial, at the level where the
-    sift stopped (a new level when it fixes every base point).  Returns
-    True when the chain grew."""
-    h, lev = b.sift(g)
-    if lev < len(b.levels) or not is_identity(h):
-        b._insert_generator(h, lev)
-        return True
-    return False
+def _sift_insert(b: BSGS, h):
+    """Sift g, or the rows of a stack in order, inserting each nontrivial
+    residual at the level where its sift stopped (a new level when it fixes
+    every base point); the rows after an insertion are stripped again on
+    the grown chain, as a one-at-a-time loop would meet them."""
+    h = np.atleast_2d(h)
+    while len(h):
+        k, res, lev = b.strip(h)
+        if k == len(h):
+            return
+        b._insert_generator(res, lev)
+        h = h[k + 1:]
 
 
 def _complete(b: BSGS, upper_bound=None):
@@ -279,21 +329,19 @@ def _complete(b: BSGS, upper_bound=None):
         pass
 
 
-def schreier_sims(gens):
+def schreier_sims(gens, upper_bound=None):
     """Deterministic Schreier-Sims.  Base points are the smallest moved
     points encountered; generator and orbit processing order is fixed, so
-    two runs on the same input produce identical chains."""
+    two runs on the same input produce identical chains.  Construction
+    stops when the orbit product reaches ``upper_bound``, which must be a
+    proven upper bound on the group's order (see normal_closure_perm)."""
     gens = [as_perm(g) for g in gens]
-    if gens:
-        degree = len(gens[0])
-        if any(len(g) != degree for g in gens):
-            raise DegreeMismatch("generators act on different point counts")
-    else:
-        degree = 0
+    degree = len((gens or [()])[0])
+    if any(len(g) != degree for g in gens):
+        raise DegreeMismatch("generators act on different point counts")
     b = BSGS(degree)
-    for g in gens:
-        _sift_insert(b, g)
-    _complete(b)
+    _sift_insert(b, np.array(gens, np.int32).reshape(len(gens), degree))
+    _complete(b, upper_bound)
     return b
 
 
@@ -306,28 +354,25 @@ def normal_closure_perm(group_gens, seed, upper_bound=None):
     strong generators, and stays one as the chain grows (tree edges are
     never rewritten).  So once no conjugate is pending, the strong
     generators generate a normal subgroup, and completing its chain
-    (_complete) ends the closure.
-
-    The partial chain always sits inside the closure, so its orbit
-    product never exceeds the closure's order.  ``upper_bound`` must be
-    a proven upper bound on that order: construction stops when the
-    orbit product reaches it, which is then the exact order.
+    (_complete) ends the closure, or reaching a proven ``upper_bound``
+    on its order: the partial chain sits inside the closure.
     """
-    group_gens = [as_perm(g) for g in group_gens]
-    ginvs = [perm_inv(g) for g in group_gens]
+    group = [as_perm(g) for g in group_gens]
     pending = [as_perm(s) for s in seed]
-    degree = len(group_gens[0]) if group_gens else \
-        (len(pending[0]) if pending else 0)
+    degree = len((group or pending or [()])[0])
+    group = np.array(group, np.int32).reshape(len(group), degree)
+    pending = np.array(pending, np.int32).reshape(len(pending), degree)
+    ginvs, which = np.argsort(group, axis=1), np.arange(len(group))[:, None]
     b = BSGS(degree)
     conjugated = 0  # level 0's generators only grow by appending
-    while pending:
-        for s in pending:
-            _sift_insert(b, s)
+    while len(pending) and b.order() != upper_bound:
+        _sift_insert(b, pending)
         fresh = b.strong_generators()[conjugated:]
         conjugated += len(fresh)
-        pending = [] if b.order() == upper_bound else [
-            perm_mul(perm_mul(gi, s), g)
-            for s in fresh for g, gi in zip(group_gens, ginvs)]
+        fresh = np.array(fresh, np.int32).reshape(len(fresh), degree)
+        # g^-1 s g for each fresh s and group generator g, in that order
+        pending = group[which, fresh[:, ginvs]].reshape(
+            len(fresh) * len(group), degree)
     _complete(b, upper_bound)
     return b
 

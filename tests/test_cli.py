@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from solvlen import bounds as boundsmod
+from solvlen import perm as permmod
 from solvlen.cli import (REPORT_KEYS, REPORT_SCHEMA, WITNESSES, build_report,
                          evaluate, run_command)
 from solvlen.dsl import parse_spec
@@ -125,6 +126,23 @@ def test_construction_error_exit_code(capsys):
         code, out, err = run(capsys, "series", spec)
         assert code == 2
         assert "not a prime" in err and err.count("\n") == 1
+
+
+def test_chain_tables_past_the_budget_exit_2(capsys, monkeypatch):
+    # cyclic(64)'s one level tabulates 64 rows of 64 points
+    monkeypatch.setattr(permmod, "MEMORY_BUDGET", 64 * 63)
+    code, out, err = run(capsys, "eval", "cyclic(64)")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: CapExceeded:") and "MEMORY_BUDGET" in err
+
+
+def test_long_cycle_chain_is_quick(capsys):
+    # one orbit of 1,000 points, one Schreier generator off the tree
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "cyclic(1000)", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["order"] == 1000
 
 
 def test_verify_table_small(capsys):

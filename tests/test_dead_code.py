@@ -14,7 +14,6 @@ ALLOWED = {
                           "by name",
     "element_set": "perfbench/spans.py wraps SubgroupHandle.element_set by "
                    "name",
-    "gl_order": "the order bound that gl and sl chains are to stop at",
 }
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

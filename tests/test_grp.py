@@ -333,7 +333,7 @@ def test_a_search_cap_bounds_its_own_closure_only(monkeypatch):
     assert s4.cap == 5
     with pytest.raises(CapExceeded):
         s4.rows()
-    monkeypatch.setattr(grp, "MEMORY_BUDGET", 4 * 23)
+    monkeypatch.setattr(perm, "MEMORY_BUDGET", 4 * 23)
     assert s4.enum_cap(24) == 23
     with pytest.raises(CapExceeded):
         s4.closure(gens, 24)
@@ -343,9 +343,9 @@ def test_one_element_budget_for_every_kind_of_handle():
     # matrix and model enumerations store rows of their image's degree
     # too; only the guard is asked, nothing is enumerated
     assert atlas.exterior_square_group(7).enum_cap() == \
-        grp.MEMORY_BUDGET // 1051
-    assert atlas.gl(2, 3).enum_cap() == grp.MEMORY_BUDGET // 8
-    assert atlas.sym(5).enum_cap() == grp.MEMORY_BUDGET // 5
+        perm.MEMORY_BUDGET // 1051
+    assert atlas.gl(2, 3).enum_cap() == perm.MEMORY_BUDGET // 8
+    assert atlas.sym(5).enum_cap() == perm.MEMORY_BUDGET // 5
 
 
 class RecordingRows(np.ndarray):
@@ -367,7 +367,7 @@ def test_enumeration_slices_stay_within_the_cap(monkeypatch):
     gens = [tuple(j if j not in (a, b) else a + b - j for j in range(5))
             for a in range(5) for b in range(a + 1, 5)]
     handle = atlas.perm_handle(gens, 5, "S5 by transpositions")
-    monkeypatch.setattr(grp, "MEMORY_BUDGET", 120 * 5)
+    monkeypatch.setattr(perm, "MEMORY_BUDGET", 120 * 5)
     assert handle.enum_cap() == 120
     closure = grp._closure
 

@@ -450,3 +450,99 @@ def test_check_level_matches_the_pair_set_loop(monkeypatch):
     old = series_fingerprints(chain_corpus())
     assert old == new
     assert len(new) == 30 and sum(map(len, new.values())) == 100
+
+
+def path_inverse(lv, point, degree):
+    """u_point^-1 read off the tree: the inverses of the edge generators
+    from `point` back up to the base, in that order."""
+    u = np.arange(degree, dtype=np.int32)
+    while point != lv.base:
+        u = perm_mul(u, lv.invs[lv.label[point]])
+        point = lv.parent[point]
+    return u
+
+
+def corpus_chains():
+    """(label, chain) for every derived term of every corpus group."""
+    return [(label, sub._bsgs) for label, h in chain_corpus()
+            for sub in derived_series(h).subgroups]
+
+
+def test_table_rows_are_the_inverted_tree_paths():
+    for label, b in corpus_chains():
+        for lv in b.levels:
+            assert lv.table.shape == (lv.orbit_size(), b.degree), label
+            assert np.array_equal(np.flatnonzero(lv.row >= 0),
+                                  sorted(lv.order_list)), label
+            for i, x in enumerate(lv.order_list):
+                assert lv.row[x] == i, label
+                assert np.array_equal(lv.table[i],
+                                      path_inverse(lv, x, b.degree)), label
+
+
+def path_walk_strip(b, stack):
+    """BSGS.strip row by row, as sift was: each row walks the tree path
+    of its base image up to the base, one product per edge."""
+    for k, g in enumerate(stack):
+        h = as_perm(g)
+        for i, lv in enumerate(b.levels):
+            x = h.item(lv.base)
+            if lv.parent[x] < 0:
+                return k, h, i
+            while x != lv.base:
+                h = perm_mul(h, lv.invs[lv.label[x]])
+                x = lv.parent[x]
+        if not is_identity(h):
+            return k, h, len(b.levels)
+    return len(stack), np.arange(b.degree), len(b.levels)
+
+
+def random_word(rng, gens, length):
+    g = np.arange(len(gens[0]), dtype=np.int32)
+    for i in rng.integers(0, len(gens), length):
+        g = perm_mul(g, gens[i])
+    return g
+
+
+def test_stack_strip_matches_the_path_walk():
+    # members of a derived term, elements of the whole group (members of
+    # the term or not) and random permutations, in shuffled stacks
+    rng = np.random.default_rng(20)
+    checked = set()
+    for label, h in chain_corpus():
+        group = [as_perm(g) for g in h.perm_generators()]
+        for sub in derived_series(h).subgroups:
+            b, strong = sub._bsgs, sub._bsgs.strong_generators()
+            pool = [random_word(rng, group, 6) for _ in range(6)] + \
+                [rng.permutation(b.degree).astype(np.int32)
+                 for _ in range(2)]
+            if strong:
+                pool += [random_word(rng, strong, 8) for _ in range(24)]
+            for size in (1, 3, len(pool)):
+                for _ in range(4):
+                    stack = np.array([pool[i] for i in rng.choice(
+                        len(pool), size, replace=False)], dtype=np.int32)
+                    want = path_walk_strip(b, stack)
+                    got = b.strip(stack)
+                    assert got[0] == want[0] and got[2] == want[2], label
+                    assert np.array_equal(got[1], want[1]), label
+                    assert got[1].dtype == np.int32
+                    checked.add(want[0] == size)
+    assert checked == {True, False}
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("gl(2,3)", 48), ("gl(3,2)", 168), ("sl(2,5)", 120), ("sl(3,3)", 5616),
+    ("ut(3,3)", 8 * 27), ("ut(4,2)", 64)])
+def test_linear_chains_stop_at_their_formula_order(spec, order):
+    # the chain stops when its orbit product reaches the proven order,
+    # with Schreier generators left unsifted, and is then the chain a full
+    # verification builds
+    handle = evaluate(parse_spec(spec))
+    assert handle.upper_bound == order == handle.order()
+    full = schreier_sims(handle.perm_generators())
+    assert chain_fingerprint(handle.bsgs()) == chain_fingerprint(full)
+
+    def sifted(b):  # (point, generator) pairs whose generator was sifted
+        return sum(int(lv.paired[lv.order_list].sum()) for lv in b.levels)
+    assert sifted(handle.bsgs()) < sifted(full)
