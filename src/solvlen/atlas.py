@@ -10,7 +10,6 @@ the expensive series invariants live in the test-suite.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +18,8 @@ from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      KindMismatch, NotAutomorphism, ScalarSearchFailed,
                      SearchFailed)
-from .fpmat import (FpMatrix, check_prime, mat_invert, similitude_factor,
-                    spin_all_lines, wedge_square, wedge_vec)
+from .fpmat import (FpMatrix, _echelon, check_prime, mat_invert,
+                    similitude_factor, spin_all_lines, wedge_square, wedge_vec)
 from .grp import GroupHandle, _row_index, center, tuple_inv, tuple_mul
 
 
@@ -652,53 +651,53 @@ def exterior_square_group(p):
 
 
 def wedge_automorphism(a):
-    """The automorphism (v, w) -> (vA, w wedge^2(A)) of the exterior-square
-    group, for A in GL(3, p): it sends v1 ^ v2 to vA1 ^ vA2, which is
-    (v1 ^ v2) wedge^2(A)."""
-    wa = wedge_square(a)
-    return lambda x: a.apply(x[:3]) + wa.apply(x[3:])
+    """diag(A, wedge^2(A)), the automorphism (v, w) -> (vA, w wedge^2(A))
+    of the exterior-square group: (vA1) ^ (vA2) = (v1 ^ v2) wedge^2(A)."""
+    z = (0,) * 3
+    return FpMatrix(a.p, tuple(r + z for r in a.entries)
+                    + tuple(z + r for r in wedge_square(a).entries))
 
 
 def semidirect_series_orders(k_handle, p):
     """Certified orders of the derived series of G = P |x K, for P the
     exterior-square group over F_p and K <= GL(3, p) acting by
-    wedge_automorphism.
+    D_k = wedge_automorphism(k).
 
-    K^(i) <= G^(i) and G^(i)P/P = K^(i), so G^(i) = M_i |x K^(i) with
-    M_i = G^(i) n P.  Let N be the normal closure in P of [a, a'] and
-    [a, k] = a^-1 a^k, for a, a' strong generators of M_(i-1) and k
-    generators of K^(i-1); N <= M_i, as G^(i) is normal in G.  Since
-    [xy, k] = [x, k]^y [y, k], [M_(i-1), k] <= N, so N is normal in
-    G^(i-1) and M_(i-1) is central modulo N.  Hence G^(i) = N K^(i) and
-    M_i = N.
-
-    |K^(i)| comes from K's own chain, taking the last term of its series
-    past its end (K need not be solvable).  M_i is N on P's chain,
-    stopped at |M_(i-1)|, a proven upper bound.  Every chain here acts on
-    K's or P's basis orbits (72 and 1,051 points for qutrit(7) and
-    extsq(7)), none on G's p^6 points.
+    G^(i) = M_i |x K^(i), M_i = G^(i) n P, as G^(i)P/P = K^(i) <= G^(i).
+    P has class 2 and p is odd, so by the Baer correspondence (Khukhro,
+    p-Automorphisms of Finite p-Groups, ch. 9) P is the Lie ring L = F_p^6,
+    [x, y] = (0, 2 v_x ^ v_y), with product x + y + [x, y]/2: subgroups
+    are subrings, normal ones ideals, the D_k Lie automorphisms,
+    commutators in P brackets, and [m, k] = u - [m, u]/2, u = m(D_k - 1).
+    Let S be the span of the [m, m'] and m(D_k - 1), for m, m' in a basis
+    of M_(i-1) and k in the generators of K^(i-1).  S <= M_(i-1), so
+    S D_k <= S, and by m(gh - 1) = m(g - 1)h + m(h - 1), u = m(g - 1) is
+    in S for every g in K^(i-1).  As [[S, L], L] = 0, the ideal M_i holds
+    [m, m'], c = u - [m, u]/2, [c, m] = [u, m] and so u: S + [S, L] <= M_i.
+    And I = S + [S, L] is a K^(i-1)-invariant ideal; modulo I, M_(i-1) is
+    abelian and centralized by K^(i-1), so G^(i) <= I K^(i), M_i <= I.
+    So M_i = S + [S, L] and |G^(i)| = |K^(i)| p^dim M_i, |K^(i)| from K's
+    chain (its last term past its end: K need not be solvable).
     """
     from .grp import derived_series
     ks = derived_series(k_handle)
-    last = len(ks.orders) - 1
-    ph = exterior_square_group(p)
-    gens = ph.perm_generators()
-    m = ph.bsgs()
-    orders = [ks.orders[0] * m.order()]
-    for i in itertools.count(1):
-        auts = [wedge_automorphism(k)
+    last, units = len(ks.orders) - 1, _unit_vectors(6, 6)
+
+    def bracket(x, y):
+        return (0, 0, 0) + tuple(2 * c for c in wedge_vec(x[:3], y[:3], p))
+
+    basis, orders = units, [ks.orders[0] * p ** 6]
+    while len(orders) < 2 or orders[-1] != orders[-2]:
+        i = len(orders)
+        acts = [wedge_automorphism(k)
                 for k in ks.subgroups[min(i - 1, last)].generators]
-        a = m.strong_generators()
-        ai = [permmod.perm_inv(x) for x in a]
-        seed = permmod.commutators(a, ai) + [
-            permmod.perm_mul(xi, ph.to_perm(f(x)))
-            for x, xi in zip(ph.from_perms(np.array(a)), ai) for f in auts]
-        bound, m = m.order(), None  # the old chain's tables go first
-        m = permmod.normal_closure_perm(gens, seed, upper_bound=bound)
-        order = ks.orders[min(i, last)] * m.order()
-        if order == orders[-1]:
-            return tuple(orders)
-        orders.append(order)
+        s = list(_echelon([bracket(m, n) for m in basis for n in basis] + [
+            [x - y for x, y in zip(d.apply(m), m)]
+            for m in basis for d in acts], p).values())
+        basis = list(_echelon(
+            s + [bracket(x, e) for x in s for e in units], p).values())
+        orders.append(ks.orders[min(i, last)] * p ** len(basis))
+    return tuple(orders[:-1])
 
 
 def prop8_group(p):
@@ -706,10 +705,9 @@ def prop8_group(p):
     normalizer K acting by wedge_automorphism.
 
     The handle holds only what certifies it: the derived-series orders
-    from the chains of K and P (semidirect_series_orders), as
-    split_orders.  It has no elements of its own (no generators, no
-    element operations) and no permutation image, so asking it for a
-    chain or an enumeration raises CapExceeded
+    of semidirect_series_orders, as split_orders.  It has no elements of
+    its own (no generators, no element operations) and no permutation
+    image, so asking it for a chain or an enumeration raises CapExceeded
     (GroupHandle.perm_generators) and the builders that take a
     permutation or matrix handle refuse it.
     """

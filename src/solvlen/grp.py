@@ -8,8 +8,8 @@ a matrix or model handle the chain of a faithful permutation image (its
 ``action``), whose results are read back into the handle's own elements.
 A subgroup computed on a chain keeps that chain and reads its strong
 generators back into the handle's elements only on first use.  A split
-handle (``prop8``) holds only its derived-series orders, certified on the
-chains of its two factors (``split_orders``): its order and derived series
+handle (``prop8`` = P |x K) holds only its derived-series orders, from K's
+chain and span steps on P (``split_orders``): its order and derived series
 answer from them, and every question that needs a chain or the elements
 is refused in one place, ``GroupHandle.perm_generators``.
 Element lists are enumerated breadth-first over the same images as 2-D

@@ -360,6 +360,17 @@ def test_semidirect_series_orders():
                      7 ** 3, 1)
 
 
+def random_gl33(seed, count):
+    """The subgroup of GL(3,3) generated by `count` invertible matrices,
+    drawn with a fixed seed."""
+    rng, gens = np.random.default_rng(seed), []
+    while len(gens) < count:
+        a = FpMatrix.from_rows(rng.integers(0, 3, (3, 3)).tolist(), 3)
+        if round(np.linalg.det(np.array(a.entries))) % 3:
+            gens.append(a)
+    return atlas.matrix_handle(gens, f"rand({seed},{count})")
+
+
 SPLIT_ORACLE = {
     # permutation matrices of S3 move only the augmentation subspace of V
     "s3perm": lambda: atlas.matrix_handle(
@@ -369,15 +380,20 @@ SPLIT_ORACLE = {
     "sl(3,3)": lambda: sl(3, 3),  # not solvable: P |x K is perfect
     "diag(2,1,1)": lambda: atlas.matrix_handle(
         [FpMatrix.diagonal([2, 1, 1], 3)], "diag(2,1,1)"),
+    # most seeded pairs generate SL(3,3) or GL(3,3); these seeds give
+    # proper subgroups of orders 6, 54 and 24, of derived length 1, 2, 3
+    "rand(2,1)": lambda: random_gl33(2, 1),
+    "rand(48,2)": lambda: random_gl33(48, 2),
+    "rand(57,2)": lambda: random_gl33(57, 2),
 }
 
 
 @pytest.mark.parametrize("label", sorted(SPLIT_ORACLE))
 def test_semidirect_series_orders_match_full_chains(label):
-    # the split route against unhinted chains of the same group on 729
+    # the linear route against unhinted chains of the same group on 729
     # points: P = extsq(3) under right translations and K's automorphisms
     k = SPLIT_ORACLE[label]()
-    auts = [atlas.wedge_automorphism(a) for a in k.generators]
+    auts = [atlas.wedge_automorphism(a).apply for a in k.generators]
     whole = holomorph_perm(exterior_square_group(3), auts)
     orders = semidirect_series_orders(k, 3)
     assert orders == grp.derived_series(whole).orders
@@ -386,8 +402,8 @@ def test_semidirect_series_orders_match_full_chains(label):
 
 
 def test_prop8_builds_no_chain_on_its_points(monkeypatch):
-    # the certified orders come from the chains of K (72 points) and P
-    # (1,051 points); nothing builds one on the 7^6 points of G
+    # the certified orders come from K's chain on its 72 basis-orbit
+    # points and span steps on F_7^6; no chain acts on P or on G
     from solvlen import perm
     degrees = []
     init = perm.BSGS.__init__
@@ -400,7 +416,7 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     rep = grp.derived_series(h)
     assert h.order() == rep.orders[0] == 76236552
     assert rep.engine == "split"
-    assert degrees and max(degrees) <= 1051
+    assert degrees and max(degrees) <= 72
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()
@@ -431,12 +447,29 @@ def test_split_handle_refuses_every_chain(prop8data):
         grp.minimal_normal_subgroups(handle)
 
 
+PROP8_ORDERS = {
+    7: (76236552, 25412184, 6353046, 3176523, 352947, 117649, 343, 1),
+    13: (3127772232, 1042590744, 260647686, 130323843, 14480427, 4826809,
+         2197, 1),
+    19: (30485730888, 10161910296, 2540477574, 1270238787, 141137643,
+         47045881, 6859, 1),
+    31: (575102385288, 191700795096, 47925198774, 23962599387, 2662511043,
+         887503681, 29791, 1),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PROP8_ORDERS))
+def test_prop8_series_for_every_qutrit_prime(p):
+    # every p that qutrit(p) takes; the split route needs no chain on
+    # p^6 points
+    rep = grp.derived_series(atlas.prop8_group(p))
+    assert rep.orders == PROP8_ORDERS[p]
+    assert (rep.d, rep.c) == (7, 13)
+
+
 def test_prop8_congruence_guards():
     with pytest.raises(BadCongruence):
         atlas.prop8_group(5)
-    # the split route needs no chain on p^6 points: p = 13 is in reach
-    rep = grp.derived_series(atlas.prop8_group(13))
-    assert (rep.d, rep.c) == (7, 13)
 
 
 @pytest.mark.parametrize("build", [b for _, b in IMAGE_SPECS],
