@@ -18,8 +18,9 @@ from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      KindMismatch, NotAutomorphism, ScalarSearchFailed,
                      SearchFailed)
-from .fpmat import (FpMatrix, _echelon, check_prime, mat_invert,
-                    similitude_factor, spin_all_lines, wedge_square, wedge_vec)
+from .fpmat import (FpMatrix, _echelon, check_dimension, check_prime,
+                    mat_invert, similitude_factor, spin_all_lines,
+                    wedge_square, wedge_vec)
 from .grp import GroupHandle, _row_index, center, tuple_inv, tuple_mul
 
 
@@ -325,8 +326,7 @@ def sym(n):
 
 def gl(n, p):
     check_prime(p)
-    if n < 1:
-        raise BadParameter("gl needs n >= 1")
+    check_dimension(n)
     gens = [FpMatrix.diagonal([_primitive_root(p)] + [1] * (n - 1), p)]
     if n >= 2:
         cyc = [[0] * n for _ in range(n)]
@@ -348,8 +348,7 @@ def gl_order(n, p):
 
 def sl(n, p):
     check_prime(p)
-    if n < 1:
-        raise BadParameter("sl needs n >= 1")
+    check_dimension(n)
     if n == 1:
         return matrix_handle([FpMatrix.identity(1, p)], f"sl(1,{p})")
     gens = []
@@ -366,6 +365,7 @@ def sl(n, p):
 
 def upper_triangular(n, p):
     check_prime(p)
+    check_dimension(n)
     zeta = _primitive_root(p)
     gens = [FpMatrix.diagonal([zeta if i == k else 1 for i in range(n)], p)
             for k in range(n)]
@@ -419,6 +419,7 @@ def extraspecial(p, n, eps=None):
     if p != 2 and eps is not None:
         raise BadParameter(f"extraspecial({p}, n) takes no eps: for odd p "
                            "it builds the exponent-p group")
+    check_dimension(2 * n + 2 if p == 2 else n + 2)  # the model's matrices
     if p == 2:
         if eps not in ("+", "-"):
             raise BadParameter("extraspecial(2, n, eps) needs eps '+' or '-'")

@@ -23,6 +23,13 @@ def check_prime(p):
         raise BadParameter(f"p = {p} is not a prime in [2, 251]")
 
 
+def check_dimension(n):
+    """The one bound on matrix sizes; builders call it before they
+    allocate their Theta(n^2) generators."""
+    if not 1 <= n <= 16:
+        raise BadParameter(f"dimension {n} outside [1, 16]")
+
+
 @dataclass(frozen=True)
 class FpMatrix:
     """An n x n matrix over F_p, entries stored as residues in [0, p)."""
@@ -33,8 +40,7 @@ class FpMatrix:
     def __post_init__(self):
         check_prime(self.p)
         n = len(self.entries)
-        if not 1 <= n <= 16:
-            raise BadParameter(f"dimension {n} outside [1, 16]")
+        check_dimension(n)
         if any(len(row) != n for row in self.entries):
             raise BadParameter("matrix is not square")
         if any(not 0 <= x < self.p for row in self.entries for x in row):

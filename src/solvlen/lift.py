@@ -20,8 +20,8 @@ import numpy as np
 from . import perm as permmod
 from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
-from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert,
-                    nullspace)
+from .fpmat import (FpMatrix, QuadraticFormF2, _echelon, all_f2_vectors,
+                    mat_invert, nullspace)
 from .grp import _row_index, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle)
@@ -114,21 +114,21 @@ def lift_generators(mats, model: Extraspecial2Model):
     # the relator of edge (i, j) -> h lifts to the identity iff its z-part
     # z_i + q_j(e_m u_i) + z_h vanishes at every e_m
     eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols])
-    # an equation holds iff it shares an even number of bits with the mask
-    # of bit 0 and the offsets' coefficient bits; one lam_1 at a time
-    odd = np.zeros(1, bool)  # odd[w]: w has an odd number of bits
-    for _ in range(1 + dim * k):
-        odd = np.concatenate([odd, ~odd])
-    lams = np.indices((1 << dim,) * k).reshape(k, -1)
-    masks = (lams << 1 + dim * np.arange(k)[:, None]).sum(0) | 1
-    for start in range(0, len(masks), 1 << dim):
-        part = masks[start:start + (1 << dim), None].astype(dtype)
-        split = np.flatnonzero(~odd[eqs & part].any(1))
-        if len(split):  # lam . v = sum of lam_i v_i^2: flip q's diagonal
-            return [AutPair(b.a, QuadraticFormF2.from_upper(
-                [[c ^ (i == m and lam >> i & 1) for m, c in enumerate(row)]
-                 for i, row in enumerate(b.q.coeffs)]))
-                for b, lam in zip(base, lams[:, start + split[0]].tolist())]
+    # solve over F_2 with the unknowns least significant first, lam_k bit
+    # 0 up to lam_1 bit dim - 1, and the constant (z-bit 0) last
+    bits = [1 + dim * (k - 1 - c // dim) + c % dim for c in range(dim * k)]
+    echelon = _echelon((eqs[:, None] >> np.array(bits + [0]) & 1).tolist(), 2)
+    if dim * k not in echelon:  # else some equation reads 0 = 1
+        # a pivot bit depends only on the more significant free bits, so
+        # free bits 0 and pivot bits their constants give the least
+        # solution, lam_1 major: the first hit of a scan over all offsets
+        least = sum(row[-1] << c for c, row in echelon.items())
+        lams = [least >> dim * (k - 1 - j) & (1 << dim) - 1 for j in range(k)]
+        # lam . v = sum of lam_i v_i^2: flip q's diagonal
+        return [AutPair(b.a, QuadraticFormF2.from_upper(
+            [[c ^ (i == m and lam >> i & 1) for m, c in enumerate(row)]
+             for i, row in enumerate(b.q.coeffs)]))
+            for b, lam in zip(base, lams)]
     raise SearchExhausted(f"no offsets give a split lift of order {len(rows)}")
 
 

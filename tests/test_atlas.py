@@ -1,5 +1,7 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -556,3 +558,18 @@ def test_builders_check_the_degree_before_building(monkeypatch):
         with pytest.raises(CapExceeded, match="exceeds 30"):
             build(*args)
     assert s5._elements is None
+
+
+@pytest.mark.parametrize("build, args", [
+    (gl, (1000, 2)), (sl, (1000, 2)), (upper_triangular, (1000, 2)),
+    (extraspecial, (2, 500, "+")), (extraspecial, (3, 500))])
+def test_builders_check_the_dimension_before_allocating(build, args):
+    # each would build Theta(n^2) tables before the matrix size check
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match="outside \\[1, 16\\]"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

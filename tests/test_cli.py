@@ -6,11 +6,12 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from solvlen import bounds as boundsmod
 from solvlen import perm as permmod
-from solvlen.cli import (REPORT_KEYS, REPORT_SCHEMA, WITNESSES, build_report,
-                         evaluate, run_command)
+from solvlen.cli import (REPORT_KEYS, REPORT_SCHEMA, WITNESSES, _builder_table,
+                         build_report, evaluate, run_command)
 from solvlen.dsl import parse_spec
 from solvlen.errors import BadArity, UnknownBuilder
 
@@ -277,3 +278,59 @@ def test_eval_mix_reports_are_pinned():
     digest = hashlib.sha256(json.dumps(stripped).encode()).hexdigest()
     assert digest == ("d2fe0bb35a25fc178242de4fb84c53c9"
                       "01140f415ca10196f20aca3cb84403a3")
+
+
+def _calls(depth):
+    """Builder calls nesting at most depth + 1 deep: arguments of the
+    builder's kinds, integers in 0..40 and plus/minus, or of any kind."""
+    ints = st.one_of(st.sampled_from([1, 2, 3, 7]),
+                     st.integers(0, 40)).map(str)
+    signs = st.sampled_from(["plus", "minus"])
+    groups = _calls(depth - 1) if depth else st.just("cyclic(2)")
+    kind = {"i": ints, "s": signs, "g": groups}
+    calls = [st.tuples(st.just(name), st.tuples(
+        *(kind[k] for k in kinds.replace("?", ""))))
+        for name, (_, kinds) in _builder_table().items()]
+    calls.append(st.tuples(st.sampled_from(sorted(_builder_table())),
+                           st.lists(st.one_of(ints, signs, groups),
+                                    max_size=3)))
+    return st.one_of(calls).map(lambda c: f"{c[0]}({','.join(c[1])})")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example("eval", "cyclic(²)", None)
+@example("eval", "cyclic(٣)", None)
+@given(st.sampled_from(["eval", "series"]),
+       st.one_of(_calls(2), st.text(max_size=64)),
+       st.one_of(st.none(), st.integers(-2, 10 ** 6).map(str),
+                 st.text(st.characters(exclude_characters="\x00"),
+                         max_size=8)))
+def test_any_input_ends_in_a_documented_exit_code(command, spec, cap):
+    # small degree and memory limits keep every case light; a traceback
+    # would leave run_command as an exception
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permmod, "MAX_DEGREE", 32)
+        mp.setattr(permmod, "MEMORY_BUDGET", 10 ** 5)
+        if cap is None:
+            mp.delenv("GRP_MAX_ELEMENTS", raising=False)
+        else:
+            mp.setenv("GRP_MAX_ELEMENTS", cap)
+        start = time.perf_counter()
+        code = run_command([command, spec])
+        took = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert took < 2.0
+
+
+@pytest.mark.parametrize("spec, col", [
+    ("cyclic(²)", 8), ("cyclic(٣)", 8), ("cyclic(１２)", 8), ("ſym(3)", 1),
+    ("\udcff", 1)])
+def test_non_ascii_characters_are_parse_errors(capsys, spec, col):
+    # str.isdigit and str.isalpha would read the first four as digits and
+    # letters; a lone surrogate, as an undecodable argv byte arrives, has
+    # no UTF-8 encoding
+    code, out, err = run(capsys, "series", spec)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"parse error: 1:{col}: unexpected character {spec[col - 1]!r}",
+        "  expected: IDENT, INT, (, ), ,"]
