@@ -13,10 +13,6 @@ class NotSimilitude(GroupError):
     """Matrix does not scale the symplectic form by any nonzero factor."""
 
 
-class DimensionTooLarge(GroupError):
-    """Exhaustive subspace routine refused: too many lines."""
-
-
 class CapExceeded(GroupError):
     """Enumeration or index exceeded the configured cap."""
 

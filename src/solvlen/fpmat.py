@@ -6,11 +6,10 @@ immutable and hashable so they can double as group elements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadParameter, DimensionTooLarge, NotSimilitude, Singular
+from .errors import BadParameter, NotSimilitude, Singular
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
@@ -139,15 +138,6 @@ def similitude_factor(a: FpMatrix):
     return lam
 
 
-@lru_cache(maxsize=None)
-def _projective_lines(n, p):
-    """One normalized representative per 1-dimensional subspace of F_p^n,
-    its first nonzero entry 1, in the order of the base-p index with v[0]
-    the lowest digit."""
-    vectors = (t[::-1] for t in itertools.product(range(p), repeat=n))
-    return tuple(v for v in vectors if next((x for x in v if x), 0) == 1)
-
-
 def _echelon(vectors, p):
     """Reduced row echelon form of the span of vectors over F_p, as
     {pivot column: row}: each row is 1 at its pivot and 0 at every other
@@ -185,38 +175,6 @@ def nullspace(rows, ncols, p):
                 vec[col] = -row[f] % p
             basis.append(vec)
     return basis
-
-
-def spin_all_lines(generators):
-    """Exhaustive irreducibility test by spinning every projective line.
-
-    Returns (True, None) when every 1-dimensional subspace spins up to the
-    full space, else (False, witness_basis) with a proper invariant
-    subspace.  Decision procedure for n <= 6, p <= 7.
-    """
-    if not generators:
-        raise BadParameter("need at least one generator")
-    p, n = generators[0].p, generators[0].n
-    if n > 6 or p > 7:
-        raise DimensionTooLarge("spin_all_lines limited to n <= 6, p <= 7")
-    if n == 1:
-        return True, None
-    for g in generators:
-        mat_invert(g)
-    for start in _projective_lines(n, p):
-        basis = _echelon([start], p)
-        frontier = [start]
-        while frontier and len(basis) < n:
-            v = frontier.pop()
-            for g in generators:
-                w = g.apply(v)
-                grown = _echelon([*basis.values(), w], p)
-                if len(grown) > len(basis):
-                    basis = grown
-                    frontier.append(w)
-        if len(basis) < n:
-            return False, tuple(tuple(basis[c]) for c in sorted(basis))
-    return True, None
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ import numpy as np
 from .errors import CapExceeded, DegreeMismatch, GroupError
 
 MAX_DEGREE = 200_000
+# No benchmark workload takes grow's numpy branch (0 of the 80, 311 and
+# 3,716 grow calls of one row7 verdict, one row8 verdict and one eval-mix
+# pass); on large orbits it cuts grow's own time, gl(4,5) 15.0 -> 11.1 ms
+# and natsd(ut(6,3),6) 10.6 -> 8.7 ms (median of 5 runs on 2 cores).
 SCALAR_LAYER = 512  # widest layer, in (point, generator) pairs, grown in Python
 MEMORY_BUDGET = 5 * 10 ** 7  # entries in one enumeration or one chain's tables
 STACK_ENTRIES = 1 << 14  # entries in one stack of Schreier generators

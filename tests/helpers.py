@@ -9,7 +9,7 @@ from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
                            perm_handle)
 from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
-from solvlen.fpmat import QuadraticFormF2
+from solvlen.fpmat import FpMatrix, QuadraticFormF2, _echelon
 from solvlen.lift import AutPair, quadratic_correction
 
 
@@ -150,6 +150,26 @@ def mat_det(a):
             term *= a.entries[i][sigma[i]]
         total += term
     return total % p
+
+
+def algebra_dimension(gens):
+    """Dimension of the F_p-span of all products of the matrices gens,
+    the identity included: the span is spun up from the identity by right
+    multiplication with each generator until it stops growing.  By
+    Burnside's theorem it is n^2 exactly when gens act absolutely
+    irreducibly on F_p^n."""
+    p, n = gens[0].p, gens[0].n
+    ident = FpMatrix.identity(n, p)
+    basis, frontier = _echelon([sum(ident.entries, ())], p), [ident]
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            w = m * g
+            grown = _echelon([*basis.values(), sum(w.entries, ())], p)
+            if len(grown) > len(basis):
+                basis = grown
+                frontier.append(w)
+    return len(basis)
 
 
 def f2_nullspace(rows, ncols):

@@ -9,13 +9,13 @@ import time
 import jsonschema
 import pytest
 
-from helpers import corpus_perm_groups
+from helpers import algebra_dimension, corpus_perm_groups
 from solvlen import atlas, grp
 from solvlen.bounds import CS_TABLE, cn_bounds, cs_bounds
 from solvlen.cli import (REPORT_SCHEMA, WITNESSES, build_report, run_command)
 from solvlen.dsl import parse_spec, render
 from solvlen.errors import ParseError
-from solvlen.fpmat import FpMatrix, spin_all_lines, wedge_square
+from solvlen.fpmat import FpMatrix, wedge_square
 from solvlen.grp import check_lemmas, derived_series, minimal_normal_subgroups
 
 EXPECTED_TABLE = ((0, 0), (1, 1), (2, 2), (3, 4), (4, 5), (5, 7), (6, 8),
@@ -167,8 +167,7 @@ def test_criterion_08_lemma_suite():
     # cr(3) = 5 attained by the qutrit normalizer, irreducibly
     q = atlas.qutrit_normalizer(7)
     assert derived_series(q).d == 5 == CR_TABLE[3 - 1]
-    irr, _ = spin_all_lines(q.generators)
-    assert irr
+    assert algebra_dimension(q.generators) == 9
     elapsed = time.monotonic() - t0
     assert elapsed < 120
     print(f"criterion 8 PASS: lemma suite clean on {len(pool)} groups; "

@@ -1,11 +1,12 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import IMAGE_SPECS
+from helpers import IMAGE_SPECS, algebra_dimension
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -17,7 +18,7 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
                             GroupError, KindMismatch, NotAutomorphism)
-from solvlen.fpmat import FpMatrix, similitude_factor, spin_all_lines
+from solvlen.fpmat import FpMatrix, similitude_factor
 from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
                           lift_generators)
 
@@ -290,8 +291,7 @@ def test_qutrit_normalizer():
     h = qutrit_normalizer(7)
     assert h.order() == 648
     assert atlas.smallest_cube_root(7) == 2  # the scalar omega in Z
-    irr, _ = spin_all_lines(h.generators)
-    assert irr
+    assert algebra_dimension(h.generators) == 9
     rep = grp.derived_series(h)
     assert rep.orders == (648, 216, 54, 27, 3, 1)
     assert rep.n == (1, 2, 1, 2, 1)
@@ -304,6 +304,14 @@ def test_qutrit_normalizer():
 def test_qutrit_normalizer_other_primes():
     for p in (13, 19):
         assert qutrit_normalizer(p).order() == 648
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31])
+def test_qutrit_normalizer_is_absolutely_irreducible(p):
+    # the docstring's proof: <X, Z> alone spans all of M_3(F_p), so K does
+    x, z = atlas.qutrit_generator_candidates(p)[:2]
+    assert algebra_dimension([x, z]) == 9
+    assert algebra_dimension(qutrit_normalizer(p).generators) == 9
 
 
 def test_binary_octahedral():
@@ -510,12 +518,23 @@ def test_perm_image_rejects_elements_off_the_orbits():
     ("gl(3,3)", 26), ("ut(4,3)", 80), ("ut(3,5)", 124), ("qutrit(7)", 72),
     ("qutrit(13)", 72), ("bo()", 48), ("extsq(3)", 1 + 3 * 3 + 3 * 27),
     ("extsq(7)", 1051), ("extraspecial(5,1)", 5 ** 2 + 5 + 1),
-    ("extraspecial(3,2)", 3 ** 3 + 2 * 3 + 1)])
+    ("extraspecial(3,2)", 3 ** 3 + 2 * 3 + 1),
+    # p^(n+1) + np + 1, the count ExtraspecialOddModel checks in advance
+    ("extraspecial(3,1)", 13), ("extraspecial(5,2)", 136),
+    ("extraspecial(7,2)", 358), ("extraspecial(3,5)", 745)])
 def test_basis_orbit_degrees(spec, degree):
     from solvlen.cli import evaluate
     from solvlen.dsl import parse_spec
     h = evaluate(parse_spec(spec))
     assert len(h.to_perm(h.identity)) == degree
+
+
+@pytest.mark.parametrize("p, n", [(3, 14), (3, 11), (5, 7)])
+def test_oversized_odd_extraspecial_fails_fast(p, n):
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"exceeds {permmod.MAX_DEGREE}"):
+        extraspecial(p, n).order()
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_model_matrix_is_a_homomorphism():

@@ -11,13 +11,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import f2_nullspace, mat_det
-from solvlen.errors import (BadParameter, DimensionTooLarge, NotSimilitude,
-                            Singular)
+from helpers import algebra_dimension, f2_nullspace, mat_det
+from solvlen.errors import BadParameter, NotSimilitude, Singular
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, _echelon,
-                           _projective_lines, all_f2_vectors, mat_invert,
-                           nullspace, similitude_factor, spin_all_lines,
-                           wedge_square, wedge_vec)
+                           all_f2_vectors, mat_invert, nullspace,
+                           similitude_factor, wedge_square, wedge_vec)
 
 
 def rand_matrix(draw_entries, n, p):
@@ -153,13 +151,6 @@ def test_every_gl2_element_is_a_similitude():
         assert similitude_factor(m) == d
 
 
-def test_projective_line_count():
-    for n, p in ((2, 3), (3, 3), (2, 7), (3, 5)):
-        lines = _projective_lines(n, p)
-        assert len(lines) == (p ** n - 1) // (p - 1)
-        assert len(set(lines)) == len(lines)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_row_reduce_span_invariants(p, data):
@@ -199,23 +190,17 @@ def test_nullspace_oracle(p, data):
 
 
 def test_spin_detects_reducibility():
-    # under the row-vector action upper triangular matrices fix span(e2)
+    # controls of the algebra_dimension oracle: under the row-vector action
+    # upper triangular matrices fix span(e2), and they span only the
+    # 3-dimensional algebra of upper triangular matrices
     gens = [FpMatrix.from_rows([[1, 1], [0, 1]], 3),
             FpMatrix.from_rows([[2, 0], [0, 1]], 3)]
-    irr, witness = spin_all_lines(gens)
-    assert not irr
-    assert witness == ((0, 1),)
+    assert algebra_dimension(gens) == 3
 
 
 def test_spin_confirms_s3_irreducible():
     from solvlen.atlas import s3mat
-    irr, witness = spin_all_lines(s3mat(5).generators)
-    assert irr and witness is None
-
-
-def test_spin_refuses_large_inputs():
-    with pytest.raises(DimensionTooLarge):
-        spin_all_lines([FpMatrix.identity(3, 11)])
+    assert algebra_dimension(s3mat(5).generators) == 4
 
 
 def test_quadratic_form_arf_types():
