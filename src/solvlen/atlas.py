@@ -10,6 +10,7 @@ the expensive series invariants live in the test-suite.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -492,12 +493,10 @@ def holomorph_perm(p_handle, auts):
     find = _row_index(rows)
     amaps = []
     for a in auts:
-        amap = np.empty(len(elems), dtype=np.int32)
-        for i, x in enumerate(elems):
-            amap[i] = index.get(a(x), -1)
-            if amap[i] < 0:
-                raise NotAutomorphism("map leaves the group",
-                                      witness=(x, a(x)))
+        amap = np.array([index.get(a(x), -1) for x in elems], np.int32)
+        if (amap < 0).any():  # argmin: the first element that leaves
+            x = elems[int(amap.argmin())]
+            raise NotAutomorphism("map leaves the group", witness=(x, a(x)))
         for g, col in zip(p_handle.generators, cols):
             col_ag = np.array(find(rows[amap[col[0]]][rows]))  # x a(g)
             bad = np.flatnonzero(amap[col] != col_ag[amap])
@@ -548,9 +547,8 @@ def gsp_extension(s_handle, p, n):
         return aut
 
     auts = [make_aut(a, lam) for a, lam in lams.items()]
-    h = holomorph_perm(ph, auts)
-    h.name = f"gsp({s_handle.name},{p},{n})"
-    return h
+    return replace(holomorph_perm(ph, auts),
+                   name=f"gsp({s_handle.name},{p},{n})")
 
 
 # ---------------------------------------------------------------------------

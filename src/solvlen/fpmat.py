@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BadParameter, NotSimilitude, Singular
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -211,9 +213,14 @@ class QuadraticFormF2:
                 s ^= sum(row[j] & v[j] for j in range(i, self.dim)) & 1
         return s
 
+    def values(self):
+        """q(v) = v C v^T for every v, in all_f2_vectors order (an array)."""
+        v = np.array(all_f2_vectors(self.dim))
+        return (v @ np.array(self.coeffs, np.int64) * v).sum(axis=1) % 2
+
     def zeros(self):
         """Number of vectors with q(v) = 0 (Arf invariant readout)."""
-        return sum(1 for v in all_f2_vectors(self.dim) if self(v) == 0)
+        return int((self.values() == 0).sum())
 
     def arf(self):
         """Arf invariant: 0 for plus type, 1 for minus type.

@@ -13,7 +13,8 @@ identity, a system of affine equations in the offsets over F_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
 from .fpmat import (FpMatrix, QuadraticFormF2, _echelon, all_f2_vectors,
                     mat_invert, nullspace)
-from .grp import _row_index, derived_series
+from .grp import derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle)
 
@@ -37,9 +38,19 @@ class AutPair:
         if self.a.p != 2 or self.a.n != self.q.dim:
             raise BadParameter("matrix and form dimensions differ")
 
-    def apply(self, e):
-        v = self.a.apply(e[:-1])
-        return v + (e[-1] ^ self.q(e[:-1]),)
+    @cached_property
+    def apply(self):
+        """The map (v, z) -> (vA, z + q(v)): a lookup in a table built once
+        from the indices of the vA and the values q(v)."""
+        vecs = all_f2_vectors(self.q.dim)
+        return {v + (z,): vecs[w] + (z ^ b,) for v, w, b in zip(
+            vecs, _image_index(self.a).tolist(), self.q.values().tolist())
+            for z in (0, 1)}.__getitem__
+
+
+def _image_index(a: FpMatrix):
+    """The index in all_f2_vectors(n) of vA, for each v in that order."""
+    return np.array(all_f2_vectors(a.n)) @ a.entries % 2 @ 2 ** np.arange(a.n)
 
 
 def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
@@ -52,25 +63,20 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
     if a.p != 2 or a.n != 2 * model.n:
         raise BadParameter("matrix does not match the model dimension")
     mat_invert(a)  # must be invertible
-    dim = a.n
-    for v in all_f2_vectors(dim):
-        if model.squaring(a.apply(v)) != model.squaring(v):
-            raise NotOrthogonal(
-                "matrix moves the squaring form; no correction exists")
+    square = QuadraticFormF2.from_upper(model.cocycle).values()  # B(v, v)
+    if (square[_image_index(a)] != square).any():
+        raise NotOrthogonal(
+            "matrix moves the squaring form; no correction exists")
 
     # the law says the polarization of q must equal the bilinear defect
     # dB(v1, v2) = B(v1 A, v2 A) + B(v1, v2).  dB(v, v) = 0 for every v
     # (the squaring check above), so dB is alternating, and the
     # off-diagonal monomial form with coefficients dB(e_i, e_j), i < j,
-    # has polarization exactly dB: the law holds, with zero linear part
-    basis = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
-    imgs = [a.apply(b) for b in basis]
-    coeffs = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coeffs[i][j] = model.bform(imgs[i], imgs[j]) \
-                ^ model.bform(basis[i], basis[j])
-    return AutPair(a, QuadraticFormF2.from_upper(coeffs))
+    # the strict upper triangle of A C A^T + C, has polarization exactly
+    # dB: the law holds, with zero linear part
+    c, m = np.array(model.cocycle), np.array(a.entries)
+    return AutPair(a, QuadraticFormF2.from_upper(
+        np.triu((m @ c @ m.T + c) % 2, 1).tolist()))
 
 
 def lift_generators(mats, model: Extraspecial2Model):
@@ -94,9 +100,9 @@ def lift_generators(mats, model: Extraspecial2Model):
     # a z-bit is packed as an affine function of the offsets: bit 0 its
     # value at lam = 0, bit 1 + dim * j + i its coefficient in lam_j[i]
     dtype = np.min_scalar_type(1 << 1 + dim * k)
-    vecs, weight = all_f2_vectors(dim), 1 << np.arange(dim)
-    img = np.array([np.array(vecs) @ b.a.entries % 2 @ weight for b in base])
-    step = np.array([[b.q(v) | w << 1 + dim * j for w, v in enumerate(vecs)]
+    weight, w = 1 << np.arange(dim), np.arange(1 << dim)
+    img = np.array([_image_index(b.a) for b in base])
+    step = np.array([b.q.values() | w << 1 + dim * j
                      for j, b in enumerate(base)], dtype)
     # the first edge (i, j) into each element h spans a BFS tree: walk it a
     # stretch at a time, tracking e_m u_h and the z-bit at e_m of its lift
@@ -126,8 +132,7 @@ def lift_generators(mats, model: Extraspecial2Model):
         lams = [least >> dim * (k - 1 - j) & (1 << dim) - 1 for j in range(k)]
         # lam . v = sum of lam_i v_i^2: flip q's diagonal
         return [AutPair(b.a, QuadraticFormF2.from_upper(
-            [[c ^ (i == m and lam >> i & 1) for m, c in enumerate(row)]
-             for i, row in enumerate(b.q.coeffs)]))
+            (b.q.coeffs ^ np.diag(lam >> np.arange(dim) & 1)).tolist()))
             for b, lam in zip(base, lams)]
     raise SearchExhausted(f"no offsets give a split lift of order {len(rows)}")
 
@@ -138,23 +143,12 @@ def lift_generators(mats, model: Extraspecial2Model):
 
 def _f4_matrix_to_gl6(rows):
     """Restrict scalars: a 3x3 matrix with F_4 entries (a, b) meaning
-    a + bw becomes a 6x6 F_2 matrix of 2x2 blocks [[a, b], [b, a+b]]."""
-    out = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            a, b = rows[i][j]
-            out[2 * i][2 * j:2 * j + 2] = a, b
-            out[2 * i + 1][2 * j:2 * j + 2] = b, a ^ b
-    return FpMatrix.from_rows(out, 2)
-
-
-def _frobenius_gl6():
-    """x -> x^2 on F_4, componentwise: blocks 1 -> 1, w -> 1 + w."""
-    out = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        out[2 * i][2 * i] = 1
-        out[2 * i + 1][2 * i:2 * i + 2] = 1, 1
-    return FpMatrix.from_rows(out, 2)
+    a + bw becomes a 6x6 F_2 matrix of 2x2 blocks [[a, b], [b, a+b]],
+    that is a I + b W for W = [[0, 1], [1, 1]], multiplication by w."""
+    ab = np.array(rows)
+    return FpMatrix.from_rows((np.kron(ab[..., 0], np.eye(2, dtype=int))
+                               + np.kron(ab[..., 1], [[0, 1], [1, 1]]))
+                              .tolist(), 2)
 
 
 ZERO, ONE, W, W2 = (0, 0), (1, 0), (0, 1), (1, 1)
@@ -163,84 +157,89 @@ ZERO, ONE, W, W2 = (0, 0), (1, 0), (0, 1), (1, 1)
 def f4_model_generators():
     """The 1296-element linear group over F_4, restricted to GL_6(2):
     qutrit shift, two diagonal phase matrices, the Fourier matrix, and
-    the field automorphism."""
+    the field automorphism x -> x^2, componentwise (1 -> 1, w -> 1 + w)."""
     x = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]]
     z = [[ONE, ZERO, ZERO], [ZERO, W, ZERO], [ZERO, ZERO, W2]]
     s = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, W]]
-    pow_w = [ONE, W, W2]
-    m = [[pow_w[(j * k) % 3] for k in range(3)] for j in range(3)]
-    mats = [_f4_matrix_to_gl6(r) for r in (x, z, s, m)]
-    mats.append(_frobenius_gl6())
-    return mats
+    m = [[(ONE, W, W2)[j * k % 3] for k in range(3)] for j in range(3)]
+    frobenius = np.kron(np.eye(3, dtype=int), [[1, 0], [1, 1]]).tolist()
+    return [_f4_matrix_to_gl6(r) for r in (x, z, s, m)] + [
+        FpMatrix.from_rows(frobenius, 2)]
 
 
 def two_generator_reduction(handle, order):
     """First pair (by descending element order, then enumeration index)
     generating the whole group.
 
-    Each candidate pair's subgroup is enumerated by handle.closure on its
-    two image rows, so a failed pair yields a whole proper subgroup.  Each
-    one found gets a bit in member[e], set for every element it contains;
-    a pair whose members share a bit lies in a known proper subgroup and
-    is skipped without a closure.  Only pairs proven to fail are skipped,
-    so the returned pair is the same as for the exhaustive search.
+    A pair's subgroup is closed breadth-first from the identity (row 0)
+    on right-multiplication columns, and each failed pair's proper
+    subgroup is kept as a boolean row over the elements.  For each i1,
+    only the i2 that no recorded subgroup shares with it are closed:
+    membership is a property of the set, so the pair returned is the
+    exhaustive search's.
     """
     rows = handle.rows()
     if len(rows) != order:
         raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
-    find = _row_index(rows)
-    orders = permmod.perm_order_of(rows)
-    ranked = np.argsort(-orders, kind="stable").tolist()
-    member = [0] * order
-    bit = 1
-    for i1 in ranked:
-        for i2 in ranked:
-            if member[i1] & member[i2]:
-                continue
-            sub = handle.closure(rows[[i1, i2]])[0]
-            if len(sub) == order:
+    ranked = np.argsort(-permmod.perm_order_of(rows), kind="stable")
+    # x * i = (x * parent[i]) * gen[i] by i's first edge: one gather each
+    cols = handle.columns()
+    first = np.unique(cols.T.ravel(), return_index=True)[1]
+    parent, gen = first // len(cols), first % len(cols)
+
+    @cache
+    def column(i):  # column(i)[x] is the index of element x * element i
+        return cols[gen[i]][column(parent[i])] if i else np.arange(order)
+
+    subs = np.zeros((0, order), bool)
+    for i1 in ranked.tolist():
+        free = ~subs[subs[:, i1]].any(axis=0)
+        while len(left := ranked[free[ranked]]):
+            i2, sub, layer = left[0], np.arange(order) == 0, [0]
+            while len(layer):
+                new = np.zeros(order, bool)
+                new[column(i1)[layer]] = new[column(i2)[layer]] = True
+                layer = np.flatnonzero(new > sub)
+                sub[layer] = True
+            if sub.all():
                 return handle.from_perms(rows[[i1, i2]])
-            for e in find(sub):
-                member[e] |= bit
-            bit <<= 1
+            free &= ~sub
+            subs = np.vstack([subs, sub])
     raise SearchFailed("no 2-element generating set found")
 
 
 def invariant_quadratic_form(mats):
     """Solve the linear system q(vA) = q(v) over the coefficient space and
-    return a nondegenerate solution of minus type (Arf 1)."""
+    return a nondegenerate solution of minus type (Arf 1).
+
+    f(v) = q(vA) + q(v) is a quadratic form, linear in q: its v_i^2 and
+    v_i v_j coefficients are f(e_i) and f(e_i + e_j) + f(e_i) + f(e_j).
+    So the equations f = 0 at the e_i and e_i + e_j, i < j (21 for dim
+    6) span those at all 2^dim vectors; a span has one reduced echelon
+    form, so the null-space basis and the form picked are the same.
+    """
     if not mats:
         raise BadParameter("need at least one matrix")
     dim = mats[0].n
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    rows = []
-    for a in mats:
-        for v in all_f2_vectors(dim):
-            av = a.apply(v)
-            row = [(av[i] & av[j]) ^ (v[i] & v[j]) for i, j in pairs]
-            if any(row):
-                rows.append(row)
-    basis = nullspace(rows, len(pairs), 2)
-    best = None
+    i, j = np.triu_indices(dim)  # coefficient c[i][j], i <= j, row-major
+    vecs = np.eye(dim, dtype=int)[i] | np.eye(dim, dtype=int)[j]  # e_i | e_j
+    av = np.array([vecs @ a.entries for a in mats]) % 2
+    rows = av[..., i] & av[..., j] ^ vecs[:, i] & vecs[:, j]  # one per vA
+    basis = nullspace(rows.reshape(-1, len(i)).tolist(), len(i), 2)
+    basis = np.array(basis, int)
+    plus = False
     for mask in range(1, 2 ** len(basis)):
-        combo = [0] * len(pairs)
-        for bi, vec in enumerate(basis):
-            if (mask >> bi) & 1:
-                combo = [a ^ b for a, b in zip(combo, vec)]
-        coeffs = [[0] * dim for _ in range(dim)]
-        for (i, j), c in zip(pairs, combo):
-            coeffs[i][j] = c
-        q = QuadraticFormF2.from_upper(coeffs)
+        coeffs = np.zeros((dim, dim), int)
+        coeffs[i, j] = (mask >> np.arange(len(basis)) & 1) @ basis % 2
+        q = QuadraticFormF2.from_upper(coeffs.tolist())
         try:
-            arf = q.arf()
+            if q.arf() == 1:
+                return q
+            plus = True
         except BadParameter:
-            continue
-        if arf == 1:
-            return q
-        best = q
-    if best is not None:
-        raise SearchFailed("invariant forms exist but none has Arf 1")
-    raise SearchFailed("no nondegenerate invariant quadratic form")
+            pass
+    raise SearchFailed("invariant forms exist but none has Arf 1" if plus
+                       else "no nondegenerate invariant quadratic form")
 
 
 _D8_CACHE = {}
@@ -249,12 +248,18 @@ _D8_CACHE = {}
 def d8_group():
     """The degree-128 witness of derived length 8: a 1296-element linear
     group over F_2^6 lifted onto the minus-type extraspecial 2^{1+6}.
+    Returns (handle, report), cached.
 
     two_generator_reduction certifies the order 1296 as it picks the
     pair, the invariant form fixes the model, and lift_generators
     certifies the split by the Schreier relators of one enumeration of the
-    linear group; the order 165888 of the holomorph checks it again.
-    Returns (handle, report), cached.
+    linear group; the order 165888 of the holomorph checks it again.  It
+    is a proven bound, where the chain stops: a lifted automorphism a
+    normalizes the right translations, a^-1 rho_g a = rho_{a(g)}, so
+    H = R(P)<A> and |H| <= 128 |<A>|; every Schreier relator lifts to the
+    identity, so g_i -> A_i extends to a homomorphism onto <A> and
+    |<A>| <= 1296.  A chain short of the bound verifies in full, so the
+    order check stays a check.
     """
     if "group" in _D8_CACHE:
         return _D8_CACHE["group"]
@@ -264,8 +269,8 @@ def d8_group():
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model)
     ph = model_handle(model, "2^(1+6)-")
-    h = holomorph_perm(ph, [p.apply for p in pairs])
-    h.name = "d8()"
+    h = replace(holomorph_perm(ph, [p.apply for p in pairs]), name="d8()",
+                upper_bound=128 * 1296)
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")
     report = derived_series(h)

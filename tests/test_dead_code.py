@@ -1,9 +1,13 @@
 """Every function, method and class in src/solvlen is reached from src/,
-and every name a module imports is read in that module."""
+every name a module imports is read in that module, and no code sets a
+public field of a handle after building it."""
 
 import ast
+import dataclasses
 import pathlib
 from collections import Counter
+
+from solvlen.grp import GroupHandle
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "solvlen"
 
@@ -78,3 +82,17 @@ def unread_imports():
 
 def test_every_import_is_read():
     assert list(unread_imports()) == []
+
+
+def test_no_handle_field_is_assigned_after_construction():
+    # a renamed or bounded handle is a dataclasses.replace copy; only a
+    # class's own methods assign through self
+    public = {f.name for f in dataclasses.fields(GroupHandle)
+              if not f.name.startswith("_")}
+    found = [f"{path.name}:{a.lineno} .{a.attr}"
+             for path in sorted(SRC.glob("*.py"))
+             for a in ast.walk(ast.parse(path.read_text()))
+             if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+             and a.attr in public
+             and not (isinstance(a.value, ast.Name) and a.value.id == "self")]
+    assert found == []

@@ -7,6 +7,7 @@ rank and the former F_2 routine.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,19 @@ def test_quadratic_form_arf_types():
     degenerate = QuadraticFormF2.from_upper([[1, 0], [0, 0]])
     with pytest.raises(BadParameter):
         degenerate.arf()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_form_values_match_pointwise_evaluation(dim):
+    # values() evaluates q on all of F_2^dim at once, in all_f2_vectors
+    # order; q(v) is the pointwise sum over the coefficient table
+    rng = random.Random(100 + dim)
+    for _ in range(5):
+        q = QuadraticFormF2.from_upper(
+            [[rng.randrange(2) if j >= i else 0 for j in range(dim)]
+             for i in range(dim)])
+        assert q.values().tolist() == [q(v) for v in all_f2_vectors(dim)]
+        assert q.zeros() == sum(q(v) == 0 for v in all_f2_vectors(dim))
 
 
 @settings(max_examples=60, deadline=None)

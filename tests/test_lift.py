@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
 from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
                             SearchExhausted, SearchFailed)
-from solvlen.fpmat import FpMatrix, QuadraticFormF2, all_f2_vectors
+from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
+                           nullspace)
 from solvlen.lift import (AutPair, f4_model_generators,
                           invariant_quadratic_form, lift_generators,
                           quadratic_correction, two_generator_reduction)
@@ -86,6 +88,34 @@ def d8_lift_inputs():
     model = Extraspecial2Model(
         3, "-", cocycle=invariant_quadratic_form(mats).coeffs)
     return mats, model
+
+
+def test_aut_pair_apply_is_the_pointwise_map():
+    # apply reads a table built once per pair; every (v, z) must still go
+    # to (vA, z + q(v)), for the d8 lifts and for flipped corrections
+    mats, model = d8_lift_inputs()
+    pairs = lift_generators(mats, model)
+    cases = pairs + [flip_coefficient(p, i, j) for p in pairs
+                     for i, j in ((0, 1), (2, 5), (3, 3))]
+    for pair in cases:
+        for v in all_f2_vectors(6):
+            for z in (0, 1):
+                assert pair.apply(v + (z,)) == \
+                    pair.a.apply(v) + (z ^ pair.q(v),)
+
+
+def test_holomorph_bound_cannot_hide_a_smaller_group():
+    # the holomorph of one lifted generator (order 9) has 128 * 9
+    # elements; its chain, told d8_group's bound 165888, never reaches it,
+    # so it verifies in full and reports the true order: the order check
+    # in d8_group stays a real check
+    mats, model = d8_lift_inputs()
+    pair = lift_generators(mats, model)[0]
+    small = holomorph_perm(model_handle(model, "e128"), [pair.apply])
+    bounded = replace(small, upper_bound=165888)  # before small's chain
+    assert bounded.order() == small.order() == 128 * 9
+    assert chain_fingerprint(bounded.bsgs()) == \
+        chain_fingerprint(small.bsgs())
 
 
 def test_offset_permutations_match_pointwise_apply():
@@ -234,6 +264,48 @@ def test_invariant_form_is_invariant_and_minus_type():
             assert q(a.apply(v)) == q(v)
 
 
+def form_equations(mats, vecs):
+    """The rows q(vA) + q(v) = 0 over the coefficients c[i][j], i <= j,
+    for each matrix A and vector v."""
+    dim = mats[0].n
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    return [[(av[i] & av[j]) ^ (v[i] & v[j]) for i, j in pairs]
+            for a in mats for v in vecs for av in [a.apply(v)]]
+
+
+def first_minus_form(basis, dim):
+    """The first combination of a null-space basis, by mask, that is a
+    minus-type form: the search over all 2^dim equations, kept as it was."""
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for mask in range(1, 2 ** len(basis)):
+        combo = [0] * len(pairs)
+        for bi, vec in enumerate(basis):
+            if mask >> bi & 1:
+                combo = [a ^ b for a, b in zip(combo, vec)]
+        coeffs = [[0] * dim for _ in range(dim)]
+        for (i, j), c in zip(pairs, combo):
+            coeffs[i][j] = c
+        q = QuadraticFormF2.from_upper(coeffs)
+        if q.zeros() == 2 ** (dim - 1) - 2 ** (dim // 2 - 1):
+            return q
+    return None
+
+
+@pytest.mark.parametrize("which", ["F4_GENS", "d8 pair"])
+def test_invariant_form_needs_only_21_vectors(which):
+    # q(vA) + q(v) is a quadratic form, zero iff zero at every e_i and
+    # e_i + e_j: those 21 equations span the 64, so the null-space basis,
+    # and the form picked from it, are the same
+    mats = F4_GENS if which == "F4_GENS" else d8_lift_inputs()[0]
+    units = [tuple(int(k == i) for k in range(6)) for i in range(6)]
+    few = [tuple(x | y for x, y in zip(units[i], units[j]))
+           for i in range(6) for j in range(i, 6)]
+    assert len(few) == 21
+    basis = nullspace(form_equations(mats, all_f2_vectors(6)), 21, 2)
+    assert nullspace(form_equations(mats, few), 21, 2) == basis
+    assert invariant_quadratic_form(mats) == first_minus_form(basis, 6)
+
+
 def test_invariant_form_failure_path():
     # the full GL_6(2) generators admit no invariant quadratic form
     g = atlas.gl(6, 2)
@@ -278,11 +350,14 @@ def reference_two_generator_reduction(handle):
 
 @pytest.mark.parametrize("build", [lambda: atlas.sym(4),
                                    lambda: atlas.gl(2, 3),
-                                   lambda: atlas.sym(5)],
-                         ids=["sym(4)", "gl(2,3)", "sym(5)"])
+                                   lambda: atlas.sym(5),
+                                   lambda: atlas.wreath(atlas.cyclic(2),
+                                                        atlas.sym(4))],
+                         ids=["sym(4)", "gl(2,3)", "sym(5)", "wr(c2,s4)"])
 def test_two_generator_reduction_matches_exhaustive_search(build):
     # in each group the first ranked pair spans a proper subgroup, so a
-    # subgroup is recorded before the generating pair is found
+    # subgroup is recorded before the generating pair is found; wr(c2,s4)
+    # records five, so pairs are skipped on several recorded rows
     h = build()
     assert two_generator_reduction(h, h.order()) == \
         reference_two_generator_reduction(h)
