@@ -10,6 +10,7 @@ the expensive series invariants live in the test-suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import cached_property
 
@@ -110,7 +111,7 @@ def matrix_handle(gens, name="", upper_bound=None):
     ident = FpMatrix.identity(n, p)
     gens = [g for g in gens if g != ident]
     return GroupHandle(ident, gens, lambda a, b: a * b, mat_invert,
-                       name=name, kind="matrix", upper_bound=upper_bound,
+                       name=name, kind="matrix", order_bounds=(upper_bound,),
                        action=BasisOrbitAction(ident, gens))
 
 
@@ -289,10 +290,14 @@ class ExtSqModel:
 
 
 def model_handle(model, name=""):
+    """Its unit-vector generators give every v-part, and their commutators
+    the centre, so |P| = p^(coordinates): 2^(1+2n), p^(1+2n) or p^6, the
+    proven bound recorded."""
     action = BasisOrbitAction(model.identity, model.generators(),
                               model.matrix, model.from_matrix)
     return GroupHandle(model.identity, model.generators(), model.mul,
-                       model.inv, name=name, kind="model", action=action)
+                       model.inv, name=name, kind="model", action=action,
+                       order_bounds=(action.p ** len(model.identity),))
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +383,19 @@ def upper_triangular(n, p):
                          (p - 1) ** n * p ** (n * (n - 1) // 2))
 
 
+def _check_order(handle):
+    """CapExceeded, before any enumeration, for more than MAX_DEGREE
+    elements.  rows() stops first below its cap and a proven bound needs
+    no chain; else order() needs one, not bounded in time."""
+    bound = next(iter(handle.order_bounds), None) or math.inf
+    if min(bound, handle.enum_cap()) > permmod.MAX_DEGREE:
+        permmod.check_degree(handle.order())
+
+
 def regular(handle):
     """Right-regular permutation representation of an enumerable handle:
     its generators are the handle's right-translation columns."""
-    if handle.enum_cap() > permmod.MAX_DEGREE:
-        # below that, rows() stops first; and order() would need the
-        # chain of a group of large degree, not bounded in time
-        permmod.check_degree(handle.order())
+    _check_order(handle)
     return perm_handle(handle.columns().tolist(), len(handle.rows()),
                        f"regular({handle.name})")
 
@@ -486,7 +497,7 @@ def holomorph_perm(p_handle, auts):
     size, with no sampling for large P.  A failure raises NotAutomorphism
     with the first offending (x, g), or with (x, a(x)) when a(x) leaves P.
     """
-    permmod.check_degree(p_handle.order())
+    _check_order(p_handle)
     elems = p_handle.elements()
     index = {e: i for i, e in enumerate(elems)}
     rows, cols = p_handle.rows(), list(p_handle.columns())

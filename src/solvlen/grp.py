@@ -113,7 +113,7 @@ class GroupHandle:
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
     split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
-    upper_bound: Optional[int] = None  # proven bound on |G|: the chain stops
+    order_bounds: tuple = ()  # proven |G^(i)| bounds, where chains stop
     _rows: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
@@ -148,8 +148,8 @@ class GroupHandle:
 
     def bsgs(self):
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(self.perm_generators(),
-                                               self.upper_bound)
+            self._bsgs = permmod.schreier_sims(
+                self.perm_generators(), next(iter(self.order_bounds), None))
         return self._bsgs
 
     def rows(self):
@@ -327,7 +327,8 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
     G of the commutators of G^(i)'s generators (G's for G^(0), the strong
     generators of G^(i)'s chain after).  The series stops before the
     first term whose order does not fall, or after order 1.  G^(0) keeps
-    the handle's generators and chain.
+    the handle's generators and chain.  A chain stops at the handle's
+    proven bound on its term's order (order_bounds), or verifies in full.
     """
     report = handle._series() if handle._series is not None else None
     if report is None:
@@ -341,9 +342,10 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
             gens, invs = group, [permmod.perm_inv(g) for g in group]
             subs = [SubgroupHandle(handle, list(handle.generators),
                                    handle.order(), _bsgs=handle.bsgs())]
+            bounds = iter(handle.order_bounds[1:])
             while subs[-1].order > 1:
                 b = permmod.normal_closure_perm(
-                    group, permmod.commutators(gens, invs))
+                    group, permmod.commutators(gens, invs), next(bounds, None))
                 if b.order() == subs[-1].order:
                     break
                 subs.append(SubgroupHandle(handle, None, b.order(), _bsgs=b))

@@ -79,7 +79,7 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
         np.triu((m @ c @ m.T + c) % 2, 1).tolist()))
 
 
-def lift_generators(mats, model: Extraspecial2Model):
+def lift_generators(mats, model: Extraspecial2Model, cols=None):
     """Lift a 1- or 2-element matrix generating set to AutPairs generating
     a split copy of the linear group inside Aut(2^{1+2n}).
 
@@ -90,11 +90,14 @@ def lift_generators(mats, model: Extraspecial2Model):
     to the identity.  That lift has matrix I, so its z-part is linear: one
     affine equation in the offsets per basis vector.  The first offsets,
     lam_1 major and ascending, that solve every equation are returned.
+    The tree is that of cols, right-translation columns of <mats> by mats
+    in a breadth-first walk, or else of one enumeration of <mats>.
     """
     if not 1 <= len(mats) <= 2:
         raise BadParameter(f"need one or two matrices, got {len(mats)}")
-    lin = matrix_handle(list(mats), "lift target")
-    rows, cols = lin.closure([lin.to_perm(a) for a in mats])
+    if cols is None:
+        lin = matrix_handle(list(mats), "lift target")
+        cols = lin.closure([lin.to_perm(a) for a in mats])[1]
     base = [quadratic_correction(a, model) for a in mats]
     dim, k = base[0].q.dim, len(mats)
     # a z-bit is packed as an affine function of the offsets: bit 0 its
@@ -104,16 +107,15 @@ def lift_generators(mats, model: Extraspecial2Model):
     img = np.array([_image_index(b.a) for b in base])
     step = np.array([b.q.values() | w << 1 + dim * j
                      for j, b in enumerate(base)], dtype)
-    # the first edge (i, j) into each element h spans a BFS tree: walk it a
-    # stretch at a time, tracking e_m u_h and the z-bit at e_m of its lift
-    first = np.unique(cols.T.ravel(), return_index=True)[1]
-    first[0] = 0  # the root; the other parents ascend
-    parent, gen = first // k, first % k
-    vec = np.zeros((len(rows), dim), np.int16)
-    z = np.zeros((len(rows), dim), dtype)
+    # walk the BFS tree a stretch of done parents at a time, tracking
+    # e_m u_h and the z-bit at e_m of its lift
+    parent, gen, _ = _translations(cols)
+    order = cols.shape[1]
+    vec = np.zeros((order, dim), np.int16)
+    z = np.zeros((order, dim), dtype)
     vec[0], done = weight, 1
-    while done < len(rows):
-        stop = np.searchsorted(parent, done)
+    while done < order:
+        stop = done + np.argmax(np.append(parent[done:], order) >= done)
         i, j = parent[done:stop], gen[done:stop, None]
         vec[done:stop], z[done:stop] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
         done = stop
@@ -134,7 +136,7 @@ def lift_generators(mats, model: Extraspecial2Model):
         return [AutPair(b.a, QuadraticFormF2.from_upper(
             (b.q.coeffs ^ np.diag(lam >> np.arange(dim) & 1)).tolist()))
             for b, lam in zip(base, lams)]
-    raise SearchExhausted(f"no offsets give a split lift of order {len(rows)}")
+    raise SearchExhausted(f"no offsets give a split lift of order {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +169,46 @@ def f4_model_generators():
         FpMatrix.from_rows(frobenius, 2)]
 
 
+def _translations(cols):
+    """(parent, gen, column) of a breadth-first enumeration with right-
+    translation columns cols (k x order): parent[i] * gen[i] = i is i's
+    first edge in (element, generator) order, from the layer before i, and
+    column(i)[x], the index of x * i, one gather per edge, cached."""
+    first = np.unique(cols.T.ravel(), return_index=True)[1]
+    first[0] = 0
+    parent, gen = first // len(cols), first % len(cols)
+
+    @cache
+    def column(i):
+        return cols[gen[i]][column(parent[i])] if i else np.arange(len(first))
+    return parent, gen, column
+
+
+def _walk(columns, seen):
+    """Close the boolean row seen, in place, under x -> c[x] for each of
+    the columns, breadth-first from all of it; return its indices in the
+    order visited, each layer ascending."""
+    layer = np.flatnonzero(seen)
+    found = [layer]
+    while len(layer):
+        new = np.zeros(len(seen), bool)
+        for c in columns:
+            new[c[layer]] = True
+        layer = np.flatnonzero(new > seen)
+        seen[layer] = True
+        found.append(layer)
+    return np.concatenate(found)
+
+
 def two_generator_reduction(handle, order):
     """First pair (by descending element order, then enumeration index)
-    generating the whole group.
+    generating the whole group, and the winning walk: the group's
+    right-translation columns by the pair, in the order walked.
 
-    A pair's subgroup is closed breadth-first from the identity (row 0)
-    on right-multiplication columns, and each failed pair's proper
+    A pair's subgroup is walked from the identity (row 0) on
+    right-multiplication columns, and each failed pair's proper
     subgroup is kept as a boolean row over the elements.  For each i1,
-    only the i2 that no recorded subgroup shares with it are closed:
+    only the i2 that no recorded subgroup shares with it are walked:
     membership is a property of the set, so the pair returned is the
     exhaustive search's.
     """
@@ -182,30 +216,44 @@ def two_generator_reduction(handle, order):
     if len(rows) != order:
         raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
     ranked = np.argsort(-permmod.perm_order_of(rows), kind="stable")
-    # x * i = (x * parent[i]) * gen[i] by i's first edge: one gather each
-    cols = handle.columns()
-    first = np.unique(cols.T.ravel(), return_index=True)[1]
-    parent, gen = first // len(cols), first % len(cols)
-
-    @cache
-    def column(i):  # column(i)[x] is the index of element x * element i
-        return cols[gen[i]][column(parent[i])] if i else np.arange(order)
-
+    column = _translations(handle.columns())[2]
     subs = np.zeros((0, order), bool)
     for i1 in ranked.tolist():
         free = ~subs[subs[:, i1]].any(axis=0)
         while len(left := ranked[free[ranked]]):
-            i2, sub, layer = left[0], np.arange(order) == 0, [0]
-            while len(layer):
-                new = np.zeros(order, bool)
-                new[column(i1)[layer]] = new[column(i2)[layer]] = True
-                layer = np.flatnonzero(new > sub)
-                sub[layer] = True
+            pair, sub = [column(i1), column(left[0])], np.arange(order) == 0
+            found = _walk(pair, sub)
             if sub.all():
-                return handle.from_perms(rows[[i1, i2]])
+                gens = handle.from_perms(rows[[i1, left[0]]])
+                pos = np.argsort(found).astype(np.int32)  # -> walk index
+                return gens, pos[np.array(pair)[:, found]]
             free &= ~sub
             subs = np.vstack([subs, sub])
     raise SearchFailed("no 2-element generating set found")
+
+
+def derived_orders(cols):
+    """|K^(i)|, as grp.derived_series gives them, for K with right-
+    translation columns cols by its generators: the normal closure of the
+    commutators of each term's generators is walked on index sets, a seed
+    outside it joining its generators and queueing its conjugates."""
+    column = _translations(cols)[2]
+    inv = lambda i: int(column(i).argmin())  # the x with x * i = 1
+    gens, orders = [int(c[0]) for c in cols], [cols.shape[1]]
+    while orders[-1] > 1:
+        pending = [column(b)[column(a)[column(inv(b))[inv(a)]]]
+                   for a in gens for b in gens]  # a^-1 b^-1 a b
+        sub, gens = np.arange(cols.shape[1]) == 0, []
+        for t in pending:
+            if not sub[t]:
+                gens.append(int(t))
+                _walk([column(g) for g in gens], sub)
+                pending += [c[column(t)[c.argmin()]] for c in cols]
+        if sub.sum() == orders[-1]:
+            break
+        orders.append(int(sub.sum()))
+    column.cache_clear()  # its arrays now, not at the next cycle collection
+    return orders
 
 
 def invariant_quadratic_form(mats):
@@ -250,27 +298,27 @@ def d8_group():
     group over F_2^6 lifted onto the minus-type extraspecial 2^{1+6}.
     Returns (handle, report), cached.
 
-    two_generator_reduction certifies the order 1296 as it picks the
-    pair, the invariant form fixes the model, and lift_generators
-    certifies the split by the Schreier relators of one enumeration of the
-    linear group; the order 165888 of the holomorph checks it again.  It
-    is a proven bound, where the chain stops: a lifted automorphism a
-    normalizes the right translations, a^-1 rho_g a = rho_{a(g)}, so
-    H = R(P)<A> and |H| <= 128 |<A>|; every Schreier relator lifts to the
-    identity, so g_i -> A_i extends to a homomorphism onto <A> and
-    |<A>| <= 1296.  A chain short of the bound verifies in full, so the
-    order check stays a check.
+    two_generator_reduction certifies the order 1296 of K = <g1, g2> as it
+    picks the pair; its walk gives lift_generators the tree whose Schreier
+    relators certify the split, and derived_orders K's series.  Each
+    H^(i) has a proven bound where its chain stops: a lifted automorphism
+    a normalizes the right translations, a^-1 rho_g a = rho_{a(g)}, so
+    H = R(P)<A> with R(P) normal of order 128 and H^(i) <= R(P)<A>^(i);
+    every Schreier relator lifts to the identity, so g_i -> A_i extends to
+    a homomorphism of K onto <A>, and <A>^(i) is the image of K^(i).  So
+    |H^(i)| <= 128 |K^(i)|.  A chain short of its bound verifies in full,
+    so the order check stays a check, as do the terms past K's series.
     """
     if "group" in _D8_CACHE:
         return _D8_CACHE["group"]
-    mats = f4_model_generators()
-    g1, g2 = two_generator_reduction(matrix_handle(mats, "qbar"), 1296)
+    qbar = matrix_handle(f4_model_generators(), "qbar")
+    (g1, g2), cols = two_generator_reduction(qbar, 1296)
     q_inv = invariant_quadratic_form([g1, g2])
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
-    pairs = lift_generators([g1, g2], model)
+    pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
     h = replace(holomorph_perm(ph, [p.apply for p in pairs]), name="d8()",
-                upper_bound=128 * 1296)
+                order_bounds=tuple(128 * k for k in derived_orders(cols)))
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")
     report = derived_series(h)

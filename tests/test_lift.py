@@ -15,7 +15,7 @@ from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
                             SearchExhausted, SearchFailed)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                            nullspace)
-from solvlen.lift import (AutPair, f4_model_generators,
+from solvlen.lift import (AutPair, derived_orders, f4_model_generators,
                           invariant_quadratic_form, lift_generators,
                           quadratic_correction, two_generator_reduction)
 
@@ -112,7 +112,7 @@ def test_holomorph_bound_cannot_hide_a_smaller_group():
     mats, model = d8_lift_inputs()
     pair = lift_generators(mats, model)[0]
     small = holomorph_perm(model_handle(model, "e128"), [pair.apply])
-    bounded = replace(small, upper_bound=165888)  # before small's chain
+    bounded = replace(small, order_bounds=(165888,))  # before its chain
     assert bounded.order() == small.order() == 128 * 9
     assert chain_fingerprint(bounded.bsgs()) == \
         chain_fingerprint(small.bsgs())
@@ -234,9 +234,15 @@ def test_d8_lift_runs_no_schreier_sims(monkeypatch):
         closures.append(len(images))
         return closure(self, images, cap)
 
+    walk = two_generator_reduction(atlas.matrix_handle(F4_GENS, "qbar"),
+                                   1296)[1]
     monkeypatch.setattr(permmod, "schreier_sims", refuse)
     monkeypatch.setattr(grp.GroupHandle, "closure", count)
     pairs = lift_generators(mats, model)
+    assert closures == [2]
+    # on the reduction's winning walk, as d8_group calls it, the tree is
+    # the walk's: no closure at all, and the same forms
+    assert lift_generators(mats, model, walk) == pairs
     assert closures == [2]
     assert [p.a for p in pairs] == mats
     assert pairs[0].q.coeffs == ((0,) * 6,) * 6
@@ -315,7 +321,7 @@ def test_invariant_form_failure_path():
 
 def test_two_generator_reduction_small():
     s4 = atlas.sym(4)
-    g1, g2 = two_generator_reduction(s4, 24)
+    (g1, g2), _ = two_generator_reduction(s4, 24)
     h = atlas.perm_handle([g1, g2], 4, "pair")
     assert h.order() == 24
     # ranking prefers elements of maximal order first
@@ -359,7 +365,7 @@ def test_two_generator_reduction_matches_exhaustive_search(build):
     # subgroup is recorded before the generating pair is found; wr(c2,s4)
     # records five, so pairs are skipped on several recorded rows
     h = build()
-    assert two_generator_reduction(h, h.order()) == \
+    assert two_generator_reduction(h, h.order())[0] == \
         reference_two_generator_reduction(h)
 
 
@@ -367,7 +373,7 @@ def test_two_generator_reduction_pins_the_d8_pair():
     # the lift offsets and the degree-128 witness depend on this pair
     qbar = atlas.matrix_handle(F4_GENS, "qbar")
     elems = qbar.elements()
-    g1, g2 = two_generator_reduction(qbar, 1296)
+    (g1, g2), _ = two_generator_reduction(qbar, 1296)
     assert (g1, g2) == (elems[8], elems[72])
     assert (permmod.perm_order_of(qbar.to_perm(g1)),
             permmod.perm_order_of(qbar.to_perm(g2))) == (9, 8)
@@ -407,3 +413,39 @@ def test_d8_witness_is_pinned(d8data):
     for sub in report.subgroups:
         digest.update(chain_fingerprint(sub._bsgs).encode())
     assert digest.hexdigest()[:16] == "a97026097a0da863"
+
+
+def test_loose_term_bounds_cannot_hide_a_term(d8data):
+    # a bound above a term's true order is never reached, so that term's
+    # chain verifies in full: every term keeps its true order and the
+    # chain of a series with no bounds at all
+    h, report = d8data
+    for handle, bounds, orders in (
+            (h, [2 * b for b in h.order_bounds], report.orders),
+            (atlas.gl(2, 3), [96, 48, 16, 4, 2], (48, 24, 8, 2, 1))):
+        loose, free = (grp.derived_series(replace(
+            handle, order_bounds=tuple(b), _bsgs=None, _series=None))
+            for b in (bounds, ()))
+        assert loose.orders == free.orders == orders
+        assert [chain_fingerprint(s._bsgs) for s in loose.subgroups] == \
+            [chain_fingerprint(s._bsgs) for s in free.subgroups]
+
+
+def test_index_closure_series_matches_the_chain_series():
+    # derived_orders on right-translation columns equals derived_series on
+    # the chain: for qbar on the reduction's winning walk, and for seeded
+    # pairs of qbar's elements on the breadth-first closure of the pair
+    qbar = atlas.matrix_handle(F4_GENS, "qbar")
+    walk = two_generator_reduction(qbar, 1296)[1]
+    assert derived_orders(walk) == list(grp.derived_series(qbar).orders) \
+        == [1296, 648, 216, 54, 27, 3, 1]
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(8):
+        pair = rng.sample(qbar.elements(), 2)
+        sub = atlas.matrix_handle(pair, "pair")
+        cols = sub.closure([sub.to_perm(a) for a in pair])[1]
+        want = grp.derived_series(sub).orders
+        assert derived_orders(cols) == list(want)
+        seen.add(want[0])
+    assert len(seen) > 2  # subgroups of several orders

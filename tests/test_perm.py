@@ -539,7 +539,7 @@ def test_linear_chains_stop_at_their_formula_order(spec, order):
     # with Schreier generators left unsifted, and is then the chain a full
     # verification builds
     handle = evaluate(parse_spec(spec))
-    assert handle.upper_bound == order == handle.order()
+    assert handle.order_bounds == (order,) and order == handle.order()
     full = schreier_sims(handle.perm_generators())
     assert chain_fingerprint(handle.bsgs()) == chain_fingerprint(full)
 
