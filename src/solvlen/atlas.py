@@ -586,7 +586,8 @@ def qutrit_generator_candidates(p):
 
 def qutrit_normalizer(p):
     """K = <X, Z, S, cM> <= GL_3(p) of order 648, c the first scalar in
-    1..p-1 that gives that order.
+    1..p-1 that gives that order; K keeps the closure that proves it, and
+    648 as its order bound.
 
     K acts absolutely irreducibly on F_p^3, with no check needed, because
     <X, Z> already does.  Z = diag(1, w, w^2) has three distinct
@@ -604,15 +605,14 @@ def qutrit_normalizer(p):
     x, z, s, m = qutrit_generator_candidates(p)
     achieved = []
     for c in range(1, p):
-        gens = [x, z, s, m.scale(c)]
-        h = matrix_handle(gens, f"qutrit({p})")
-        try:  # one closure capped at 648; the chain is left for later
-            order = len(h.closure(h.perm_generators(), 648)[0])
+        h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})")
+        try:  # one closure capped at 648
+            order = len(h.rows(648))
         except CapExceeded:
             order = "> 648"
         achieved.append((c, order))
         if order == 648:
-            return h
+            return replace(h, order_bounds=(648,))
     raise ScalarSearchFailed(
         f"no scalar correction gives order 648 mod {p}: {achieved}")
 
@@ -626,7 +626,7 @@ def binary_octahedral():
 
     Unlike GL_2(3) (the other order-48 extension of SL_2(3)) it has a
     single involution; each step of the search Q8 < SL_2(3) < 2.S4
-    verifies that count.
+    verifies that count, and proves the order 48 its handle records.
     """
     ambient = sl(2, 7)
     rows, elems = ambient.rows(), ambient.elements()
@@ -654,7 +654,7 @@ def binary_octahedral():
     bo = sl23 and extend(sl23, 8, 48, 100)
     if bo is None:
         raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
-    return matrix_handle([elems[i] for i in bo], "bo()")
+    return matrix_handle([elems[i] for i in bo], "bo()", 48)
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +692,28 @@ def semidirect_series_orders(k_handle, p):
     [m, m'], c = u - [m, u]/2, [c, m] = [u, m] and so u: S + [S, L] <= M_i.
     And I = S + [S, L] is a K^(i-1)-invariant ideal; modulo I, M_(i-1) is
     abelian and centralized by K^(i-1), so G^(i) <= I K^(i), M_i <= I.
-    So M_i = S + [S, L] and |G^(i)| = |K^(i)| p^dim M_i, |K^(i)| from K's
-    chain (its last term past its end: K need not be solvable).
+    So M_i = S + [S, L] and |G^(i)| = |K^(i)| p^dim M_i, with |K^(i)| and
+    generators of K^(i) (any set gives the same S) from K's enumeration
+    (its last term past its end: K need not be solvable).
     """
-    from .grp import derived_series
-    ks = derived_series(k_handle)
-    last, units = len(ks.orders) - 1, _unit_vectors(6, 6)
+    from .grp import derived_orders
+    k_orders, k_gens = derived_orders(k_handle.columns())
+    last, units = len(k_orders) - 1, _unit_vectors(6, 6)
 
     def bracket(x, y):
         return (0, 0, 0) + tuple(2 * c for c in wedge_vec(x[:3], y[:3], p))
 
-    basis, orders = units, [ks.orders[0] * p ** 6]
+    basis, orders = units, [k_orders[0] * p ** 6]
     while len(orders) < 2 or orders[-1] != orders[-2]:
         i = len(orders)
-        acts = [wedge_automorphism(k)
-                for k in ks.subgroups[min(i - 1, last)].generators]
+        acts = [wedge_automorphism(k) for k in k_handle.from_perms(
+            k_handle.rows()[k_gens[min(i - 1, last)]])]
         s = list(_echelon([bracket(m, n) for m in basis for n in basis] + [
             [x - y for x, y in zip(d.apply(m), m)]
             for m in basis for d in acts], p).values())
         basis = list(_echelon(
             s + [bracket(x, e) for x in s for e in units], p).values())
-        orders.append(ks.orders[min(i, last)] * p ** len(basis))
+        orders.append(k_orders[min(i, last)] * p ** len(basis))
     return tuple(orders[:-1])
 
 

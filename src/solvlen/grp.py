@@ -8,13 +8,14 @@ a matrix or model handle the chain of a faithful permutation image (its
 ``action``), whose results are read back into the handle's own elements.
 A subgroup computed on a chain keeps that chain and reads its strong
 generators back into the handle's elements only on first use.  A split
-handle (``prop8`` = P |x K) holds only its derived-series orders, from K's
-chain and span steps on P (``split_orders``): its order and derived series
-answer from them, and every question that needs a chain or the elements
-is refused in one place, ``GroupHandle.perm_generators``.
+handle (``prop8`` = P |x K) holds only its derived-series orders, from
+K's enumeration and span steps on P (``split_orders``): its order and
+derived series answer from them, and every question that needs a chain or
+the elements is refused in one place, ``GroupHandle.perm_generators``.
 Element lists are enumerated breadth-first over the same images as 2-D
 arrays (``_closure``), with the right-translation columns of the
-generators as a by-product, and read back in one step per kind.
+generators as a by-product, and read back in one step per kind; on those
+columns ``derived_orders`` takes the derived series on index sets.
 """
 
 from __future__ import annotations
@@ -152,11 +153,12 @@ class GroupHandle:
                 self.perm_generators(), next(iter(self.order_bounds), None))
         return self._bsgs
 
-    def rows(self):
-        """The image rows of the elements (a 2-D array), breadth-first
-        from the identity over the generators (see _closure)."""
+    def rows(self, cap=None):
+        """The image rows of the elements (a 2-D array), enumerated once,
+        breadth-first within enum_cap(cap) rows (see _closure)."""
         if self._rows is None:
-            self._rows, self._columns = self.closure(self.perm_generators())
+            self._rows, self._columns = self.closure(self.perm_generators(),
+                                                     cap)
         return self._rows
 
     def elements(self):
@@ -272,16 +274,17 @@ def _closure(read, identity, gens, cap):
     and the first occurrence of a new row gets the next index: the order of
     a FIFO search.  A dict of row bytes is the only store of the rows until
     read; the rows held plus the image rows in flight, as an array and as
-    bytes, stay within cap rows (or one element's images).  CapExceeded
-    once there are more than cap rows.
+    bytes, stay within MEMORY_BUDGET // n rows (or one element's images),
+    so slices stay full up to any cap.  CapExceeded past cap rows.
     """
     k, n = gens.shape
+    room = permmod.MEMORY_BUDGET // max(n, 1)
     index = {identity.tobytes(): 0}
     keys = list(index)
     which = np.arange(k)[None, :, None]
     cols, done = [], 0
     while done < len(keys):
-        step = max(1, (cap - len(keys)) // max(2 * k, 1))
+        step = max(1, (room - len(keys)) // max(2 * k, 1))
         part = np.frombuffer(b"".join(keys[done:done + step]),
                              identity.dtype).reshape(-1, n)
         done += len(part)
@@ -309,6 +312,62 @@ def _row_index(rows):
     """Indices in `rows` of the rows of an array, by one dict of bytes."""
     where = dict(zip(_keys(rows), range(len(rows))))
     return lambda part: list(map(where.__getitem__, _keys(part)))
+
+
+def _translations(cols):
+    """(parent, gen, column) of a breadth-first enumeration with right-
+    translation columns cols (k x order): for i > 0, parent[i] * gen[i] = i
+    is i's first edge in (element, generator) order, from the layer before
+    i, and column(i)[x], the index of x * i, one gather per edge, cached."""
+    first = np.unique(cols.T.ravel(), return_index=True)[1]
+    parent, gen = first // len(cols), first % len(cols)
+
+    @functools.cache
+    def column(i):
+        return cols[gen[i]][column(parent[i])] if i else np.arange(len(cols.T))
+    return parent, gen, column
+
+
+def _walk(columns, seen):
+    """Close the boolean row seen, in place, under x -> c[x] for each of
+    the columns, breadth-first from all of it; return its indices in the
+    order visited, each layer ascending."""
+    layer = np.flatnonzero(seen)
+    found = [layer]
+    while len(layer):
+        new = np.zeros(len(seen), bool)
+        for c in columns:
+            new[c[layer]] = True
+        layer = np.flatnonzero(new > seen)
+        seen[layer] = True
+        found.append(layer)
+    return np.concatenate(found)
+
+
+def derived_orders(cols):
+    """(orders, gens): |K^(i)|, as derived_series gives them, and indices
+    of generators of each K^(i), for K with right-translation columns cols
+    by its generators: the normal closure of the commutators of each
+    term's generators is walked on index sets, a seed outside it joining
+    its generators and queueing its conjugates."""
+    column = _translations(cols)[2]
+    inv = lambda i: int(column(i).argmin())  # the x with x * i = 1
+    gens, orders = [[int(c[0]) for c in cols]], [cols.shape[1]]
+    while orders[-1] > 1:
+        pending = [column(b)[column(a)[column(inv(b))[inv(a)]]]
+                   for a in gens[-1] for b in gens[-1]]  # a^-1 b^-1 a b
+        sub, new = np.arange(cols.shape[1]) == 0, []
+        for t in pending:
+            if not sub[t]:
+                new.append(int(t))
+                _walk([column(g) for g in new], sub)
+                pending += [c[column(t)[c.argmin()]] for c in cols]
+        if sub.sum() == orders[-1]:
+            break
+        orders.append(int(sub.sum()))
+        gens.append(new)
+    column.cache_clear()  # its arrays now, not at the next cycle collection
+    return orders, gens
 
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:

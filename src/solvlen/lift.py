@@ -14,7 +14,7 @@ identity, a system of affine equations in the offsets over F_2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
 from .fpmat import (FpMatrix, QuadraticFormF2, _echelon, all_f2_vectors,
                     mat_invert, nullspace)
-from .grp import derived_series
+from .grp import _translations, _walk, derived_orders, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle)
 
@@ -169,37 +169,6 @@ def f4_model_generators():
         FpMatrix.from_rows(frobenius, 2)]
 
 
-def _translations(cols):
-    """(parent, gen, column) of a breadth-first enumeration with right-
-    translation columns cols (k x order): parent[i] * gen[i] = i is i's
-    first edge in (element, generator) order, from the layer before i, and
-    column(i)[x], the index of x * i, one gather per edge, cached."""
-    first = np.unique(cols.T.ravel(), return_index=True)[1]
-    first[0] = 0
-    parent, gen = first // len(cols), first % len(cols)
-
-    @cache
-    def column(i):
-        return cols[gen[i]][column(parent[i])] if i else np.arange(len(first))
-    return parent, gen, column
-
-
-def _walk(columns, seen):
-    """Close the boolean row seen, in place, under x -> c[x] for each of
-    the columns, breadth-first from all of it; return its indices in the
-    order visited, each layer ascending."""
-    layer = np.flatnonzero(seen)
-    found = [layer]
-    while len(layer):
-        new = np.zeros(len(seen), bool)
-        for c in columns:
-            new[c[layer]] = True
-        layer = np.flatnonzero(new > seen)
-        seen[layer] = True
-        found.append(layer)
-    return np.concatenate(found)
-
-
 def two_generator_reduction(handle, order):
     """First pair (by descending element order, then enumeration index)
     generating the whole group, and the winning walk: the group's
@@ -226,34 +195,11 @@ def two_generator_reduction(handle, order):
             if sub.all():
                 gens = handle.from_perms(rows[[i1, left[0]]])
                 pos = np.argsort(found).astype(np.int32)  # -> walk index
+                column.cache_clear()  # its arrays now, as in derived_orders
                 return gens, pos[np.array(pair)[:, found]]
             free &= ~sub
             subs = np.vstack([subs, sub])
     raise SearchFailed("no 2-element generating set found")
-
-
-def derived_orders(cols):
-    """|K^(i)|, as grp.derived_series gives them, for K with right-
-    translation columns cols by its generators: the normal closure of the
-    commutators of each term's generators is walked on index sets, a seed
-    outside it joining its generators and queueing its conjugates."""
-    column = _translations(cols)[2]
-    inv = lambda i: int(column(i).argmin())  # the x with x * i = 1
-    gens, orders = [int(c[0]) for c in cols], [cols.shape[1]]
-    while orders[-1] > 1:
-        pending = [column(b)[column(a)[column(inv(b))[inv(a)]]]
-                   for a in gens for b in gens]  # a^-1 b^-1 a b
-        sub, gens = np.arange(cols.shape[1]) == 0, []
-        for t in pending:
-            if not sub[t]:
-                gens.append(int(t))
-                _walk([column(g) for g in gens], sub)
-                pending += [c[column(t)[c.argmin()]] for c in cols]
-        if sub.sum() == orders[-1]:
-            break
-        orders.append(int(sub.sum()))
-    column.cache_clear()  # its arrays now, not at the next cycle collection
-    return orders
 
 
 def invariant_quadratic_form(mats):
@@ -318,7 +264,7 @@ def d8_group():
     pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
     h = replace(holomorph_perm(ph, [p.apply for p in pairs]), name="d8()",
-                order_bounds=tuple(128 * k for k in derived_orders(cols)))
+                order_bounds=tuple(128 * k for k in derived_orders(cols)[0]))
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")
     report = derived_series(h)

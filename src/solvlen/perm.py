@@ -57,11 +57,24 @@ def as_perm(images):
     g = np.asarray(images, dtype=np.int32)
     if g.ndim != 1:
         raise GroupError("permutation must be a 1-d image array")
-    n = check_degree(len(g))
-    if n and (g.min() < 0 or g.max() >= n
-              or np.count_nonzero(np.bincount(g, minlength=n)) != n):
+    return as_perm_stack([g], len(g))[0]
+
+
+def as_perm_stack(perms, degree):
+    """Coerce a list of image arrays on `degree` points to one validated
+    int32 stack (len(perms) x degree): as_perm's checks, with one bincount
+    over the rows, offset by row, for every bijection at once."""
+    n = check_degree(degree)
+    if any(len(g) != n for g in perms):
+        raise DegreeMismatch("permutations act on different point counts")
+    h = np.array(perms or np.zeros((0, n)), np.int32)
+    if h.ndim != 2:
+        raise GroupError("permutation must be a 1-d image array")
+    if h.size and (h.min() < 0 or h.max() >= n or np.count_nonzero(
+            np.bincount((h + np.arange(0, h.size, n)[:, None]).ravel()))
+            != h.size):
         raise GroupError("image array is not a bijection")
-    return g
+    return h
 
 
 def perm_mul(a, b):
@@ -339,12 +352,9 @@ def schreier_sims(gens, upper_bound=None):
     two runs on the same input produce identical chains.  Construction
     stops when the orbit product reaches ``upper_bound``, which must be a
     proven upper bound on the group's order (see normal_closure_perm)."""
-    gens = [as_perm(g) for g in gens]
-    degree = len((gens or [()])[0])
-    if any(len(g) != degree for g in gens):
-        raise DegreeMismatch("generators act on different point counts")
-    b = BSGS(degree)
-    _sift_insert(b, np.array(gens, np.int32).reshape(len(gens), degree))
+    h = as_perm_stack(gens, len((gens or [()])[0]))
+    b = BSGS(h.shape[1])
+    _sift_insert(b, h)
     _complete(b, upper_bound)
     return b
 
@@ -361,11 +371,9 @@ def normal_closure_perm(group_gens, seed, upper_bound=None):
     (_complete) ends the closure, or reaching a proven ``upper_bound``
     on its order: the partial chain sits inside the closure.
     """
-    group = [as_perm(g) for g in group_gens]
-    pending = [as_perm(s) for s in seed]
-    degree = len((group or pending or [()])[0])
-    group = np.array(group, np.int32).reshape(len(group), degree)
-    pending = np.array(pending, np.int32).reshape(len(pending), degree)
+    degree = len((group_gens or seed or [()])[0])
+    group = as_perm_stack(group_gens, degree)
+    pending = as_perm_stack(seed, degree)
     ginvs, which = np.argsort(group, axis=1), np.arange(len(group))[:, None]
     b = BSGS(degree)
     conjugated = 0  # level 0's generators only grow by appending

@@ -339,15 +339,19 @@ def test_qutrit_normalizer_scalar_is_pinned(p, c):
 
 
 def test_searches_run_no_schreier_sims(monkeypatch):
-    # each candidate is tested by one capped closure; the winner's chain
-    # is left to whoever asks for it
-    def refuse(gens):
-        raise AssertionError("schreier_sims called")
+    # each candidate is tested by one capped closure; the winner keeps it,
+    # with the order it proves as its bound, and builds no chain
+    def refuse(*args):
+        raise AssertionError("called")
 
     monkeypatch.setattr(permmod, "schreier_sims", refuse)
-    assert len(binary_octahedral().generators) == 4
-    for p in (7, 13):
-        assert len(qutrit_normalizer(p).generators) == 4
+    bo = binary_octahedral()
+    assert len(bo.generators) == 4 and bo.order_bounds == (48,)
+    winners = [qutrit_normalizer(p) for p in (7, 13)]
+    monkeypatch.setattr(grp, "_closure", refuse)
+    for k in winners:
+        assert len(k.generators) == 4 and k.order_bounds == (648,)
+        assert len(k.rows()) == k.columns().shape[1] == 648
 
 
 def test_exterior_square_group():
@@ -411,22 +415,46 @@ def test_semidirect_series_orders_match_full_chains(label):
         assert orders == (4094064,)
 
 
+@pytest.mark.parametrize("label", sorted(SPLIT_ORACLE))
+def test_derived_term_generators_walk_to_their_orders(label):
+    # the generator indices derived_orders gives for each K^(i), walked on
+    # K's right-translation columns, generate exactly |K^(i)| elements
+    k = SPLIT_ORACLE[label]()
+    cols = k.columns()
+    orders, gens = grp.derived_orders(cols)
+    assert orders == list(grp.derived_series(k).orders)
+    assert len(gens) == len(orders)
+    column = grp._translations(cols)[2]
+    for order, term in zip(orders, gens):
+        sub = np.arange(cols.shape[1]) == 0
+        grp._walk([column(g) for g in term], sub)
+        assert sub.sum() == order
+
+
 def test_prop8_builds_no_chain_on_its_points(monkeypatch):
-    # the certified orders come from K's chain on its 72 basis-orbit
-    # points and span steps on F_7^6; no chain acts on P or on G
+    # the certified orders come from index-set closures on K's one
+    # enumeration and span steps on F_7^6; no chain is built at all, on
+    # K, on P or on G
     from solvlen import perm
-    degrees = []
-    init = perm.BSGS.__init__
+    degrees, closures = [], []
+    init, closure = perm.BSGS.__init__, grp._closure
 
     def recording(self, degree):
         degrees.append(degree)
         init(self, degree)
+
+    def counting(*args):
+        closures.append(args[3])
+        return closure(*args)
     monkeypatch.setattr(perm.BSGS, "__init__", recording)
+    monkeypatch.setattr(grp, "_closure", counting)
     h = atlas.prop8_group(7)
     rep = grp.derived_series(h)
     assert h.order() == rep.orders[0] == 76236552
     assert rep.engine == "split"
-    assert degrees and max(degrees) <= 72
+    assert degrees == []
+    # K is enumerated once: one capped closure per scalar c = 1, 2, 3
+    assert closures == [648] * 3
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()

@@ -384,6 +384,33 @@ def test_enumeration_slices_stay_within_the_cap(monkeypatch):
     assert done == 120 and max(RecordingRows.slices) > 1
 
 
+def test_capped_closures_take_full_slices(monkeypatch):
+    # slices are sized by the enumeration's memory room, not by the cap: a
+    # closure capped at its group's order gives the uncapped closure's rows
+    # and columns, in no more slices
+    closure = grp._closure
+
+    def recording(read, identity, images, cap):
+        return closure(read, identity, images.view(RecordingRows), cap)
+    monkeypatch.setattr(grp, "_closure", recording)
+    cases = corpus_perm_groups() + [
+        ("gl(2,3)", atlas.gl(2, 3), 48),
+        ("bo()", atlas.binary_octahedral(), 48),
+        ("qutrit(7)", atlas.qutrit_normalizer(7), 648)]
+    for label, handle, order in cases:
+        gens = handle.perm_generators()
+        runs = []
+        for cap in (None, order):
+            RecordingRows.slices = []
+            rows, cols = handle.closure(gens, cap)
+            runs.append((rows.tolist(), cols.tolist(),
+                         len(RecordingRows.slices)))
+        (rows, cols, free), (capped_rows, capped_cols, capped) = runs
+        assert len(rows) == order, label
+        assert (capped_rows, capped_cols) == (rows, cols), label
+        assert capped <= free, label
+
+
 def test_generator_columns_match_products():
     e27 = atlas.model_handle(atlas.ExtraspecialOddModel(3, 1), "e27")
     for h in (atlas.sym(4), atlas.gl(2, 3), qbar(), e27):

@@ -15,7 +15,7 @@ from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
                             SearchExhausted, SearchFailed)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                            nullspace)
-from solvlen.lift import (AutPair, derived_orders, f4_model_generators,
+from solvlen.lift import (AutPair, f4_model_generators,
                           invariant_quadratic_form, lift_generators,
                           quadratic_correction, two_generator_reduction)
 
@@ -437,8 +437,8 @@ def test_index_closure_series_matches_the_chain_series():
     # pairs of qbar's elements on the breadth-first closure of the pair
     qbar = atlas.matrix_handle(F4_GENS, "qbar")
     walk = two_generator_reduction(qbar, 1296)[1]
-    assert derived_orders(walk) == list(grp.derived_series(qbar).orders) \
-        == [1296, 648, 216, 54, 27, 3, 1]
+    assert grp.derived_orders(walk)[0] == \
+        list(grp.derived_series(qbar).orders) == [1296, 648, 216, 54, 27, 3, 1]
     rng = random.Random(26)
     seen = set()
     for _ in range(8):
@@ -446,6 +446,6 @@ def test_index_closure_series_matches_the_chain_series():
         sub = atlas.matrix_handle(pair, "pair")
         cols = sub.closure([sub.to_perm(a) for a in pair])[1]
         want = grp.derived_series(sub).orders
-        assert derived_orders(cols) == list(want)
+        assert grp.derived_orders(cols)[0] == list(want)
         seen.add(want[0])
     assert len(seen) > 2  # subgroups of several orders
