@@ -22,7 +22,8 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      SearchFailed)
 from .fpmat import (FpMatrix, _echelon, check_dimension, check_prime,
                     mat_invert, similitude_factor, wedge_square, wedge_vec)
-from .grp import GroupHandle, _row_index, center, tuple_inv, tuple_mul
+from .grp import (GroupHandle, _row_index, _stretches, _translations, center,
+                  derived_orders, tuple_inv, tuple_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +44,15 @@ class BasisOrbitAction:
     A matrix is determined by its images of a basis, so the action is
     faithful; the first n points are e_0..e_{n-1}, and a permutation reads
     back as the matrix whose row i is the image of e_i.  A model acts
-    through a faithful matrix representation, to_matrix, and its inverse
-    from_matrix.  The points are found on first use, breadth-first from
-    the basis, and growth stops with CapExceeded once it passes
-    perm.MAX_DEGREE.
+    through a faithful matrix representation, to_matrix, and coordinates
+    reads a stack of such matrices back as rows of model coordinates.  The
+    points are found on first use, breadth-first from the basis, and
+    growth stops with CapExceeded once it passes perm.MAX_DEGREE.
     """
 
-    def __init__(self, identity, gens, to_matrix=None, from_matrix=None):
+    def __init__(self, identity, gens, to_matrix=None, coordinates=None):
         self.to_matrix = to_matrix or (lambda x: x)
-        self.from_matrix = from_matrix or (lambda m: m)
+        self.coordinates = coordinates
         one = self.to_matrix(identity)
         self.p, self.n = one.p, one.n
         self._gens = gens  # the points are grown from these on first use
@@ -95,9 +96,10 @@ class BasisOrbitAction:
     def elements(self, rows):
         """The elements whose image rows are the rows of a 2-D array: the
         matrix of a row has the points it sends e_0..e_{n-1} to as rows."""
-        mats = self._points[0][rows[:, :self.n]].tolist()
-        return [self.from_matrix(FpMatrix(self.p, tuple(map(tuple, m))))
-                for m in mats]
+        mats = self._points[0][rows[:, :self.n]]
+        if self.coordinates is not None:
+            return list(map(tuple, self.coordinates(mats).tolist()))
+        return [FpMatrix(self.p, tuple(map(tuple, m))) for m in mats.tolist()]
 
 
 def matrix_handle(gens, name="", upper_bound=None):
@@ -173,12 +175,11 @@ class ExtraspecialOddModel:
         rows.append((0,) * (n + 1) + (1,))
         return FpMatrix.from_rows(rows, p)
 
-    def from_matrix(self, m):
-        p, n, rows = self.p, self.n, m.entries
-        x = rows[0][1:n + 1]
-        y = tuple(rows[i][n + 1] for i in range(1, n + 1))
-        z = rows[0][n + 1] - self.half * sum(s * t for s, t in zip(x, y))
-        return x + y + (z % p,)
+    def coordinates(self, mats):
+        n = self.n
+        x, y = mats[:, 0, 1:n + 1], mats[:, 1:n + 1, n + 1]
+        z = (mats[:, 0, n + 1] - self.half * (x * y).sum(1)) % self.p
+        return np.column_stack([x, y, z])
 
 
 class Extraspecial2Model:
@@ -244,8 +245,8 @@ class Extraspecial2Model:
         rows.append((a[-1],) + vc + (1,))
         return FpMatrix.from_rows(rows, 2)
 
-    def from_matrix(self, m):
-        return tuple(row[0] for row in m.entries[1:])
+    def coordinates(self, mats):
+        return mats[:, 1:, 0]
 
 
 class ExtSqModel:
@@ -285,8 +286,8 @@ class ExtSqModel:
                  enumerate(_unit_vectors(3, 3))]
         return FpMatrix.from_rows(rows, p)
 
-    def from_matrix(self, m):
-        return tuple(row[0] for row in m.entries[1:])
+    def coordinates(self, mats):
+        return mats[:, 1:, 0]
 
 
 def model_handle(model, name=""):
@@ -294,7 +295,7 @@ def model_handle(model, name=""):
     the centre, so |P| = p^(coordinates): 2^(1+2n), p^(1+2n) or p^6, the
     proven bound recorded."""
     action = BasisOrbitAction(model.identity, model.generators(),
-                              model.matrix, model.from_matrix)
+                              model.matrix, model.coordinates)
     return GroupHandle(model.identity, model.generators(), model.mul,
                        model.inv, name=name, kind="model", action=action,
                        order_bounds=(action.p ** len(model.identity),))
@@ -305,9 +306,9 @@ def model_handle(model, name=""):
 
 
 def _primitive_root(p):
-    # the order of a unit g mod p is that of x -> gx on Z/p
+    # the least unit whose powers are all p - 1 units
     return next(g for g in range(1, p)
-                if permmod.perm_order_of(np.arange(p) * g % p) == p - 1)
+                if len({pow(g, t, p) for t in range(p - 1)}) == p - 1)
 
 
 def cyclic(n):
@@ -335,14 +336,15 @@ def gl(n, p):
     check_dimension(n)
     gens = [FpMatrix.diagonal([_primitive_root(p)] + [1] * (n - 1), p)]
     if n >= 2:
-        cyc = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cyc[i][(i + 1) % n] = 1
-        gens.append(FpMatrix.from_rows(cyc, p))
-        tv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        tv[0][1] = 1
-        gens.append(FpMatrix.from_rows(tv, p))
+        gens += _cycle_and_transvection(n, p, 1)
     return matrix_handle(gens, f"gl({n},{p})", gl_order(n, p))
+
+
+def _cycle_and_transvection(n, p, corner):
+    """e_i -> e_(i+1), but e_(n-1) -> corner e_0; and I + E_01."""
+    cyc, tv = np.roll(np.eye(n, dtype=int), 1, 1), np.eye(n, dtype=int)
+    cyc[n - 1, 0], tv[0, 1] = corner, 1
+    return [FpMatrix.from_rows(a.tolist(), p) for a in (cyc, tv)]
 
 
 def gl_order(n, p):
@@ -357,16 +359,9 @@ def sl(n, p):
     check_dimension(n)
     if n == 1:
         return matrix_handle([FpMatrix.identity(1, p)], f"sl(1,{p})")
-    gens = []
-    tv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    tv[0][1] = 1
-    gens.append(FpMatrix.from_rows(tv, p))
-    cyc = [[0] * n for _ in range(n)]
-    for i in range(n):
-        cyc[i][(i + 1) % n] = 1
-    cyc[n - 1][0] = (-1) ** (n - 1) % p
-    gens.append(FpMatrix.from_rows(cyc, p))
-    return matrix_handle(gens, f"sl({n},{p})", gl_order(n, p) // (p - 1))
+    cyc, tv = _cycle_and_transvection(n, p, (-1) ** (n - 1))
+    return matrix_handle([tv, cyc], f"sl({n},{p})",
+                         gl_order(n, p) // (p - 1))
 
 
 def upper_triangular(n, p):
@@ -584,10 +579,59 @@ def qutrit_generator_candidates(p):
     return x, z, s, m
 
 
+def _scalar_orders(mats, p, cap):
+    """|K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <= GL_n(p), from one
+    enumeration, capped at cap, of its image Kbar in PGL_n(p), one for all c.
+
+    Kbar acts on the projective points (leading entry 1) in the orbits of
+    the <e_i>.  Let R_x be the product of the A_g on the path to x in the
+    enumeration's first-edge tree, and m(x) its number of A_k edges.  Each
+    edge (x, g) must give R_x A_g = s(x, g) R_(xg) for a scalar s(x, g), or
+    ScalarSearchFailed.  Then x -> [R_x] maps onto Kbar (its image holds 1
+    and is closed under the [A_g]) and the point action maps it back: the
+    action is faithful and |Kbar| is the enumeration's size.  The tree's
+    relators u_x g u_(xg)^-1 generate the kernel of the free group onto
+    Kbar (Schreier's lemma; Seress, Permutation Group Algorithms, ch. 4),
+    so, with A_k read as c A_k, their images s(x, g) c^e(x, g), e = m(x) +
+    [g = k] - m(xg), generate K_c n Z, the kernel of K_c -> Kbar.  In logs
+    to _primitive_root(p), |K_c| = |Kbar| (p-1) / gcd(p-1, log s + e log c).
+    """
+    gens, n, k = np.array([a.entries for a in mats]), mats[0].n, len(mats)
+    inv = np.array([pow(a, p - 2, p) for a in range(p)])
+    lead = lambda v: np.take_along_axis(v, (v != 0).argmax(-1)[..., None], -1)
+
+    def images(points):  # k x points x n, each scaled to a leading 1
+        v = points @ gens % p
+        return v * inv[lead(v)] % p
+    points, size, weights = np.eye(n, dtype=np.int64), 0, p ** np.arange(n)
+    while size < len(points):  # grow the orbits until a round adds none
+        keys = np.array(sorted(set(
+            (np.vstack([points, *images(points)]) @ weights).tolist())))
+        size, points = len(points), keys[:, None] // weights % p
+    perms = np.searchsorted(keys, images(points) @ weights)
+    cols = perm_handle([], size).closure(perms, cap)[1]
+    parent, gen, _ = _translations(cols)
+    r = np.tile(np.eye(n, dtype=np.int64), (len(parent), 1, 1))
+    m = np.zeros(len(parent), np.int64)  # A_k edges on the path to x
+    for part in _stretches(parent):
+        i, j = parent[part], gen[part]
+        r[part], m[part] = r[i] @ gens[j] % p, m[i] + (j == k - 1)
+    a = (r[:, None] @ gens % p).reshape(-1, n * n)  # R_x A_g, x major
+    b = r[cols.T].reshape(-1, n * n)  # R_(xg)
+    s = lead(a) * inv[lead(b)] % p
+    if (a != s * b % p).any():
+        raise ScalarSearchFailed(f"points do not separate the group mod {p}")
+    e = (m[:, None] + (np.arange(k) == k - 1) - m[cols.T]).ravel()
+    root = _primitive_root(p)
+    log = np.argsort([pow(root, t, p) for t in range(p - 1)])  # of 1..p-1
+    return len(parent) * (p - 1) // np.gcd.reduce(
+        (log[s[:, 0] - 1] + e * log[:, None]) % (p - 1), axis=1, initial=p - 1)
+
+
 def qutrit_normalizer(p):
     """K = <X, Z, S, cM> <= GL_3(p) of order 648, c the first scalar in
-    1..p-1 that gives that order; K keeps the closure that proves it, and
-    648 as its order bound.
+    1..p-1 that gives that order, chosen by _scalar_orders before any
+    closure of K; K keeps its one closure, and 648 as its order bound.
 
     K acts absolutely irreducibly on F_p^3, with no check needed, because
     <X, Z> already does.  Z = diag(1, w, w^2) has three distinct
@@ -603,18 +647,17 @@ def qutrit_normalizer(p):
     if p > 31:
         raise BadParameter("qutrit_normalizer limited to p <= 31")
     x, z, s, m = qutrit_generator_candidates(p)
-    achieved = []
-    for c in range(1, p):
-        h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})")
-        try:  # one closure capped at 648
-            order = len(h.rows(648))
-        except CapExceeded:
-            order = "> 648"
-        achieved.append((c, order))
-        if order == 648:
-            return replace(h, order_bounds=(648,))
-    raise ScalarSearchFailed(
-        f"no scalar correction gives order 648 mod {p}: {achieved}")
+    try:
+        orders = _scalar_orders([x, z, s, m], p, 648).tolist()
+    except CapExceeded:  # |K_c| >= |Kbar| > 648 for every c
+        orders = ["> 648"] * (p - 1)
+    if 648 not in orders:
+        raise ScalarSearchFailed("no scalar correction gives order 648 mod "
+                                 f"{p}: {list(enumerate(orders, 1))}")
+    h = matrix_handle([x, z, s, m.scale(orders.index(648) + 1)],
+                      f"qutrit({p})")
+    h.rows(648)  # K's one enumeration, kept on the handle
+    return replace(h, order_bounds=(648,))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +739,6 @@ def semidirect_series_orders(k_handle, p):
     generators of K^(i) (any set gives the same S) from K's enumeration
     (its last term past its end: K need not be solvable).
     """
-    from .grp import derived_orders
     k_orders, k_gens = derived_orders(k_handle.columns())
     last, units = len(k_orders) - 1, _unit_vectors(6, 6)
 

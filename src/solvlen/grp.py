@@ -328,6 +328,15 @@ def _translations(cols):
     return parent, gen, column
 
 
+def _stretches(parent):
+    """Slices of 1..len(parent)-1 in order, each after its rows' parents."""
+    done = 1
+    while done < len(parent):
+        stop = done + int(np.argmax(np.append(parent[done:], done) >= done))
+        yield slice(done, stop)
+        done = stop
+
+
 def _walk(columns, seen):
     """Close the boolean row seen, in place, under x -> c[x] for each of
     the columns, breadth-first from all of it; return its indices in the

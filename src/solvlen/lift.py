@@ -23,7 +23,8 @@ from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
 from .fpmat import (FpMatrix, QuadraticFormF2, _echelon, all_f2_vectors,
                     mat_invert, nullspace)
-from .grp import _translations, _walk, derived_orders, derived_series
+from .grp import (_stretches, _translations, _walk, derived_orders,
+                  derived_series)
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
                     model_handle)
 
@@ -113,12 +114,10 @@ def lift_generators(mats, model: Extraspecial2Model, cols=None):
     order = cols.shape[1]
     vec = np.zeros((order, dim), np.int16)
     z = np.zeros((order, dim), dtype)
-    vec[0], done = weight, 1
-    while done < order:
-        stop = done + np.argmax(np.append(parent[done:], order) >= done)
-        i, j = parent[done:stop], gen[done:stop, None]
-        vec[done:stop], z[done:stop] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
-        done = stop
+    vec[0] = weight
+    for part in _stretches(parent):
+        i, j = parent[part], gen[part, None]
+        vec[part], z[part] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
     # the relator of edge (i, j) -> h lifts to the identity iff its z-part
     # z_i + q_j(e_m u_i) + z_h vanishes at every e_m
     eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols])

@@ -1,5 +1,6 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import re
 import time
 import tracemalloc
 
@@ -17,7 +18,8 @@ from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            semidirect_series_orders, sl, sym,
                            upper_triangular, wreath)
 from solvlen.errors import (BadCongruence, BadParameter, CapExceeded,
-                            GroupError, KindMismatch, NotAutomorphism)
+                            GroupError, KindMismatch, NotAutomorphism,
+                            ScalarSearchFailed)
 from solvlen.fpmat import FpMatrix, similitude_factor
 from solvlen.lift import (f4_model_generators, invariant_quadratic_form,
                           lift_generators)
@@ -338,6 +340,43 @@ def test_qutrit_normalizer_scalar_is_pinned(p, c):
     assert qutrit_normalizer(p).generators == [x, z, s, m.scale(c)]
 
 
+@pytest.mark.parametrize("p", [7, 13, 19, 31])
+def test_scalar_orders_match_every_scalar(p):
+    # the relator criterion against K_c itself for every c: its chain's
+    # order, and whether a closure capped at 648 reaches 648 elements
+    x, z, s, m = atlas.qutrit_generator_candidates(p)
+    orders = atlas._scalar_orders([x, z, s, m], p, 648).tolist()
+    for c in range(1, p):
+        k = atlas.matrix_handle([x, z, s, m.scale(c)])
+        try:
+            hit = len(k.rows(648)) == 648
+        except CapExceeded:
+            hit = False
+        assert hit == (orders[c - 1] == 648), c
+        assert k.order() == orders[c - 1], c
+
+
+def test_scalar_search_failures_exit_2(monkeypatch, capsys):
+    from solvlen.cli import run_command
+    x, z, s, m = atlas.qutrit_generator_candidates(7)
+    t = FpMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 7)
+    for gens, why in [
+            # |K_c| = 1296 for every c
+            ((x, z, m, s * m), "[(1, 1296), (2, 1296), (3, 1296),"),
+            # the image in PGL(3,7) passes the cap: the same for every c
+            ((x, z, s, t), "(5, '> 648'), (6, '> 648')]"),
+            # diagonal X, Z, S and Z fix <e_0>, <e_1>, <e_2>, so those
+            # three points cannot tell Z from 1 mod scalars
+            ((x, z, s, z), "points do not separate the group mod 7")]:
+        monkeypatch.setattr(atlas, "qutrit_generator_candidates",
+                            lambda p, gens=gens: gens)
+        with pytest.raises(ScalarSearchFailed, match=re.escape(why)):
+            qutrit_normalizer(7)
+        assert run_command(["eval", "qutrit(7)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScalarSearchFailed:") and why in err
+
+
 def test_searches_run_no_schreier_sims(monkeypatch):
     # each candidate is tested by one capped closure; the winner keeps it,
     # with the order it proves as its bound, and builds no chain
@@ -444,7 +483,7 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
         init(self, degree)
 
     def counting(*args):
-        closures.append(args[3])
+        closures.append((len(args[1]), args[3]))  # (points, cap)
         return closure(*args)
     monkeypatch.setattr(perm.BSGS, "__init__", recording)
     monkeypatch.setattr(grp, "_closure", counting)
@@ -453,8 +492,9 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     assert h.order() == rep.orders[0] == 76236552
     assert rep.engine == "split"
     assert degrees == []
-    # K is enumerated once: one capped closure per scalar c = 1, 2, 3
-    assert closures == [648] * 3
+    # K's scalar comes from one closure of its image in PGL(3,7) on 12
+    # projective points, and K itself is enumerated once, on 72 points
+    assert closures == [(12, 648), (72, 648)]
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()
@@ -574,7 +614,7 @@ def test_model_matrix_is_a_homomorphism():
         index = {x: i for i, x in enumerate(elems)}
         mats = np.array([model.matrix(x).entries for x in elems])
         p = model.matrix(model.identity).p
-        assert all(model.from_matrix(model.matrix(x)) == x for x in elems)
+        assert list(map(tuple, model.coordinates(mats).tolist())) == elems
         for i, x in enumerate(elems):
             products = [index[model.mul(x, y)] for y in elems]
             assert np.array_equal(mats[i] @ mats % p, mats[products])
