@@ -20,8 +20,8 @@ from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      KindMismatch, NotAutomorphism, ScalarSearchFailed,
                      SearchFailed)
-from .fpmat import (FpMatrix, _echelon, check_dimension, check_prime,
-                    mat_invert, similitude_factor, wedge_square, wedge_vec)
+from .fpmat import (FpMatrix, check_dimension, check_prime, mat_invert,
+                    row_space, similitude_factor, wedge_vec)
 from .grp import (GroupHandle, _row_index, _stretches, _translations, center,
                   derived_orders, tuple_inv, tuple_mul)
 
@@ -74,7 +74,9 @@ class BasisOrbitAction:
             imgs = np.stack([layer @ a % p for a in mats], axis=1)
             imgs = imgs.reshape(-1, self.n)
             k = imgs @ self.weights
-            fresh = np.flatnonzero(~np.isin(k, keys))
+            known = np.sort(keys)  # np.isin would import numpy.ma
+            pos = np.minimum(np.searchsorted(known, k), len(known) - 1)
+            fresh = np.flatnonzero(known[pos] != k)
             _, first = np.unique(k[fresh], return_index=True)
             layer = imgs[fresh[np.sort(first)]]
             layers.append(layer)
@@ -580,8 +582,10 @@ def qutrit_generator_candidates(p):
 
 
 def _scalar_orders(mats, p, cap):
-    """|K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <= GL_n(p), from one
-    enumeration, capped at cap, of its image Kbar in PGL_n(p), one for all c.
+    """(orders, cols, logs): |K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <=
+    GL_n(p), from one enumeration, capped at cap, of its image Kbar in
+    PGL_n(p), one for all c; Kbar's right-translation columns; and the
+    logs, x-major, of K_c's relator scalars, one row per c.
 
     Kbar acts on the projective points (leading entry 1) in the orbits of
     the <e_i>.  Let R_x be the product of the A_g on the path to x in the
@@ -624,14 +628,47 @@ def _scalar_orders(mats, p, cap):
     e = (m[:, None] + (np.arange(k) == k - 1) - m[cols.T]).ravel()
     root = _primitive_root(p)
     log = np.argsort([pow(root, t, p) for t in range(p - 1)])  # of 1..p-1
-    return len(parent) * (p - 1) // np.gcd.reduce(
-        (log[s[:, 0] - 1] + e * log[:, None]) % (p - 1), axis=1, initial=p - 1)
+    logs = (log[s[:, 0] - 1] + e * log[:, None]) % (p - 1)
+    orders = len(parent) * (p - 1) // np.gcd.reduce(logs, 1, initial=p - 1)
+    return orders, cols, logs
+
+
+def _lifted_closure(perms, succ):
+    """_closure's (rows, columns) for image rows perms (k x n) whose group
+    is given as a graph: node 0 is the identity and x * perms[g] is node
+    succ[x, g].  Nodes are numbered breadth-first in (element, generator)
+    order, as _closure numbers rows, and each row is its first edge's
+    perms[g] applied to its parent's row, a layer at a time."""
+    k, n = perms.shape
+    perms = perms.astype(np.min_scalar_type(n - 1))  # _closure's dtype
+    rank, done, nodes = np.full(len(succ), -1, np.int32), 1, [np.zeros(1, int)]
+    rank[0], rows = 0, [np.arange(n, dtype=perms.dtype)[None]]
+    while len(nodes[-1]):
+        imgs = succ[nodes[-1]].ravel()
+        fresh = np.flatnonzero(rank[imgs] < 0)
+        idx = fresh[np.sort(np.unique(imgs[fresh], return_index=True)[1])]
+        rank[imgs[idx]] = np.arange(done, done + len(idx))
+        nodes.append(imgs[idx])
+        rows.append(perms[idx[:, None] % k, rows[-1][idx // k]])
+        done += len(idx)
+    return np.concatenate(rows), rank[succ[np.concatenate(nodes)]].T.copy()
 
 
 def qutrit_normalizer(p):
     """K = <X, Z, S, cM> <= GL_3(p) of order 648, c the first scalar in
-    1..p-1 that gives that order, chosen by _scalar_orders before any
-    closure of K; K keeps its one closure, and 648 as its order bound.
+    1..p-1 that gives that order, chosen by _scalar_orders; K's rows and
+    columns are lifted from that one enumeration of Kbar, with no closure
+    of K, and 648 is K's order bound.
+
+    The lift: with |K_c| = 648 = q |Kbar|, K_c n Z is <zeta>, zeta =
+    root^((p-1)/q) for root = _primitive_root(p).  The (x, j) = zeta^j
+    c^m(x) R_x, x in Kbar and 0 <= j < q, lie in K_c and are 648 distinct
+    elements (x is their image in Kbar), so all of K_c.  Generator g (c A_k
+    for g = k) sends (x, j) to zeta^j c^(m(x) + [g = k]) s(x, g) R_(xg) =
+    (xg, j + t(x, g) mod q), as the relator scalar s(x, g) c^e(x, g) lies
+    in K_c n Z: it is zeta^t(x, g), t its log over (p-1)/q.  So these edges
+    are K's right translations, and _lifted_closure numbers K's elements
+    and fills its rows from them.
 
     K acts absolutely irreducibly on F_p^3, with no check needed, because
     <X, Z> already does.  Z = diag(1, w, w^2) has three distinct
@@ -648,16 +685,21 @@ def qutrit_normalizer(p):
         raise BadParameter("qutrit_normalizer limited to p <= 31")
     x, z, s, m = qutrit_generator_candidates(p)
     try:
-        orders = _scalar_orders([x, z, s, m], p, 648).tolist()
+        orders, cols, logs = _scalar_orders([x, z, s, m], p, 648)
+        orders = orders.tolist()
     except CapExceeded:  # |K_c| >= |Kbar| > 648 for every c
         orders = ["> 648"] * (p - 1)
     if 648 not in orders:
         raise ScalarSearchFailed("no scalar correction gives order 648 mod "
                                  f"{p}: {list(enumerate(orders, 1))}")
-    h = matrix_handle([x, z, s, m.scale(orders.index(648) + 1)],
-                      f"qutrit({p})")
-    h.rows(648)  # K's one enumeration, kept on the handle
-    return replace(h, order_bounds=(648,))
+    c = orders.index(648) + 1
+    h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})")
+    q = 648 // cols.shape[1]  # |K_c n Z|, 3 as |Kbar| = 216
+    t = logs[c - 1].reshape(-1, 1, 4) // ((p - 1) // q)  # t(x, g)
+    succ = q * cols.T[:, None] + (np.arange(q)[:, None] + t) % q  # x, j, g
+    rows, cols = _lifted_closure(np.array(h.perm_generators()),
+                                 succ.reshape(-1, 4))
+    return replace(h, order_bounds=(648,), _rows=rows, _columns=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +751,11 @@ def exterior_square_group(p):
     return model_handle(ExtSqModel(p), f"extsq({p})")
 
 
-def wedge_automorphism(a):
-    """diag(A, wedge^2(A)), the automorphism (v, w) -> (vA, w wedge^2(A))
-    of the exterior-square group: (vA1) ^ (vA2) = (v1 ^ v2) wedge^2(A)."""
-    z = (0,) * 3
-    return FpMatrix(a.p, tuple(r + z for r in a.entries)
-                    + tuple(z + r for r in wedge_square(a).entries))
-
-
 def semidirect_series_orders(k_handle, p):
     """Certified orders of the derived series of G = P |x K, for P the
     exterior-square group over F_p and K <= GL(3, p) acting by
-    D_k = wedge_automorphism(k).
+    D_k = diag(k, wedge^2(k)), (v, w) -> (vk, w wedge^2(k)), an automorphism
+    as (vk) ^ (v'k) = (v ^ v') wedge^2(k).
 
     G^(i) = M_i |x K^(i), M_i = G^(i) n P, as G^(i)P/P = K^(i) <= G^(i).
     P has class 2 and p is odd, so by the Baer correspondence (Khukhro,
@@ -735,26 +770,34 @@ def semidirect_series_orders(k_handle, p):
     [m, m'], c = u - [m, u]/2, [c, m] = [u, m] and so u: S + [S, L] <= M_i.
     And I = S + [S, L] is a K^(i-1)-invariant ideal; modulo I, M_(i-1) is
     abelian and centralized by K^(i-1), so G^(i) <= I K^(i), M_i <= I.
-    So M_i = S + [S, L] and |G^(i)| = |K^(i)| p^dim M_i, with |K^(i)| and
+    So M_i = S + [S, L], the span of S's generating rows r and the
+    [r, e_j], and |G^(i)| = |K^(i)| p^dim M_i, with |K^(i)| and
     generators of K^(i) (any set gives the same S) from K's enumeration
-    (its last term past its end: K need not be solvable).
+    (its last term past its end: K need not be solvable), read as one
+    stack of matrices, and wedge^2(k)'s rows the cross products of k's.
     """
     k_orders, k_gens = derived_orders(k_handle.columns())
-    last, units = len(k_orders) - 1, _unit_vectors(6, 6)
+    last, rows = len(k_orders) - 1, k_handle.rows()
+    points, one = k_handle.action._points[0], np.eye(6, dtype=np.int64)
 
-    def bracket(x, y):
-        return (0, 0, 0) + tuple(2 * c for c in wedge_vec(x[:3], y[:3], p))
+    def cross(v, w):  # wedge_vec on the last axes, unreduced, broadcast
+        i, j = [1, 2, 0], [2, 0, 1]
+        return v[..., i] * w[..., j] - v[..., j] * w[..., i]
 
-    basis, orders = units, [k_orders[0] * p ** 6]
+    def bracket(v, w):  # of the rows with v-parts v and w, broadcast
+        w = cross(v, w)
+        return np.concatenate([0 * w, 2 * w], -1).reshape(-1, 6)
+
+    basis, orders = one, [k_orders[0] * p ** 6]
     while len(orders) < 2 or orders[-1] != orders[-2]:
         i = len(orders)
-        acts = [wedge_automorphism(k) for k in k_handle.from_perms(
-            k_handle.rows()[k_gens[min(i - 1, last)]])]
-        s = list(_echelon([bracket(m, n) for m in basis for n in basis] + [
-            [x - y for x, y in zip(d.apply(m), m)]
-            for m in basis for d in acts], p).values())
-        basis = list(_echelon(
-            s + [bracket(x, e) for x in s for e in units], p).values())
+        a = points[rows[np.array(k_gens[min(i - 1, last)], int), :3]]
+        d = np.zeros((len(a), 6, 6), np.int64)
+        d[:, :3, :3], d[:, 3:, 3:] = a, cross(a[:, [1, 2, 0]], a[:, [2, 0, 1]])
+        gen = np.concatenate([bracket(basis[:, None, :3], basis[:, :3]),
+                              (basis @ (d - one)).reshape(-1, 6)])
+        basis = row_space(np.concatenate(
+            [gen, bracket(gen[:, None, :3], one[:3, :3])]), p)
         orders.append(k_orders[min(i, last)] * p ** len(basis))
     return tuple(orders[:-1])
 

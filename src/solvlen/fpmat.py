@@ -106,16 +106,6 @@ def mat_invert(a: FpMatrix):
     return FpMatrix(p, tuple(tuple(rows[i][n:]) for i in range(n)))
 
 
-def wedge_square(a: FpMatrix):
-    """Action of a on the exterior square of F_p^3, relative to the basis
-    e2^e3, e3^e1, e1^e2: its rows are (e_i ^ e_j)A = (e_i A) ^ (e_j A)."""
-    if a.n != 3:
-        raise BadParameter("wedge_square is defined for 3x3 matrices")
-    r = a.entries
-    return FpMatrix(a.p, tuple(wedge_vec(r[i], r[j], a.p)
-                               for i, j in ((1, 2), (2, 0), (0, 1))))
-
-
 def wedge_vec(v, w, p):
     """v ^ w in the e2^e3, e3^e1, e1^e2 basis (the cross product mod p)."""
     return ((v[1] * w[2] - v[2] * w[1]) % p,
@@ -162,6 +152,21 @@ def _echelon(vectors, p):
                 rows[col] = [(x - f * y) % p for x, y in zip(row, v)]
         rows[lead] = v
     return rows
+
+
+def row_space(rows, p):
+    """_echelon's rows in pivot order, as one array, for the rows of a 2-D
+    integer array: one numpy elimination step per column."""
+    a, rank = np.asarray(rows, np.int64) % p, 0
+    for col in range(a.shape[1]):
+        live = np.flatnonzero(a[rank:, col])
+        if len(live):
+            piv = rank + live[0]
+            pivot = a[piv] * pow(int(a[piv, col]), p - 2, p) % p
+            a = (a - a[:, col, None] * pivot) % p  # row piv becomes 0
+            a[piv], a[rank] = a[rank], pivot
+            rank += 1
+    return a[:rank]
 
 
 def nullspace(rows, ncols, p):

@@ -153,12 +153,11 @@ class GroupHandle:
                 self.perm_generators(), next(iter(self.order_bounds), None))
         return self._bsgs
 
-    def rows(self, cap=None):
+    def rows(self):
         """The image rows of the elements (a 2-D array), enumerated once,
-        breadth-first within enum_cap(cap) rows (see _closure)."""
+        breadth-first within enum_cap() rows (see _closure)."""
         if self._rows is None:
-            self._rows, self._columns = self.closure(self.perm_generators(),
-                                                     cap)
+            self._rows, self._columns = self.closure(self.perm_generators())
         return self._rows
 
     def elements(self):

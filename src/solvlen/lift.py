@@ -120,7 +120,8 @@ def lift_generators(mats, model: Extraspecial2Model, cols=None):
         vec[part], z[part] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
     # the relator of edge (i, j) -> h lifts to the identity iff its z-part
     # z_i + q_j(e_m u_i) + z_h vanishes at every e_m
-    eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols])
+    eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols],
+                    return_index=True)[0]  # no numpy.ma import
     # solve over F_2 with the unknowns least significant first, lam_k bit
     # 0 up to lam_1 bit dim - 1, and the constant (z-bit 0) last
     bits = [1 + dim * (k - 1 - c // dim) + c % dim for c in range(dim * k)]

@@ -416,7 +416,8 @@ def _chunk_orders(rows):
         low, jump, reach = np.minimum(low, low[jump]), jump[jump], 2 * reach
     count = np.bincount(low)
     least = np.flatnonzero(count)  # one point per cycle, grouped by row
-    key = np.unique(least // n * (n + 1) + count[least])
+    key = np.unique(least // n * (n + 1) + count[least],
+                    return_index=True)[0]  # no numpy.ma import
     lens = key % (n + 1)
     starts = np.flatnonzero(np.diff(key // (n + 1), prepend=-1))
     if np.add.reduceat(np.log2(lens), starts).max() >= 63:

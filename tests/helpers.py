@@ -9,7 +9,7 @@ from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
                            perm_handle)
 from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
-from solvlen.fpmat import FpMatrix, QuadraticFormF2, _echelon
+from solvlen.fpmat import FpMatrix, QuadraticFormF2, _echelon, wedge_vec
 from solvlen.lift import AutPair, quadratic_correction
 
 
@@ -150,6 +150,24 @@ def mat_det(a):
             term *= a.entries[i][sigma[i]]
         total += term
     return total % p
+
+
+def wedge_square(a):
+    """Action of a on the exterior square of F_p^3, relative to the basis
+    e2^e3, e3^e1, e1^e2: its rows are (e_i ^ e_j)A = (e_i A) ^ (e_j A)."""
+    if a.n != 3:
+        raise BadParameter("wedge_square is defined for 3x3 matrices")
+    r = a.entries
+    return FpMatrix(a.p, tuple(wedge_vec(r[i], r[j], a.p)
+                               for i, j in ((1, 2), (2, 0), (0, 1))))
+
+
+def wedge_automorphism(a):
+    """diag(A, wedge^2(A)), the automorphism (v, w) -> (vA, w wedge^2(A))
+    of the exterior-square group: (vA1) ^ (vA2) = (v1 ^ v2) wedge^2(A)."""
+    z = (0,) * 3
+    return FpMatrix(a.p, tuple(r + z for r in a.entries)
+                    + tuple(z + r for r in wedge_square(a).entries))
 
 
 def algebra_dimension(gens):

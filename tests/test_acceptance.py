@@ -9,13 +9,13 @@ import time
 import jsonschema
 import pytest
 
-from helpers import algebra_dimension, corpus_perm_groups
+from helpers import algebra_dimension, corpus_perm_groups, wedge_square
 from solvlen import atlas, grp
 from solvlen.bounds import CS_TABLE, cn_bounds, cs_bounds
 from solvlen.cli import (REPORT_SCHEMA, WITNESSES, build_report, run_command)
 from solvlen.dsl import parse_spec, render
 from solvlen.errors import ParseError
-from solvlen.fpmat import FpMatrix, wedge_square
+from solvlen.fpmat import FpMatrix
 from solvlen.grp import check_lemmas, derived_series, minimal_normal_subgroups
 
 EXPECTED_TABLE = ((0, 0), (1, 1), (2, 2), (3, 4), (4, 5), (5, 7), (6, 8),

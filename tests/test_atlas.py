@@ -1,13 +1,16 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import IMAGE_SPECS, algebra_dimension
+from helpers import IMAGE_SPECS, algebra_dimension, wedge_automorphism
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -345,15 +348,28 @@ def test_scalar_orders_match_every_scalar(p):
     # the relator criterion against K_c itself for every c: its chain's
     # order, and whether a closure capped at 648 reaches 648 elements
     x, z, s, m = atlas.qutrit_generator_candidates(p)
-    orders = atlas._scalar_orders([x, z, s, m], p, 648).tolist()
+    orders = atlas._scalar_orders([x, z, s, m], p, 648)[0].tolist()
     for c in range(1, p):
         k = atlas.matrix_handle([x, z, s, m.scale(c)])
         try:
-            hit = len(k.rows(648)) == 648
+            hit = len(k.closure(k.perm_generators(), 648)[0]) == 648
         except CapExceeded:
             hit = False
         assert hit == (orders[c - 1] == 648), c
         assert k.order() == orders[c - 1], c
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31])
+def test_lifted_enumeration_matches_the_closure(p):
+    # K's rows and columns, lifted from Kbar's enumeration and its relator
+    # scalars, against a closure of K's own generator images: the same
+    # values, numbering and dtypes
+    k = qutrit_normalizer(p)
+    h = atlas.matrix_handle(k.generators)
+    rows, cols = h.closure(h.perm_generators(), 648)
+    assert k.rows().dtype == rows.dtype and k.columns().dtype == cols.dtype
+    assert np.array_equal(k.rows(), rows)
+    assert np.array_equal(k.columns(), cols)
 
 
 def test_scalar_search_failures_exit_2(monkeypatch, capsys):
@@ -446,7 +462,7 @@ def test_semidirect_series_orders_match_full_chains(label):
     # the linear route against unhinted chains of the same group on 729
     # points: P = extsq(3) under right translations and K's automorphisms
     k = SPLIT_ORACLE[label]()
-    auts = [atlas.wedge_automorphism(a).apply for a in k.generators]
+    auts = [wedge_automorphism(a).apply for a in k.generators]
     whole = holomorph_perm(exterior_square_group(3), auts)
     orders = semidirect_series_orders(k, 3)
     assert orders == grp.derived_series(whole).orders
@@ -468,6 +484,19 @@ def test_derived_term_generators_walk_to_their_orders(label):
         sub = np.arange(cols.shape[1]) == 0
         grp._walk([column(g) for g in term], sub)
         assert sub.sum() == order
+
+
+def test_witness_builds_load_no_numpy_ma():
+    # a plain np.unique or a sort-path np.isin imports numpy.ma, about
+    # 1.2 MB of resident memory; the witness builds call neither
+    code = ("import sys\nfrom solvlen import atlas, lift\n"
+            "lift.d8_group(), atlas.prop8_group(7)\n"
+            "atlas.exterior_square_group(7).order(), atlas.gl(3, 3).order()\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(atlas.__file__))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
 
 
 def test_prop8_builds_no_chain_on_its_points(monkeypatch):
@@ -493,8 +522,8 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     assert rep.engine == "split"
     assert degrees == []
     # K's scalar comes from one closure of its image in PGL(3,7) on 12
-    # projective points, and K itself is enumerated once, on 72 points
-    assert closures == [(12, 648), (72, 648)]
+    # projective points, and K's rows and columns are lifted from it
+    assert closures == [(12, 648)]
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()

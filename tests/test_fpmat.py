@@ -9,14 +9,15 @@ rank and the former F_2 routine.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import algebra_dimension, f2_nullspace, mat_det
+from helpers import algebra_dimension, f2_nullspace, mat_det, wedge_square
 from solvlen.errors import BadParameter, NotSimilitude, Singular
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, _echelon,
-                           all_f2_vectors, mat_invert, nullspace,
-                           similitude_factor, wedge_square, wedge_vec)
+                           all_f2_vectors, mat_invert, nullspace, row_space,
+                           similitude_factor, wedge_vec)
 
 
 def rand_matrix(draw_entries, n, p):
@@ -169,6 +170,30 @@ def test_row_reduce_span_invariants(p, data):
     assert _echelon(basis.values(), p) == basis
     for v in vecs:
         assert len(_echelon([*basis.values(), v], p)) == len(basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31])
+def test_row_space_matches_echelon(p):
+    # the numpy elimination against _echelon on seeded stacks: all-zero,
+    # rank-1 and full-rank ones, and random ones of every shape; both give
+    # the reduced echelon form, so the rows agree in pivot order
+    rng = np.random.default_rng(p)
+    line = rng.integers(0, p, 6)
+    line[rng.integers(6)] = 1
+    cases = [(np.zeros((5, 6), np.int64), 0), (np.zeros((0, 6), np.int64), 0),
+             (rng.integers(1, p, (7, 1)) * line, 1),
+             (rng.permutation(np.vstack(
+                 [np.eye(6, dtype=np.int64), rng.integers(0, p, (4, 6))])), 6)]
+    cases += [(rng.integers(-p, 2 * p, (rows, cols)), None)
+              for rows in (1, 3, 8, 20) for cols in (1, 4, 6)]
+    for a, rank in cases:
+        basis = _echelon(a.tolist(), p)
+        got = row_space(a, p)
+        assert got.tolist() == [basis[c] for c in sorted(basis)]
+        assert rank is None or len(got) == rank
+        # the same row space: each input row adds nothing to the basis
+        assert all(len(row_space(np.vstack([got, r]), p)) == len(got)
+                   for r in a)
 
 
 @settings(max_examples=150, deadline=None)
