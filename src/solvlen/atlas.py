@@ -95,10 +95,15 @@ class BasisOrbitAction:
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return order[pos] if np.array_equal(keys[pos], k) else None
 
+    def matrices(self, rows):
+        """The matrices of the image rows of a 2-D array, as one integer
+        stack: a row's matrix has the points it sends e_0..e_{n-1} to as
+        rows."""
+        return self._points[0][rows[:, :self.n]]
+
     def elements(self, rows):
-        """The elements whose image rows are the rows of a 2-D array: the
-        matrix of a row has the points it sends e_0..e_{n-1} to as rows."""
-        mats = self._points[0][rows[:, :self.n]]
+        """The elements whose image rows are the rows of a 2-D array."""
+        mats = self.matrices(rows)
         if self.coordinates is not None:
             return list(map(tuple, self.coordinates(mats).tolist()))
         return [FpMatrix(self.p, tuple(map(tuple, m))) for m in mats.tolist()]
@@ -693,13 +698,13 @@ def qutrit_normalizer(p):
         raise ScalarSearchFailed("no scalar correction gives order 648 mod "
                                  f"{p}: {list(enumerate(orders, 1))}")
     c = orders.index(648) + 1
-    h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})")
+    h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", 648)
     q = 648 // cols.shape[1]  # |K_c n Z|, 3 as |Kbar| = 216
     t = logs[c - 1].reshape(-1, 1, 4) // ((p - 1) // q)  # t(x, g)
     succ = q * cols.T[:, None] + (np.arange(q)[:, None] + t) % q  # x, j, g
     rows, cols = _lifted_closure(np.array(h.perm_generators()),
                                  succ.reshape(-1, 4))
-    return replace(h, order_bounds=(648,), _rows=rows, _columns=cols)
+    return replace(h, _rows=rows, _columns=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +783,7 @@ def semidirect_series_orders(k_handle, p):
     """
     k_orders, k_gens = derived_orders(k_handle.columns())
     last, rows = len(k_orders) - 1, k_handle.rows()
-    points, one = k_handle.action._points[0], np.eye(6, dtype=np.int64)
+    one = np.eye(6, dtype=np.int64)
 
     def cross(v, w):  # wedge_vec on the last axes, unreduced, broadcast
         i, j = [1, 2, 0], [2, 0, 1]
@@ -791,7 +796,8 @@ def semidirect_series_orders(k_handle, p):
     basis, orders = one, [k_orders[0] * p ** 6]
     while len(orders) < 2 or orders[-1] != orders[-2]:
         i = len(orders)
-        a = points[rows[np.array(k_gens[min(i - 1, last)], int), :3]]
+        a = k_handle.action.matrices(
+            rows[np.array(k_gens[min(i - 1, last)], int)])
         d = np.zeros((len(a), 6, 6), np.int64)
         d[:, :3, :3], d[:, 3:, 3:] = a, cross(a[:, [1, 2, 0]], a[:, [2, 0, 1]])
         gen = np.concatenate([bracket(basis[:, None, :3], basis[:, :3]),

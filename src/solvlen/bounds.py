@@ -16,6 +16,11 @@ from .errors import BadParameter
 CS_TABLE = (0, 1, 2, 4, 5, 7, 8, 13, 15)        # d = 0..8
 CN_TABLE = (0, 1, 3, 6, 14)                     # d = 0..4
 
+# the largest d that cs_bounds and cn_bounds take: every bound then has at
+# most 3,011 decimal digits (2^10000 - 2), well inside Python's 4,300-digit
+# limit on int -> str
+MAX_D = 10_000
+
 ANNOTATIONS = {
     ("cs", 10): ((18, 24), "stored annotation: sharper published interval "
                            "for d = 10, not derivable from the recurrences"),
@@ -68,11 +73,16 @@ class BoundsResult:
     annotation: tuple = None
 
 
+def check_d(d):
+    if not 0 <= d <= MAX_D:
+        raise BadParameter(f"d = {d} outside [0, {MAX_D}]")
+
+
 def cs_bounds(d):
     """Lower and upper bounds for the minimal composition length over all
-    solvable groups of derived length d; exact for d <= 8."""
-    if d < 0:
-        raise BadParameter("d must be nonnegative")
+    solvable groups of derived length d, 0 <= d <= MAX_D; exact for
+    d <= 8."""
+    check_d(d)
     if d <= 8:
         v = CS_TABLE[d]
         return BoundsResult(v, v, ("exact table value",))
@@ -103,9 +113,8 @@ def cs_bounds(d):
 
 def cn_bounds(d):
     """Bounds for the minimal composition length over nilpotent groups of
-    derived length d; exact for d <= 4."""
-    if d < 0:
-        raise BadParameter("d must be nonnegative")
+    derived length d, 0 <= d <= MAX_D; exact for d <= 4."""
+    check_d(d)
     if d <= 4:
         v = CN_TABLE[d]
         return (v, v)

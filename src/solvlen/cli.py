@@ -282,7 +282,8 @@ def make_parser():
     pb.set_defaults(func=_cmd_bounds)
 
     pv = sub.add_parser("verify-table", help="reconstruct the witness table")
-    pv.add_argument("--max-d", type=int, default=8, dest="max_d")
+    pv.add_argument("--max-d", type=int, default=8, dest="max_d",
+                    choices=sorted(WITNESSES))
     pv.set_defaults(func=_cmd_verify_table)
     return p
 

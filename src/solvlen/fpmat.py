@@ -94,16 +94,16 @@ class FpMatrix:
 
 
 def mat_invert(a: FpMatrix):
-    """The inverse, read off the echelon form of [A | I].
+    """The inverse, read off the reduced echelon form of [A | I].
 
-    Raises Singular when det = 0, i.e. when some pivot falls in the I half.
+    Raises Singular when det = 0, i.e. when the last pivot falls in the
+    I half and so leaves entry (n - 1, n - 1) zero.
     """
     p, n = a.p, a.n
-    rows = _echelon([row + tuple(int(i == j) for j in range(n))
-                     for i, row in enumerate(a.entries)], p)
-    if sorted(rows) != list(range(n)):
+    rows = row_space(np.hstack([a.entries, np.eye(n, dtype=np.int64)]), p)
+    if not rows[n - 1, n - 1]:
         raise Singular(f"matrix is singular over F_{p}")
-    return FpMatrix(p, tuple(tuple(rows[i][n:]) for i in range(n)))
+    return FpMatrix(p, tuple(map(tuple, rows[:, n:].tolist())))
 
 
 def wedge_vec(v, w, p):
@@ -130,40 +130,21 @@ def similitude_factor(a: FpMatrix):
     return lam
 
 
-def _echelon(vectors, p):
-    """Reduced row echelon form of the span of vectors over F_p, as
-    {pivot column: row}: each row is 1 at its pivot and 0 at every other
-    pivot column."""
-    rows = {}
-    for v in vectors:
-        v = [x % p for x in v]
-        for col, row in rows.items():
-            if v[col]:
-                f = v[col]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], p - 2, p)
-        v = [x * inv % p for x in v]
-        for col, row in rows.items():
-            if row[lead]:
-                f = row[lead]
-                rows[col] = [(x - f * y) % p for x, y in zip(row, v)]
-        rows[lead] = v
-    return rows
-
-
 def row_space(rows, p):
-    """_echelon's rows in pivot order, as one array, for the rows of a 2-D
-    integer array: one numpy elimination step per column."""
+    """Reduced row echelon form of the span of the rows of a 2-D integer
+    array over F_p: its nonzero rows in pivot order, each 1 at its pivot
+    and 0 at every other pivot column.  One numpy elimination step per
+    column, until every row is a pivot row."""
     a, rank = np.asarray(rows, np.int64) % p, 0
     for col in range(a.shape[1]):
-        live = np.flatnonzero(a[rank:, col])
-        if len(live):
-            piv = rank + live[0]
-            pivot = a[piv] * pow(int(a[piv, col]), p - 2, p) % p
-            a = (a - a[:, col, None] * pivot) % p  # row piv becomes 0
+        if rank == len(a):
+            break
+        # any nonzero entry will do: the reduced form is unique
+        piv = rank + int(a[rank:, col].argmax())
+        if x := int(a[piv, col]):
+            pivot = a[piv] * pow(x, p - 2, p) % p
+            a -= a[:, col, None] * pivot  # row piv becomes 0
+            a %= p
             a[piv], a[rank] = a[rank], pivot
             rank += 1
     return a[:rank]
@@ -173,15 +154,12 @@ def nullspace(rows, ncols, p):
     """Basis of {x : row . x = 0 for every row} over F_p: one vector per
     free column f of the echelon form, 1 at f and 0 at the other free
     columns."""
-    pivots = _echelon(rows, p)
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [int(c == f) for c in range(ncols)]
-            for col, row in pivots.items():
-                vec[col] = -row[f] % p
-            basis.append(vec)
-    return basis
+    echelon = row_space(np.reshape(rows, (-1, ncols)), p)
+    free = np.ones(ncols, bool)
+    free[(echelon != 0).argmax(axis=1)] = False  # not np.isin: numpy.ma
+    basis = np.eye(ncols, dtype=np.int64)[free]
+    basis[:, ~free] = -echelon[:, free].T % p
+    return basis.tolist()
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 from . import perm as permmod
 from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
-from .fpmat import (FpMatrix, QuadraticFormF2, _echelon, all_f2_vectors,
-                    mat_invert, nullspace)
+from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert,
+                    nullspace, row_space)
 from .grp import (_stretches, _translations, _walk, derived_orders,
                   derived_series)
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
@@ -125,12 +125,13 @@ def lift_generators(mats, model: Extraspecial2Model, cols=None):
     # solve over F_2 with the unknowns least significant first, lam_k bit
     # 0 up to lam_1 bit dim - 1, and the constant (z-bit 0) last
     bits = [1 + dim * (k - 1 - c // dim) + c % dim for c in range(dim * k)]
-    echelon = _echelon((eqs[:, None] >> np.array(bits + [0]) & 1).tolist(), 2)
-    if dim * k not in echelon:  # else some equation reads 0 = 1
+    echelon = row_space(eqs[:, None] >> np.array(bits + [0]) & 1, 2)
+    pivots = (echelon != 0).argmax(axis=1)
+    if dim * k not in pivots:  # else some equation reads 0 = 1
         # a pivot bit depends only on the more significant free bits, so
         # free bits 0 and pivot bits their constants give the least
         # solution, lam_1 major: the first hit of a scan over all offsets
-        least = sum(row[-1] << c for c, row in echelon.items())
+        least = int(echelon[:, -1] @ (1 << pivots))
         lams = [least >> dim * (k - 1 - j) & (1 << dim) - 1 for j in range(k)]
         # lam . v = sum of lam_i v_i^2: flip q's diagonal
         return [AutPair(b.a, QuadraticFormF2.from_upper(
@@ -219,7 +220,7 @@ def invariant_quadratic_form(mats):
     vecs = np.eye(dim, dtype=int)[i] | np.eye(dim, dtype=int)[j]  # e_i | e_j
     av = np.array([vecs @ a.entries for a in mats]) % 2
     rows = av[..., i] & av[..., j] ^ vecs[:, i] & vecs[:, j]  # one per vA
-    basis = nullspace(rows.reshape(-1, len(i)).tolist(), len(i), 2)
+    basis = nullspace(rows, len(i), 2)
     basis = np.array(basis, int)
     plus = False
     for mask in range(1, 2 ** len(basis)):

@@ -9,7 +9,7 @@ from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
                            perm_handle)
 from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
-from solvlen.fpmat import FpMatrix, QuadraticFormF2, _echelon, wedge_vec
+from solvlen.fpmat import FpMatrix, QuadraticFormF2, wedge_vec
 from solvlen.lift import AutPair, quadratic_correction
 
 
@@ -170,6 +170,30 @@ def wedge_automorphism(a):
                     + tuple(z + r for r in wedge_square(a).entries))
 
 
+def echelon(vectors, p):
+    """Reduced row echelon form of the span of vectors over F_p, as
+    {pivot column: row}: each row is 1 at its pivot and 0 at every other
+    pivot column.  A Python-list oracle for fpmat.row_space."""
+    rows = {}
+    for v in vectors:
+        v = [x % p for x in v]
+        for col, row in rows.items():
+            if v[col]:
+                f = v[col]
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], p - 2, p)
+        v = [x * inv % p for x in v]
+        for col, row in rows.items():
+            if row[lead]:
+                f = row[lead]
+                rows[col] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows[lead] = v
+    return rows
+
+
 def algebra_dimension(gens):
     """Dimension of the F_p-span of all products of the matrices gens,
     the identity included: the span is spun up from the identity by right
@@ -178,12 +202,12 @@ def algebra_dimension(gens):
     irreducibly on F_p^n."""
     p, n = gens[0].p, gens[0].n
     ident = FpMatrix.identity(n, p)
-    basis, frontier = _echelon([sum(ident.entries, ())], p), [ident]
+    basis, frontier = echelon([sum(ident.entries, ())], p), [ident]
     while frontier:
         m = frontier.pop()
         for g in gens:
             w = m * g
-            grown = _echelon([*basis.values(), sum(w.entries, ())], p)
+            grown = echelon([*basis.values(), sum(w.entries, ())], p)
             if len(grown) > len(basis):
                 basis = grown
                 frontier.append(w)

@@ -3,8 +3,9 @@
 import pytest
 from mpmath import mp
 
-from solvlen.bounds import (ANNOTATIONS, CN_TABLE, CS_TABLE, alpha_interval,
-                            cn_bounds, cs_bounds, g89_min_length)
+from solvlen.bounds import (ANNOTATIONS, CN_TABLE, CS_TABLE, MAX_D,
+                            alpha_interval, cn_bounds, cs_bounds,
+                            g89_min_length)
 from solvlen.errors import BadParameter
 
 
@@ -97,3 +98,15 @@ def test_cn_bounds():
         lo, hi = cn_bounds(d)
         assert 2 ** (d - 1) < lo <= hi == 2 ** d - 2
 
+
+
+@pytest.mark.parametrize("bound", [cs_bounds, cn_bounds])
+def test_bounds_take_d_in_zero_to_max_d(bound):
+    # every bound at MAX_D prints: Python refuses int -> str past 4,300
+    # digits, which 2^d passes at d = 14,284
+    res = bound(MAX_D)
+    lower, upper = (res.lower, res.upper) if bound is cs_bounds else res
+    assert 0 < lower <= upper and len(str(upper)) < 4300
+    for d in (-1, MAX_D + 1, 10 ** 6):
+        with pytest.raises(BadParameter, match=f"d = {d} outside"):
+            bound(d)

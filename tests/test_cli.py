@@ -168,6 +168,44 @@ def test_verify_table_reports_mismatch(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("max_d", ["9", "-1"])
+def test_verify_table_takes_only_rows_of_the_table(capsys, max_d):
+    code, out, err = run(capsys, "verify-table", "--max-d", max_d)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("usage: grp verify-table")
+    assert f"invalid choice: {max_d}" in err
+
+
+@pytest.mark.parametrize("nilpotent", [False, True])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bounds_stop_at_max_d(capsys, nilpotent, as_json):
+    flags = ["--nilpotent"] * nilpotent + ["--json"] * as_json
+    code, out, err = run(capsys, "bounds", str(boundsmod.MAX_D), *flags)
+    upper = (boundsmod.cn_bounds(boundsmod.MAX_D)[1] if nilpotent
+             else boundsmod.cs_bounds(boundsmod.MAX_D).upper)
+    assert code == 0 and err == ""
+    assert json.loads(out)["upper"] == upper if as_json else str(upper) in out
+    code, out, err = run(capsys, "bounds", str(boundsmod.MAX_D + 1), *flags)
+    assert code == 2 and out == ""
+    assert err == (f"error: BadParameter: d = {boundsmod.MAX_D + 1} outside "
+                   f"[0, {boundsmod.MAX_D}]\n")
+
+
+@pytest.mark.parametrize("value", [-1, 0, 8, 9, boundsmod.MAX_D,
+                                   boundsmod.MAX_D + 1, 10 ** 6])
+@pytest.mark.parametrize("command", ["verify-table", "bounds"])
+def test_boundary_arguments_end_in_a_documented_exit_code(capsys, command,
+                                                          value):
+    # an exception escaping run_command fails the test; verify-table takes
+    # the rows 0..8 and bounds the d in 0..MAX_D
+    if command == "verify-table":
+        argv, top = [command, "--max-d", str(value)], max(WITNESSES)
+    else:
+        argv, top = [command, str(value)], boundsmod.MAX_D
+    assert run_command(argv) == (0 if 0 <= value <= top else 2)
+    capsys.readouterr()
+
+
 def test_witness_designations():
     assert WITNESSES == {0: "cyclic(1)", 1: "cyclic(2)",
                          2: "metacyclic(2,3)", 3: "natsd(s3mat(5),2)",

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import algebra_dimension, f2_nullspace, mat_det, wedge_square
+from helpers import (algebra_dimension, echelon, f2_nullspace, mat_det,
+                     wedge_square)
 from solvlen.errors import BadParameter, NotSimilitude, Singular
-from solvlen.fpmat import (FpMatrix, QuadraticFormF2, _echelon,
-                           all_f2_vectors, mat_invert, nullspace, row_space,
+from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
+                           mat_invert, nullspace, row_space,
                            similitude_factor, wedge_vec)
 
 
@@ -160,23 +161,24 @@ def test_row_reduce_span_invariants(p, data):
     vecs = data.draw(st.lists(
         st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
         min_size=0, max_size=6))
-    basis = _echelon(vecs, p)
-    assert len(basis) <= n
-    for piv, row in basis.items():
-        assert row[piv] == 1 and not any(row[:piv])
-        assert all(row[c] == 0 for c in basis if c != piv)
+    basis = row_space(np.reshape(vecs, (-1, n)), p)
+    pivots = (basis != 0).argmax(axis=1)
+    assert len(basis) <= n and (np.diff(pivots) > 0).all()
+    for piv, row in zip(pivots, basis):
+        assert row[piv] == 1 and not row[:piv].any()
+        assert not row[pivots[pivots != piv]].any()
     # reducing the basis rows again changes nothing, and every input
     # vector lies in their span
-    assert _echelon(basis.values(), p) == basis
+    assert row_space(basis, p).tolist() == basis.tolist()
     for v in vecs:
-        assert len(_echelon([*basis.values(), v], p)) == len(basis)
+        assert len(row_space(np.vstack([basis, v]), p)) == len(basis)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 31])
 def test_row_space_matches_echelon(p):
-    # the numpy elimination against _echelon on seeded stacks: all-zero,
-    # rank-1 and full-rank ones, and random ones of every shape; both give
-    # the reduced echelon form, so the rows agree in pivot order
+    # the numpy elimination against the echelon oracle on seeded stacks:
+    # all-zero, rank-1 and full-rank ones, and random ones of every shape;
+    # both give the reduced echelon form, so the rows agree in pivot order
     rng = np.random.default_rng(p)
     line = rng.integers(0, p, 6)
     line[rng.integers(6)] = 1
@@ -187,7 +189,7 @@ def test_row_space_matches_echelon(p):
     cases += [(rng.integers(-p, 2 * p, (rows, cols)), None)
               for rows in (1, 3, 8, 20) for cols in (1, 4, 6)]
     for a, rank in cases:
-        basis = _echelon(a.tolist(), p)
+        basis = echelon(a.tolist(), p)
         got = row_space(a, p)
         assert got.tolist() == [basis[c] for c in sorted(basis)]
         assert rank is None or len(got) == rank
@@ -209,8 +211,8 @@ def test_nullspace_oracle(p, data):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) % p == 0
     # rank-nullity against the echelon rank, and independence
-    assert len(basis) == ncols - len(_echelon(rows, p))
-    assert len(_echelon(basis, p)) == len(basis)
+    assert len(basis) == ncols - len(echelon(rows, p))
+    assert len(echelon(basis, p)) == len(basis)
     if p == 2:  # the d = 8 form is chosen from this exact basis
         assert basis == f2_nullspace(rows, ncols)
 
