@@ -16,8 +16,10 @@ is again a quadratic form.  Stages:
        enumeration of the 1,296 matrices gives the Schreier relators of
        its spanning tree, and the first offsets under which every relator
        lifts to the identity are taken
-  v.   form the holomorph as a degree-128 permutation group, which checks
-       each lifted map against the group law
+  v.   form the holomorph as a degree-128 permutation group: each lifted
+       automorphism enters as its images (e_i A, q(e_i)) of the six
+       generators (e_i, 0), is extended over the group along its
+       enumeration tree, and is checked against the group law
 
 Run with --small to only demonstrate the correction law on a tiny example.
 """
@@ -37,8 +39,10 @@ def small_demo():
     swap = FpMatrix.from_rows([[0, 1], [1, 0]], 2)
     pair = quadratic_correction(swap, model)
     print(f"swap on F_2^2: correction q has coeffs {pair.q.coeffs}")
-    # holomorph_perm raises NotAutomorphism unless the map obeys the law
-    hol = holomorph_perm(model_handle(model, "2^(1+2)+"), [pair.apply])
+    # holomorph_perm extends the generator images to the whole group and
+    # raises NotAutomorphism unless the extension obeys the law
+    print(f"images of the generators (e_i, 0): {pair.images()}")
+    hol = holomorph_perm(model_handle(model, "2^(1+2)+"), [pair.images()])
     print(f"the corrected swap is an automorphism: holomorph of order "
           f"{hol.order()}")
     # a transvection sends xy to xy + x: no correction exists

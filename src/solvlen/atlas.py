@@ -39,7 +39,7 @@ def perm_handle(gens, degree, name=""):
 
 class BasisOrbitAction:
     """Faithful permutation action of a matrix group on the union of the
-    orbits of the standard basis vectors, v -> vA (FpMatrix.apply).
+    orbits of the standard basis vectors, v -> vA.
 
     A matrix is determined by its images of a basis, so the action is
     faithful; the first n points are e_0..e_{n-1}, and a permutation reads
@@ -484,41 +484,54 @@ def direct(h, k):
 
 def holomorph_perm(p_handle, auts):
     """Faithful permutation group on the elements of P generated by right
-    translations and the given automorphism maps.
+    translations and the given automorphisms, each given as its images
+    of P's generators, in order.
 
-    Each map a is checked on the generators S of P: a(x g) = a(x) a(g)
-    for all x in P, g in S.  That suffices since elements() is the
-    closure of S: every y in P is a word in S (a finite group needs no
-    inverses), and induction on its length gives a(x y) = a(x) a(y).
-    It forces a(1) = 1: the law at x = 1 reads a(g) = a(1) a(g), and
-    for trivial P, where S is empty, a(1) is in P = {1}.  With
-    col_g[x] = index of x g (P's own columns, so col_g[0] is g) and
-    amap[x] = index of a(x), the law for g is
-    amap[col_g] == col_{a(g)}[amap], with col_{a(g)} read off P's image
-    rows in one gather per generator, so the check is complete at every
-    size, with no sampling for large P.  A failure raises NotAutomorphism
-    with the first offending (x, g), or with (x, a(x)) when a(x) leaves P.
+    With col_g[x] = index of x g (P's own columns) and amap[x] = index of
+    a(x), a is extended along the first edges of P's enumeration, from
+    amap[1] = 1 by amap[x g] = col_{a(g)}[amap[x]], and checked on every
+    edge: amap[col_g] == col_{a(g)}[amap] for each generator g.  That
+    suffices since elements() is the closure of the generators S: every
+    y in P is a word in S (a finite group needs no inverses), and
+    induction on its length gives a(x y) = a(x) a(y).  So a is an
+    endomorphism, and an automorphism when its kernel is trivial.  The
+    check is complete at every size, with no sampling for large P.  A
+    failure raises NotAutomorphism: with (g, a(g)) when a(g) is not in P,
+    with the first (x, g) in generator-major order that breaks the law,
+    or with (x, 1) for the first x != 1 that a sends to 1.
     """
     _check_order(p_handle)
-    elems = p_handle.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    rows, cols = p_handle.rows(), list(p_handle.columns())
-    find = _row_index(rows)
+    rows, cols = p_handle.rows(), p_handle.columns()
+    find, read = _row_index(rows), p_handle.from_perm
+    parent, gen, _ = _translations(cols)
+
+    def column(g, y):  # col_y, for y in P in the handle's own type
+        row = p_handle.to_perm(y)
+        try:  # KeyError when some x y, 1 y included, is not in P
+            if row is not None and len(row) == len(rows.T) and read(row) == y:
+                return find(np.asarray(row, rows.dtype)[rows])
+        except (KeyError, OverflowError):  # OverflowError: off rows' dtype
+            pass
+        raise NotAutomorphism("map leaves the group", witness=(g, y))
+
     amaps = []
-    for a in auts:
-        amap = np.array([index.get(a(x), -1) for x in elems], np.int32)
-        if (amap < 0).any():  # argmin: the first element that leaves
-            x = elems[int(amap.argmin())]
-            raise NotAutomorphism("map leaves the group", witness=(x, a(x)))
-        for g, col in zip(p_handle.generators, cols):
-            col_ag = np.array(find(rows[amap[col[0]]][rows]))  # x a(g)
+    for images in auts:
+        col_a = np.array([column(g, y) for g, y in zip(
+            p_handle.generators, images, strict=True)], np.int32)
+        amap = np.zeros(len(rows), np.int32)
+        for part in _stretches(parent):
+            amap[part] = col_a[gen[part], amap[parent[part]]]
+        for g, col, col_ag in zip(p_handle.generators, cols, col_a):
             bad = np.flatnonzero(amap[col] != col_ag[amap])
             if len(bad):
                 raise NotAutomorphism("map breaks multiplication",
-                                      witness=(elems[bad[0]], g))
+                                      witness=(read(rows[bad[0]]), g))
+        if np.count_nonzero(amap == 0) > 1:  # np.unique loads numpy.ma
+            raise NotAutomorphism("map has a nontrivial kernel", witness=(
+                read(rows[np.flatnonzero(amap == 0)[1]]), p_handle.identity))
         amaps.append(amap)
-    gens = [tuple(c.tolist()) for c in cols + amaps]
-    return perm_handle(gens, len(elems), f"hol({p_handle.name})")
+    gens = [tuple(c.tolist()) for c in [*cols, *amaps]]
+    return perm_handle(gens, len(rows), f"hol({p_handle.name})")
 
 
 def natural_semidirect(m_handle, n):
@@ -547,19 +560,11 @@ def gsp_extension(s_handle, p, n):
     if s_handle.identity.n != 2 * n:
         raise BadParameter(
             f"matrix dimension {s_handle.identity.n} != {2 * n}")
-    lams = {}
     for a in s_handle.generators:
-        lams[a] = similitude_factor(a)  # raises NotSimilitude
-    model = ExtraspecialOddModel(p, n)
-    ph = model_handle(model, f"E_{p}^(1+{2*n})")
-
-    def make_aut(a, lam):
-        def aut(e):
-            v = a.apply(e[:-1])
-            return v + (e[-1] * lam % p,)
-        return aut
-
-    auts = [make_aut(a, lam) for a, lam in lams.items()]
+        similitude_factor(a)  # raises NotSimilitude
+    ph = model_handle(ExtraspecialOddModel(p, n), f"E_{p}^(1+{2*n})")
+    # a(e_i, 0) = (e_i A, 0); the law scales the centre by A's factor
+    auts = [[row + (0,) for row in a.entries] for a in s_handle.generators]
     return replace(holomorph_perm(ph, auts),
                    name=f"gsp({s_handle.name},{p},{n})")
 
@@ -810,7 +815,7 @@ def semidirect_series_orders(k_handle, p):
 
 def prop8_group(p):
     """G = P |x K for the p^6 exterior-square group P and the qutrit
-    normalizer K acting by wedge_automorphism.
+    normalizer K acting by (v, w) -> (vA, w wedge^2(A)).
 
     The handle holds only what certifies it: the derived-series orders
     of semidirect_series_orders, as split_orders.  It has no elements of

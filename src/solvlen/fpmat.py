@@ -86,12 +86,6 @@ class FpMatrix:
         return FpMatrix(self.p, tuple(tuple(c * x % self.p for x in row)
                                       for row in self.entries))
 
-    def apply(self, v):
-        """Row vector v times this matrix."""
-        p = self.p
-        cols = tuple(zip(*self.entries))
-        return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
-
 
 def mat_invert(a: FpMatrix):
     """The inverse, read off the reduced echelon form of [A | I].

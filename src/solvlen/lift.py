@@ -14,7 +14,6 @@ identity, a system of affine equations in the offsets over F_2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +38,10 @@ class AutPair:
         if self.a.p != 2 or self.a.n != self.q.dim:
             raise BadParameter("matrix and form dimensions differ")
 
-    @cached_property
-    def apply(self):
-        """The map (v, z) -> (vA, z + q(v)): a lookup in a table built once
-        from the indices of the vA and the values q(v)."""
-        vecs = all_f2_vectors(self.q.dim)
-        return {v + (z,): vecs[w] + (z ^ b,) for v, w, b in zip(
-            vecs, _image_index(self.a).tolist(), self.q.values().tolist())
-            for z in (0, 1)}.__getitem__
+    def images(self):
+        """The images (e_i A, q(e_i)) of the generators (e_i, 0)."""
+        return [row + (self.q.coeffs[i][i],)
+                for i, row in enumerate(self.a.entries)]
 
 
 def _image_index(a: FpMatrix):
@@ -80,7 +75,7 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
         np.triu((m @ c @ m.T + c) % 2, 1).tolist()))
 
 
-def lift_generators(mats, model: Extraspecial2Model, cols=None):
+def lift_generators(mats, model: Extraspecial2Model, cols):
     """Lift a 1- or 2-element matrix generating set to AutPairs generating
     a split copy of the linear group inside Aut(2^{1+2n}).
 
@@ -92,13 +87,10 @@ def lift_generators(mats, model: Extraspecial2Model, cols=None):
     affine equation in the offsets per basis vector.  The first offsets,
     lam_1 major and ascending, that solve every equation are returned.
     The tree is that of cols, right-translation columns of <mats> by mats
-    in a breadth-first walk, or else of one enumeration of <mats>.
+    in a breadth-first walk.
     """
     if not 1 <= len(mats) <= 2:
         raise BadParameter(f"need one or two matrices, got {len(mats)}")
-    if cols is None:
-        lin = matrix_handle(list(mats), "lift target")
-        cols = lin.closure([lin.to_perm(a) for a in mats])[1]
     base = [quadratic_correction(a, model) for a in mats]
     dim, k = base[0].q.dim, len(mats)
     # a z-bit is packed as an affine function of the offsets: bit 0 its
@@ -264,7 +256,7 @@ def d8_group():
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
-    h = replace(holomorph_perm(ph, [p.apply for p in pairs]), name="d8()",
+    h = replace(holomorph_perm(ph, [p.images() for p in pairs]), name="d8()",
                 order_bounds=tuple(128 * k for k in derived_orders(cols)[0]))
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")

@@ -9,8 +9,9 @@ from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
                            perm_handle)
 from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
-from solvlen.fpmat import FpMatrix, QuadraticFormF2, wedge_vec
-from solvlen.lift import AutPair, quadratic_correction
+from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
+                           wedge_vec)
+from solvlen.lift import AutPair, _image_index, quadratic_correction
 
 
 def corpus_perm_groups():
@@ -152,6 +153,31 @@ def mat_det(a):
     return total % p
 
 
+def mat_apply(a, v):
+    """Row vector v times the matrix a, entry by entry: the oracle for the
+    row arithmetic of the F_p code."""
+    p = a.p
+    cols = tuple(zip(*a.entries))
+    return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
+
+
+def pair_map(pair):
+    """The map (v, z) -> (vA, z + q(v)) of an AutPair, element by element:
+    a lookup in a table built from the indices of the vA and the values
+    q(v)."""
+    vecs = all_f2_vectors(pair.q.dim)
+    return {v + (z,): vecs[w] + (z ^ b,) for v, w, b in zip(
+        vecs, _image_index(pair.a).tolist(), pair.q.values().tolist())
+        for z in (0, 1)}.__getitem__
+
+
+def lift_cols(mats):
+    """Right-translation columns of <mats> by mats, from one enumeration:
+    a spanning tree for lift.lift_generators."""
+    lin = matrix_handle(list(mats), "lift target")
+    return lin.closure([lin.to_perm(a) for a in mats])[1]
+
+
 def wedge_square(a):
     """Action of a on the exterior square of F_p^3, relative to the basis
     e2^e3, e3^e1, e1^e2: its rows are (e_i ^ e_j)A = (e_i A) ^ (e_j A)."""
@@ -253,7 +279,8 @@ def offset_perms(pair, elems, index):
     itself with z flipped where lam . v is odd; pair is applied once per
     element.
     """
-    img = np.array([index[pair.apply(e)] for e in elems], dtype=np.int32)
+    apply = pair_map(pair)
+    img = np.array([index[apply(e)] for e in elems], dtype=np.int32)
     zflip = np.array([index[e[:-1] + (e[-1] ^ 1,)] for e in elems],
                      dtype=np.int32)
     dim = pair.q.dim

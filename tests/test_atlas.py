@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import IMAGE_SPECS, algebra_dimension, wedge_automorphism
+from helpers import (IMAGE_SPECS, algebra_dimension, lift_cols, mat_apply,
+                     pair_map, wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -161,21 +162,40 @@ def test_gsp_extension():
         gsp_extension(sl(1, 3), 3, 1)
 
 
+def generator_images(p_handle, a):
+    """The images under a map a of P's generators: what holomorph_perm
+    takes for it."""
+    return [a(g) for g in p_handle.generators]
+
+
 def test_holomorph_rejects_non_automorphisms():
-    e27 = extraspecial(3, 1)
+    # a coordinate off F_3 names no element of E_3^(1+2), though its
+    # matrix is one; a transposition is not in C4, and neither is a
+    # sequence of the wrong length or past the rows' uint8 entries
+    e27, c4 = extraspecial(3, 1), cyclic(4)
+    for p_handle, images in ((e27, [(1, 0, 3), (0, 1, 0)]),
+                             (c4, [(1, 0, 2, 3)]), (c4, [(1, 2, 3, 0, 4)]),
+                             (c4, [(1, 2, 3, 256)])):
+        with pytest.raises(NotAutomorphism, match="leaves the group") as exc:
+            holomorph_perm(p_handle, [images])
+        assert exc.value.witness == \
+            generator_law_witness(p_handle, images) == \
+            (p_handle.generators[0], images[0])
 
-    def bogus(e):  # swaps two coordinates without fixing the cocycle
-        return (e[1], e[0], e[2])
 
-    with pytest.raises(NotAutomorphism) as exc:
-        holomorph_perm(e27, [bogus])
-    assert exc.value.witness is not None
-
-    # a translation moves the identity; the law fails at x = 1
-    c = e27.generators[0]
-    with pytest.raises(NotAutomorphism, match="breaks multiplication") as exc:
-        holomorph_perm(e27, [lambda e: e27.mul(e, c)])
-    assert exc.value.witness == (e27.identity, e27.generators[0])
+def test_holomorph_rejects_non_injective_endomorphisms():
+    # x -> x^2 on C4 and the trivial maps obey the law on every generator;
+    # the kernel check refuses them before any chain is built
+    c4, e27 = cyclic(4), extraspecial(3, 1)
+    g = c4.generators[0]
+    cases = [(c4, [c4.mul(g, g)]), (c4, [c4.identity]),
+             (e27, [e27.generators[0]] * 2)]
+    for p_handle, images in cases:
+        with pytest.raises(NotAutomorphism, match="nontrivial kernel") as exc:
+            holomorph_perm(p_handle, [images])
+        witness = generator_law_witness(p_handle, images)
+        assert exc.value.witness == witness
+        assert witness[0] != p_handle.identity == witness[1]
 
 
 def test_extraspecial_checks_are_errors(monkeypatch):
@@ -199,29 +219,49 @@ def all_pairs_law_holds(p_handle, a):
                for x in elems for y in elems)
 
 
-def generator_law_witness(p_handle, a):
-    """What holomorph_perm must report for a, element by element: the
-    first x with a(x) outside P, or the first (x, g) in generator-major
-    order breaking a(x g) = a(x) a(g); None if a passes."""
-    elems, mul = p_handle.elements(), p_handle.mul
+def generator_law_witness(p_handle, images):
+    """What holomorph_perm must report for the generator images, element by
+    element: the first (g, a(g)) with a(g) outside P; else, with a(x g) =
+    a(x) a(g) on the first edge into x g in elements() order, the first
+    (x, g) in generator-major order that breaks that law; else the first
+    (x, 1) with x != 1 and a(x) = 1; None if a passes."""
+    elems, mul, one = p_handle.elements(), p_handle.mul, p_handle.identity
+    pairs = list(zip(p_handle.generators, images))
     inside = set(elems)
+    for g, y in pairs:
+        if y not in inside:
+            return (g, y)
+    a = {one: one}
     for x in elems:
-        if a(x) not in inside:
-            return (x, a(x))
-    for g in p_handle.generators:
+        for g, y in pairs:
+            a.setdefault(mul(x, g), mul(a[x], y))
+    for g, y in pairs:
         for x in elems:
-            if a(mul(x, g)) != mul(a(x), a(g)):
+            if a[mul(x, g)] != mul(a[x], y):
                 return (x, g)
+    return next(((x, one) for x in elems[1:] if a[x] == one), None)
+
+
+def broken_images(p_handle, images):
+    """images with the first generator's image replaced by the first
+    element, in elements() order, under which the law fails."""
+    for y in p_handle.elements():
+        witness = generator_law_witness(p_handle, [y, *images[1:]])
+        if witness is not None and witness[1] != p_handle.identity:
+            return [y, *images[1:]]
     return None
 
 
 def holomorph_law_cases():
-    """(handle, genuine automorphisms, map leaving P or None)."""
+    """(handle, genuine automorphisms, relation-breaking image sets).
+
+    Every image set of E_3^(1+2) extends to an endomorphism (it is the
+    Burnside group B(2, 3)), so it has no broken set."""
     e27 = atlas.model_handle(ExtraspecialOddModel(3, 1), "E_3^(1+2)")
 
     def similitude(a):
         lam = similitude_factor(a)
-        return lambda e: a.apply(e[:-1]) + (e[-1] * lam % 3,)
+        return lambda e: mat_apply(a, e[:-1]) + (e[-1] * lam % 3,)
 
     gl23 = gl(2, 3)
     c = e27.generators[0]
@@ -234,62 +274,35 @@ def holomorph_law_cases():
         3, "-", cocycle=invariant_quadratic_form(pair).coeffs)
     e128 = atlas.model_handle(model, "2^(1+6)-")
     c = e128.elements()[77]
-    auts128 = [p.apply for p in lift_generators(pair, model)]
+    auts128 = [pair_map(p)
+               for p in lift_generators(pair, model, lift_cols(pair))]
     auts128.append(lambda e, c=c: e128.conj(e, c))
     s4 = sym(4)
     c = s4.generators[-1]
-    return [(e27, auts27, lambda e: e[:-1] + (e[-1] + 3,)),
-            (e128, auts128, lambda e: e[:-1] + (e[-1] + 2,)),
-            (s4, [lambda e, c=c: s4.conj(e, c)], None)]
-
-
-def coset_swap(p_handle, g):
-    """Swap two right cosets t<g>, u<g> outside <g>, t g^k <-> u g^k: a map
-    that keeps a(x g) = a(x) a(g) for this g but no group law."""
-    elems, mul = p_handle.elements(), p_handle.mul
-    cyc = [p_handle.identity]
-    while mul(cyc[-1], g) != p_handle.identity:
-        cyc.append(mul(cyc[-1], g))
-    t = next(e for e in elems if e not in cyc)
-    t_coset = [mul(t, c) for c in cyc]
-    u = next(e for e in elems if e not in cyc and e not in t_coset)
-    swap = {}
-    for c in cyc:
-        swap[mul(t, c)], swap[mul(u, c)] = mul(u, c), mul(t, c)
-    return swap
+    cases = [(e128, auts128), (s4, [lambda e, c=c: s4.conj(e, c)])]
+    return [(e27, auts27, [])] + [
+        (h, auts, [broken_images(h, generator_images(h, a)) for a in auts])
+        for h, auts in cases]
 
 
 def test_holomorph_generator_check_matches_all_pairs():
-    for p_handle, auts, outside in holomorph_law_cases():
+    for p_handle, auts, broken in holomorph_law_cases():
         elems = p_handle.elements()
         index = {e: i for i, e in enumerate(elems)}
-        swap = {elems[1]: elems[2], elems[2]: elems[1]}
         for a in auts:
             assert all_pairs_law_holds(p_handle, a)
-            assert generator_law_witness(p_handle, a) is None
-            h = holomorph_perm(p_handle, [a])
+            images = generator_images(p_handle, a)
+            assert generator_law_witness(p_handle, images) is None
+            h = holomorph_perm(p_handle, [images])
             assert h.generators[-1] == tuple(index[a(x)] for x in elems)
-            blocks = coset_swap(p_handle, a(p_handle.generators[0]))
-
-            def swapped(e, a=a):
-                return swap.get(a(e), a(e))
-
-            def shifted(e, a=a):
-                return p_handle.mul(a(e), elems[-1])
-
-            def block_swapped(e, a=a, blocks=blocks):
-                # passes the law on the first generator, fails on a later one
-                return blocks.get(a(e), a(e))
-
-            broken = [swapped, shifted, block_swapped]
-            if outside is not None:
-                broken.append(lambda e, a=a: outside(a(e)))
-            for b in broken:
-                assert not all_pairs_law_holds(p_handle, b)
-                with pytest.raises(NotAutomorphism) as exc:
-                    holomorph_perm(p_handle, [a, b])
-                assert exc.value.witness == generator_law_witness(p_handle, b)
-                assert exc.value.witness is not None
+        genuine = generator_images(p_handle, auts[0])
+        for images in broken:
+            witness = generator_law_witness(p_handle, images)
+            assert witness is not None
+            with pytest.raises(NotAutomorphism,
+                               match="breaks multiplication") as exc:
+                holomorph_perm(p_handle, [genuine, images])
+            assert exc.value.witness == witness
 
 
 def test_qutrit_normalizer():
@@ -462,8 +475,13 @@ def test_semidirect_series_orders_match_full_chains(label):
     # the linear route against unhinted chains of the same group on 729
     # points: P = extsq(3) under right translations and K's automorphisms
     k = SPLIT_ORACLE[label]()
-    auts = [wedge_automorphism(a).apply for a in k.generators]
-    whole = holomorph_perm(exterior_square_group(3), auts)
+    p_handle = exterior_square_group(3)
+    wedges = [wedge_automorphism(a) for a in k.generators]
+    whole = holomorph_perm(p_handle, [list(d.entries) for d in wedges])
+    elems = p_handle.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    assert whole.generators[-len(wedges):] == [
+        tuple(index[mat_apply(d, x)] for x in elems) for d in wedges]
     orders = semidirect_series_orders(k, 3)
     assert orders == grp.derived_series(whole).orders
     if label == "sl(3,3)":

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import chain_fingerprint, lift_by_closure, offset_perms
+from helpers import (chain_fingerprint, lift_by_closure, lift_cols, mat_apply,
+                     offset_perms, pair_map)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
@@ -36,21 +37,22 @@ def test_quadratic_correction_satisfies_the_law():
         assert pairwise_verify(pair, MODEL)
         # the correction acts as a genuine automorphism on the group
         h = model_handle(MODEL, "e128")
+        apply = pair_map(pair)
         for x in h.elements()[:40]:
             for y in h.elements()[:10]:
-                assert pair.apply(h.mul(x, y)) == \
-                    h.mul(pair.apply(x), pair.apply(y))
+                assert apply(h.mul(x, y)) == h.mul(apply(x), apply(y))
 
 
 def pairwise_verify(pair, model):
     """The automorphism law q(v1 + v2) + q(v1) + q(v2) =
     B(v1 A, v2 A) + B(v1, v2), one pair of vectors at a time."""
     for v1 in all_f2_vectors(pair.q.dim):
-        av1 = pair.a.apply(v1)
+        av1 = mat_apply(pair.a, v1)
         for v2 in all_f2_vectors(pair.q.dim):
             lhs = pair.q(tuple(x ^ y for x, y in zip(v1, v2))) \
                 ^ pair.q(v1) ^ pair.q(v2)
-            rhs = model.bform(av1, pair.a.apply(v2)) ^ model.bform(v1, v2)
+            rhs = model.bform(av1, mat_apply(pair.a, v2)) \
+                ^ model.bform(v1, v2)
             if lhs != rhs:
                 return False
     return True
@@ -64,20 +66,23 @@ def flip_coefficient(pair, i, j):
 
 def test_holomorph_perm_checks_flipped_corrections():
     # an off-diagonal flip changes the polarization of q and breaks the
-    # law; a diagonal flip adds a linear functional and keeps it
+    # law; a diagonal flip adds a linear functional and keeps it.  The
+    # generator images read only q's diagonal, so an off-diagonal flip
+    # names the unflipped automorphism, and holomorph_perm builds that
     ph = model_handle(MODEL, "e128")
+    elems = ph.elements()
+    index = {e: i for i, e in enumerate(elems)}
     pairs = corrected_pairs()
-    cases = [(p, True) for p in pairs]
-    cases += [(flip_coefficient(p, i, j), False)
-              for p in pairs for i, j in ((0, 1), (2, 5))]
-    cases.append((flip_coefficient(pairs[0], 3, 3), True))
-    for pair, holds in cases:
-        assert pairwise_verify(pair, MODEL) is holds
-        if holds:
-            holomorph_perm(ph, [pair.apply])
-        else:
-            with pytest.raises(NotAutomorphism):
-                holomorph_perm(ph, [pair.apply])
+    for pair in pairs:
+        for i, j in ((0, 1), (2, 5)):
+            flipped = flip_coefficient(pair, i, j)
+            assert not pairwise_verify(flipped, MODEL)
+            assert flipped.images() == pair.images()
+    for pair in pairs + [flip_coefficient(pairs[0], 3, 3)]:
+        assert pairwise_verify(pair, MODEL)
+        apply = pair_map(pair)
+        assert holomorph_perm(ph, [pair.images()]).generators[-1] == \
+            tuple(index[apply(x)] for x in elems)
 
 
 def d8_lift_inputs():
@@ -91,17 +96,20 @@ def d8_lift_inputs():
 
 
 def test_aut_pair_apply_is_the_pointwise_map():
-    # apply reads a table built once per pair; every (v, z) must still go
-    # to (vA, z + q(v)), for the d8 lifts and for flipped corrections
+    # the pair_map oracle reads a table built once per pair; every (v, z)
+    # must go to (vA, z + q(v)), and the images holomorph_perm takes are
+    # its values at the generators (e_i, 0), for the d8 lifts and flips
     mats, model = d8_lift_inputs()
-    pairs = lift_generators(mats, model)
+    pairs = lift_by_tree(mats, model)
     cases = pairs + [flip_coefficient(p, i, j) for p in pairs
                      for i, j in ((0, 1), (2, 5), (3, 3))]
     for pair in cases:
+        apply = pair_map(pair)
         for v in all_f2_vectors(6):
             for z in (0, 1):
-                assert pair.apply(v + (z,)) == \
-                    pair.a.apply(v) + (z ^ pair.q(v),)
+                assert apply(v + (z,)) == \
+                    mat_apply(pair.a, v) + (z ^ pair.q(v),)
+        assert pair.images() == [apply(g) for g in model.generators()]
 
 
 def test_holomorph_bound_cannot_hide_a_smaller_group():
@@ -110,8 +118,8 @@ def test_holomorph_bound_cannot_hide_a_smaller_group():
     # so it verifies in full and reports the true order: the order check
     # in d8_group stays a real check
     mats, model = d8_lift_inputs()
-    pair = lift_generators(mats, model)[0]
-    small = holomorph_perm(model_handle(model, "e128"), [pair.apply])
+    pair = lift_by_tree(mats, model)[0]
+    small = holomorph_perm(model_handle(model, "e128"), [pair.images()])
     bounded = replace(small, order_bounds=(165888,))  # before its chain
     assert bounded.order() == small.order() == 128 * 9
     assert chain_fingerprint(bounded.bsgs()) == \
@@ -126,11 +134,12 @@ def test_offset_permutations_match_pointwise_apply():
         base = quadratic_correction(a, model)
         rows = offset_perms(base, elems, index)
         assert rows.shape == (64, 128)
+        apply = pair_map(base)
         for lam, row in enumerate(rows):
             # (v, z) -> (vA, z + q(v) + lam . v)
             want = []
             for e in elems:
-                img = base.apply(e)
+                img = apply(e)
                 odd = sum(lam >> i & x for i, x in enumerate(e[:-1])) & 1
                 want.append(index[img[:-1] + (img[-1] ^ odd,)])
             assert row.tolist() == want
@@ -153,7 +162,7 @@ def test_not_orthogonal_exhibit():
     # it does preserve the alternating form ...
     for x in all_f2_vectors(6)[:32]:
         for y in all_f2_vectors(6)[:8]:
-            assert polarization(t.apply(x), t.apply(y)) == \
+            assert polarization(mat_apply(t, x), mat_apply(t, y)) == \
                 polarization(x, y)
     # ... but admits no quadratic correction
     with pytest.raises(NotOrthogonal):
@@ -181,6 +190,11 @@ def order_192_grid():
     return [a, b]
 
 
+def lift_by_tree(mats, model):
+    """lift_generators on the tree of one enumeration of <mats>."""
+    return lift_generators(mats, model, lift_cols(mats))
+
+
 def lift_or_exhausted(lift, mats, model):
     """The lifted forms, or the message of SearchExhausted."""
     try:
@@ -201,13 +215,13 @@ def test_lift_generators_matches_the_closure_search():
              (order_192_grid(), DEFAULT_MODEL)]
     cases += [(rng.sample(elems, 2), model) for _ in range(12)]
     for case_mats, case_model in cases:
-        assert lift_or_exhausted(lift_generators, case_mats, case_model) \
+        assert lift_or_exhausted(lift_by_tree, case_mats, case_model) \
             == lift_or_exhausted(lift_by_closure, case_mats, case_model)
 
 
 def test_lift_identity_and_exhausted_grid():
     ident = FpMatrix.identity(6, 2)
-    pairs = lift_generators([ident], MODEL)
+    pairs = lift_by_tree([ident], MODEL)
     assert len(pairs) == 1
     assert pairs[0].a == ident
     assert pairs[0].q.coeffs == ((0,) * 6,) * 6
@@ -215,7 +229,7 @@ def test_lift_identity_and_exhausted_grid():
     a, b = order_192_grid()
     assert len(atlas.matrix_handle([a, b]).rows()) == 192
     with pytest.raises(SearchExhausted):
-        lift_generators([a, b], DEFAULT_MODEL)
+        lift_by_tree([a, b], DEFAULT_MODEL)
 
 
 def test_d8_lift_runs_no_schreier_sims(monkeypatch):
@@ -238,7 +252,7 @@ def test_d8_lift_runs_no_schreier_sims(monkeypatch):
                                    1296)[1]
     monkeypatch.setattr(permmod, "schreier_sims", refuse)
     monkeypatch.setattr(grp.GroupHandle, "closure", count)
-    pairs = lift_generators(mats, model)
+    pairs = lift_by_tree(mats, model)
     assert closures == [2]
     # on the reduction's winning walk, as d8_group calls it, the tree is
     # the walk's: no closure at all, and the same forms
@@ -257,9 +271,9 @@ def test_lift_generators_rejects_more_than_two_matrices():
     elems = atlas.matrix_handle(F4_GENS, "qbar").elements()
     g1, g2 = elems[8], elems[72]  # the d = 8 pair
     with pytest.raises(BadParameter):
-        lift_generators([g1, g2, g1 * g2], MODEL)
+        lift_by_tree([g1, g2, g1 * g2], MODEL)
     with pytest.raises(BadParameter):
-        lift_generators([], MODEL)
+        lift_generators([], MODEL, np.zeros((0, 1), np.int32))
 
 
 def test_invariant_form_is_invariant_and_minus_type():
@@ -267,7 +281,7 @@ def test_invariant_form_is_invariant_and_minus_type():
     assert q.arf() == 1
     for a in F4_GENS:
         for v in all_f2_vectors(6):
-            assert q(a.apply(v)) == q(v)
+            assert q(mat_apply(a, v)) == q(v)
 
 
 def form_equations(mats, vecs):
@@ -276,7 +290,7 @@ def form_equations(mats, vecs):
     dim = mats[0].n
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     return [[(av[i] & av[j]) ^ (v[i] & v[j]) for i, j in pairs]
-            for a in mats for v in vecs for av in [a.apply(v)]]
+            for a in mats for v in vecs for av in [mat_apply(a, v)]]
 
 
 def first_minus_form(basis, dim):
