@@ -2,10 +2,12 @@
 
 Every builder returns a GroupHandle whose elements are plain hashable
 values: image tuples for permutation groups, FpMatrix for matrix groups,
-and coordinate tuples for the extraspecial / exterior-square models.
-Matrix and model handles carry a BasisOrbitAction, their faithful
-permutation image.  Construction-time checks verify the cheap invariants (orders, centers);
-the expensive series invariants live in the test-suite.
+and coordinate tuples for the extraspecial / exterior-square models.  No
+handle carries a product: matrix and model handles carry a
+BasisOrbitAction, their faithful permutation image, and a model is only
+its matrix and coordinates maps.  Construction-time checks verify the
+cheap invariants (orders, centers); the expensive series invariants live
+in the test-suite.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from . import perm as permmod
 from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      KindMismatch, NotAutomorphism, ScalarSearchFailed,
                      SearchFailed)
-from .fpmat import (FpMatrix, check_dimension, check_prime, mat_invert,
+from .fpmat import (FpMatrix, check_dimension, check_invertible, check_prime,
                     row_space, similitude_factor, wedge_vec)
 from .grp import (GroupHandle, _row_index, _stretches, _translations, center,
-                  derived_orders, tuple_inv, tuple_mul)
+                  derived_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +35,7 @@ from .grp import (GroupHandle, _row_index, _stretches, _translations, center,
 def perm_handle(gens, degree, name=""):
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens if tuple(g) != ident]
-    return GroupHandle(ident, gens, tuple_mul, tuple_inv,
-                       name=name, kind="perm", degree=degree)
+    return GroupHandle(ident, gens, name=name, kind="perm", degree=degree)
 
 
 class BasisOrbitAction:
@@ -116,11 +117,11 @@ def matrix_handle(gens, name="", upper_bound=None):
     for g in gens:
         if g.p != p or g.n != n:
             raise BadParameter("mixed matrix dimensions")
-        mat_invert(g)
+        check_invertible(g)
     ident = FpMatrix.identity(n, p)
     gens = [g for g in gens if g != ident]
-    return GroupHandle(ident, gens, lambda a, b: a * b, mat_invert,
-                       name=name, kind="matrix", order_bounds=(upper_bound,),
+    return GroupHandle(ident, gens, name=name, kind="matrix",
+                       order_bounds=(upper_bound,),
                        action=BasisOrbitAction(ident, gens))
 
 
@@ -150,21 +151,6 @@ class ExtraspecialOddModel:
         self.n = n
         self.half = (p + 1) // 2
         self.identity = (0,) * (2 * n + 1)
-
-    def pair(self, v1, v2):
-        n = self.n
-        return sum(v1[i] * v2[n + i] - v1[n + i] * v2[i]
-                   for i in range(n)) % self.p
-
-    def mul(self, a, b):
-        p, n = self.p, self.n
-        v = tuple((a[i] + b[i]) % p for i in range(2 * n))
-        z = (a[-1] + b[-1] + self.half * self.pair(a[:-1], b[:-1])) % p
-        return v + (z,)
-
-    def inv(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
 
     def generators(self):
         return _unit_vectors(2 * self.n, 2 * self.n + 1)
@@ -215,26 +201,6 @@ class Extraspecial2Model:
         self.cocycle = cocycle
         self.identity = (0,) * (dim + 1)
 
-    def bform(self, v1, v2):
-        s = 0
-        for i, row in enumerate(self.cocycle):
-            if v1[i]:
-                s ^= sum(row[j] & v2[j] for j in range(len(row))) & 1
-        return s
-
-    def squaring(self, v):
-        return self.bform(v, v)
-
-    def mul(self, a, b):
-        dim = 2 * self.n
-        v = tuple(a[i] ^ b[i] for i in range(dim))
-        z = a[-1] ^ b[-1] ^ self.bform(a[:-1], b[:-1])
-        return v + (z,)
-
-    def inv(self, a):
-        # (v,z)^-1 = (v, z + B(v,v))
-        return a[:-1] + (a[-1] ^ self.squaring(a[:-1]),)
-
     def generators(self):
         return _unit_vectors(2 * self.n, 2 * self.n + 1)
 
@@ -266,17 +232,6 @@ class ExtSqModel:
         self.p = p
         self.identity = (0,) * 6
 
-    def mul(self, a, b):
-        p = self.p
-        v1, w1, v2, w2 = a[:3], a[3:], b[:3], b[3:]
-        wedge = wedge_vec(v1, v2, p)
-        return (tuple((x + y) % p for x, y in zip(v1, v2))
-                + tuple((x + y + t) % p for x, y, t in zip(w1, w2, wedge)))
-
-    def inv(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
     def generators(self):
         return _unit_vectors(6, 6)
 
@@ -303,8 +258,8 @@ def model_handle(model, name=""):
     proven bound recorded."""
     action = BasisOrbitAction(model.identity, model.generators(),
                               model.matrix, model.coordinates)
-    return GroupHandle(model.identity, model.generators(), model.mul,
-                       model.inv, name=name, kind="model", action=action,
+    return GroupHandle(model.identity, model.generators(), name=name,
+                       kind="model", action=action,
                        order_bounds=(action.p ** len(model.identity),))
 
 
@@ -819,12 +774,10 @@ def prop8_group(p):
 
     The handle holds only what certifies it: the derived-series orders
     of semidirect_series_orders, as split_orders.  It has no elements of
-    its own (no generators, no element operations) and no permutation
-    image, so asking it for a chain or an enumeration raises CapExceeded
-    (GroupHandle.perm_generators) and the builders that take a
-    permutation or matrix handle refuse it.
+    its own (no generators) and no permutation image, so asking it for a
+    chain or an enumeration raises CapExceeded (GroupHandle.perm_generators)
+    and the builders that take a permutation or matrix handle refuse it.
     """
     k = qutrit_normalizer(p)
-    return GroupHandle(identity=(), generators=[], mul=None, inv=None,
-                       name=f"prop8({p})", kind="split",
+    return GroupHandle((), [], name=f"prop8({p})", kind="split",
                        split_orders=semidirect_series_orders(k, p))

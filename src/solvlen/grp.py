@@ -1,15 +1,14 @@
 """Finite group algorithms over one Schreier-Sims engine.
 
-A GroupHandle bundles an identity, a generator list and the element
-operations; elements themselves are plain hashable values (image tuples,
-FpMatrix, model coordinate tuples).  Order, membership, normal closure and
-the derived series run on a BSGS chain: a permutation handle's own, or for
-a matrix or model handle the chain of a faithful permutation image (its
-``action``), whose results are read back into the handle's own elements.
-A subgroup computed on a chain keeps that chain and reads its strong
-generators back into the handle's elements only on first use.  A split
-handle (``prop8`` = P |x K) holds only its derived-series orders, from
-K's enumeration and span steps on P (``split_orders``): its order and
+A GroupHandle bundles an identity and a generator list; elements
+themselves are plain hashable values (image tuples, FpMatrix, model
+coordinate tuples), and no handle multiplies them one at a time.  Order,
+membership, normal closure and the derived series run on a BSGS chain: a
+permutation handle's own, or for a matrix or model handle the chain of a
+faithful permutation image (its ``action``).  A subgroup is its chain on
+that image, read back into the handle's elements only when a caller asks.
+A split handle (``prop8`` = P |x K) holds only its derived-series orders,
+from K's enumeration and span steps on P (``split_orders``): its order and
 derived series answer from them, and every question that needs a chain or
 the elements is refused in one place, ``GroupHandle.perm_generators``.
 Element lists are enumerated breadth-first over the same images as 2-D
@@ -25,7 +24,7 @@ import math
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,35 +78,20 @@ def omega(n):
     return sum(e for _, e in factorize(n))
 
 
-def tuple_mul(a, b):
-    """Product of image tuples: apply a, then b."""
-    return tuple(b[x] for x in a)
-
-
-def tuple_inv(a):
-    """Inverse of an image tuple."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 @dataclass
 class GroupHandle:
-    """Bundle of identity, generators and element operations.
+    """Bundle of identity and generators.
 
     The image rows of the elements with their right-translation columns,
     the element list read back from them, and the BSGS, are computed on
-    first use and cached on the handle.  The derived-series
-    report is cached by a weak reference: its subgroups refer back to the
-    handle, and a strong one would make a cycle that keeps a dropped
-    group's memory until the cyclic collector runs.
+    first use and cached on the handle.  The derived-series report is
+    cached by a weak reference: its subgroups refer back to the handle, and
+    a strong one would make a cycle that keeps a dropped group's memory
+    until the cyclic collector runs.
     """
 
     identity: object
     generators: list
-    mul: Callable
-    inv: Callable
     name: str = ""
     kind: str = "generic"  # "perm" | "matrix" | "model" | "split" | "generic"
     degree: Optional[int] = None    # set for perm kind
@@ -193,32 +177,23 @@ class GroupHandle:
             return self.split_orders[0]
         return self.bsgs().order()
 
-    def conj(self, x, g):
-        return self.mul(self.mul(self.inv(g), x), g)
-
 
 @dataclass
 class SubgroupHandle:
-    """A subgroup given by generators inside a parent handle.
-
-    Built from a chain with generators None, it reads the chain's strong
-    generators back into the parent's element type on first use.  A term
-    of a split series has neither: it answers only its order, and asking
-    it for generators or membership raises CapExceeded.
-    """
+    """A subgroup of a parent handle: its order and its BSGS chain on the
+    parent's permutation image.  A term of a split series has no chain: it
+    answers only its order, and any other question raises CapExceeded."""
 
     parent: GroupHandle
-    _generators: Optional[list]
     order: int
-    _elem_set: Optional[set] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
+    _elem_set: Optional[set] = field(default=None, init=False, repr=False)
 
     @property
     def generators(self):
-        if self._generators is None:
-            self._generators = [self.parent.from_perm(g)
-                                for g in self._chain().strong_generators()]
-        return self._generators
+        """The chain's strong generators, read back on every call."""
+        return [self.parent.from_perm(g)
+                for g in self._chain().strong_generators()]
 
     def _chain(self):
         if self._bsgs is None:
@@ -226,24 +201,20 @@ class SubgroupHandle:
         return self._bsgs
 
     def contains(self, x):
-        if self._elem_set is not None:
-            return x in self._elem_set
-        chain = self._chain()
         g = self.parent.to_perm(x)
-        return g is not None and chain.contains(g)
+        return g is not None and self._chain().contains(g)
 
     def contains_subgroup(self, other):
-        return all(self.contains(g) for g in other.generators)
+        """Whether other's strong generators all sift in this chain."""
+        chain = self._chain()
+        return all(map(chain.contains, other._chain().strong_generators()))
 
     def element_set(self):
         if self._elem_set is None:
             if self.order > min(ENUMERABLE_LIMIT, self.parent.enum_cap()):
                 raise CapExceeded("subgroup too large to enumerate")
-            images = (self._chain().strong_generators()
-                      if self._generators is None else
-                      [self.parent.to_perm(g) for g in self._generators])
-            self._elem_set = set(self.parent.from_perms(
-                self.parent.closure(images)[0]))
+            self._elem_set = set(self.parent.from_perms(self.parent.closure(
+                self._chain().strong_generators())[0]))
         return self._elem_set
 
 
@@ -320,10 +291,15 @@ def _translations(cols):
     i, and column(i)[x], the index of x * i, one gather per edge, cached."""
     first = np.unique(cols.T.ravel(), return_index=True)[1]
     parent, gen = first // len(cols), first % len(cols)
+    known = {0: np.arange(len(cols.T))}
 
-    @functools.cache
-    def column(i):
-        return cols[gen[i]][column(parent[i])] if i else np.arange(len(cols.T))
+    def column(i):  # from the nearest cached ancestor down, no recursion
+        path = [int(i)]
+        while path[-1] not in known:
+            path.append(int(parent[path[-1]]))
+        for j in reversed(path[:-1]):
+            known[j] = cols[gen[j]][known[parent[j]]]
+        return known[path[0]]
     return parent, gen, column
 
 
@@ -374,7 +350,6 @@ def derived_orders(cols):
             break
         orders.append(int(sub.sum()))
         gens.append(new)
-    column.cache_clear()  # its arrays now, not at the next cycle collection
     return orders, gens
 
 
@@ -382,7 +357,7 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     """Smallest normal subgroup of the handle's group containing seed."""
     b = permmod.normal_closure_perm(handle.perm_generators(),
                                     [handle.to_perm(s) for s in seed])
-    return SubgroupHandle(handle, None, b.order(), _bsgs=b)
+    return SubgroupHandle(handle, b.order(), b)
 
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
@@ -393,8 +368,8 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
     Otherwise each term is on its chain: G^(i+1) is the normal closure in
     G of the commutators of G^(i)'s generators (G's for G^(0), the strong
     generators of G^(i)'s chain after).  The series stops before the
-    first term whose order does not fall, or after order 1.  G^(0) keeps
-    the handle's generators and chain.  A chain stops at the handle's
+    first term whose order does not fall, or after order 1.  G^(0) is the
+    handle's own chain.  A chain stops at the handle's
     proven bound on its term's order (order_bounds), or verifies in full.
     """
     report = handle._series() if handle._series is not None else None
@@ -402,20 +377,19 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
         if handle.split_orders is not None:
             orders = handle.split_orders
             report = _finish_report(
-                orders, [SubgroupHandle(handle, None, n) for n in orders],
+                orders, [SubgroupHandle(handle, n) for n in orders],
                 "split")
         else:
             group = [permmod.as_perm(g) for g in handle.perm_generators()]
             gens, invs = group, [permmod.perm_inv(g) for g in group]
-            subs = [SubgroupHandle(handle, list(handle.generators),
-                                   handle.order(), _bsgs=handle.bsgs())]
+            subs = [SubgroupHandle(handle, handle.order(), handle.bsgs())]
             bounds = iter(handle.order_bounds[1:])
             while subs[-1].order > 1:
                 b = permmod.normal_closure_perm(
                     group, permmod.commutators(gens, invs), next(bounds, None))
                 if b.order() == subs[-1].order:
                     break
-                subs.append(SubgroupHandle(handle, None, b.order(), _bsgs=b))
+                subs.append(SubgroupHandle(handle, b.order(), b))
                 if b.levels:  # else the order is 1 and the series ends
                     gens, invs = b.levels[0].gens, b.levels[0].invs
             report = _finish_report([s.order for s in subs], subs)
@@ -435,14 +409,15 @@ def _finish_report(orders, subs, engine="bsgs"):
 
 def center(handle: GroupHandle) -> SubgroupHandle:
     """Z(G) on the image rows: x is central iff g[x] = x[g] (x g = g x) for
-    each generator row g; central rows are read back in order."""
+    each generator row g; the chain of the central rows stops at their
+    count, |Z|, a proven bound."""
     rows = handle.rows()
     central = np.arange(len(rows))
     for g in rows[handle.columns()[:, 0]]:
         x = rows[central]
         central = central[(g[x] == x[:, g]).all(axis=1)]
-    elems = handle.from_perms(rows[central])
-    return SubgroupHandle(handle, elems[1:], len(elems), _elem_set=set(elems))
+    return SubgroupHandle(handle, len(central), permmod.schreier_sims(
+        list(rows[central]), len(central)))
 
 
 def minimal_normal_subgroups(handle: GroupHandle):
@@ -475,7 +450,7 @@ def minimal_normal_subgroups(handle: GroupHandle):
             todo[find(power)] = False
             power = np.take_along_axis(conj, power, axis=1)  # power * y
         b = permmod.normal_closure_perm(perm_gens, [rows[i]])
-        closure = SubgroupHandle(handle, None, b.order(), _bsgs=b)
+        closure = SubgroupHandle(handle, b.order(), b)
         if not any(f.order == closure.order and
                    f.contains_subgroup(closure) for f in family):
             family.append(closure)
@@ -491,9 +466,14 @@ def _is_prime(n):
 def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     """Permutation action of G on right cosets of a normal subgroup N, on
     the image rows: the coset N e is the rows e[n], n in N, and cosets are
-    numbered breadth-first from N over the generators."""
-    if not all(sub.contains(handle.conj(s, g))
-               for s in sub.generators for g in handle.generators):
+    numbered breadth-first from N over the generators.  NotNormal unless
+    N's chain sifts g^-1 s g for its strong generators s and generators g."""
+    chain = sub._chain()
+    gens = permmod.as_perm_stack(handle.perm_generators(), chain.degree)
+    strong = permmod.as_perm_stack(chain.strong_generators(), chain.degree)
+    conj = gens[np.arange(len(gens))[:, None],
+                strong[:, np.argsort(gens, axis=1)]].reshape(-1, chain.degree)
+    if chain.strip(conj)[0] < len(conj):
         raise NotNormal("subgroup is not normal")
     index = handle.order() // sub.order
     if index > QUOTIENT_INDEX_CAP:
@@ -502,7 +482,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
         raise CapExceeded("group too large to label cosets")
     rows, cols = handle.rows(), handle.columns()
     find = _row_index(rows)
-    nrows = handle.closure([handle.to_perm(s) for s in sub.generators])[0]
+    nrows = handle.closure(strong)[0]
     coset, reps = np.full(len(rows), -1), [0]
     coset[find(nrows)] = 0
     for r in reps:
@@ -515,7 +495,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     gen_perms = [tuple(coset[c[reps]].tolist()) for c in cols]
     ident = tuple(range(index))
     return GroupHandle(ident, [g for g in gen_perms if g != ident],
-                       tuple_mul, tuple_inv, name=f"{handle.name}/N",
+                       name=f"{handle.name}/N",
                        kind="perm", degree=index, cap=handle.cap)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from . import perm as permmod
 from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
-from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors, mat_invert,
-                    nullspace, row_space)
+from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
+                    check_invertible, nullspace, row_space)
 from .grp import (_stretches, _translations, _walk, derived_orders,
                   derived_series)
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
@@ -58,7 +58,7 @@ def quadratic_correction(a: FpMatrix, model: Extraspecial2Model) -> AutPair:
     """
     if a.p != 2 or a.n != 2 * model.n:
         raise BadParameter("matrix does not match the model dimension")
-    mat_invert(a)  # must be invertible
+    check_invertible(a)
     square = QuadraticFormF2.from_upper(model.cocycle).values()  # B(v, v)
     if (square[_image_index(a)] != square).any():
         raise NotOrthogonal(
@@ -188,7 +188,6 @@ def two_generator_reduction(handle, order):
             if sub.all():
                 gens = handle.from_perms(rows[[i1, left[0]]])
                 pos = np.argsort(found).astype(np.int32)  # -> walk index
-                column.cache_clear()  # its arrays now, as in derived_orders
                 return gens, pos[np.array(pair)[:, found]]
             free &= ~sub
             subs = np.vstack([subs, sub])

@@ -2,16 +2,138 @@
 
 import hashlib
 import itertools
+import operator
+from functools import partial
 
 import numpy as np
 
 from solvlen import atlas, grp, perm
-from solvlen.atlas import (Extraspecial2Model, matrix_handle, model_handle,
+from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
+                           ExtSqModel, matrix_handle, model_handle,
                            perm_handle)
-from solvlen.errors import BadParameter, CapExceeded, SearchExhausted
+from solvlen.errors import (BadParameter, CapExceeded, SearchExhausted,
+                            Singular)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
-                           wedge_vec)
+                           row_space, wedge_vec)
 from solvlen.lift import AutPair, _image_index, quadratic_correction
+
+
+# ---------------------------------------------------------------------------
+# element laws: the handles carry none, so these are the oracles for every
+# product the engine takes on image rows, index tables or chains
+
+
+def tuple_mul(a, b):
+    """Product of image tuples: apply a, then b."""
+    return tuple(b[x] for x in a)
+
+
+def tuple_inv(a):
+    """Inverse of an image tuple."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def mat_invert(a: FpMatrix):
+    """The inverse, read off the reduced echelon form of [A | I].
+
+    Raises Singular when det = 0, i.e. when the last pivot falls in the
+    I half and so leaves entry (n - 1, n - 1) zero.
+    """
+    p, n = a.p, a.n
+    rows = row_space(np.hstack([a.entries, np.eye(n, dtype=np.int64)]), p)
+    if not rows[n - 1, n - 1]:
+        raise Singular(f"matrix is singular over F_{p}")
+    return FpMatrix(p, tuple(map(tuple, rows[:, n:].tolist())))
+
+
+def odd_pair(model, v1, v2):
+    """The standard symplectic form of ExtraspecialOddModel."""
+    n = model.n
+    return sum(v1[i] * v2[n + i] - v1[n + i] * v2[i]
+               for i in range(n)) % model.p
+
+
+def odd_mul(model, a, b):
+    """ExtraspecialOddModel's product: z twisted by h <v1, v2>."""
+    p, n = model.p, model.n
+    v = tuple((a[i] + b[i]) % p for i in range(2 * n))
+    z = (a[-1] + b[-1] + model.half * odd_pair(model, a[:-1], b[:-1])) % p
+    return v + (z,)
+
+
+def negate(model, a):
+    """The inverse in ExtraspecialOddModel and ExtSqModel."""
+    p = model.p
+    return tuple(-x % p for x in a)
+
+
+def bform(model, v1, v2):
+    """Extraspecial2Model's cocycle B(v1, v2) = v1 C v2^T."""
+    s = 0
+    for i, row in enumerate(model.cocycle):
+        if v1[i]:
+            s ^= sum(row[j] & v2[j] for j in range(len(row))) & 1
+    return s
+
+
+def squaring(model, v):
+    """Extraspecial2Model's squaring form B(v, v)."""
+    return bform(model, v, v)
+
+
+def ext2_mul(model, a, b):
+    """Extraspecial2Model's product: z twisted by B(v1, v2)."""
+    dim = 2 * model.n
+    v = tuple(a[i] ^ b[i] for i in range(dim))
+    z = a[-1] ^ b[-1] ^ bform(model, a[:-1], b[:-1])
+    return v + (z,)
+
+
+def ext2_inv(model, a):
+    # (v,z)^-1 = (v, z + B(v,v))
+    return a[:-1] + (a[-1] ^ squaring(model, a[:-1]),)
+
+
+def extsq_mul(model, a, b):
+    """ExtSqModel's product: the Lambda^2 part twisted by v1 ^ v2."""
+    p = model.p
+    v1, w1, v2, w2 = a[:3], a[3:], b[:3], b[3:]
+    wedge = wedge_vec(v1, v2, p)
+    return (tuple((x + y) % p for x, y in zip(v1, v2))
+            + tuple((x + y + t) % p for x, y, t in zip(w1, w2, wedge)))
+
+
+MODEL_LAWS = {ExtraspecialOddModel: (odd_mul, negate),
+              Extraspecial2Model: (ext2_mul, ext2_inv),
+              ExtSqModel: (extsq_mul, negate)}
+
+
+def law(handle):
+    """(mul, inv) on a handle's own elements: image tuples, FpMatrix, or
+    the coordinates of the model whose matrix map the handle's action
+    holds."""
+    if handle.kind == "perm":
+        return tuple_mul, tuple_inv
+    if handle.kind == "matrix":
+        return operator.mul, mat_invert
+    model = handle.action.to_matrix.__self__
+    return tuple(partial(f, model) for f in MODEL_LAWS[type(model)])
+
+
+def mul(handle, a, b):
+    return law(handle)[0](a, b)
+
+
+def inv(handle, a):
+    return law(handle)[1](a)
+
+
+def conj(handle, x, g):
+    """g^-1 x g."""
+    return mul(handle, mul(handle, inv(handle, g), x), g)
 
 
 def corpus_perm_groups():
@@ -79,7 +201,7 @@ def element_order_by_products(handle, x):
     """Order of x by repeated multiplication in the handle's own type."""
     y, n = x, 1
     while y != handle.identity:
-        y, n = handle.mul(y, x), n + 1
+        y, n = mul(handle, y, x), n + 1
     return n
 
 
@@ -99,7 +221,7 @@ def minimal_normal_subgroups_by_elements(handle):
         orbit, oset = [x], {x}
         for y in orbit:
             for g in handle.generators:
-                z = handle.conj(y, g)
+                z = conj(handle, y, g)
                 if z not in oset:
                     oset.add(z)
                     orbit.append(z)
@@ -107,7 +229,7 @@ def minimal_normal_subgroups_by_elements(handle):
             w = y
             for _ in range(n - 1):
                 processed.add(w)
-                w = handle.mul(w, y)
+                w = mul(handle, w, y)
         closure = grp.normal_closure(handle, [x])
         if not any(f.order == closure.order and f.contains_subgroup(closure)
                    for f in family):
@@ -118,6 +240,21 @@ def minimal_normal_subgroups_by_elements(handle):
     return sorted(minimal, key=lambda s: s.order)
 
 
+def chain_subgroup(handle, gens):
+    """The subgroup generated by elements of a handle, on its own chain."""
+    b = perm.schreier_sims([handle.to_perm(x)
+                            for x in [handle.identity, *gens]])
+    return grp.SubgroupHandle(handle, b.order(), b)
+
+
+def is_normal_by_elements(handle, sub):
+    """Whether each conjugate of a generator of sub by a generator of the
+    handle lies in sub's element set, by the handle's element law."""
+    members = sub.element_set()
+    return all(conj(handle, s, g) in members
+               for s in sub.generators for g in handle.generators)
+
+
 def is_cyclic(handle):
     """Whether some element's order is the group's, on the image rows."""
     orders = perm.perm_order_of(handle.rows())
@@ -126,14 +263,11 @@ def is_cyclic(handle):
 
 def as_handle(sub, name=""):
     """A subgroup as a handle of its own, on the subgroup's chain."""
-    h = grp.GroupHandle(sub.parent.identity, list(sub.generators),
-                        sub.parent.mul, sub.parent.inv,
-                        name=name or f"subgroup of {sub.parent.name}",
-                        kind=sub.parent.kind, degree=sub.parent.degree,
-                        cap=sub.parent.cap, action=sub.parent.action)
-    if sub._bsgs is not None:
-        h._bsgs = sub._bsgs
-    return h
+    return grp.GroupHandle(sub.parent.identity, sub.generators,
+                           name=name or f"subgroup of {sub.parent.name}",
+                           kind=sub.parent.kind, degree=sub.parent.degree,
+                           cap=sub.parent.cap, action=sub.parent.action,
+                           _bsgs=sub._bsgs)
 
 
 def mat_det(a):

@@ -1,15 +1,20 @@
 """Every function, method and class in src/solvlen is reached from src/,
-every name a module imports is read in that module, and no code sets a
-public field of a handle after building it."""
+every name a module imports is read in that module, no code sets a public
+field of a handle after building it, and the benchmark's tracer still
+installs on src/."""
 
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 from solvlen.grp import GroupHandle
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "solvlen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "solvlen"
 
 # names kept although no code in src/ refers to them
 ALLOWED = {
@@ -96,3 +101,24 @@ def test_no_handle_field_is_assigned_after_construction():
              and a.attr in public
              and not (isinstance(a.value, ast.Name) and a.value.id == "self")]
     assert found == []
+
+
+TRACED_RUN = """
+from spans import Tracer, install
+install(Tracer())
+from solvlen import atlas, grp
+from solvlen.cli import build_report
+build_report("extraspecial(3,1)")
+grp.center(atlas.extraspecial(3, 1)).element_set()
+"""
+
+
+def test_traced_benchmark_installs_on_src():
+    # perfbench/spans.py wraps src/ names (those in ALLOWED among them),
+    # reads SubgroupHandle._elem_set and unpacks _closure's four
+    # positional arguments; perfbench's own tests are not in this suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

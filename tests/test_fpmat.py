@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (algebra_dimension, echelon, f2_nullspace, mat_apply,
-                     mat_det, wedge_square)
+                     mat_det, mat_invert, wedge_square)
 from solvlen.errors import BadParameter, NotSimilitude, Singular
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
-                           mat_invert, nullspace, row_space,
+                           check_invertible, nullspace, row_space,
                            similitude_factor, wedge_vec)
 
 
@@ -42,8 +42,11 @@ def test_inverse_identity(a):
         inv = mat_invert(a)
     except Singular:
         assert mat_det(a) == 0
+        with pytest.raises(Singular):
+            check_invertible(a)
         return
     assert mat_det(a) != 0
+    check_invertible(a)
     one = FpMatrix.identity(a.n, a.p)
     assert a * inv == one
     assert inv * a == one

@@ -6,14 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import (as_handle, corpus_perm_groups,
-                     element_order_by_products, is_cyclic,
+from helpers import (as_handle, chain_subgroup, conj, corpus_perm_groups,
+                     element_order_by_products, inv, is_cyclic,
+                     is_normal_by_elements, law, mul,
                      minimal_normal_subgroups_by_elements)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
 from solvlen.errors import CapExceeded, NotNormal
-from solvlen.grp import (SubgroupHandle, center, derived_series, factorize,
+from solvlen.fpmat import FpMatrix
+from solvlen.grp import (center, derived_series, factorize,
                          minimal_normal_subgroups, normal_closure, omega,
                          quotient_on_cosets)
 from solvlen.lift import f4_model_generators
@@ -122,7 +124,7 @@ def test_element_questions_read_no_elements_back(spec, monkeypatch):
     handle = evaluate(parse_spec(spec))
     elems, n = handle.elements(), handle.order()
     mins = [m.order for m in minimal_normal_subgroups_by_elements(handle)]
-    central = [z for z in elems if all(handle.mul(z, g) == handle.mul(g, z)
+    central = [z for z in elems if all(mul(handle, z, g) == mul(handle, g, z)
                                        for g in handle.generators)]
     cyclic = any(element_order_by_products(handle, x) == n for x in elems)
     handle = evaluate(parse_spec(spec))
@@ -144,16 +146,27 @@ def test_quotient_on_cosets():
     assert not is_cyclic(q)
     rep = derived_series(q)
     assert rep.orders == (6, 3, 1)
-    # non-normal subgroups are rejected
-    sub = SubgroupHandle(s4, [(1, 0, 2, 3)], 2,
-                         _elem_set={s4.identity, (1, 0, 2, 3)})
-    with pytest.raises(NotNormal):
-        quotient_on_cosets(s4, sub)
+    # non-normal subgroups are rejected, on a perm and a matrix handle:
+    # a transposition of S4 and a non-central involution of GL(2,3)
+    gl23 = atlas.gl(2, 3)
+    for handle, x in [(s4, (1, 0, 2, 3)),
+                      (gl23, FpMatrix.diagonal([2, 1], 3))]:
+        sub = chain_subgroup(handle, [x])
+        assert sub.order == 2 and not is_normal_by_elements(handle, sub)
+        with pytest.raises(NotNormal):
+            quotient_on_cosets(handle, sub)
+    # model handles modulo their centres: the degree is the index
+    for spec in ("extraspecial(3,1)", "extraspecial(2,2,minus)"):
+        handle = evaluate(parse_spec(spec))
+        z = center(handle)
+        assert is_normal_by_elements(handle, z)
+        q = quotient_on_cosets(handle, z)
+        assert q.degree == q.order() == handle.order() // z.order
 
 
 def test_quotient_index_cap():
     big = atlas.wreath(atlas.sym(4), atlas.sym(4))
-    triv = SubgroupHandle(big, [], 1, _elem_set={big.identity})
+    triv = chain_subgroup(big, [])
     with pytest.raises(CapExceeded):
         quotient_on_cosets(big, triv)
 
@@ -161,12 +174,12 @@ def test_quotient_index_cap():
 def bfs_normal_closure(handle, seed):
     """Oracle: the subgroup generated by every conjugate of the seed,
     enumerated breadth-first over the handle's own elements."""
-    conjugates = {handle.conj(s, g) for s in seed for g in handle.elements()}
+    conjugates = {conj(handle, s, g) for s in seed for g in handle.elements()}
     found, frontier = {handle.identity}, [handle.identity]
     while frontier:
         x = frontier.pop()
         for c in conjugates:
-            y = handle.mul(x, c)
+            y = mul(handle, x, c)
             if y not in found:
                 found.add(y)
                 frontier.append(y)
@@ -181,7 +194,7 @@ def test_normal_closure_engines_agree():
     ut33 = atlas.upper_triangular(3, 3)
 
     def comm(h, x, y):
-        return h.mul(h.mul(h.inv(x), h.inv(y)), h.mul(x, y))
+        return mul(h, mul(h, inv(h, x), inv(h, y)), mul(h, x, y))
     cases = [(s4, [(1, 0, 3, 2)], 4), (s4, [(1, 0, 2, 3)], 24),
              (gl23, [gl23.generators[0]], 48),
              (gl23, [comm(gl23, *gl23.generators[:2])], 2),
@@ -201,18 +214,16 @@ def test_normal_closure_engines_agree():
 @pytest.mark.parametrize("spec", ["wr(sym(3),sym(3))", "gl(2,3)",
                                   "extraspecial(3,1)", "bo()"])
 def test_chain_generators_are_read_back_on_first_use(spec):
-    # derived terms and normal closures keep their chain and convert its
-    # strong generators into the handle's element type only when asked
+    # derived terms and normal closures are their chains, and convert
+    # their strong generators into the handle's element type when asked
     handle = evaluate(parse_spec(spec))
     report = derived_series(handle)
     subs = report.subgroups[1:] + [normal_closure(handle,
                                                   handle.generators[:1])]
     assert len(subs) >= 2
     for sub in subs:
-        assert sub._generators is None
         eager = [handle.from_perm(g) for g in sub._bsgs.strong_generators()]
         assert sub.generators == eager
-        assert sub.generators is sub.generators
         assert all(type(g) is type(handle.identity) for g in eager)
 
 
@@ -252,20 +263,22 @@ def test_element_helpers():
     s4 = atlas.sym(4)
     x = (1, 2, 0, 3)
     assert perm.perm_order_of(s4.to_perm(x)) == 3
-    assert s4.mul(s4.mul(x, x), x) == s4.identity
-    assert s4.conj(x, s4.identity) == x
-    assert s4.conj(x, x) == x
+    assert mul(s4, mul(s4, x, x), x) == s4.identity
+    assert conj(s4, x, s4.identity) == x
+    assert conj(s4, x, x) == x
     assert is_cyclic(atlas.cyclic(12))
     assert not is_cyclic(atlas.sym(3))
 
 
 def fifo_closure(handle, gens):
-    """The former enumeration: a FIFO search over handle.mul, each element
-    times each generator in turn, the first occurrence of a product new."""
+    """The former enumeration: a FIFO search over the handle's element
+    law, each element times each generator in turn, the first occurrence
+    of a product new."""
+    product = law(handle)[0]
     elems, seen = [handle.identity], {handle.identity}
     for x in elems:
         for g in gens:
-            y = handle.mul(x, g)
+            y = product(x, g)
             if y not in seen:
                 seen.add(y)
                 elems.append(y)
@@ -294,16 +307,14 @@ def test_elements_follow_the_fifo_search(spec):
 @pytest.mark.parametrize("spec", ["wr(sym(3),sym(3))", "gl(2,3)",
                                   "extsq(3)"])
 def test_element_sets_match_the_fifo_closure(spec):
-    # chain-built terms enumerate from their chain without reading its
-    # generators back; their generator-built twins give the same set
+    # each term enumerates from its chain; a twin on a chain built anew
+    # from the read-back generators gives the same set
     handle = build(spec)
     for sub in derived_series(handle).subgroups:
-        chain_built = sub._generators is None
         got = sub.element_set()
-        assert (sub._generators is None) == chain_built
         assert got == set(fifo_closure(handle, sub.generators))
         assert len(got) == sub.order
-        twin = SubgroupHandle(handle, list(sub.generators), sub.order)
+        twin = chain_subgroup(handle, sub.generators)
         assert twin.element_set() == got
 
 
@@ -418,5 +429,5 @@ def test_generator_columns_match_products():
         index = {e: i for i, e in enumerate(elems)}
         cols = h.columns()
         assert cols.dtype == np.int32
-        assert cols.tolist() == [[index[h.mul(x, g)] for x in elems]
+        assert cols.tolist() == [[index[mul(h, x, g)] for x in elems]
                                  for g in h.generators]

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (chain_fingerprint, lift_by_closure, lift_cols, mat_apply,
-                     offset_perms, pair_map)
+from helpers import (bform, chain_fingerprint, law, lift_by_closure,
+                     lift_cols, mat_apply, mul, offset_perms, pair_map,
+                     squaring)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
@@ -40,7 +41,7 @@ def test_quadratic_correction_satisfies_the_law():
         apply = pair_map(pair)
         for x in h.elements()[:40]:
             for y in h.elements()[:10]:
-                assert apply(h.mul(x, y)) == h.mul(apply(x), apply(y))
+                assert apply(mul(h, x, y)) == mul(h, apply(x), apply(y))
 
 
 def pairwise_verify(pair, model):
@@ -51,8 +52,8 @@ def pairwise_verify(pair, model):
         for v2 in all_f2_vectors(pair.q.dim):
             lhs = pair.q(tuple(x ^ y for x, y in zip(v1, v2))) \
                 ^ pair.q(v1) ^ pair.q(v2)
-            rhs = model.bform(av1, mat_apply(pair.a, v2)) \
-                ^ model.bform(v1, v2)
+            rhs = bform(model, av1, mat_apply(pair.a, v2)) \
+                ^ bform(model, v1, v2)
             if lhs != rhs:
                 return False
     return True
@@ -151,7 +152,7 @@ def test_not_orthogonal_exhibit():
     model = DEFAULT_MODEL
 
     def polarization(v, w):
-        return model.bform(v, w) ^ model.bform(w, v)
+        return bform(model, v, w) ^ bform(model, w, v)
     v = (0, 1, 0, 0, 0, 0)
     rows = []
     for i in range(6):
@@ -175,7 +176,7 @@ def test_model_squaring_is_the_invariant_form():
     mats, model = d8_lift_inputs()
     q = invariant_quadratic_form(mats)
     for v in all_f2_vectors(6):
-        assert model.squaring(v) == q(v)
+        assert squaring(model, v) == q(v)
 
 
 def order_192_grid():
@@ -347,7 +348,7 @@ def test_two_generator_reduction_small():
 def reference_two_generator_reduction(handle):
     """The exhaustive search: walk <g1, g2> for every pair in
     (-order, index) order and return the first that spans the group."""
-    elems = handle.elements()
+    elems, product = handle.elements(), law(handle)[0]
     ranked = sorted(range(len(elems)),
                     key=lambda i: (-permmod.perm_order_of(
                         handle.to_perm(elems[i])), i))
@@ -359,7 +360,7 @@ def reference_two_generator_reduction(handle):
             while stack:
                 x = stack.pop()
                 for g in pair:
-                    y = handle.mul(x, g)
+                    y = product(x, g)
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
@@ -463,3 +464,21 @@ def test_index_closure_series_matches_the_chain_series():
         assert grp.derived_orders(cols)[0] == list(want)
         seen.add(want[0])
     assert len(seen) > 2  # subgroups of several orders
+
+
+def test_translation_columns_need_no_recursion():
+    # column(i) is filled down from i's nearest cached ancestor, so a path
+    # of 1499 edges needs no deep recursion; on d8()'s K, the reduction's
+    # winning walk, each column is the recursive definition's: its first
+    # edge's generator column after its parent's, asked in any order
+    assert grp.derived_orders(atlas.cyclic(1500).columns())[0] == [1500, 1]
+    walk = two_generator_reduction(atlas.matrix_handle(F4_GENS, "qbar"),
+                                   1296)[1]
+    parent, gen, column = grp._translations(walk)
+    want = [np.arange(1296)]
+    for i in range(1, 1296):
+        want.append(walk[gen[i]][want[parent[i]]])
+    order = list(range(1296))
+    random.Random(31).shuffle(order)
+    for i in order:
+        assert np.array_equal(column(i), want[i])

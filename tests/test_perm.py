@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import IMAGE_SPECS, chain_fingerprint, corpus_perm_groups
+from helpers import IMAGE_SPECS, chain_fingerprint, corpus_perm_groups, law
 from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -19,12 +19,13 @@ from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
 
 def bfs_order(handle):
     """Independent order oracle: plain closure enumeration."""
+    product = law(handle)[0]
     elems = {handle.identity}
     frontier = [handle.identity]
     while frontier:
         x = frontier.pop()
         for g in handle.generators:
-            y = handle.mul(x, g)
+            y = product(x, g)
             if y not in elems:
                 elems.add(y)
                 frontier.append(y)
