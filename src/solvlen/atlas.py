@@ -24,7 +24,7 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      SearchFailed)
 from .fpmat import (FpMatrix, check_dimension, check_invertible, check_prime,
                     row_space, similitude_factor, wedge_vec)
-from .grp import (GroupHandle, _row_index, _stretches, _translations, center,
+from .grp import (GroupHandle, _stretches, _translations, center,
                   derived_orders)
 
 
@@ -56,6 +56,7 @@ class BasisOrbitAction:
         self.coordinates = coordinates
         one = self.to_matrix(identity)
         self.p, self.n = one.p, one.n
+        self.weights = self.p ** np.arange(self.n, dtype=np.int64)
         self._gens = gens  # the points are grown from these on first use
 
     def _matrix(self, x):
@@ -68,7 +69,6 @@ class BasisOrbitAction:
         p, mats = self.p, [self._matrix(g) for g in self._gens]
         if p ** self.n >= 2 ** 62:
             raise CapExceeded(f"F_{p}^{self.n} is too large to index")
-        self.weights = p ** np.arange(self.n, dtype=np.int64)
         layer = np.eye(self.n, dtype=np.int64)
         layers, keys = [layer], layer @ self.weights
         while len(layer) and mats:
@@ -327,8 +327,17 @@ def sl(n, p):
 
 
 def upper_triangular(n, p):
+    """The invertible upper triangular matrices.  Their basis orbits are
+    the p^n - 1 nonzero vectors, e_0's the (p - 1) p^(n-1) with a nonzero
+    first entry, and a chain's first level tabulates e_0's orbit on every
+    point, so both limits are checked before any point is grown."""
     check_prime(p)
     check_dimension(n)
+    degree = permmod.check_degree(p ** n - 1)
+    if (p - 1) * p ** (n - 1) * degree > permmod.MEMORY_BUDGET:
+        raise CapExceeded(f"a stabilizer chain of degree {degree} needs more "
+                          f"than MEMORY_BUDGET = {permmod.MEMORY_BUDGET} "
+                          "entries")
     zeta = _primitive_root(p)
     gens = [FpMatrix.diagonal([zeta if i == k else 1 for i in range(n)], p)
             for k in range(n)]
@@ -442,7 +451,8 @@ def holomorph_perm(p_handle, auts):
     translations and the given automorphisms, each given as its images
     of P's generators, in order.
 
-    With col_g[x] = index of x g (P's own columns) and amap[x] = index of
+    With col_y[x] = index of x y (for an image y, the column that P's
+    enumeration tree gives y's index in elements()) and amap[x] = index of
     a(x), a is extended along the first edges of P's enumeration, from
     amap[1] = 1 by amap[x g] = col_{a(g)}[amap[x]], and checked on every
     edge: amap[col_g] == col_{a(g)}[amap] for each generator g.  That
@@ -456,37 +466,29 @@ def holomorph_perm(p_handle, auts):
     or with (x, 1) for the first x != 1 that a sends to 1.
     """
     _check_order(p_handle)
-    rows, cols = p_handle.rows(), p_handle.columns()
-    find, read = _row_index(rows), p_handle.from_perm
-    parent, gen, _ = _translations(cols)
-
-    def column(g, y):  # col_y, for y in P in the handle's own type
-        row = p_handle.to_perm(y)
-        try:  # KeyError when some x y, 1 y included, is not in P
-            if row is not None and len(row) == len(rows.T) and read(row) == y:
-                return find(np.asarray(row, rows.dtype)[rows])
-        except (KeyError, OverflowError):  # OverflowError: off rows' dtype
-            pass
-        raise NotAutomorphism("map leaves the group", witness=(g, y))
-
+    elems, cols = p_handle.elements(), p_handle.columns()
+    where = dict(zip(elems, range(len(elems))))
+    parent, gen, column = _translations(cols)
     amaps = []
     for images in auts:
-        col_a = np.array([column(g, y) for g, y in zip(
-            p_handle.generators, images, strict=True)], np.int32)
-        amap = np.zeros(len(rows), np.int32)
+        for g, y in zip(p_handle.generators, images, strict=True):
+            if y not in where:
+                raise NotAutomorphism("map leaves the group", witness=(g, y))
+        col_a = np.array([column(where[y]) for y in images], np.int32)
+        amap = np.zeros(len(elems), np.int32)
         for part in _stretches(parent):
             amap[part] = col_a[gen[part], amap[parent[part]]]
         for g, col, col_ag in zip(p_handle.generators, cols, col_a):
             bad = np.flatnonzero(amap[col] != col_ag[amap])
             if len(bad):
                 raise NotAutomorphism("map breaks multiplication",
-                                      witness=(read(rows[bad[0]]), g))
+                                      witness=(elems[bad[0]], g))
         if np.count_nonzero(amap == 0) > 1:  # np.unique loads numpy.ma
             raise NotAutomorphism("map has a nontrivial kernel", witness=(
-                read(rows[np.flatnonzero(amap == 0)[1]]), p_handle.identity))
+                elems[np.flatnonzero(amap == 0)[1]], p_handle.identity))
         amaps.append(amap)
     gens = [tuple(c.tolist()) for c in [*cols, *amaps]]
-    return perm_handle(gens, len(rows), f"hol({p_handle.name})")
+    return perm_handle(gens, len(elems), f"hol({p_handle.name})")
 
 
 def natural_semidirect(m_handle, n):

@@ -110,10 +110,6 @@ class GroupHandle:
         image under the action (None if x is outside the group)."""
         return x if self.action is None else self.action.perm(x)
 
-    def from_perm(self, g):
-        """The element of the handle's own type with image array g."""
-        return self.from_perms(np.asarray(g)[None])[0]
-
     def from_perms(self, rows):
         """The elements with the image rows of a 2-D array, read back
         READ_ROWS rows per numpy step."""
@@ -191,18 +187,15 @@ class SubgroupHandle:
 
     @property
     def generators(self):
-        """The chain's strong generators, read back on every call."""
-        return [self.parent.from_perm(g)
-                for g in self._chain().strong_generators()]
+        """The chain's strong generators, read back on every call (an
+        order-1 term has none)."""
+        return self.parent.from_perms(
+            np.array(self._chain().strong_generators()))
 
     def _chain(self):
         if self._bsgs is None:
             raise CapExceeded("a split derived term knows only its order")
         return self._bsgs
-
-    def contains(self, x):
-        g = self.parent.to_perm(x)
-        return g is not None and self._chain().contains(g)
 
     def contains_subgroup(self, other):
         """Whether other's strong generators all sift in this chain."""

@@ -247,6 +247,12 @@ def chain_subgroup(handle, gens):
     return grp.SubgroupHandle(handle, b.order(), b)
 
 
+def contains(sub, x):
+    """Whether an element of sub's parent handle sifts in sub's chain."""
+    g = sub.parent.to_perm(x)
+    return g is not None and sub._chain().contains(g)
+
+
 def is_normal_by_elements(handle, sub):
     """Whether each conjugate of a generator of sub by a generator of the
     handle lies in sub's element set, by the handle's element law."""

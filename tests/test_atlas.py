@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (IMAGE_SPECS, algebra_dimension, bform, conj, ext2_inv,
-                     law, lift_cols, mat_apply, mul, odd_mul, odd_pair,
-                     pair_map, wedge_automorphism)
+from helpers import (IMAGE_SPECS, algebra_dimension, bform, conj, contains,
+                     ext2_inv, law, lift_cols, mat_apply, mul, odd_mul,
+                     odd_pair, pair_map, wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -553,8 +553,6 @@ def test_split_terms_answer_only_their_orders(prop8data):
     for sub in rep.subgroups:
         with pytest.raises(CapExceeded) as err:
             sub.generators
-        with pytest.raises(CapExceeded):
-            sub.contains(handle.identity)
         # a GroupError, so the command line exits 2 with one line
         assert isinstance(err.value, GroupError)
         assert "\n" not in str(err.value)
@@ -604,7 +602,7 @@ def test_perm_image_round_trips_every_element(build):
     h = build()
     elems = h.elements()
     images = [h.to_perm(x) for x in elems]
-    assert all(h.from_perm(g) == x for g, x in zip(images, elems))
+    assert h.from_perms(np.array(images)) == elems
     # faithful: distinct elements have distinct images
     assert len({g.tobytes() for g in images}) == len(elems) == h.order()
     # a product maps to the product of the images, applied left to right
@@ -616,7 +614,7 @@ def test_perm_image_round_trips_every_element(build):
     assert rep.engine == "bsgs"
     for sub in rep.subgroups:
         assert all(type(g) is type(h.identity) for g in sub.generators)
-        assert all(sub.contains(g) for g in sub.generators)
+        assert all(contains(sub, g) for g in sub.generators)
 
 
 def test_perm_image_rejects_elements_off_the_orbits():
@@ -626,8 +624,8 @@ def test_perm_image_rejects_elements_off_the_orbits():
     d = FpMatrix.diagonal([2, 1], 3)
     assert u.to_perm(d) is None
     whole = grp.normal_closure(u, u.generators)
-    assert whole.order == 3 and not whole.contains(d)
-    assert whole.contains(u.generators[0])
+    assert whole.order == 3 and not contains(whole, d)
+    assert contains(whole, u.generators[0])
 
 
 @pytest.mark.parametrize("spec, degree", [

@@ -261,6 +261,19 @@ def test_big_perm_spec_stops_at_the_degree_guard(capsys, monkeypatch):
         "error: CapExceeded: degree 36 exceeds 30"]
 
 
+@pytest.mark.parametrize("spec", ["ut(16,2)", "ut(16,3)"])
+def test_oversized_ut_is_refused_before_growing_points(capsys, spec):
+    # ut(16,2)'s 65,535 points pass the degree limit, but a chain's table of
+    # e_0's 2^15 points on all of them does not fit MEMORY_BUDGET; ut(16,3)
+    # has 3^16 - 1 points.  Neither grows a point before it is refused.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", spec)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: CapExceeded:")
+
+
 # one handle of each kind (perm, matrix, model, split) in every builder
 # that takes a group
 KINDS = ("sym(3)", "gl(2,3)", "extsq(3)", "prop8(7)")

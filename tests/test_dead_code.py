@@ -1,7 +1,8 @@
 """Every function, method and class in src/solvlen is reached from src/,
 every name a module imports is read in that module, no code sets a public
-field of a handle after building it, and the benchmark's tracer still
-installs on src/."""
+field of a handle after building it, elements are converted to images only
+as generators and identities, and the benchmark's tracer still installs on
+src/."""
 
 import ast
 import dataclasses
@@ -101,6 +102,30 @@ def test_no_handle_field_is_assigned_after_construction():
              and a.attr in public
              and not (isinstance(a.value, ast.Name) and a.value.id == "self")]
     assert found == []
+
+
+def to_perm_callers(node, scope):
+    """The dotted name of the innermost definition around each call of
+    .to_perm( below a node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + [child.name] if isinstance(child, DEFINITION) else scope
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "to_perm"):
+            yield ".".join(inner)
+        yield from to_perm_callers(child, inner)
+
+
+def test_only_generators_and_the_identity_are_converted():
+    # elements reach the image one at a time only as a handle's generators
+    # and identity; normal_closure's seed is kept for perfbench/spans.py,
+    # which wraps it by name
+    found = {caller for path in sorted(SRC.glob("*.py"))
+             for caller in to_perm_callers(ast.parse(path.read_text()),
+                                           [path.stem])}
+    assert found == {"grp.GroupHandle.perm_generators",
+                     "grp.GroupHandle.closure", "grp.GroupHandle.enum_cap",
+                     "grp.normal_closure"}
 
 
 TRACED_RUN = """
