@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import iv, mp
-
 from .errors import BadParameter
 
 CS_TABLE = (0, 1, 2, 4, 5, 7, 8, 13, 15)        # d = 0..8
@@ -29,6 +27,7 @@ ANNOTATIONS = {
 
 def alpha_interval(prec=80):
     """alpha = 5 log_9 2 + 1 as a certified interval."""
+    from mpmath import iv  # imported on use: it costs every CLI start-up
     old = iv.prec
     try:
         iv.prec = prec
@@ -48,6 +47,7 @@ def g89_min_length(d):
         raise BadParameter("d must be nonnegative")
     if d <= 9:
         return 1
+    from mpmath import iv, mp
     prec = 80
     while True:
         old = iv.prec

@@ -7,14 +7,15 @@ membership, normal closure and the derived series run on a BSGS chain: a
 permutation handle's own, or for a matrix or model handle the chain of a
 faithful permutation image (its ``action``).  A subgroup is its chain on
 that image, read back into the handle's elements only when a caller asks.
-A split handle (``prop8`` = P |x K) holds only its derived-series orders,
-from K's enumeration and span steps on P (``split_orders``): its order and
-derived series answer from them, and every question that needs a chain or
-the elements is refused in one place, ``GroupHandle.perm_generators``.
-Element lists are enumerated breadth-first over the same images as 2-D
-arrays (``_closure``), with the right-translation columns of the
-generators as a by-product, and read back in one step per kind; on those
-columns ``derived_orders`` takes the derived series on index sets.
+A handle with certified derived-series orders (``split_orders``) answers
+its order and series from them: ``d8()`` = R(P)<A> builds chains only when
+read, and a split handle (``prop8`` = P |x K) has no permutation image, so
+every question that needs a chain or the elements is refused in one place,
+``GroupHandle.perm_generators``.  Element lists are enumerated breadth-
+first over the same images as 2-D arrays (``_closure``), with the right-
+translation columns of the generators as a by-product, and read back in
+one step per kind; on those columns ``derived_orders`` takes the derived
+series of a group, or of R(P)<A>, on index sets.
 """
 
 from __future__ import annotations
@@ -83,11 +84,11 @@ class GroupHandle:
     """Bundle of identity and generators.
 
     The image rows of the elements with their right-translation columns,
-    the element list read back from them, and the BSGS, are computed on
-    first use and cached on the handle.  The derived-series report is
-    cached by a weak reference: its subgroups refer back to the handle, and
-    a strong one would make a cycle that keeps a dropped group's memory
-    until the cyclic collector runs.
+    the element list read back from them, and the BSGS chains of the group
+    and its derived terms are computed on first use and cached on the
+    handle.  The derived-series report is cached by a weak reference: its
+    subgroups refer back to the handle, and a strong one would make a cycle
+    that keeps a dropped group's memory until the cyclic collector runs.
     """
 
     identity: object
@@ -104,6 +105,7 @@ class GroupHandle:
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
     _series: Optional[weakref.ref] = field(default=None, repr=False)
+    _chains: Optional[list] = field(default=None, init=False, repr=False)
 
     def to_perm(self, x):
         """x as an image sequence: itself for a perm handle, else its
@@ -121,7 +123,7 @@ class GroupHandle:
     def perm_generators(self):
         """The generators as image arrays, the start of every chain and
         enumeration.  A split handle has no image: CapExceeded."""
-        if self.split_orders is not None:
+        if self.kind == "split":
             raise CapExceeded(f"{self.name} is a split extension with no "
                               "permutation image; only its derived series "
                               "is known")
@@ -177,37 +179,41 @@ class GroupHandle:
 @dataclass
 class SubgroupHandle:
     """A subgroup of a parent handle: its order and its BSGS chain on the
-    parent's permutation image.  A term of a split series has no chain: it
-    answers only its order, and any other question raises CapExceeded."""
+    parent's permutation image (derived term `term`'s from the parent's
+    chain series, on first read).  A term of a split extension has no
+    chain: it answers only its order, and other questions CapExceeded."""
 
     parent: GroupHandle
     order: int
-    _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
+    chain: Optional[permmod.BSGS] = field(default=None, repr=False)
+    term: Optional[int] = None
     _elem_set: Optional[set] = field(default=None, init=False, repr=False)
+
+    @property
+    def _bsgs(self):
+        if self.chain is None:
+            if self.term is None:
+                raise CapExceeded("a split derived term knows only its order")
+            self.chain = _chain_series(self.parent)[self.term]
+        return self.chain
 
     @property
     def generators(self):
         """The chain's strong generators, read back on every call (an
         order-1 term has none)."""
         return self.parent.from_perms(
-            np.array(self._chain().strong_generators()))
-
-    def _chain(self):
-        if self._bsgs is None:
-            raise CapExceeded("a split derived term knows only its order")
-        return self._bsgs
+            np.array(self._bsgs.strong_generators()))
 
     def contains_subgroup(self, other):
         """Whether other's strong generators all sift in this chain."""
-        chain = self._chain()
-        return all(map(chain.contains, other._chain().strong_generators()))
+        return all(map(self._bsgs.contains, other._bsgs.strong_generators()))
 
     def element_set(self):
         if self._elem_set is None:
             if self.order > min(ENUMERABLE_LIMIT, self.parent.enum_cap()):
                 raise CapExceeded("subgroup too large to enumerate")
             self._elem_set = set(self.parent.from_perms(self.parent.closure(
-                self._chain().strong_generators())[0]))
+                self._bsgs.strong_generators())[0]))
         return self._elem_set
 
 
@@ -277,21 +283,23 @@ def _row_index(rows):
     return lambda part: list(map(where.__getitem__, _keys(part)))
 
 
-def _translations(cols):
+def _translations(cols, images=None):
     """(parent, gen, column) of a breadth-first enumeration with right-
     translation columns cols (k x order): for i > 0, parent[i] * gen[i] = i
     is i's first edge in (element, generator) order, from the layer before
-    i, and column(i)[x], the index of x * i, one gather per edge, cached."""
+    i, and column(i)[x], the index of x * i, one gather per edge, cached;
+    or i's image, for images the index maps of the generators' images."""
     first = np.unique(cols.T.ravel(), return_index=True)[1]
     parent, gen = first // len(cols), first % len(cols)
-    known = {0: np.arange(len(cols.T))}
+    images = cols if images is None else images
+    known = {0: np.arange(len(images.T))}
 
     def column(i):  # from the nearest cached ancestor down, no recursion
         path = [int(i)]
         while path[-1] not in known:
             path.append(int(parent[path[-1]]))
         for j in reversed(path[:-1]):
-            known[j] = cols[gen[j]][known[parent[j]]]
+            known[j] = images[gen[j]][known[parent[j]]]
         return known[path[0]]
     return parent, gen, column
 
@@ -309,95 +317,124 @@ def _walk(columns, seen):
     """Close the boolean row seen, in place, under x -> c[x] for each of
     the columns, breadth-first from all of it; return its indices in the
     order visited, each layer ascending."""
+    columns = np.asarray(columns, np.intp).reshape(-1, len(seen))
     layer = np.flatnonzero(seen)
     found = [layer]
     while len(layer):
         new = np.zeros(len(seen), bool)
-        for c in columns:
-            new[c[layer]] = True
+        new[columns[:, layer]] = True
         layer = np.flatnonzero(new > seen)
         seen[layer] = True
         found.append(layer)
     return np.concatenate(found)
 
 
-def derived_orders(cols):
-    """(orders, gens): |K^(i)|, as derived_series gives them, and indices
-    of generators of each K^(i), for K with right-translation columns cols
-    by its generators: the normal closure of the commutators of each
-    term's generators is walked on index sets, a seed outside it joining
-    its generators and queueing its conjugates."""
+def _index_closure(column, cols, pending, maps=()):
+    """(row, gens): the normal closure of the indices pending, walked on
+    index sets with right-translation columns cols: a seed t outside it
+    joins its gens and queues its conjugates and images under maps."""
+    sub, walk, inv = column(0) == 0, [], cols.argmin(axis=1)
+    for t in pending:
+        if not sub[t]:
+            walk.append(column(t))  # walk[j][0] = 1 * t = t
+            _walk(walk, sub)
+            pending += cols[np.arange(len(cols)), walk[-1][inv]].tolist()
+            pending += [a[t] for a in maps]
+    return sub, [int(c[0]) for c in walk]
+
+
+def derived_orders(cols, auts=(), k_cols=None, k_series=([1], [[]])):
+    """(orders, gens): |G^(i)|, as derived_series gives them, and indices
+    of generators of M_i = G^(i) n R(P), for G = R(P)<A> on the elements
+    of P with right-translation columns cols (G = P with no auts): auts
+    are index maps of automorphisms a_j of P, the images of the g_j under
+    a monomorphism onto <A> of K, with columns k_cols by the g_j and
+    k_series = derived_orders(k_cols).  a^-1 r_m a = r_a(m), so R(P) is
+    normal, and R(P) n <A> = 1 as <A> fixes 1 and R(P) is regular.
+
+    Let G^(i-1) = M_(i-1) A^(i-1), A^(i) the image of K^(i), and N the
+    normal closure in G of the [m, m'] and [m, a_k] = m^-1 a_k(m), for
+    m, m' generators of M_(i-1) and k of K^(i-1) (a_k read on K's tree).
+    These are commutators in G^(i-1), so N <= M_i; modulo N, M_(i-1) is
+    abelian and centralized by the a_k, so central in G^(i-1).  So G^(i)
+    <= N A^(i) <= G^(i), M_i = N by Dedekind's law, |G^(i)| = |N||K^(i)|.
+    """
+    (k_orders, k_gens), last = k_series, len(k_series[0]) - 1
     column = _translations(cols)[2]
-    inv = lambda i: int(column(i).argmin())  # the x with x * i = 1
-    gens, orders = [[int(c[0]) for c in cols]], [cols.shape[1]]
+    image = _translations(k_cols, auts)[2] if len(auts) else None
+    gens, orders = [[int(c[0]) for c in cols]], [cols.shape[1] * k_orders[0]]
     while orders[-1] > 1:
-        pending = [column(b)[column(a)[column(inv(b))[inv(a)]]]
-                   for a in gens[-1] for b in gens[-1]]  # a^-1 b^-1 a b
-        sub, new = np.arange(cols.shape[1]) == 0, []
-        for t in pending:
-            if not sub[t]:
-                new.append(int(t))
-                _walk([column(g) for g in new], sub)
-                pending += [c[column(t)[c.argmin()]] for c in cols]
-        if sub.sum() == orders[-1]:
+        col = np.array([column(a) for a in gens[-1]])
+        inv = col.argmin(axis=1)  # the x with x * a = 1
+        x = np.array([column(i) for i in inv])[:, inv]  # [b, a]: a^-1 b^-1
+        y = np.take_along_axis(col, x.T, axis=1)  # [a, b]: a^-1 b^-1 a
+        pending = np.take_along_axis(col, y.T, axis=1).T.ravel().tolist() + [
+            column(image(k)[m])[i] for m, i in zip(gens[-1], inv)
+            for k in k_gens[min(len(orders) - 1, last)]]
+        sub, new = _index_closure(column, cols, pending, auts)
+        order = int(sub.sum()) * k_orders[min(len(orders), last)]
+        if order == orders[-1]:
             break
-        orders.append(int(sub.sum()))
+        orders.append(order)
         gens.append(new)
     return orders, gens
 
 
 def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
     """Smallest normal subgroup of the handle's group containing seed."""
-    b = permmod.normal_closure_perm(handle.perm_generators(),
-                                    [handle.to_perm(s) for s in seed])
+    images = [handle.to_perm(s) for s in seed]
+    if any(x is None for x in images):
+        raise BadParameter("seed element is not in the group")
+    b = permmod.normal_closure_perm(handle.perm_generators(), images)
     return SubgroupHandle(handle, b.order(), b)
 
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
-    """Iterate derived subgroups until the order stabilizes; a report
-    still held by a caller is returned again.  A handle with split_orders
-    gets them as they are, with terms that know only their orders.
-
-    Otherwise each term is on its chain: G^(i+1) is the normal closure in
-    G of the commutators of G^(i)'s generators (G's for G^(0), the strong
-    generators of G^(i)'s chain after).  The series stops before the
-    first term whose order does not fall, or after order 1.  G^(0) is the
-    handle's own chain.  A chain stops at the handle's
-    proven bound on its term's order (order_bounds), or verifies in full.
-    """
+    """The terms of the handle's chain series (_chain_series), or its
+    split_orders as they are (engine "split"), with chains built only
+    when read (SubgroupHandle._bsgs); a report still held by a caller is
+    returned again."""
     report = handle._series() if handle._series is not None else None
     if report is None:
-        if handle.split_orders is not None:
-            orders = handle.split_orders
-            report = _finish_report(
-                orders, [SubgroupHandle(handle, n) for n in orders],
-                "split")
-        else:
-            group = [permmod.as_perm(g) for g in handle.perm_generators()]
-            gens, invs = group, [permmod.perm_inv(g) for g in group]
-            subs = [SubgroupHandle(handle, handle.order(), handle.bsgs())]
-            bounds = iter(handle.order_bounds[1:])
-            while subs[-1].order > 1:
-                b = permmod.normal_closure_perm(
-                    group, permmod.commutators(gens, invs), next(bounds, None))
-                if b.order() == subs[-1].order:
-                    break
-                subs.append(SubgroupHandle(handle, b.order(), b))
-                if b.levels:  # else the order is 1 and the series ends
-                    gens, invs = b.levels[0].gens, b.levels[0].invs
-            report = _finish_report([s.order for s in subs], subs)
+        orders = tuple(handle.split_orders or map(
+            permmod.BSGS.order, _chain_series(handle)))
+        solvable, lazy = orders[-1] == 1, handle.kind != "split"
+        report = SeriesReport(
+            orders, solvable,
+            n=tuple(omega(a // b) for a, b in zip(orders, orders[1:])),
+            c=omega(orders[0]) if solvable else None,
+            d=len(orders) - 1 if solvable else None,
+            engine="bsgs" if handle.split_orders is None else "split",
+            subgroups=[SubgroupHandle(handle, o, term=i if lazy else None)
+                       for i, o in enumerate(orders)])
         handle._series = weakref.ref(report)
     return report
 
 
-def _finish_report(orders, subs, engine="bsgs"):
-    solvable = orders[-1] == 1
-    n = tuple(omega(orders[i] // orders[i + 1])
-              for i in range(len(orders) - 1))
-    return SeriesReport(orders=tuple(orders), solvable=solvable, n=n,
-                        c=omega(orders[0]) if solvable else None,
-                        d=len(orders) - 1 if solvable else None,
-                        engine=engine, subgroups=subs)
+def _chain_series(handle: GroupHandle):
+    """The chains of G's derived terms, cached on the handle (not on a copy
+    made by replace): G^(0) is the handle's own, and G^(i+1) the normal
+    closure in G of the commutators of G^(i)'s generators (G's for G^(0),
+    the strong generators of G^(i)'s chain after).  The series stops before
+    the first term whose order does not fall, or after order 1.  A chain
+    stops at the handle's proven bound on its term's order (order_bounds),
+    or verifies in full; the orders must be the split_orders, if any."""
+    if handle._chains is None:
+        group = [permmod.as_perm(g) for g in handle.perm_generators()]
+        gens, invs = group, [permmod.perm_inv(g) for g in group]
+        chains, bounds = [handle.bsgs()], iter(handle.order_bounds[1:])
+        while chains[-1].order() > 1:
+            b = permmod.normal_closure_perm(
+                group, permmod.commutators(gens, invs), next(bounds, None))
+            if b.order() == chains[-1].order():
+                break
+            chains.append(b)
+            if b.levels:  # else the order is 1 and the series ends
+                gens, invs = b.levels[0].gens, b.levels[0].invs
+        if handle.split_orders not in (None, tuple(b.order() for b in chains)):
+            raise GroupError(f"{handle.name}: chain orders differ")
+        handle._chains = chains
+    return handle._chains
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:
@@ -461,7 +498,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     the image rows: the coset N e is the rows e[n], n in N, and cosets are
     numbered breadth-first from N over the generators.  NotNormal unless
     N's chain sifts g^-1 s g for its strong generators s and generators g."""
-    chain = sub._chain()
+    chain = sub._bsgs
     gens = permmod.as_perm_stack(handle.perm_generators(), chain.degree)
     strong = permmod.as_perm_stack(chain.strong_generators(), chain.degree)
     conj = gens[np.arange(len(gens))[:, None],
@@ -578,7 +615,7 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     n, d, orders = report.n, report.d, report.orders
     enumerable = orders[0] <= ENUMERABLE_LIMIT
     gens = handle.perm_generators() if enumerable else None
-    chains = [sub._bsgs for sub in report.subgroups]
+    chains = [sub._bsgs for sub in report.subgroups] if enumerable else None
 
     # consecutive abelian quotients: c-weak by order arithmetic
     bad = [i for i in range(2, d) if n[i - 1] == 1 and n[i] == 1]

@@ -238,14 +238,14 @@ def d8_group():
 
     two_generator_reduction certifies the order 1296 of K = <g1, g2> as it
     picks the pair; its walk gives lift_generators the tree whose Schreier
-    relators certify the split, and derived_orders K's series.  Each
-    H^(i) has a proven bound where its chain stops: a lifted automorphism
-    a normalizes the right translations, a^-1 rho_g a = rho_{a(g)}, so
-    H = R(P)<A> with R(P) normal of order 128 and H^(i) <= R(P)<A>^(i);
-    every Schreier relator lifts to the identity, so g_i -> A_i extends to
-    a homomorphism of K onto <A>, and <A>^(i) is the image of K^(i).  So
-    |H^(i)| <= 128 |K^(i)|.  A chain short of its bound verifies in full,
-    so the order check stays a check, as do the terms past K's series.
+    relators certify the split, and derived_orders K's series.  Every
+    Schreier relator lifts to the identity, so g_i -> A_i extends to a
+    homomorphism of K onto <A>; A's linear part on P/Z(P) maps it back to
+    K, so it is injective.  So derived_orders on P's columns and the A_i
+    gives H's series with no chain (split_orders; the order, d and c
+    checks are checks on them).  Chains are built only when read, each
+    stopping at the proven bound 128 |K^(i)| >= |H^(i)| or verifying in
+    full.
     """
     if "group" in _D8_CACHE:
         return _D8_CACHE["group"]
@@ -255,8 +255,11 @@ def d8_group():
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
-    h = replace(holomorph_perm(ph, [p.images() for p in pairs]), name="d8()",
-                order_bounds=tuple(128 * k for k in derived_orders(cols)[0]))
+    h, k_series = holomorph_perm(ph, [p.images() for p in pairs]), \
+        derived_orders(cols)
+    h = replace(h, name="d8()", split_orders=tuple(derived_orders(
+        ph.columns(), np.array(h.generators[-2:]), cols, k_series)[0]),
+        order_bounds=tuple(128 * k for k in k_series[0]))
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")
     report = derived_series(h)

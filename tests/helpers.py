@@ -250,7 +250,7 @@ def chain_subgroup(handle, gens):
 def contains(sub, x):
     """Whether an element of sub's parent handle sifts in sub's chain."""
     g = sub.parent.to_perm(x)
-    return g is not None and sub._chain().contains(g)
+    return g is not None and sub._bsgs.contains(g)
 
 
 def is_normal_by_elements(handle, sub):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -75,6 +78,33 @@ def test_prop8_report_says_split(capsys):
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["engine"] == "split"
     assert payload["d"] == 7 and payload["c"] == 13
+
+
+def test_d8_report_says_split(capsys):
+    # the d = 8 row's orders come from P's table and K's index sets; its
+    # checks read chains built on first use, and every one passes
+    code, out, err = run(capsys, "eval", "d8()", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["engine"] == "split"
+    assert (payload["order"], payload["d"], payload["c"]) == (165888, 8, 15)
+    assert [c["status"] for c in payload["checks"]] == [
+        "pass", "pass", "not-applicable", "pass", "pass"]
+
+
+def test_start_up_loads_no_mpmath():
+    # mpmath is imported only by the bounds past the exact table, so the
+    # CLI and verify-table start without it; `grp bounds 10` loads it
+    code = ("import sys\nfrom solvlen import cli\n"
+            "seen = ['mpmath' in sys.modules]\n"
+            "for argv in (['verify-table', '--max-d', '8'], ['bounds', '10']):\n"
+            "    seen += [cli.run_command(argv), 'mpmath' in sys.modules]\n"
+            "print(*seen, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(boundsmod.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.stderr.split() == ["False", "0", "False", "0", "True"]
 
 
 def test_eval_text_output(capsys):

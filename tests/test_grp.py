@@ -13,7 +13,7 @@ from helpers import (as_handle, chain_subgroup, conj, contains,
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
-from solvlen.errors import CapExceeded, NotNormal
+from solvlen.errors import BadParameter, CapExceeded, NotNormal
 from solvlen.fpmat import FpMatrix
 from solvlen.grp import (center, derived_series, factorize,
                          minimal_normal_subgroups, normal_closure, omega,
@@ -209,6 +209,15 @@ def test_normal_closure_engines_agree():
         assert all(g in oracle for g in sub.generators)
         assert all(contains(sub, x) == (x in oracle)
                    for x in handle.elements())
+
+
+def test_normal_closure_refuses_a_seed_outside_the_group():
+    # diag(2, 1) sends e_0 to 2 e_0, off the basis orbits of the
+    # unitriangular group: a GroupError naming the seed, not a TypeError
+    h = atlas.matrix_handle([FpMatrix.from_rows([[1, 1], [0, 1]], 3)])
+    with pytest.raises(BadParameter, match="seed element is not in the group"):
+        normal_closure(h, [FpMatrix.from_rows([[2, 0], [0, 1]], 3)])
+    assert normal_closure(h, h.generators).order == 3
 
 
 @pytest.mark.parametrize("spec", ["wr(sym(3),sym(3))", "gl(2,3)",

@@ -13,8 +13,8 @@ from helpers import (bform, chain_fingerprint, law, lift_by_closure,
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
-from solvlen.errors import (BadParameter, NotAutomorphism, NotOrthogonal,
-                            SearchExhausted, SearchFailed)
+from solvlen.errors import (BadParameter, GroupError, NotAutomorphism,
+                            NotOrthogonal, SearchExhausted, SearchFailed)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                            nullspace)
 from solvlen.lift import (AutPair, f4_model_generators,
@@ -444,6 +444,97 @@ def test_loose_term_bounds_cannot_hide_a_term(d8data):
         assert loose.orders == free.orders == orders
         assert [chain_fingerprint(s._bsgs) for s in loose.subgroups] == \
             [chain_fingerprint(s._bsgs) for s in free.subgroups]
+
+
+def lifted_maps(cols, auts):
+    """The index map of every element of K, walked along K's tree from
+    the generators' maps auts: map(k g_j) = auts[j][map(k)]."""
+    parent, gen, _ = grp._translations(cols)
+    maps = np.zeros((cols.shape[1], auts.shape[1]), auts.dtype)
+    maps[0] = np.arange(auts.shape[1])
+    for part in grp._stretches(parent):
+        maps[part] = auts[gen[part, None], maps[parent[part]]]
+    return maps
+
+
+def relators_hold(cols, auts, maps):
+    """Whether every Schreier relator of K's tree maps to the identity:
+    maps[cols[j]] == auts[j][maps], so g_j -> a_j is a homomorphism."""
+    return all(np.array_equal(maps[c], a[maps]) for c, a in zip(cols, auts))
+
+
+def d8_walk_and_auts(h):
+    """K's winning walk and the two lifted automorphisms, as d8_group
+    hands them to derived_orders."""
+    walk = two_generator_reduction(atlas.matrix_handle(F4_GENS, "qbar"),
+                                   1296)[1]
+    return walk, np.array(h.generators[-2:], np.int32)
+
+
+def test_lifted_maps_satisfy_every_relator(d8data):
+    # the premise of d8()'s split orders: g_j -> a_j extends to a
+    # homomorphism of K (every Schreier relator holds), and its 1296
+    # maps are distinct, so K is isomorphic to <A>
+    walk, auts = d8_walk_and_auts(d8data[0])
+    maps = lifted_maps(walk, auts)
+    assert relators_hold(walk, auts, maps)
+    assert len({m.tobytes() for m in maps}) == 1296
+    # a wrong lift, a_1 a_2 in place of a_1, breaks a relator
+    bad = auts.copy()
+    bad[0] = auts[1][auts[0]]
+    assert not relators_hold(walk, bad, lifted_maps(walk, bad))
+    # so does one corrupted map: g_1's map replaced by a_1 a_2
+    maps[walk[0, 0]] = bad[0]
+    assert not relators_hold(walk, auts, maps)
+
+
+def test_split_orders_are_the_chain_orders(d8data):
+    h, report = d8data
+    chains = grp.derived_series(replace(h, split_orders=None, _bsgs=None,
+                                        _series=None))
+    assert (report.engine, chains.engine) == ("split", "bsgs")
+    assert report.orders == h.split_orders == chains.orders
+    assert [s._bsgs.order() for s in report.subgroups] == list(report.orders)
+    # a lazily built chain series that disagrees with the orders is refused
+    wrong = replace(h, split_orders=(165888, 82944, 1), _bsgs=None,
+                    _series=None)
+    with pytest.raises(GroupError, match="chain orders differ"):
+        grp.derived_series(wrong).subgroups[1]._bsgs
+    # a cross-check on another holomorph, gsp(gl(2,3),3,1) = R(P)<A> for
+    # P = 3^(1+2) and K = GL(2,3) mapped onto <A>, kept on chains
+    k = atlas.gl(2, 3)
+    gsp = atlas.gsp_extension(k, 3, 1)
+    p = model_handle(atlas.ExtraspecialOddModel(3, 1))
+    cols, kgens = p.columns(), len(k.generators)
+    auts = np.array(gsp.generators[-kgens:], np.int32)
+    assert gsp.generators[:-kgens] == [tuple(c) for c in cols.tolist()]
+    assert relators_hold(k.columns(), auts, lifted_maps(k.columns(), auts))
+    assert grp.derived_orders(cols, auts, k.columns(), grp.derived_orders(
+        k.columns()))[0] == list(grp.derived_series(gsp).orders)
+
+
+def test_d8_verdict_builds_no_chain(monkeypatch):
+    # a row d = 8 verdict takes its orders from P's table and K's index
+    # sets; the chains are built only when read, all on first read
+    from solvlen import cli, lift
+    degrees = []
+    init = permmod.BSGS.__init__
+
+    def recording(self, degree):
+        degrees.append(degree)
+        init(self, degree)
+    monkeypatch.setattr(permmod.BSGS, "__init__", recording)
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    report, series = cli.build_report("d8()", run_checks=False)
+    assert report["engine"] == "split" and report["c"] == 15
+    assert report["derived_orders"] == [165888, 82944, 27648, 6912, 3456,
+                                        384, 128, 2, 1]
+    assert degrees == []
+    assert series.subgroups[7]._bsgs.order() == 2
+    built = len(degrees)
+    assert built and set(degrees) == {128}
+    assert series.subgroups[3]._bsgs.order() == 6912
+    assert len(degrees) == built
 
 
 def test_index_closure_series_matches_the_chain_series():
