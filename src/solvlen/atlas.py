@@ -35,7 +35,7 @@ from .grp import (GroupHandle, _stretches, _translations, center,
 def perm_handle(gens, degree, name=""):
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens if tuple(g) != ident]
-    return GroupHandle(ident, gens, name=name, kind="perm", degree=degree)
+    return GroupHandle(ident, gens, name=name, kind="perm")
 
 
 class BasisOrbitAction:
@@ -87,6 +87,10 @@ class BasisOrbitAction:
                     f"basis orbits pass {permmod.MAX_DEGREE} points")
         order = np.argsort(keys)
         return np.concatenate(layers), keys[order], order.astype(np.int32)
+
+    @property
+    def degree(self):
+        return len(self._points[0])
 
     def perm(self, x):
         """Image array of x, or None when x moves a point off the orbits
@@ -664,8 +668,7 @@ def qutrit_normalizer(p):
     q = 648 // cols.shape[1]  # |K_c n Z|, 3 as |Kbar| = 216
     t = logs[c - 1].reshape(-1, 1, 4) // ((p - 1) // q)  # t(x, g)
     succ = q * cols.T[:, None] + (np.arange(q)[:, None] + t) % q  # x, j, g
-    rows, cols = _lifted_closure(np.array(h.perm_generators()),
-                                 succ.reshape(-1, 4))
+    rows, cols = _lifted_closure(h.perm_generators(), succ.reshape(-1, 4))
     return replace(h, _rows=rows, _columns=cols)
 
 

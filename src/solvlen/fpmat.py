@@ -66,21 +66,6 @@ class FpMatrix:
         return FpMatrix(p, tuple(tuple(diag[i] % p if i == j else 0
                                        for j in range(n)) for i in range(n)))
 
-    def __mul__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        if other.p != self.p or other.n != self.n:
-            raise BadParameter("incompatible matrices")
-        p, n = self.p, self.n
-        a, b = self.entries, other.entries
-        cols = tuple(zip(*b))
-        return FpMatrix(p, tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-            for row in a))
-
-    def transpose(self):
-        return FpMatrix(self.p, tuple(zip(*self.entries)))
-
     def scale(self, c):
         c %= self.p
         return FpMatrix(self.p, tuple(tuple(c * x % self.p for x in row)
@@ -103,16 +88,14 @@ def wedge_vec(v, w, p):
 def similitude_factor(a: FpMatrix):
     """The scalar l with a J a^T = l J, for the standard symplectic Gram
     matrix J = [[0, I], [-I, 0]], or NotSimilitude if none exists."""
-    p, n2 = a.p, a.n
-    if n2 % 2:
+    if a.n % 2:
         raise BadParameter("symplectic dimension must be even")
     check_invertible(a)
-    n = n2 // 2
-    j = FpMatrix.from_rows([[int(k == i + n) - int(i == k + n)
-                             for k in range(n2)] for i in range(n2)], p)
-    lhs = a * j * a.transpose()
-    lam = lhs.entries[0][n]
-    if lhs != j.scale(lam):
+    m = np.array(a.entries, np.int64)
+    j = np.kron([[0, 1], [-1, 0]], np.eye(a.n // 2, dtype=np.int64))
+    lhs = m @ j % a.p @ m.T % a.p
+    lam = int(lhs[0, a.n // 2])
+    if (lhs != lam * j % a.p).any():
         raise NotSimilitude("aJa^T is not a scalar multiple of J")
     return lam
 
@@ -174,14 +157,6 @@ class QuadraticFormF2:
     @staticmethod
     def from_upper(coeffs):
         return QuadraticFormF2(len(coeffs), tuple(tuple(r) for r in coeffs))
-
-    def __call__(self, v):
-        s = 0
-        for i in range(self.dim):
-            if v[i]:
-                row = self.coeffs[i]
-                s ^= sum(row[j] & v[j] for j in range(i, self.dim)) & 1
-        return s
 
     def values(self):
         """q(v) = v C v^T for every v, in all_f2_vectors order (an array)."""

@@ -1,21 +1,22 @@
 """Finite group algorithms over one Schreier-Sims engine.
 
-A GroupHandle bundles an identity and a generator list; elements
-themselves are plain hashable values (image tuples, FpMatrix, model
-coordinate tuples), and no handle multiplies them one at a time.  Order,
-membership, normal closure and the derived series run on a BSGS chain: a
-permutation handle's own, or for a matrix or model handle the chain of a
-faithful permutation image (its ``action``).  A subgroup is its chain on
-that image, read back into the handle's elements only when a caller asks.
-A handle with certified derived-series orders (``split_orders``) answers
-its order and series from them: ``d8()`` = R(P)<A> builds chains only when
+A GroupHandle bundles an identity and a generator list; elements themselves
+are plain hashable values (image tuples, FpMatrix, model coordinate
+tuples), and no handle multiplies them one at a time.  Order, membership,
+normal closure and the derived series run on a BSGS chain: a permutation
+handle's own, or for a matrix or model handle the chain of a faithful
+permutation image (its ``action``), from the generators' images, converted
+once (``GroupHandle.perm_generators``).  A subgroup is its chain on that
+image, read back into the handle's elements only when a caller asks.  A
+handle with certified derived-series orders (``split_orders``) answers its
+order and series from them: ``d8()`` = R(P)<A> builds chains only when
 read, and a split handle (``prop8`` = P |x K) has no permutation image, so
-every question that needs a chain or the elements is refused in one place,
-``GroupHandle.perm_generators``.  Element lists are enumerated breadth-
-first over the same images as 2-D arrays (``_closure``), with the right-
-translation columns of the generators as a by-product, and read back in
-one step per kind; on those columns ``derived_orders`` takes the derived
-series of a group, or of R(P)<A>, on index sets.
+every question that needs a chain, the degree or the elements is refused
+there.  Element lists are enumerated breadth-first over the same images as
+2-D arrays (``_closure``), with the right-translation columns of the
+generators as a by-product, and read back in one step per kind; on those
+columns ``derived_orders`` takes the derived series of a group, or of
+R(P)<A>, on index sets.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,19 +83,16 @@ def omega(n):
 class GroupHandle:
     """Bundle of identity and generators.
 
-    The image rows of the elements with their right-translation columns,
-    the element list read back from them, and the BSGS chains of the group
-    and its derived terms are computed on first use and cached on the
-    handle.  The derived-series report is cached by a weak reference: its
-    subgroups refer back to the handle, and a strong one would make a cycle
-    that keeps a dropped group's memory until the cyclic collector runs.
+    The generators' images, the image rows of the elements with their
+    right-translation columns, the element list read back from them, and
+    the BSGS chains of the group and its derived terms are computed on
+    first use and cached on the handle.
     """
 
     identity: object
     generators: list
     name: str = ""
     kind: str = "generic"  # "perm" | "matrix" | "model" | "split" | "generic"
-    degree: Optional[int] = None    # set for perm kind
     action: Optional[object] = None  # faithful permutation image, non-perm
     cap: int = field(default_factory=_env_cap)
     split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
@@ -104,7 +101,7 @@ class GroupHandle:
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
     _bsgs: Optional[permmod.BSGS] = field(default=None, repr=False)
-    _series: Optional[weakref.ref] = field(default=None, repr=False)
+    _images: Optional[np.ndarray] = field(default=None, repr=False)
     _chains: Optional[list] = field(default=None, init=False, repr=False)
 
     def to_perm(self, x):
@@ -121,13 +118,23 @@ class GroupHandle:
                 for x in read(rows[i:i + READ_ROWS])]
 
     def perm_generators(self):
-        """The generators as image arrays, the start of every chain and
-        enumeration.  A split handle has no image: CapExceeded."""
+        """The generators' images, converted once to one int32 stack that
+        starts every chain.  A split handle has no image: CapExceeded."""
         if self.kind == "split":
             raise CapExceeded(f"{self.name} is a split extension with no "
                               "permutation image; only its derived series "
                               "is known")
-        return [self.to_perm(g) for g in self.generators]
+        if self._images is None:
+            n = self.action.degree if self.action else len(self.identity)
+            self._images = permmod.as_perm_stack(
+                [self.to_perm(g) for g in self.generators], n)
+        return self._images
+
+    @property
+    def degree(self):
+        """The image's points: the identity's, or the action's (CapExceeded
+        for a split handle)."""
+        return self.perm_generators().shape[1]
 
     def bsgs(self):
         if self._bsgs is None:
@@ -157,7 +164,7 @@ class GroupHandle:
     def closure(self, images, cap=None):
         """(rows, columns) of the group generated by the given image
         arrays, within enum_cap(cap) rows; see _closure."""
-        n = len(self.to_perm(self.identity))
+        n = self.degree
         dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points
         return _closure(lambda rows: rows, np.arange(n, dtype=dtype),
                         np.array(images, dtype).reshape(len(images), n),
@@ -166,9 +173,8 @@ class GroupHandle:
     def enum_cap(self, cap=None):
         # a search's cap replaces the handle's; rows of the image's degree
         # are stored, so entries (order x degree) stay bounded as well
-        n = len(self.to_perm(self.identity))
         return min(self.cap if cap is None else cap,
-                   max(1, permmod.MEMORY_BUDGET // max(n, 1)))
+                   max(1, permmod.MEMORY_BUDGET // max(self.degree, 1)))
 
     def order(self):
         if self.split_orders is not None:
@@ -192,8 +198,6 @@ class SubgroupHandle:
     @property
     def _bsgs(self):
         if self.chain is None:
-            if self.term is None:
-                raise CapExceeded("a split derived term knows only its order")
             self.chain = _chain_series(self.parent)[self.term]
         return self.chain
 
@@ -391,24 +395,19 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
 
 def derived_series(handle: GroupHandle) -> SeriesReport:
     """The terms of the handle's chain series (_chain_series), or its
-    split_orders as they are (engine "split"), with chains built only
-    when read (SubgroupHandle._bsgs); a report still held by a caller is
-    returned again."""
-    report = handle._series() if handle._series is not None else None
-    if report is None:
-        orders = tuple(handle.split_orders or map(
-            permmod.BSGS.order, _chain_series(handle)))
-        solvable, lazy = orders[-1] == 1, handle.kind != "split"
-        report = SeriesReport(
-            orders, solvable,
-            n=tuple(omega(a // b) for a, b in zip(orders, orders[1:])),
-            c=omega(orders[0]) if solvable else None,
-            d=len(orders) - 1 if solvable else None,
-            engine="bsgs" if handle.split_orders is None else "split",
-            subgroups=[SubgroupHandle(handle, o, term=i if lazy else None)
-                       for i, o in enumerate(orders)])
-        handle._series = weakref.ref(report)
-    return report
+    split_orders as they are (engine "split"); the chains, cached on the
+    handle, are built only when read (SubgroupHandle._bsgs)."""
+    orders = tuple(handle.split_orders or map(
+        permmod.BSGS.order, _chain_series(handle)))
+    solvable = orders[-1] == 1
+    return SeriesReport(
+        orders, solvable,
+        n=tuple(omega(a // b) for a, b in zip(orders, orders[1:])),
+        c=omega(orders[0]) if solvable else None,
+        d=len(orders) - 1 if solvable else None,
+        engine="bsgs" if handle.split_orders is None else "split",
+        subgroups=[SubgroupHandle(handle, o, term=i)
+                   for i, o in enumerate(orders)])
 
 
 def _chain_series(handle: GroupHandle):
@@ -420,8 +419,8 @@ def _chain_series(handle: GroupHandle):
     stops at the handle's proven bound on its term's order (order_bounds),
     or verifies in full; the orders must be the split_orders, if any."""
     if handle._chains is None:
-        group = [permmod.as_perm(g) for g in handle.perm_generators()]
-        gens, invs = group, [permmod.perm_inv(g) for g in group]
+        group = handle.perm_generators()
+        gens, invs = group, np.argsort(group, axis=1)
         chains, bounds = [handle.bsgs()], iter(handle.order_bounds[1:])
         while chains[-1].order() > 1:
             b = permmod.normal_closure_perm(
@@ -461,7 +460,6 @@ def minimal_normal_subgroups(handle: GroupHandle):
     find = _row_index(rows)
     gens = rows[handle.columns()[:, 0]]
     ginvs = np.argsort(gens, axis=1)
-    perm_gens = handle.perm_generators()
     orders = permmod.perm_order_of(rows)
     todo = np.isin(orders, [q for q in set(orders.tolist()) if _is_prime(q)])
     family = []
@@ -479,7 +477,7 @@ def minimal_normal_subgroups(handle: GroupHandle):
         for _ in range(orders[i] - 1):
             todo[find(power)] = False
             power = np.take_along_axis(conj, power, axis=1)  # power * y
-        b = permmod.normal_closure_perm(perm_gens, [rows[i]])
+        b = permmod.normal_closure_perm(handle.perm_generators(), [rows[i]])
         closure = SubgroupHandle(handle, b.order(), b)
         if not any(f.order == closure.order and
                    f.contains_subgroup(closure) for f in family):
@@ -498,11 +496,10 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     the image rows: the coset N e is the rows e[n], n in N, and cosets are
     numbered breadth-first from N over the generators.  NotNormal unless
     N's chain sifts g^-1 s g for its strong generators s and generators g."""
-    chain = sub._bsgs
-    gens = permmod.as_perm_stack(handle.perm_generators(), chain.degree)
-    strong = permmod.as_perm_stack(chain.strong_generators(), chain.degree)
+    chain, gens = sub._bsgs, handle.perm_generators()
+    strong = permmod.as_perm_stack(chain.strong_generators(), handle.degree)
     conj = gens[np.arange(len(gens))[:, None],
-                strong[:, np.argsort(gens, axis=1)]].reshape(-1, chain.degree)
+                strong[:, np.argsort(gens, axis=1)]].reshape(-1, handle.degree)
     if chain.strip(conj)[0] < len(conj):
         raise NotNormal("subgroup is not normal")
     index = handle.order() // sub.order
@@ -526,7 +523,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     ident = tuple(range(index))
     return GroupHandle(ident, [g for g in gen_perms if g != ident],
                        name=f"{handle.name}/N",
-                       kind="perm", degree=index, cap=handle.cap)
+                       kind="perm", cap=handle.cap)
 
 
 @dataclass

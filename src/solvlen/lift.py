@@ -258,7 +258,7 @@ def d8_group():
     h, k_series = holomorph_perm(ph, [p.images() for p in pairs]), \
         derived_orders(cols)
     h = replace(h, name="d8()", split_orders=tuple(derived_orders(
-        ph.columns(), np.array(h.generators[-2:]), cols, k_series)[0]),
+        ph.columns(), h.perm_generators()[-2:], cols, k_series)[0]),
         order_bounds=tuple(128 * k for k in k_series[0]))
     if h.order() != 165888:
         raise SearchFailed(f"stage v: order {h.order()}")

@@ -61,13 +61,13 @@ def as_perm(images):
 
 
 def as_perm_stack(perms, degree):
-    """Coerce a list of image arrays on `degree` points to one validated
-    int32 stack (len(perms) x degree): as_perm's checks, with one bincount
-    over the rows, offset by row, for every bijection at once."""
+    """Coerce a list or 2-D array of images on `degree` points to one
+    validated int32 stack (len(perms) x degree): as_perm's checks, with one
+    bincount over the rows, offset by row, for every bijection at once."""
     n = check_degree(degree)
     if any(len(g) != n for g in perms):
         raise DegreeMismatch("permutations act on different point counts")
-    h = np.array(perms or np.zeros((0, n)), np.int32)
+    h = np.array(perms if len(perms) else np.zeros((0, n)), np.int32)
     if h.ndim != 2:
         raise GroupError("permutation must be a 1-d image array")
     if h.size and (h.min() < 0 or h.max() >= n or np.count_nonzero(
@@ -352,7 +352,7 @@ def schreier_sims(gens, upper_bound=None):
     two runs on the same input produce identical chains.  Construction
     stops when the orbit product reaches ``upper_bound``, which must be a
     proven upper bound on the group's order (see normal_closure_perm)."""
-    h = as_perm_stack(gens, len((gens or [()])[0]))
+    h = as_perm_stack(gens, len(gens[0]) if len(gens) else 0)
     b = BSGS(h.shape[1])
     _sift_insert(b, h)
     _complete(b, upper_bound)
@@ -371,7 +371,7 @@ def normal_closure_perm(group_gens, seed, upper_bound=None):
     (_complete) ends the closure, or reaching a proven ``upper_bound``
     on its order: the partial chain sits inside the closure.
     """
-    degree = len((group_gens or seed or [()])[0])
+    degree = len(next((s[0] for s in (group_gens, seed) if len(s)), ()))
     group = as_perm_stack(group_gens, degree)
     pending = as_perm_stack(seed, degree)
     ginvs, which = np.argsort(group, axis=1), np.arange(len(group))[:, None]

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import operator
 from functools import partial
 
 import numpy as np
@@ -34,6 +33,38 @@ def tuple_inv(a):
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
+
+
+def mat_mul(self, other):
+    """Product of two FpMatrix values, entry by entry (FpMatrix's former
+    __mul__, its body unchanged)."""
+    if not isinstance(other, FpMatrix):
+        return NotImplemented
+    if other.p != self.p or other.n != self.n:
+        raise BadParameter("incompatible matrices")
+    p, n = self.p, self.n
+    a, b = self.entries, other.entries
+    cols = tuple(zip(*b))
+    return FpMatrix(p, tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+        for row in a))
+
+
+def mat_transpose(self):
+    """The transpose of an FpMatrix (FpMatrix's former method)."""
+    return FpMatrix(self.p, tuple(zip(*self.entries)))
+
+
+def form_value(self, v):
+    """q(v) for a QuadraticFormF2, pointwise over the coefficient table:
+    the oracle for its vectorised values() (its former __call__, the body
+    unchanged)."""
+    s = 0
+    for i in range(self.dim):
+        if v[i]:
+            row = self.coeffs[i]
+            s ^= sum(row[j] & v[j] for j in range(i, self.dim)) & 1
+    return s
 
 
 def mat_invert(a: FpMatrix):
@@ -118,7 +149,7 @@ def law(handle):
     if handle.kind == "perm":
         return tuple_mul, tuple_inv
     if handle.kind == "matrix":
-        return operator.mul, mat_invert
+        return mat_mul, mat_invert
     model = handle.action.to_matrix.__self__
     return tuple(partial(f, model) for f in MODEL_LAWS[type(model)])
 
@@ -271,8 +302,8 @@ def as_handle(sub, name=""):
     """A subgroup as a handle of its own, on the subgroup's chain."""
     return grp.GroupHandle(sub.parent.identity, sub.generators,
                            name=name or f"subgroup of {sub.parent.name}",
-                           kind=sub.parent.kind, degree=sub.parent.degree,
-                           cap=sub.parent.cap, action=sub.parent.action,
+                           kind=sub.parent.kind, cap=sub.parent.cap,
+                           action=sub.parent.action,
                            _bsgs=sub._bsgs)
 
 
@@ -372,7 +403,7 @@ def algebra_dimension(gens):
     while frontier:
         m = frontier.pop()
         for g in gens:
-            w = m * g
+            w = mat_mul(m, g)
             grown = echelon([*basis.values(), sum(w.entries, ())], p)
             if len(grown) > len(basis):
                 basis = grown

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import (IMAGE_SPECS, algebra_dimension, bform, conj, contains,
-                     ext2_inv, law, lift_cols, mat_apply, mul, odd_mul,
-                     odd_pair, pair_map, wedge_automorphism)
+                     ext2_inv, law, lift_cols, mat_apply, mat_mul, mul,
+                     odd_mul, odd_pair, pair_map, wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -392,7 +392,7 @@ def test_scalar_search_failures_exit_2(monkeypatch, capsys):
     t = FpMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 7)
     for gens, why in [
             # |K_c| = 1296 for every c
-            ((x, z, m, s * m), "[(1, 1296), (2, 1296), (3, 1296),"),
+            ((x, z, m, mat_mul(s, m)), "[(1, 1296), (2, 1296), (3, 1296),"),
             # the image in PGL(3,7) passes the cap: the same for every c
             ((x, z, s, t), "(5, '> 648'), (6, '> 648')]"),
             # diagonal X, Z, S and Z fix <e_0>, <e_1>, <e_2>, so those
@@ -641,6 +641,25 @@ def test_basis_orbit_degrees(spec, degree):
     from solvlen.dsl import parse_spec
     h = evaluate(parse_spec(spec))
     assert len(h.to_perm(h.identity)) == degree
+
+
+@pytest.mark.parametrize("spec", [
+    "sym(4)", "wr(sym(3),cyclic(2))", "gl(2,3)", "bo()", "extsq(3)",
+    "extraspecial(2,2,minus)", "cyclic(1)", "sym(1)", "sl(1,3)"])
+def test_degree_is_the_width_of_the_generators_images(spec):
+    # the identity's length for a perm handle, the action's point count
+    # for a matrix or model handle, with or without generators
+    from solvlen.cli import evaluate
+    from solvlen.dsl import parse_spec
+    h = evaluate(parse_spec(spec))
+    assert h.degree == h.perm_generators().shape[1] == \
+        len(h.to_perm(h.identity))
+    assert len(h.perm_generators()) == len(h.generators)
+
+
+def test_split_handle_has_no_degree(prop8data):
+    with pytest.raises(CapExceeded, match="prop8"):
+        prop8data[0].degree
 
 
 @pytest.mark.parametrize("p, n", [(3, 14), (3, 11), (5, 7)])

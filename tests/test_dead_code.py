@@ -1,8 +1,8 @@
 """Every function, method and class in src/solvlen is reached from src/,
 every name a module imports is read in that module, no code sets a public
 field of a handle after building it, elements are converted to images only
-as generators and identities, and the benchmark's tracer still installs on
-src/."""
+as generators (and normal_closure's seed), and the benchmark's tracer still
+installs on src/."""
 
 import ast
 import dataclasses
@@ -19,6 +19,7 @@ SRC = ROOT / "src" / "solvlen"
 
 # names kept although no code in src/ refers to them
 ALLOWED = {
+    "as_perm": "perfbench/spans.py counts perm.as_perm calls by name",
     "normal_closure": "perfbench/spans.py wraps grp.normal_closure by name",
     "quotient_on_cosets": "perfbench/spans.py wraps grp.quotient_on_cosets "
                           "by name",
@@ -117,15 +118,14 @@ def to_perm_callers(node, scope):
 
 
 def test_only_generators_and_the_identity_are_converted():
-    # elements reach the image one at a time only as a handle's generators
-    # and identity; normal_closure's seed is kept for perfbench/spans.py,
-    # which wraps it by name
+    # elements reach the image one at a time only as a handle's
+    # generators, converted once, and the degree is read off their image,
+    # not the identity's; normal_closure's seed is kept for
+    # perfbench/spans.py, which wraps it by name
     found = {caller for path in sorted(SRC.glob("*.py"))
              for caller in to_perm_callers(ast.parse(path.read_text()),
                                            [path.stem])}
-    assert found == {"grp.GroupHandle.perm_generators",
-                     "grp.GroupHandle.closure", "grp.GroupHandle.enum_cap",
-                     "grp.normal_closure"}
+    assert found == {"grp.GroupHandle.perm_generators", "grp.normal_closure"}
 
 
 TRACED_RUN = """

@@ -45,12 +45,14 @@ def test_s4_derived_series():
 
 
 def test_derived_series_is_cached_without_a_cycle():
-    # the report's subgroups refer back to the handle, so the handle keeps
-    # only a weak reference to it: a held report is returned again, and
-    # dropping both frees them without the cyclic collector
+    # the chains are cached on the handle, so a second report reuses every
+    # term's chain; the report's subgroups refer back to the handle, which
+    # keeps no report, so dropping both frees them without the cyclic
+    # collector
     h = atlas.sym(4)
     rep = derived_series(h)
-    assert derived_series(h) is rep
+    assert all(a._bsgs is b._bsgs for a, b in
+               zip(rep.subgroups, derived_series(h).subgroups, strict=True))
     handle_ref = weakref.ref(h)
     gc.disable()
     try:
@@ -58,6 +60,30 @@ def test_derived_series_is_cached_without_a_cycle():
         assert handle_ref() is None
     finally:
         gc.enable()
+
+
+# conversions of elements to images by a full report: each generator of
+# each handle the spec builds, once (bo() builds SL(2,7), 2 generators,
+# to search its 4; prop8(7) converts only K = qutrit(7)'s), and no identity
+CONVERSIONS = {"extsq(7)": 6, "bo()": 6, "gl(2,3)": 3, "qutrit(7)": 4,
+               "prop8(7)": 4}
+
+
+def test_generators_are_converted_once(monkeypatch):
+    from solvlen import cli, lift
+    calls, image = [], atlas.BasisOrbitAction.perm
+    monkeypatch.setattr(atlas.BasisOrbitAction, "perm",
+                        lambda self, x: calls.append(x) or image(self, x))
+    for spec, count in CONVERSIONS.items():
+        calls.clear()
+        cli.build_report(spec)
+        assert len(calls) == count, spec
+    # a d8() verdict with the cache emptied, as a command-line run pays it:
+    # K's 5 generators and P's 6
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    calls.clear()
+    cli.build_report("d8()", run_checks=False)
+    assert len(calls) == 11
 
 
 def test_derived_series_terms_answer_membership():
@@ -162,6 +188,10 @@ def test_quotient_on_cosets():
         assert is_normal_by_elements(handle, z)
         q = quotient_on_cosets(handle, z)
         assert q.degree == q.order() == handle.order() // z.order
+    # a group with no generators, modulo its own chain of degree 0
+    for handle in (atlas.cyclic(1), atlas.sl(1, 3)):
+        q = quotient_on_cosets(handle, derived_series(handle).subgroups[0])
+        assert q.degree == q.order() == 1
 
 
 def test_quotient_index_cap():
