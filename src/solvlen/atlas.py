@@ -387,8 +387,7 @@ def metacyclic(p, q):
     check_prime(q)
     if q % p != 1:
         raise BadCongruence(f"metacyclic({p},{q}) needs q = 1 mod p")
-    k = next(k for k in range(2, q)
-             if permmod.perm_order_of(np.arange(q) * k % q) == p)
+    k = next(k for k in range(2, q) if pow(k, p, q) == 1)  # of order p
     b = tuple((x + 1) % q for x in range(q))
     a = tuple(x * k % q for x in range(q))
     return perm_handle([a, b], q, f"metacyclic({p},{q})")
@@ -417,7 +416,8 @@ def extraspecial(p, n, eps=None):
 
 def _check_extraspecial(handle, p, n):
     rows = handle.rows()
-    orders = set(permmod.perm_order_of(rows).tolist()) if p > 2 else {1}
+    orders = set(permmod.element_orders(rows, handle.base()).tolist()) \
+        if p > 2 else {1}
     found = (len(rows), center(handle).order, orders <= {1, p})
     if found != (p ** (1 + 2 * n), p, True):
         raise GroupError(f"{handle.name} is not extraspecial: (order, "
@@ -684,8 +684,8 @@ def binary_octahedral():
     verifies that count, and proves the order 48 its handle records.
     """
     ambient = sl(2, 7)
-    rows, elems = ambient.rows(), ambient.elements()
-    orders = permmod.perm_order_of(rows).tolist()
+    rows, elems, base = ambient.rows(), ambient.elements(), ambient.base()
+    orders = permmod.element_orders(rows, base).tolist()
     ranked = sorted(range(len(elems)), key=lambda i: elems[i].entries)
 
     def extend(gens, k, order, cap):
@@ -699,7 +699,7 @@ def binary_octahedral():
             except CapExceeded:
                 continue
             if len(sub) == order and np.count_nonzero(
-                    permmod.perm_order_of(sub) == 2) == 1:
+                    permmod.element_orders(sub, base) == 2) == 1:
                 return gens + [t]
         return None
 

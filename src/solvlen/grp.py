@@ -142,6 +142,13 @@ class GroupHandle:
                 self.perm_generators(), next(iter(self.order_bounds), None))
         return self._bsgs
 
+    def base(self):
+        """Points only the identity fixes: e_0..e_(n-1), the action's first
+        n points, with no chain, or the chain's base points."""
+        if self.action is not None:
+            return range(self.action.n)
+        return [lv.base for lv in self.bsgs().levels]
+
     def rows(self):
         """The image rows of the elements (a 2-D array), enumerated once,
         breadth-first within enum_cap() rows (see _closure)."""
@@ -460,7 +467,7 @@ def minimal_normal_subgroups(handle: GroupHandle):
     find = _row_index(rows)
     gens = rows[handle.columns()[:, 0]]
     ginvs = np.argsort(gens, axis=1)
-    orders = permmod.perm_order_of(rows)
+    orders = permmod.element_orders(rows, handle.base())
     todo = np.isin(orders, [q for q in set(orders.tolist()) if _is_prime(q)])
     family = []
     for i in np.flatnonzero(todo).tolist():

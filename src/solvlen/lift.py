@@ -177,7 +177,8 @@ def two_generator_reduction(handle, order):
     rows = handle.rows()
     if len(rows) != order:
         raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
-    ranked = np.argsort(-permmod.perm_order_of(rows), kind="stable")
+    ranked = np.argsort(-permmod.element_orders(rows, handle.base()),
+                        kind="stable")
     column = _translations(handle.columns())[2]
     subs = np.zeros((0, order), bool)
     for i1 in ranked.tolist():

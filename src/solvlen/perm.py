@@ -389,37 +389,26 @@ def normal_closure_perm(group_gens, seed, upper_bound=None):
     return b
 
 
-def perm_order_of(g):
-    """Order of a permutation (an int), or of each row of a 2-D stack of
-    them (an array): the lcm of its cycle lengths.  Rows go in chunks of
-    at most MAX_DEGREE points, each one flat permutation (_chunk_orders).
+def element_orders(rows, base):
+    """The order of each row of a 2-D stack of elements of a group that
+    `base` is a base of (only the identity fixes every base point).  x^m
+    is 1 exactly when it fixes the base, so x's order is the lcm of the
+    lengths of its cycles through the base points (Seress, ch. 4).  The
+    base's images under x's powers take one gather per step, for at most
+    `degree` steps, the longest a cycle can be; the lcm is taken in Python
+    integers if the product of the distinct lengths may pass int64.
     """
-    g = np.asarray(g)
-    rows = g if g.ndim == 2 else g[None]
-    step = max(1, MAX_DEGREE // max(rows.shape[1], 1))
-    orders = np.concatenate([np.ones(0, np.int64)] + [
-        _chunk_orders(rows[i:i + step]) for i in range(0, len(rows), step)])
-    return orders if g.ndim == 2 else int(orders[0])
-
-
-def _chunk_orders(rows):
-    """Pointer doubling labels each point with the least point of its
-    cycle, in log2(degree) rounds of two 1-D gathers; a cycle's length is
-    the count of its label, and a row's order the lcm of its distinct
-    cycle lengths, in Python integers if their product may pass int64."""
     r, n = rows.shape
-    if n == 0:
-        return np.ones(r, np.int64)
-    jump = (rows + np.arange(0, r * n, n)[:, None]).ravel()
-    low, reach = np.arange(r * n), 1
-    while reach < n:  # low[x] = least of x, ..., x g^(2 reach - 1)
-        low, jump, reach = np.minimum(low, low[jump]), jump[jump], 2 * reach
-    count = np.bincount(low)
-    least = np.flatnonzero(count)  # one point per cycle, grouped by row
-    key = np.unique(least // n * (n + 1) + count[least],
-                    return_index=True)[0]  # no numpy.ma import
-    lens = key % (n + 1)
-    starts = np.flatnonzero(np.diff(key // (n + 1), prepend=-1))
-    if np.add.reduceat(np.log2(lens), starts).max() >= 63:
-        lens = lens.astype(object)
-    return np.lcm.reduceat(lens, starts)
+    offset = n * np.arange(r)[:, None]
+    jump, home = (rows + offset).ravel(), np.asarray(base, np.intp) + offset
+    at, lens = jump[home], np.zeros(home.shape, np.int64)
+    for step in range(1, n + 1):  # at: the flat positions of x^step(base)
+        lens[(lens == 0) & (at == home)] = step
+        if lens.all():
+            break
+        at = jump[at]
+    wide = math.prod(np.flatnonzero(np.bincount(lens.ravel())).tolist())
+    orders = np.ones(r, object if wide >= 2 ** 63 else np.int64)
+    for column in lens.T:
+        orders = np.lcm(orders, column)
+    return orders

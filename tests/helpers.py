@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -204,6 +205,19 @@ def corpus_perm_groups():
     return groups
 
 
+# the eval-mix corpus of the benchmark: rows d = 0..6, matrix and model
+# groups, and small-degree permutation groups with deep chains
+EVAL_MIX = (
+    "cyclic(1)", "cyclic(2)", "metacyclic(2,3)", "natsd(s3mat(5),2)",
+    "gl(2,3)", "qutrit(7)", "gsp(gl(2,3),3,1)",
+    "ut(4,3)", "ut(3,5)", "gl(3,3)", "extsq(7)", "qutrit(13)", "bo()",
+    "extraspecial(3,1)", "extraspecial(5,1)", "extraspecial(2,2,minus)",
+    "sl(2,5)",
+    "wr(sym(3),wr(sym(3),sym(3)))", "wr(sym(4),sym(4))", "wr(sym(3),sym(3))",
+    "sym(7)", "sym(4)", "direct(sym(3),sym(4))", "regular(gl(2,3))",
+    "natsd(gl(2,3),2)",
+)
+
 # matrix and model handles, each with its permutation image: (label, builder)
 IMAGE_SPECS = [("gl(2,3)", lambda: atlas.gl(2, 3)),
                ("ut(3,3)", lambda: atlas.upper_triangular(3, 3)),
@@ -226,6 +240,58 @@ def chain_fingerprint(b):
         for g in lv.gens:
             h.update(np.asarray(g, dtype=np.int32).tobytes())
     return h.hexdigest()[:16]
+
+
+def cycle_walk_order(g):
+    """Scalar oracle: walk each cycle once, lcm of the lengths."""
+    seen, out = set(), 1
+    for i in range(len(g)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, length = g[j], length + 1
+        out = math.lcm(out, max(length, 1))
+    return out
+
+
+# the former perm.perm_order_of, the oracle for perm.element_orders:
+# the order of a permutation from all of its cycles, by pointer doubling
+
+
+def perm_order_of(g):
+    """Order of a permutation (an int), or of each row of a 2-D stack of
+    them (an array): the lcm of its cycle lengths.  Rows go in chunks of
+    at most MAX_DEGREE points, each one flat permutation (_chunk_orders).
+    """
+    g = np.asarray(g)
+    rows = g if g.ndim == 2 else g[None]
+    step = max(1, perm.MAX_DEGREE // max(rows.shape[1], 1))
+    orders = np.concatenate([np.ones(0, np.int64)] + [
+        _chunk_orders(rows[i:i + step]) for i in range(0, len(rows), step)])
+    return orders if g.ndim == 2 else int(orders[0])
+
+
+def _chunk_orders(rows):
+    """Pointer doubling labels each point with the least point of its
+    cycle, in log2(degree) rounds of two 1-D gathers; a cycle's length is
+    the count of its label, and a row's order the lcm of its distinct
+    cycle lengths, in Python integers if their product may pass int64."""
+    r, n = rows.shape
+    if n == 0:
+        return np.ones(r, np.int64)
+    jump = (rows + np.arange(0, r * n, n)[:, None]).ravel()
+    low, reach = np.arange(r * n), 1
+    while reach < n:  # low[x] = least of x, ..., x g^(2 reach - 1)
+        low, jump, reach = np.minimum(low, low[jump]), jump[jump], 2 * reach
+    count = np.bincount(low)
+    least = np.flatnonzero(count)  # one point per cycle, grouped by row
+    key = np.unique(least // n * (n + 1) + count[least],
+                    return_index=True)[0]  # no numpy.ma import
+    lens = key % (n + 1)
+    starts = np.flatnonzero(np.diff(key // (n + 1), prepend=-1))
+    if np.add.reduceat(np.log2(lens), starts).max() >= 63:
+        lens = lens.astype(object)
+    return np.lcm.reduceat(lens, starts)
 
 
 def element_order_by_products(handle, x):
@@ -294,7 +360,7 @@ def is_normal_by_elements(handle, sub):
 
 def is_cyclic(handle):
     """Whether some element's order is the group's, on the image rows."""
-    orders = perm.perm_order_of(handle.rows())
+    orders = perm_order_of(handle.rows())
     return bool((orders == handle.order()).any())
 
 
@@ -485,8 +551,8 @@ def lift_by_closure(mats, model: Extraspecial2Model):
     kept = []
     for b in base:
         rows = offset_perms(b, elems, index)
-        lams = np.flatnonzero(perm.perm_order_of(rows)
-                              == perm.perm_order_of(lin.to_perm(b.a)))
+        lams = np.flatnonzero(perm_order_of(rows)
+                              == perm_order_of(lin.to_perm(b.a)))
         kept.append([(lam, rows[lam]) for lam in lams.tolist()])
     on_elems = perm_handle([], len(elems), "lift")
     for choice in itertools.product(*kept):

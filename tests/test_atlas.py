@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from helpers import (IMAGE_SPECS, algebra_dimension, bform, conj, contains,
-                     ext2_inv, law, lift_cols, mat_apply, mat_mul, mul,
-                     odd_mul, odd_pair, pair_map, wedge_automorphism)
+                     cycle_walk_order, ext2_inv, law, lift_cols, mat_apply,
+                     mat_mul, mul, odd_mul, odd_pair, pair_map,
+                     wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -66,6 +67,19 @@ def test_metacyclic():
         metacyclic(3, 5)
     with pytest.raises(BadParameter):
         metacyclic(4, 5)
+
+
+def test_metacyclic_picks_the_first_unit_of_order_p():
+    # pow(k, p, q) == 1 with p prime and k >= 2 means x -> kx has order p:
+    # the k the cycle walk picks, for every valid pair with q <= 251
+    primes = [n for n in range(2, 252) if all(n % d for d in range(2, n))]
+    pairs = [(p, q) for q in primes for p in primes if q % p == 1]
+    assert len(pairs) == 124
+    for p, q in pairs:
+        k = next(k for k in range(2, q)
+                 if cycle_walk_order([x * k % q for x in range(q)]) == p)
+        assert metacyclic(p, q).generators[0] == \
+            tuple(x * k % q for x in range(q)), (p, q)
 
 
 def test_extraspecial_models():

@@ -12,8 +12,11 @@ spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "verdicts_per_s", "unit": "1/s", "better": "higher"},
-           {"name": "setup_s", "unit": "s", "better": "lower"}]
+METRICS = [{"name": "verdicts_per_s", "unit": "1/s", "better": "higher",
+            "bound": 0.25},
+           {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+    BOUNDS = {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
 
 
 def record(per_s, setup, failed=0):
@@ -49,19 +52,69 @@ def test_summary_of_fabricated_pairs():
     assert setup["unit"] == "s" and setup["better"] == "lower"
 
 
+def summarize_written(old, workload, name):
+    """Summarize again the runs of one metric of a written BENCH file."""
+    block = old["workloads"][workload]
+    entry = block["metrics"][name]
+    pairs = [{"seed": s, "first": first,
+              "parent": record(0, 0), "change": record(0, 0)}
+             for s, first in zip(block["seeds"], block["first_side"])]
+    for pair, p, c in zip(pairs, entry["parent_runs"], entry["change_runs"]):
+        pair["parent"]["metrics"][name] = {"value": p}
+        pair["change"]["metrics"][name] = {"value": c}
+    claim = old.get("claim", {})
+    return bench_pairs.summarize(
+        pairs, [{"name": name, "unit": entry["unit"],
+                 "better": entry["better"], "bound": BOUNDS[name]}],
+        claim.get("metric") if claim.get("workload") == workload else None,
+    )["metrics"][name]
+
+
 def test_summary_reproduces_a_written_bench_file():
     with open(os.path.join(ROOT, "BENCH_6.json")) as f:
         old = json.load(f)
     for workload, block in old["workloads"].items():
         for name, entry in block["metrics"].items():
-            pairs = [{"seed": s, "first": first,
-                      "parent": record(0, 0), "change": record(0, 0)}
-                     for s, first in zip(block["seeds"], block["first_side"])]
-            for pair, p, c in zip(pairs, entry["parent_runs"],
-                                  entry["change_runs"]):
-                pair["parent"]["metrics"][name] = {"value": p}
-                pair["change"]["metrics"][name] = {"value": c}
-            got = bench_pairs.summarize(
-                pairs, [{"name": name, "unit": entry["unit"],
-                         "better": entry["better"]}])["metrics"][name]
-            assert got == entry, (workload, name)
+            got = summarize_written(old, workload, name)
+            assert {k: got[k] for k in entry} == entry, (workload, name)
+
+
+def test_verdicts_follow_the_rule():
+    parent = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+    cases = {
+        # claimed, higher is better: 10 wins by 5 > IQR
+        ("verdicts_per_s", "verdicts_per_s"): ([p + 5 for p in parent],
+                                               "met"),
+        # 8 wins of 10 are too few, however large the gain
+        ("verdicts_per_s", "verdicts_per_s", 8): (
+            [p + (9 if i < 8 else -1) for i, p in enumerate(parent)],
+            "not met"),
+        # 10 wins, but the median gain 4 is within the IQR
+        ("verdicts_per_s", "verdicts_per_s", 4): ([p + 4 for p in parent],
+                                                  "not met"),
+        # not claimed, lower is better: 30% worse is past the 0.25 bound
+        ("setup_s", None): ([p * 1.3 for p in parent], "worse"),
+        ("setup_s", None, 20): ([p * 1.2 for p in parent], "within"),
+        ("verdicts_per_s", None): ([p * 0.8 for p in parent], "within"),
+        ("verdicts_per_s", None, 70): ([p * 0.7 for p in parent], "worse"),
+    }
+    for key, (change, want) in cases.items():
+        name, claimed = key[:2]
+        metric = next(m for m in METRICS if m["name"] == name)
+        pairs = [{"seed": i, "first": "parent", "parent": record(p, p),
+                  "change": record(c, c)}
+                 for i, (p, c) in enumerate(zip(parent, change))]
+        got = bench_pairs.summarize(pairs, [metric], claimed)
+        assert got["metrics"][name]["verdict"] == want, key
+    # a parent whose quartiles span more than the bound cannot tell
+    wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+    pairs = [{"seed": i, "first": "parent", "parent": record(p, p),
+              "change": record(p, p)} for i, p in enumerate(wide)]
+    got = bench_pairs.summarize(pairs, METRICS)["metrics"]
+    assert {m: e["verdict"] for m, e in got.items()} == \
+        {"verdicts_per_s": "unresolved", "setup_s": "unresolved"}
+    # BENCH_6's claim, 3x eval-mix throughput, was met
+    with open(os.path.join(ROOT, "BENCH_6.json")) as f:
+        old = json.load(f)
+    assert summarize_written(old, "eval-mix", "verdicts_per_s")[
+        "verdict"] == "met"

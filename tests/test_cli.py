@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import EVAL_MIX
 from solvlen import bounds as boundsmod
 from solvlen import perm as permmod
 from solvlen.cli import (REPORT_KEYS, REPORT_SCHEMA, WITNESSES, _builder_table,
@@ -333,20 +334,6 @@ def test_deep_nesting_exit_code(capsys):
     assert "Traceback" not in err
     assert err.splitlines()[0] == \
         "parse error: 1:193: calls nest deeper than 64"
-
-
-# the eval-mix corpus of the benchmark: rows d = 0..6, matrix and model
-# groups, and small-degree permutation groups with deep chains
-EVAL_MIX = (
-    "cyclic(1)", "cyclic(2)", "metacyclic(2,3)", "natsd(s3mat(5),2)",
-    "gl(2,3)", "qutrit(7)", "gsp(gl(2,3),3,1)",
-    "ut(4,3)", "ut(3,5)", "gl(3,3)", "extsq(7)", "qutrit(13)", "bo()",
-    "extraspecial(3,1)", "extraspecial(5,1)", "extraspecial(2,2,minus)",
-    "sl(2,5)",
-    "wr(sym(3),wr(sym(3),sym(3)))", "wr(sym(4),sym(4))", "wr(sym(3),sym(3))",
-    "sym(7)", "sym(4)", "direct(sym(3),sym(4))", "regular(gl(2,3))",
-    "natsd(gl(2,3),2)",
-)
 
 
 def test_eval_mix_reports_are_pinned():

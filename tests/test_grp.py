@@ -6,10 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import (as_handle, chain_subgroup, conj, contains,
+from helpers import (EVAL_MIX, as_handle, chain_subgroup, conj, contains,
                      corpus_perm_groups, element_order_by_products, inv,
                      is_cyclic, is_normal_by_elements, law, mul,
-                     minimal_normal_subgroups_by_elements)
+                     minimal_normal_subgroups_by_elements, perm_order_of)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -19,6 +19,7 @@ from solvlen.grp import (center, derived_series, factorize,
                          minimal_normal_subgroups, normal_closure, omega,
                          quotient_on_cosets)
 from solvlen.lift import f4_model_generators
+from solvlen.perm import element_orders
 
 
 def test_factorize_and_omega():
@@ -84,6 +85,34 @@ def test_generators_are_converted_once(monkeypatch):
     calls.clear()
     cli.build_report("d8()", run_checks=False)
     assert len(calls) == 11
+
+
+def test_element_orders_on_every_enumerated_handle(monkeypatch):
+    # every handle that a full eval-mix round, prop8(7) and a d8() verdict
+    # enumerate (matrix and model), and the eval-mix specs' own handles of
+    # at most 10^4 elements (perm among them): its rows are pairwise
+    # distinct on base(), and their orders on it are the oracle's
+    from solvlen import cli, lift
+    seen, rows = {}, grp.GroupHandle.rows
+
+    def recording(self):
+        seen[id(self)] = self
+        return rows(self)
+    monkeypatch.setattr(grp.GroupHandle, "rows", recording)
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    for spec in EVAL_MIX + ("prop8(7)",):
+        cli.build_report(spec)
+    cli.build_report("d8()", run_checks=False)
+    monkeypatch.undo()
+    for h in map(evaluate, map(parse_spec, EVAL_MIX)):
+        if h.order() <= 10 ** 4:
+            seen[id(h)] = h
+    for h in seen.values():
+        elems, base = h.rows(), list(h.base())
+        assert len(np.unique(elems[:, base], axis=0)) == len(elems), h.name
+        assert element_orders(elems, base).tolist() == \
+            perm_order_of(elems).tolist(), h.name
+    assert {h.kind for h in seen.values()} == {"matrix", "model", "perm"}
 
 
 def test_derived_series_terms_answer_membership():
@@ -304,7 +333,7 @@ def test_subgroup_as_handle_roundtrip():
 def test_element_helpers():
     s4 = atlas.sym(4)
     x = (1, 2, 0, 3)
-    assert perm.perm_order_of(s4.to_perm(x)) == 3
+    assert perm_order_of(s4.to_perm(x)) == 3
     assert mul(s4, mul(s4, x, x), x) == s4.identity
     assert conj(s4, x, s4.identity) == x
     assert conj(s4, x, x) == x

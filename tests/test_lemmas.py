@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import (as_handle, conj, contains, corpus_perm_groups, inv,
-                     is_cyclic, mul)
+                     is_cyclic, mul, perm_order_of)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -159,7 +159,7 @@ def test_fixed_point_free_sees_fixed_points():
     h = atlas.direct(atlas.sym(3), atlas.cyclic(3))
     top = derived_series(h).subgroups[0]
     mid = grp.normal_closure(
-        h, [x for x in h.elements() if perm.perm_order_of(h.to_perm(x)) == 3])
+        h, [x for x in h.elements() if perm_order_of(h.to_perm(x)) == 3])
     low = grp.normal_closure(h, [])
     assert mid.order == 9
     gens = h.perm_generators()

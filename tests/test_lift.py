@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (bform, chain_fingerprint, form_value, law,
                      lift_by_closure, lift_cols, mat_apply, mat_mul, mul,
-                     offset_perms, pair_map, squaring)
+                     offset_perms, pair_map, perm_order_of, squaring)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
@@ -340,7 +340,7 @@ def test_two_generator_reduction_small():
     h = atlas.perm_handle([g1, g2], 4, "pair")
     assert h.order() == 24
     # ranking prefers elements of maximal order first
-    assert permmod.perm_order_of(s4.to_perm(g1)) == 4
+    assert perm_order_of(s4.to_perm(g1)) == 4
     with pytest.raises(SearchFailed):
         two_generator_reduction(s4, 25)
 
@@ -350,7 +350,7 @@ def reference_two_generator_reduction(handle):
     (-order, index) order and return the first that spans the group."""
     elems, product = handle.elements(), law(handle)[0]
     ranked = sorted(range(len(elems)),
-                    key=lambda i: (-permmod.perm_order_of(
+                    key=lambda i: (-perm_order_of(
                         handle.to_perm(elems[i])), i))
     for i1 in ranked:
         for i2 in ranked:
@@ -390,8 +390,8 @@ def test_two_generator_reduction_pins_the_d8_pair():
     elems = qbar.elements()
     (g1, g2), _ = two_generator_reduction(qbar, 1296)
     assert (g1, g2) == (elems[8], elems[72])
-    assert (permmod.perm_order_of(qbar.to_perm(g1)),
-            permmod.perm_order_of(qbar.to_perm(g2))) == (9, 8)
+    assert (perm_order_of(qbar.to_perm(g1)),
+            perm_order_of(qbar.to_perm(g2))) == (9, 8)
 
 
 def test_f4_restriction_of_scalars():

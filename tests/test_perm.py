@@ -1,20 +1,24 @@
 """Schreier-Sims engine vs breadth-first enumeration oracles."""
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import IMAGE_SPECS, chain_fingerprint, corpus_perm_groups, law
+from helpers import (IMAGE_SPECS, chain_fingerprint, corpus_perm_groups,
+                     cycle_walk_order, law, perm_order_of)
 from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
 from solvlen.errors import GroupError
 from solvlen.grp import derived_series
-from solvlen.perm import (as_perm, is_identity, normal_closure_perm, perm_inv,
-                          perm_mul, perm_order_of, schreier_sims)
+from solvlen.perm import (as_perm, element_orders, is_identity,
+                          normal_closure_perm, perm_inv, perm_mul,
+                          schreier_sims)
 
 
 def bfs_order(handle):
@@ -160,18 +164,6 @@ def test_is_identity_matches_array_equal(dtype):
     assert not is_identity(np.array([0, 2, 1], dtype))
 
 
-def cycle_walk_order(g):
-    """Scalar oracle: walk each cycle once, lcm of the lengths."""
-    seen, out = set(), 1
-    for i in range(len(g)):
-        length, j = 0, i
-        while j not in seen:
-            seen.add(j)
-            j, length = g[j], length + 1
-        out = math.lcm(out, max(length, 1))
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda n: st.lists(
     st.permutations(range(n)), min_size=1, max_size=6)))
@@ -196,6 +188,61 @@ def test_perm_order_of_edge_cases():
     assert perm_order_of(g) == math.prod(primes) > 2 ** 63
     assert perm_order_of(np.array([g, sorted(g)])).tolist() == \
         [math.prod(primes), 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=4)))
+def test_element_orders_on_a_base_match_the_oracle(perms):
+    # the rows lie in <perms>, so its chain's base points are a base for
+    # them, and so is every point
+    stack = np.array(perms + [list(range(len(perms[0])))], dtype=np.uint8)
+    want = perm_order_of(stack).tolist()
+    base = [lv.base for lv in schreier_sims(stack).levels]
+    assert element_orders(stack, base).tolist() == want
+    assert element_orders(stack, range(stack.shape[1])).tolist() == want
+
+
+def test_element_orders_edge_cases():
+    # the trivial group: an empty base and every order 1
+    trivial = atlas.cyclic(1)
+    assert trivial.base() == []
+    assert element_orders(trivial.rows(), []).tolist() == [1]
+    assert element_orders(np.zeros((2, 0), np.uint8), []).tolist() == [1, 1]
+    # a base point on a cycle of full degree takes all degree steps
+    c12 = atlas.cyclic(12)
+    assert c12.base() == [0]
+    assert element_orders(c12.rows(), [0]).tolist() == \
+        perm_order_of(c12.rows()).tolist() == [1, 12, 6, 4, 3, 12, 2, 12,
+                                                3, 4, 6, 12]
+    # disjoint cycles of the first 19 prime lengths, on a base of one
+    # point per cycle and on every point: the order passes int64
+    primes = [p for p in range(2, 68) if all(p % d for d in range(2, p))]
+    g = [start + (i + 1) % p for start, p in zip(
+        itertools.accumulate([0] + primes), primes) for i in range(p)]
+    stack = np.array([g, sorted(g)])
+    for base in (list(itertools.accumulate([0] + primes[:-1])),
+                 range(len(g))):
+        got = element_orders(stack, base).tolist()
+        assert got == [math.prod(primes), 1] and type(got[0]) is int
+
+
+@pytest.mark.parametrize("build", [
+    lambda: atlas.sym(5), lambda: atlas.wreath(atlas.sym(3), atlas.sym(3)),
+    lambda: atlas.regular(atlas.gl(2, 3))], ids=["sym(5)", "wr(s3,s3)",
+                                                 "regular(gl(2,3))"])
+def test_element_orders_on_a_chain_stopped_at_its_bound(build):
+    # a chain that reaches a proven order bound stops with Schreier
+    # generators unchecked; its base points are still a base
+    full = build()
+    h = replace(full, order_bounds=(full.order(),), _bsgs=None)
+    chain = h.bsgs()
+    assert chain.order() == full.order()
+    assert any((lv.paired[lv.order_list] < len(lv.gens)).any()
+               for lv in chain.levels)
+    rows, base = h.rows(), h.base()
+    assert len(np.unique(rows[:, base], axis=0)) == len(rows)
+    assert element_orders(rows, base).tolist() == perm_order_of(rows).tolist()
 
 
 def test_as_perm_rejects_non_bijections():

@@ -18,8 +18,9 @@ For each workload, pair i (from 0) of ten runs
 once on each side, S being BENCHMARK.json's run_seconds, the parent first
 in pairs 1, 3, 5, ... counted from 1.
 The file gives, per end-to-end metric of BENCHMARK.json, the median and
-quartiles (inclusive method) of each side's runs, their ratio and the
-number of pairs in which the change is better.  With --traced-seed, one
+quartiles (inclusive method) of each side's runs, their ratio, the
+number of pairs in which the change is better and a verdict (see
+`verdict`).  With --traced-seed, one
 traced run per side of the claimed workload follows the pairs.
 """
 
@@ -48,12 +49,34 @@ def side_summary(runs):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, metrics):
+def verdict(entry, bound, claimed):
+    """A metric's verdict by the repository's rule.  A claimed metric is
+    `met` when the change is better in at least 9 of 10 pairs and its
+    median beats the parent's by more than the parent's interquartile
+    range, else `not met`.  Any other metric is `worse` when the change's
+    median is worse than the parent's by more than `bound` (a fraction
+    of the parent's median), else `unresolved` when the parent's IQR is
+    wider than that, else `within`."""
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if entry["better"] == "higher" else -1
+    gain = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if claimed:
+        wins = 10 * entry["change_better_pairs"] >= 9 * len(
+            entry["parent_runs"])
+        return "met" if wins and gain > iqr else "not met"
+    if -gain > bound * parent["median"]:
+        return "worse"
+    return "unresolved" if iqr > bound * parent["median"] else "within"
+
+
+def summarize(pairs, metrics, claimed=None):
     """The workload block of a BENCH file from its pairs of runs.
 
     Each pair is {"seed", "first", "parent", "change"}, a side being the
     last JSON line that perfbench/run.py prints; `metrics` are the
-    end-to-end entries of BENCHMARK.json (name, unit, better).
+    end-to-end entries of BENCHMARK.json (name, unit, better, bound), and
+    `claimed` names the metric the change claims on this workload, if any.
     """
     block = {
         "seeds": [p["seed"] for p in pairs],
@@ -76,6 +99,7 @@ def summarize(pairs, metrics):
             sign * (c - p) > 0
             for p, c in zip(runs["parent"], runs["change"]))
         entry.update({f"{s}_runs": runs[s] for s in SIDES})
+        entry["verdict"] = verdict(entry, m["bound"], m["name"] == claimed)
         block["metrics"][m["name"]] = entry
     return block
 
@@ -183,7 +207,11 @@ def main(argv=None):
             "medians and quartiles "
             "(inclusive method) over the runs of each side; "
             "change_better_pairs counts the pairs in which the change is "
-            "better")
+            "better; verdict: a claimed metric is met when the change wins "
+            "at least 9 of 10 pairs and its median beats the parent's by "
+            "more than the parent's IQR, any other is worse past "
+            "BENCHMARK.json's bound and unresolved when the parent's IQR "
+            "is wider than the bound")
         out["host"] = (f"{os.cpu_count()} CPUs; verdict times are paced by "
                        "perfbench/pace.py")
         out["env"] = {}
@@ -201,7 +229,10 @@ def main(argv=None):
                           f"{json.dumps(pair[side]['metrics'])}",
                           file=sys.stderr)
                 pairs.append(pair)
-            out["workloads"][workload] = summarize(pairs, bench["end_to_end"])
+            out["workloads"][workload] = summarize(
+                pairs, bench["end_to_end"],
+                args.claim[1] if args.claim and args.claim[0] == workload
+                else None)
         if args.claim and args.traced_seed is not None:
             workload = args.claim[0]
             traced = {s: run_once(trees[s], workload, args.traced_seed,
