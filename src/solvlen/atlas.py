@@ -58,15 +58,19 @@ class BasisOrbitAction:
         self.p, self.n = one.p, one.n
         self.weights = self.p ** np.arange(self.n, dtype=np.int64)
         self._gens = gens  # the points are grown from these on first use
+        self._built = {}  # generator -> its matrix, kept by _points
 
     def _matrix(self, x):
-        return np.array(self.to_matrix(x).entries, dtype=np.int64)
+        m = self._built.get(x)
+        return np.array(self.to_matrix(x).entries, dtype=np.int64) \
+            if m is None else m
 
     @cached_property
     def _points(self):
         """(points, their keys sorted, the point index of each sorted key);
         a point's key is its base-p number."""
         p, mats = self.p, [self._matrix(g) for g in self._gens]
+        self._built.update(zip(self._gens, mats))
         if p ** self.n >= 2 ** 62:
             raise CapExceeded(f"F_{p}^{self.n} is too large to index")
         layer = np.eye(self.n, dtype=np.int64)

@@ -216,8 +216,8 @@ class SubgroupHandle:
             np.array(self._bsgs.strong_generators()))
 
     def contains_subgroup(self, other):
-        """Whether other's strong generators all sift in this chain."""
-        return all(map(self._bsgs.contains, other._bsgs.strong_generators()))
+        """Whether other's strong generators all strip in this chain."""
+        return self._bsgs.contains(other._bsgs.strong_generators())
 
     def element_set(self):
         if self._elem_set is None:
@@ -436,7 +436,8 @@ def _chain_series(handle: GroupHandle):
                 break
             chains.append(b)
             if b.levels:  # else the order is 1 and the series ends
-                gens, invs = b.levels[0].gens, b.levels[0].invs
+                gens, invs = map(np.array, (b.levels[0].gens,
+                                            b.levels[0].invs))
         if handle.split_orders not in (None, tuple(b.order() for b in chains)):
             raise GroupError(f"{handle.name}: chain orders differ")
         handle._chains = chains
@@ -554,8 +555,8 @@ def _cyclic_section(gens, upper, lower):
     """
     for p, _ in factorize(upper.order() // lower.order()):
         target = upper.order() // p
-        seed = lower.strong_generators() + [
-            permmod.perm_power(x, p) for x in upper.strong_generators()]
+        seed = [*lower.strong_generators(), *permmod.powers(
+            np.array(upper.strong_generators()), p)]
         if permmod.normal_closure_perm(
                 gens, seed, upper_bound=target).order() != target:
             return False
@@ -573,12 +574,11 @@ def _fixed_point_free(gens, upper, mid, low):
     with preimage <low, x^g x^-1 : x a strong generator of mid> of order
     at most |mid|; the action is fixed-point-free iff it is |mid|.
     """
-    g = next(x for x in upper.strong_generators() if not mid.contains(x))
-    gi = permmod.perm_inv(g)
-    lv = mid.levels[0]
-    seed = low.strong_generators() + [
-        permmod.perm_mul(permmod.perm_mul(permmod.perm_mul(gi, x), g), xi)
-        for x, xi in zip(lv.gens, lv.invs)]
+    strong = np.array(upper.strong_generators())
+    g = strong[mid.strip(strong)[0]]
+    x, xi = np.array(mid.levels[0].gens), np.array(mid.levels[0].invs)
+    seed = [*low.strong_generators(), *np.take_along_axis(  # g^-1 x g x^-1
+        xi, g[x[:, np.argsort(g)]], axis=1)]
     return permmod.normal_closure_perm(
         gens, seed, upper_bound=mid.order()).order() == mid.order()
 

@@ -1,7 +1,8 @@
 """Permutation groups with a deterministic Schreier-Sims engine.
 
 Permutations are numpy int32 image arrays over 0-based points: point p maps
-to g[p], and products act left-to-right, (g*h)[p] = h[g[p]].
+to g[p], and products act left-to-right, (g*h)[p] = h[g[p]].  The module
+takes them only as 2-D stacks, one per row, multiplied by whole-stack gathers.
 
 Each chain level keeps its BFS tree in ``parent`` (-1 off the orbit) and
 ``label`` (the generator index of the edge), int32 memoryviews that Python
@@ -9,9 +10,8 @@ indexes about twice as fast as numpy arrays, and its transversal as a
 table: row i is u_x^-1 for x = order_list[i], u_x the tree-edge generators
 from the base out to x, in the smallest dtype that holds a point.  The
 tables of one chain hold at most MEMORY_BUDGET entries (CapExceeded past
-it).  Orbits grow breadth-first, the first fresh image in (point,
-generator) order winning, exactly as in a point-at-a-time FIFO; a layer of
-more than SCALAR_LAYER (point, generator) pairs takes one numpy step.
+it).  Orbits grow breadth-first, one point at a time, the first fresh
+image in (point, generator) order winning.
 
 ``BSGS.strip`` strips a 2-D stack of permutations with one gather per
 level and names its first row that does not strip.  Inserting that row's
@@ -36,11 +36,6 @@ import numpy as np
 from .errors import CapExceeded, DegreeMismatch, GroupError
 
 MAX_DEGREE = 200_000
-# No benchmark workload takes grow's numpy branch (0 of the 80, 311 and
-# 3,716 grow calls of one row7 verdict, one row8 verdict and one eval-mix
-# pass); on large orbits it cuts grow's own time, gl(4,5) 15.0 -> 11.1 ms
-# and natsd(ut(6,3),6) 10.6 -> 8.7 ms (median of 5 runs on 2 cores).
-SCALAR_LAYER = 512  # widest layer, in (point, generator) pairs, grown in Python
 MEMORY_BUDGET = 5 * 10 ** 7  # entries in one enumeration or one chain's tables
 STACK_ENTRIES = 1 << 14  # entries in one stack of Schreier generators
 
@@ -77,38 +72,27 @@ def as_perm_stack(perms, degree):
     return h
 
 
-def perm_mul(a, b):
-    """Apply a, then b."""
-    return b[a]
-
-
-def perm_inv(a):
-    inv = np.empty_like(a)
-    inv[a] = np.arange(len(a), dtype=np.int32)
-    return inv
-
-
 def commutators(gens, invs):
-    """[a, b] = a^-1 b^-1 a b for each pair of gens, a listed before b;
-    invs are the inverses of gens."""
-    return [perm_mul(perm_mul(ai, bi), perm_mul(a, b))
-            for i, (a, ai) in enumerate(zip(gens, invs))
-            for b, bi in zip(gens[i + 1:], invs[i + 1:])]
+    """The non-identity [a, b] = a^-1 b^-1 a b for each pair of rows of the
+    stack gens, a above b, as one stack in that (a, b) order; invs is the
+    stack of their inverses.  Each factor is one _gather over every pair."""
+    m = len(gens)
+    # the pairs i < j in row order, as np.triu_indices(m, 1) lists them
+    i, j = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+    c = _gather(gens, j, _gather(gens, i, _gather(invs, j, invs[i])))
+    return c[(c != np.arange(c.shape[1])).any(axis=1)]
 
 
-def perm_power(a, k):
-    """a to the k-th power (k >= 0), by repeated squaring."""
-    out = np.arange(len(a), dtype=np.int32)
+def powers(h, k):
+    """Each row of the stack h to the k-th power (k >= 0), by repeated
+    squaring."""
+    rows = np.arange(len(h))
+    out = np.broadcast_to(np.arange(h.shape[1], dtype=np.int32), h.shape)
     while k:
         if k & 1:
-            out = a[out]
-        a, k = a[a], k >> 1
+            out = _gather(h, rows, out)
+        h, k = _gather(h, rows, h), k >> 1
     return out
-
-
-def is_identity(a):
-    # bytes against the identity of a's own dtype: cheaper than array_equal
-    return a.tobytes() == np.arange(len(a), dtype=a.dtype).tobytes()
 
 
 class _Level:
@@ -137,34 +121,19 @@ class _Level:
         return len(self.order_list)
 
     def grow(self, layer, gens, first_label):
-        """Add the fresh images of `layer` under `gens` to the orbit.
-
-        Images are taken in (point, generator) order and the first
-        occurrence of each fresh point wins; its edge is labelled
-        first_label + the generator's position in `gens`.  Returns the
-        new points in discovery order, i.e. the next BFS layer.
-        """
-        parent, label = self.parent, self.label
-        if len(layer) * len(gens) <= SCALAR_LAYER:
-            new = []
-            for p in layer:
-                for k, g in enumerate(gens):
-                    y = g.item(p)
-                    if parent[y] < 0:
-                        parent[y] = p
-                        label[y] = first_label + k
-                        new.append(y)
-            return new
-        parent, label = np.asarray(parent), np.asarray(label)
-        pts = np.asarray(layer, dtype=np.int32)
-        images = np.stack([g[pts] for g in gens], axis=1).ravel()
-        fresh = np.flatnonzero(parent[images] < 0)
-        _, first = np.unique(images[fresh], return_index=True)
-        idx = fresh[np.sort(first)]
-        new = images[idx]
-        parent[new] = pts[idx // len(gens)]
-        label[new] = first_label + idx % len(gens)
-        return new.tolist()
+        """Add the fresh images of `layer` under `gens` to the orbit, the
+        first in (point, generator) order winning, its edge labelled
+        first_label + the generator's position in `gens`.  Returns the new
+        points in discovery order, the next BFS layer."""
+        parent, label, new = self.parent, self.label, []
+        for p in layer:
+            for k, g in enumerate(gens):
+                y = g.item(p)
+                if parent[y] < 0:
+                    parent[y] = p
+                    label[y] = first_label + k
+                    new.append(y)
+        return new
 
     def tabulate(self, start, room):
         """Rows for order_list[start:], parents first: u_y = u_p g on the
@@ -224,16 +193,13 @@ class BSGS:
         return (k, *out) if out else \
             (k, np.arange(self.degree, dtype=np.int32), len(self.levels))
 
-    def sift(self, g):
-        """Strip g through the chain: (residual, level) as in strip."""
-        return self.strip(g[None])[1:]
-
-    def contains(self, g):
-        g = np.asarray(g, dtype=np.int32)
-        if len(g) != self.degree:
+    def contains(self, h):
+        """Whether every row of the 2-D stack h strips to the identity; a
+        stack of no rows is contained."""
+        h = np.asarray(h, dtype=np.int32)
+        if h.size and (h.ndim != 2 or h.shape[1] != self.degree):
             raise DegreeMismatch("degree mismatch in membership test")
-        h, lev = self.sift(g)
-        return lev == len(self.levels) and is_identity(h)
+        return self.strip(h.reshape(len(h), self.degree))[0] == len(h)
 
     # -- construction ----------------------------------------------------
 
@@ -271,7 +237,7 @@ class BSGS:
         if level == len(self.levels):
             moved = int(np.nonzero(np.arange(self.degree) != g)[0][0])
             self.levels.append(_Level(moved, self.degree))
-        ginv = perm_inv(g).astype(np.intp)  # take() indexes by intp
+        ginv = np.argsort(g)  # intp, as take() indexes
         for i in range(level, -1, -1):
             lv = self.levels[i]
             lv.gens.append(g)
@@ -325,11 +291,10 @@ def _gather(table, rows, h):
 
 
 def _sift_insert(b: BSGS, h):
-    """Sift g, or the rows of a stack in order, inserting each nontrivial
+    """Sift the rows of the stack h in order, inserting each nontrivial
     residual at the level where its sift stopped (a new level when it fixes
     every base point); the rows after an insertion are stripped again on
     the grown chain, as a one-at-a-time loop would meet them."""
-    h = np.atleast_2d(h)
     while len(h):
         k, res, lev = b.strip(h)
         if k == len(h):

@@ -242,6 +242,43 @@ def chain_fingerprint(b):
     return h.hexdigest()[:16]
 
 
+# the former one-permutation helpers of perm, their bodies unchanged: the
+# oracles for the stack gathers (perm.commutators, perm.powers,
+# BSGS.contains) that replace them
+
+
+def perm_mul(a, b):
+    """Apply a, then b."""
+    return b[a]
+
+
+def perm_inv(a):
+    inv = np.empty_like(a)
+    inv[a] = np.arange(len(a), dtype=np.int32)
+    return inv
+
+
+def perm_power(a, k):
+    """a to the k-th power (k >= 0), by repeated squaring."""
+    out = np.arange(len(a), dtype=np.int32)
+    while k:
+        if k & 1:
+            out = a[out]
+        a, k = a[a], k >> 1
+    return out
+
+
+def is_identity(a):
+    # bytes against the identity of a's own dtype: cheaper than array_equal
+    return a.tobytes() == np.arange(len(a), dtype=a.dtype).tobytes()
+
+
+def sift(b, g):
+    """Strip g through the chain b: (residual, level) as in strip (the
+    former BSGS.sift)."""
+    return b.strip(g[None])[1:]
+
+
 def cycle_walk_order(g):
     """Scalar oracle: walk each cycle once, lcm of the lengths."""
     seen, out = set(), 1
@@ -347,7 +384,7 @@ def chain_subgroup(handle, gens):
 def contains(sub, x):
     """Whether an element of sub's parent handle sifts in sub's chain."""
     g = sub.parent.to_perm(x)
-    return g is not None and sub._bsgs.contains(g)
+    return g is not None and sub._bsgs.contains([g])
 
 
 def is_normal_by_elements(handle, sub):

@@ -87,6 +87,19 @@ def test_generators_are_converted_once(monkeypatch):
     assert len(calls) == 11
 
 
+def test_generator_matrices_are_built_once(monkeypatch):
+    # growing the points builds each generator's matrix, and converting
+    # the generator reuses it: d8()'s P builds its identity's matrix and
+    # those of its 6 generators, once each
+    from solvlen import lift
+    calls, matrix = [], atlas.Extraspecial2Model.matrix
+    monkeypatch.setattr(atlas.Extraspecial2Model, "matrix",
+                        lambda self, a: calls.append(a) or matrix(self, a))
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    lift.d8_group()
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_element_orders_on_every_enumerated_handle(monkeypatch):
     # every handle that a full eval-mix round, prop8(7) and a d8() verdict
     # enumerate (matrix and model), and the eval-mix specs' own handles of

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (IMAGE_SPECS, chain_fingerprint, corpus_perm_groups,
-                     cycle_walk_order, law, perm_order_of)
+from helpers import (EVAL_MIX, IMAGE_SPECS, chain_fingerprint,
+                     corpus_perm_groups, cycle_walk_order, is_identity, law,
+                     perm_inv, perm_mul, perm_order_of, perm_power, sift)
 from solvlen import atlas, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
-from solvlen.errors import GroupError
+from solvlen.errors import DegreeMismatch, GroupError
 from solvlen.grp import derived_series
-from solvlen.perm import (as_perm, element_orders, is_identity,
-                          normal_closure_perm, perm_inv, perm_mul,
+from solvlen.perm import (as_perm, element_orders, normal_closure_perm,
                           schreier_sims)
 
 
@@ -52,13 +52,13 @@ def test_membership_and_sifting():
     b = schreier_sims([list(g) for g in s4.generators])
     _, elems = bfs_order(s4)
     for e in elems:
-        assert b.contains(list(e))
+        assert b.contains([e])
     # A4 does not contain transpositions
     a4_gens = [[1, 2, 0, 3], [0, 2, 3, 1]]
     ba = schreier_sims(a4_gens)
     assert ba.order() == 12
-    assert not ba.contains([1, 0, 2, 3])
-    assert ba.contains([1, 0, 3, 2])
+    assert not ba.contains([[1, 0, 2, 3]])
+    assert ba.contains([[1, 0, 3, 2]])
 
 
 def test_rebuild_from_strong_generators():
@@ -80,8 +80,8 @@ def test_random_words_sift_to_members(data):
     prod = as_perm(gens[word[0]])
     for idx in word[1:]:
         prod = perm_mul(prod, as_perm(gens[idx]))
-    assert b.contains(prod)
-    rem, level = b.sift(prod)
+    assert b.contains([prod])
+    rem, level = sift(b, prod)
     assert is_identity(rem)
 
 
@@ -112,7 +112,7 @@ def test_known_order_early_exit_is_exact():
     # verified in full and has the true order
     b = normal_closure_perm(gens, gens, upper_bound=1440)
     assert b.order() == 720
-    assert all(b.contains(g) for g in gens)
+    assert b.contains(gens)
 
 
 def test_normal_closure_matches_enumeration():
@@ -127,8 +127,7 @@ def test_normal_closure_matches_enumeration():
     # closure of a 3-cycle is A4
     b = normal_closure_perm(gens, [[1, 2, 0, 3]])
     assert b.order() == 12
-    for g in b.strong_generators():
-        assert b.contains(g)
+    assert b.contains(b.strong_generators())
 
 
 def test_normal_closure_with_known_order_hint():
@@ -288,9 +287,7 @@ def regular_c7_4():
             for i in range(4)]
 
 
-@pytest.mark.parametrize("cutoff", [0, perm.SCALAR_LAYER, 10 ** 9])
-def test_layered_orbits_match_point_at_a_time_growth(monkeypatch, cutoff):
-    monkeypatch.setattr(perm, "SCALAR_LAYER", cutoff)
+def test_layered_orbits_match_point_at_a_time_growth():
     groups = [([list(g) for g in h.generators], None)
               for h in (atlas.sym(5), atlas.wreath(atlas.sym(3), atlas.sym(3)),
                         atlas.regular(atlas.gl(2, 3)))]
@@ -378,7 +375,7 @@ def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
     conj_done, verified = set(), False
     while pending or not verified:
         for s in pending:
-            perm._sift_insert(b, s)
+            perm._sift_insert(b, s[None])
             verified = False
         if b.order() == upper_bound:
             return b
@@ -389,7 +386,7 @@ def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
                 if (ks, i) not in conj_done:
                     conj_done.add((ks, i))
                     c = perm_mul(perm_mul(gi, s), g)
-                    if not b.contains(c):
+                    if not b.contains([c]):
                         pending.append(c)
         if not pending and not verified:
             perm._complete(b, upper_bound)
@@ -473,7 +470,7 @@ def pair_set_check_level(b, level):
             s = perm_mul(s, g)
             for gj in path(y):
                 s = perm_mul(s, lv.invs[gj])
-            h, lev = b.sift(s)
+            h, lev = sift(b, s)
             if lev < len(b.levels) or not is_identity(h):
                 lev = next((i for i, other in enumerate(b.levels)
                             if h.item(other.base) != other.base),
@@ -577,6 +574,77 @@ def test_stack_strip_matches_the_path_walk():
                     assert got[1].dtype == np.int32
                     checked.add(want[0] == size)
     assert checked == {True, False}
+
+
+def stacks(n, min_size=0):
+    """Stacks of at most 6 permutations of n points, as int32 arrays."""
+    return st.lists(st.permutations(range(n)), min_size=min_size,
+                    max_size=6).map(lambda perms: np.array(
+                        perms, np.int32).reshape(len(perms), n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(stacks), st.integers(0, 13))
+def test_stacked_commutators_and_powers_match_the_oracles(gens, k):
+    # row for row against one product at a time: the identity
+    # commutators are dropped and the (a, b) order of the rest is kept;
+    # every power is kept
+    want = [c for i, a in enumerate(gens) for b in gens[i + 1:]
+            if not is_identity(c := commutator(a, b))]
+    got = perm.commutators(gens, np.argsort(gens, axis=1))
+    assert got.shape == (len(want), gens.shape[1])
+    assert [g.tolist() for g in got] == [c.tolist() for c in want]
+    got = perm.powers(gens, k)
+    assert got.shape == gens.shape
+    assert [g.tolist() for g in got] == \
+        [perm_power(g, k).tolist() for g in gens]
+
+
+def sifts(b, g):
+    """The former BSGS.contains on one permutation."""
+    h, lev = sift(b, g)
+    return lev == len(b.levels) and is_identity(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(stacks(n, 1), stacks(n))))
+def test_stack_membership_matches_the_oracle_sift(data):
+    gens, others = data
+    b = schreier_sims(gens)
+    members = [perm_mul(a, c) for a in gens for c in gens]
+    for stack in (others, gens, members, [*members, *others],
+                  [*others, *members]):
+        assert b.contains(stack) == all(sifts(b, g) for g in stack)
+    assert b.contains(np.zeros((0, b.degree), np.int32))
+    assert b.contains([])
+    with pytest.raises(DegreeMismatch):
+        b.contains([[*range(b.degree + 1)]])
+
+
+@pytest.mark.parametrize("spec", [s for s in EVAL_MIX if s.startswith("wr(")])
+def test_chain_series_seeds_no_identity_commutator(monkeypatch, spec):
+    # a commuting pair of a term's generators gives the identity, which
+    # would strip through the whole chain for nothing
+    seeds, closure = [], perm.normal_closure_perm
+
+    def recording(group_gens, seed, upper_bound=None):
+        seeds.append(np.asarray(seed))
+        return closure(group_gens, seed, upper_bound)
+    monkeypatch.setattr(perm, "normal_closure_perm", recording)
+    handle = evaluate(parse_spec(spec))
+    derived_series(handle)
+    # one seed per term after G's, and one for the term that ends the
+    # series without a fall in order, if any
+    chains = handle._chains
+    assert len(chains) - 1 <= len(seeds) <= len(chains)
+    for seed in seeds:
+        assert (seed != np.arange(handle.degree)).any(axis=1).all(), spec
+    # the commutators of each term's generators (G's first), all but
+    # the dropped identities
+    gens = [len(handle.perm_generators())] + \
+        [len(b.strong_generators()) for b in chains[1:len(seeds)]]
+    assert sum(map(len, seeds)) < sum(m * (m - 1) // 2 for m in gens)
 
 
 @pytest.mark.parametrize("spec, order", [
