@@ -287,13 +287,31 @@ def regular_c7_4():
             for i in range(4)]
 
 
-def test_layered_orbits_match_point_at_a_time_growth():
+def relabel(gens, seed):
+    """gens conjugated by a random relabelling of the points drawn from
+    seed; seed 0 keeps the labels."""
+    gens = [np.asarray(g) for g in gens]
+    if seed == 0:
+        return gens
+    s = np.random.default_rng(seed).permutation(len(gens[0]))
+    out = []
+    for g in gens:
+        h = np.empty_like(g)
+        h[s] = s[g]
+        out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 512, 10 ** 9])
+def test_layered_orbits_match_point_at_a_time_growth(seed):
+    # other labels give other base points and other orbit orders
     groups = [([list(g) for g in h.generators], None)
               for h in (atlas.sym(5), atlas.wreath(atlas.sym(3), atlas.sym(3)),
                         atlas.regular(atlas.gl(2, 3)))]
     # the bound skips ~10^4 Schreier generators that test no orbit growth
     groups.append((regular_c7_4(), 7 ** 4))
     for gens, order in groups:
+        gens = [list(g) for g in relabel(gens, seed)]
         whole = schreier_sims(gens) if order is None else \
             normal_closure_perm(gens, gens, upper_bound=order)
         for b in (whole, normal_closure_perm(gens, gens[1:])):
