@@ -21,7 +21,9 @@ R(P)<A>, on index sets.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -249,37 +251,38 @@ def _closure(read, identity, gens, cap):
     """Breadth-first closure of the image rows gens (k x n) from the
     identity row: (read(rows), cols), cols[k, i] = index of rows[i] * gens[k].
 
-    x * g is g[x].  Slices of elements, in index order, are multiplied by
-    all generators in one fancy-index step, in (element, generator) order,
-    and the first occurrence of a new row gets the next index: the order of
-    a FIFO search.  A dict of row bytes is the only store of the rows until
-    read; the rows held plus the image rows in flight, as an array and as
-    bytes, stay within MEMORY_BUDGET // n rows (or one element's images),
-    so slices stay full up to any cap.  CapExceeded past cap rows.
+    x * g is g[x].  Each slice of elements, in index order, is multiplied
+    by all generators in one ``take``, and a dict that numbers a missing
+    key at its first lookup maps the images' row bytes, in (element,
+    generator) order, to their columns in C: the order of a FIFO search.
+    That dict is the only store of the rows until read; the rows held plus
+    the image rows in flight, as an array and as bytes (the new keys), stay
+    within MEMORY_BUDGET // n rows (or one element's images), so slices
+    stay full up to any cap.  CapExceeded past cap rows, once per slice.
     """
     k, n = gens.shape
     room = permmod.MEMORY_BUDGET // max(n, 1)
-    index = {identity.tobytes(): 0}
+    index = collections.defaultdict(itertools.count(1).__next__,
+                                    {identity.tobytes(): 0})
     keys = list(index)
-    which = np.arange(k)[None, :, None]
     cols, done = [], 0
     while done < len(keys):
         step = max(1, (room - len(keys)) // max(2 * k, 1))
         part = np.frombuffer(b"".join(keys[done:done + step]),
                              identity.dtype).reshape(-1, n)
         done += len(part)
-        images = _keys(gens[which, part[:, None, :]])
-        for key in images:
-            i = index.setdefault(key, len(keys))
-            if i == len(keys):
-                if i == cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}")
-                keys.append(key)
-            cols.append(i)
+        images = _keys(gens.take(part, axis=1).transpose(1, 0, 2))
+        cols.append(np.fromiter(map(index.__getitem__, images), np.int32,
+                                len(images)))
+        if len(index) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        if len(index) > len(keys):  # the new keys, off the dict's tail
+            keys += reversed(list(itertools.islice(
+                reversed(index), len(index) - len(keys))))
         del part, images  # free this slice before the next is built
     rows = np.frombuffer(b"".join(keys), identity.dtype).reshape(-1, n)
     del index, keys  # read() sees one copy of the rows
-    return read(rows), np.array(cols, np.int32).reshape(len(rows), k).T.copy()
+    return read(rows), np.concatenate(cols).reshape(len(rows), k).T.copy()
 
 
 def _keys(rows):

@@ -242,6 +242,37 @@ def chain_fingerprint(b):
     return h.hexdigest()[:16]
 
 
+# the former grp._closure, its body unchanged: one fancy-index step per
+# slice and a Python loop over the images, the oracle for the rows, the
+# columns and the cap of the closure that numbers them in C
+
+
+def closure_oracle(read, identity, gens, cap):
+    k, n = gens.shape
+    room = perm.MEMORY_BUDGET // max(n, 1)
+    index = {identity.tobytes(): 0}
+    keys = list(index)
+    which = np.arange(k)[None, :, None]
+    cols, done = [], 0
+    while done < len(keys):
+        step = max(1, (room - len(keys)) // max(2 * k, 1))
+        part = np.frombuffer(b"".join(keys[done:done + step]),
+                             identity.dtype).reshape(-1, n)
+        done += len(part)
+        images = grp._keys(gens[which, part[:, None, :]])
+        for key in images:
+            i = index.setdefault(key, len(keys))
+            if i == len(keys):
+                if i == cap:
+                    raise CapExceeded(f"closure exceeded cap {cap}")
+                keys.append(key)
+            cols.append(i)
+        del part, images  # free this slice before the next is built
+    rows = np.frombuffer(b"".join(keys), identity.dtype).reshape(-1, n)
+    del index, keys  # read() sees one copy of the rows
+    return read(rows), np.array(cols, np.int32).reshape(len(rows), k).T.copy()
+
+
 # the former one-permutation helpers of perm, their bodies unchanged: the
 # oracles for the stack gathers (perm.commutators, perm.powers,
 # BSGS.contains) that replace them

@@ -272,6 +272,16 @@ def test_env_element_cap(monkeypatch):
         h.elements()
 
 
+def test_env_cap_stops_an_enumeration_in_one_line(capsys, monkeypatch):
+    # regular(ut(3,5)) enumerates ut(3,5)'s 8,000 elements; the cap is
+    # tested once per slice, and a slice past it ends in the one line
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "1000")
+    code, out, err = run(capsys, "eval", "regular(ut(3,5))")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: CapExceeded: closure exceeded cap 1000"]
+
+
 def test_big_matrix_spec_stops_at_the_degree_guard(capsys, monkeypatch):
     # gl(7,7) would grow its basis orbits toward 823,542 points; only the
     # guard runs here, on gl(3,3)'s 26 points against a lowered limit

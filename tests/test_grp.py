@@ -5,10 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (EVAL_MIX, as_handle, chain_subgroup, conj, contains,
-                     corpus_perm_groups, element_order_by_products, inv,
-                     is_cyclic, is_normal_by_elements, law, mul,
+from helpers import (EVAL_MIX, as_handle, chain_subgroup, closure_oracle,
+                     conj, contains, corpus_perm_groups,
+                     element_order_by_products, inv, is_cyclic,
+                     is_normal_by_elements, law, mul,
                      minimal_normal_subgroups_by_elements, perm_order_of)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
@@ -444,14 +446,15 @@ def test_one_element_budget_for_every_kind_of_handle():
 
 
 class RecordingRows(np.ndarray):
-    """Generator images that record how many elements each fancy-index
-    step multiplies."""
+    """Generator images that record how many elements each take (the
+    method or np.take) multiplies."""
 
     slices = []
 
-    def __getitem__(self, key):
-        out = super().__getitem__(key)
-        RecordingRows.slices.append(out.shape[0])
+    def take(self, indices, axis=None, **kwargs):
+        out = super().take(indices, axis, **kwargs)
+        # along axis 1, the images are (generator, element, point)
+        RecordingRows.slices.append(out.shape[1])
         return out
 
 
@@ -500,10 +503,67 @@ def test_capped_closures_take_full_slices(monkeypatch):
             rows, cols = handle.closure(gens, cap)
             runs.append((rows.tolist(), cols.tolist(),
                          len(RecordingRows.slices)))
+            assert RecordingRows.slices, label
         (rows, cols, free), (capped_rows, capped_cols, capped) = runs
         assert len(rows) == order, label
         assert (capped_rows, capped_cols) == (rows, cols), label
         assert capped <= free, label
+
+
+def _matches_the_oracle(identity, gens):
+    """The closure of gens gives the former loop's rows and columns, dtypes
+    included, and is refused one row below its order, not at it."""
+    keep = grp.DEFAULT_CAP
+    rows, cols = grp._closure(lambda r: r, identity, gens, keep)
+    want_rows, want_cols = closure_oracle(lambda r: r, identity, gens, keep)
+    assert (rows.dtype, cols.dtype) == (want_rows.dtype, want_cols.dtype)
+    assert (rows.shape, cols.shape) == (want_rows.shape, want_cols.shape)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    order = len(rows)
+    with pytest.raises(CapExceeded,
+                       match=f"^closure exceeded cap {order - 1}$"):
+        grp._closure(lambda r: r, identity, gens, order - 1)
+    assert np.array_equal(grp._closure(lambda r: r, identity, gens, order)[1],
+                          cols)
+
+
+def test_closure_matches_the_oracle(monkeypatch):
+    # every image stack that one eval-mix round, prop8(7) (Kbar) and a
+    # d8() verdict (K and P) enumerate, ut(3,5)'s 8,000 rows, cyclic(1)
+    # and a group with no generators
+    from solvlen import cli, lift
+    seen, closure = {}, grp._closure
+
+    def recording(read, identity, gens, cap):
+        seen[identity.tobytes(), gens.tobytes()] = identity, gens
+        return closure(read, identity, gens, cap)
+    monkeypatch.setattr(grp, "_closure", recording)
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    for spec in EVAL_MIX + ("prop8(7)",):
+        cli.build_report(spec)
+    cli.build_report("d8()", run_checks=False)
+    for h in (atlas.upper_triangular(3, 5), atlas.cyclic(1)):
+        h.rows()
+    monkeypatch.undo()
+    shapes = {gens.shape for _, gens in seen.values()}
+    assert {(5, 36), (6, 141), (5, 124), (0, 1)} <= shapes
+    seen[None] = np.arange(4, dtype=np.uint8), np.empty((0, 4), np.uint8)
+    for identity, gens in seen.values():
+        _matches_the_oracle(identity, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+           st.permutations(range(n)), max_size=4).map(lambda g: (n, g))),
+       st.integers(1, 200))
+def test_closure_of_drawn_stacks_matches_the_oracle(stack, budget):
+    # a small memory budget splits the closure into many slices
+    n, gens = stack
+    dtype = np.min_scalar_type(n - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perm, "MEMORY_BUDGET", budget)
+        _matches_the_oracle(np.arange(n, dtype=dtype),
+                            np.array(gens, dtype).reshape(len(gens), n))
 
 
 def test_generator_columns_match_products():
