@@ -557,10 +557,9 @@ def qutrit_generator_candidates(p):
 
 
 def _scalar_orders(mats, p, cap):
-    """(orders, cols, logs): |K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <=
-    GL_n(p), from one enumeration, capped at cap, of its image Kbar in
-    PGL_n(p), one for all c; Kbar's right-translation columns; and the
-    logs, x-major, of K_c's relator scalars, one row per c.
+    """|K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <= GL_n(p), from one
+    enumeration, capped at cap, of its image Kbar in PGL_n(p), one for all
+    c.
 
     Kbar acts on the projective points (leading entry 1) in the orbits of
     the <e_i>.  Let R_x be the product of the A_g on the path to x in the
@@ -604,46 +603,13 @@ def _scalar_orders(mats, p, cap):
     root = _primitive_root(p)
     log = np.argsort([pow(root, t, p) for t in range(p - 1)])  # of 1..p-1
     logs = (log[s[:, 0] - 1] + e * log[:, None]) % (p - 1)
-    orders = len(parent) * (p - 1) // np.gcd.reduce(logs, 1, initial=p - 1)
-    return orders, cols, logs
-
-
-def _lifted_closure(perms, succ):
-    """_closure's (rows, columns) for image rows perms (k x n) whose group
-    is given as a graph: node 0 is the identity and x * perms[g] is node
-    succ[x, g].  Nodes are numbered breadth-first in (element, generator)
-    order, as _closure numbers rows, and each row is its first edge's
-    perms[g] applied to its parent's row, a layer at a time."""
-    k, n = perms.shape
-    perms = perms.astype(np.min_scalar_type(n - 1))  # _closure's dtype
-    rank, done, nodes = np.full(len(succ), -1, np.int32), 1, [np.zeros(1, int)]
-    rank[0], rows = 0, [np.arange(n, dtype=perms.dtype)[None]]
-    while len(nodes[-1]):
-        imgs = succ[nodes[-1]].ravel()
-        fresh = np.flatnonzero(rank[imgs] < 0)
-        idx = fresh[np.sort(np.unique(imgs[fresh], return_index=True)[1])]
-        rank[imgs[idx]] = np.arange(done, done + len(idx))
-        nodes.append(imgs[idx])
-        rows.append(perms[idx[:, None] % k, rows[-1][idx // k]])
-        done += len(idx)
-    return np.concatenate(rows), rank[succ[np.concatenate(nodes)]].T.copy()
+    return len(parent) * (p - 1) // np.gcd.reduce(logs, 1, initial=p - 1)
 
 
 def qutrit_normalizer(p):
     """K = <X, Z, S, cM> <= GL_3(p) of order 648, c the first scalar in
-    1..p-1 that gives that order, chosen by _scalar_orders; K's rows and
-    columns are lifted from that one enumeration of Kbar, with no closure
-    of K, and 648 is K's order bound.
-
-    The lift: with |K_c| = 648 = q |Kbar|, K_c n Z is <zeta>, zeta =
-    root^((p-1)/q) for root = _primitive_root(p).  The (x, j) = zeta^j
-    c^m(x) R_x, x in Kbar and 0 <= j < q, lie in K_c and are 648 distinct
-    elements (x is their image in Kbar), so all of K_c.  Generator g (c A_k
-    for g = k) sends (x, j) to zeta^j c^(m(x) + [g = k]) s(x, g) R_(xg) =
-    (xg, j + t(x, g) mod q), as the relator scalar s(x, g) c^e(x, g) lies
-    in K_c n Z: it is zeta^t(x, g), t its log over (p-1)/q.  So these edges
-    are K's right translations, and _lifted_closure numbers K's elements
-    and fills its rows from them.
+    1..p-1 that gives that order, chosen by _scalar_orders; 648 is K's
+    order bound.
 
     K acts absolutely irreducibly on F_p^3, with no check needed, because
     <X, Z> already does.  Z = diag(1, w, w^2) has three distinct
@@ -660,20 +626,14 @@ def qutrit_normalizer(p):
         raise BadParameter("qutrit_normalizer limited to p <= 31")
     x, z, s, m = qutrit_generator_candidates(p)
     try:
-        orders, cols, logs = _scalar_orders([x, z, s, m], p, 648)
-        orders = orders.tolist()
+        orders = _scalar_orders([x, z, s, m], p, 648).tolist()
     except CapExceeded:  # |K_c| >= |Kbar| > 648 for every c
         orders = ["> 648"] * (p - 1)
     if 648 not in orders:
         raise ScalarSearchFailed("no scalar correction gives order 648 mod "
                                  f"{p}: {list(enumerate(orders, 1))}")
     c = orders.index(648) + 1
-    h = matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", 648)
-    q = 648 // cols.shape[1]  # |K_c n Z|, 3 as |Kbar| = 216
-    t = logs[c - 1].reshape(-1, 1, 4) // ((p - 1) // q)  # t(x, g)
-    succ = q * cols.T[:, None] + (np.arange(q)[:, None] + t) % q  # x, j, g
-    rows, cols = _lifted_closure(h.perm_generators(), succ.reshape(-1, 4))
-    return replace(h, _rows=rows, _columns=cols)
+    return matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", 648)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Builder-level checks: orders, structure constants, error paths."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -376,7 +377,7 @@ def test_scalar_orders_match_every_scalar(p):
     # the relator criterion against K_c itself for every c: its chain's
     # order, and whether a closure capped at 648 reaches 648 elements
     x, z, s, m = atlas.qutrit_generator_candidates(p)
-    orders = atlas._scalar_orders([x, z, s, m], p, 648)[0].tolist()
+    orders = atlas._scalar_orders([x, z, s, m], p, 648).tolist()
     for c in range(1, p):
         k = atlas.matrix_handle([x, z, s, m.scale(c)])
         try:
@@ -387,17 +388,22 @@ def test_scalar_orders_match_every_scalar(p):
         assert k.order() == orders[c - 1], c
 
 
+K_DIGESTS = {
+    p: "165550e229aec22fadd8bf39fba906836d40caec7689e7cf84c0d704a5ea11fb"
+    for p in (7, 13, 31)}
+K_DIGESTS[19] = \
+    "78fa47ae41dea95b76625e2e6a05b44bad02cbcba075696574ae9802f306ec9d"
+
+
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
-def test_lifted_enumeration_matches_the_closure(p):
-    # K's rows and columns, lifted from Kbar's enumeration and its relator
-    # scalars, against a closure of K's own generator images: the same
-    # values, numbering and dtypes
+def test_qutrit_enumeration_is_pinned(p):
+    # K's rows and columns, values, numbering and dtypes, which K's series
+    # and the d = 7 row read: the same for p = 7, 13 and 31
     k = qutrit_normalizer(p)
-    h = atlas.matrix_handle(k.generators)
-    rows, cols = h.closure(h.perm_generators(), 648)
-    assert k.rows().dtype == rows.dtype and k.columns().dtype == cols.dtype
-    assert np.array_equal(k.rows(), rows)
-    assert np.array_equal(k.columns(), cols)
+    rows, cols = k.rows(), k.columns()
+    assert (rows.dtype, cols.dtype) == (np.uint8, np.int32)
+    digest = hashlib.sha256(rows.tobytes() + cols.tobytes()).hexdigest()
+    assert digest == K_DIGESTS[p]
 
 
 def test_scalar_search_failures_exit_2(monkeypatch, capsys):
@@ -422,8 +428,9 @@ def test_scalar_search_failures_exit_2(monkeypatch, capsys):
 
 
 def test_searches_run_no_schreier_sims(monkeypatch):
-    # each candidate is tested by one capped closure; the winner keeps it,
-    # with the order it proves as its bound, and builds no chain
+    # each candidate is tested by one capped closure; the winner keeps the
+    # order it proves as its bound, and builds no chain; a qutrit winner's
+    # rows come from one closure of K, the first time they are read
     def refuse(*args):
         raise AssertionError("called")
 
@@ -431,10 +438,17 @@ def test_searches_run_no_schreier_sims(monkeypatch):
     bo = binary_octahedral()
     assert len(bo.generators) == 4 and bo.order_bounds == (48,)
     winners = [qutrit_normalizer(p) for p in (7, 13)]
-    monkeypatch.setattr(grp, "_closure", refuse)
+    calls, closure = [], grp._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+    monkeypatch.setattr(grp, "_closure", counting)
     for k in winners:
+        calls.clear()
         assert len(k.generators) == 4 and k.order_bounds == (648,)
         assert len(k.rows()) == k.columns().shape[1] == 648
+        assert len(calls) == 1
 
 
 def test_exterior_square_group():
@@ -537,6 +551,7 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     # enumeration and span steps on F_7^6; no chain is built at all, on
     # K, on P or on G
     from solvlen import perm
+    k_points = atlas.qutrit_normalizer(7).degree  # K's basis-orbit points
     degrees, closures = [], []
     init, closure = perm.BSGS.__init__, grp._closure
 
@@ -555,8 +570,10 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     assert rep.engine == "split"
     assert degrees == []
     # K's scalar comes from one closure of its image in PGL(3,7) on 12
-    # projective points, and K's rows and columns are lifted from it
-    assert closures == [(12, 648)]
+    # projective points, then K's rows and columns from one closure of K
+    # on its basis-orbit points, within the handle's memory cap
+    assert closures == [(12, 648),
+                        (k_points, perm.MEMORY_BUDGET // k_points)]
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()

@@ -280,6 +280,14 @@ def test_env_cap_stops_an_enumeration_in_one_line(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.splitlines() == [
         "error: CapExceeded: closure exceeded cap 1000"]
+    # prop8(7) enumerates K's 648 elements under the same cap
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "647")
+    code, out, err = run(capsys, "series", "prop8(7)")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: CapExceeded: closure exceeded cap 647"]
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "648")
+    assert run(capsys, "series", "prop8(7)")[0] == 0
 
 
 def test_big_matrix_spec_stops_at_the_degree_guard(capsys, monkeypatch):
