@@ -24,8 +24,8 @@ from .errors import (BadCongruence, BadParameter, CapExceeded, GroupError,
                      SearchFailed)
 from .fpmat import (FpMatrix, check_dimension, check_invertible, check_prime,
                     row_space, similitude_factor, wedge_vec)
-from .grp import (GroupHandle, _stretches, _translations, center,
-                  derived_orders)
+from .grp import (GroupHandle, _closure, _stretches, _translations, _walk,
+                  center, derived_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +587,7 @@ def _scalar_orders(mats, p, cap):
             (np.vstack([points, *images(points)]) @ weights).tolist())))
         size, points = len(points), keys[:, None] // weights % p
     perms = np.searchsorted(keys, images(points) @ weights)
-    cols = perm_handle([], size).closure(perms, cap)[1]
+    cols = _closure(lambda rows: rows, np.arange(size), perms, cap)[1]
     parent, gen, _ = _translations(cols)
     r = np.tile(np.eye(n, dtype=np.int64), (len(parent), 1, 1))
     m = np.zeros(len(parent), np.int64)  # A_k edges on the path to x
@@ -646,34 +646,34 @@ def binary_octahedral():
     Unlike GL_2(3) (the other order-48 extension of SL_2(3)) it has a
     single involution; each step of the search Q8 < SL_2(3) < 2.S4
     verifies that count, and proves the order 48 its handle records.
+    A candidate subgroup is walked on SL_2(7)'s right-translation columns,
+    as an index set of its one enumeration, from the identity.
     """
     ambient = sl(2, 7)
-    rows, elems, base = ambient.rows(), ambient.elements(), ambient.base()
-    orders = permmod.element_orders(rows, base).tolist()
-    ranked = sorted(range(len(elems)), key=lambda i: elems[i].entries)
+    rows, column = ambient.rows(), _translations(ambient.columns())[2]
+    orders = permmod.element_orders(rows, ambient.base())
+    mats = ambient.action.matrices(rows).reshape(len(rows), -1)
+    ranked = np.lexsort(mats.T[::-1]).tolist()  # by entries, row-major
 
-    def extend(gens, k, order, cap):
+    def extend(gens, k, order):
         """gens + [t], t the first of order k with <gens, t> of the given
-        order and a single involution; closures capped at cap elements."""
+        order and a single involution."""
         for t in ranked:
             if orders[t] != k:
                 continue
-            try:
-                sub = ambient.closure(rows[gens + [t]], cap)[0]
-            except CapExceeded:
-                continue
-            if len(sub) == order and np.count_nonzero(
-                    permmod.element_orders(sub, base) == 2) == 1:
+            sub = np.arange(len(rows)) == 0
+            _walk([column(i) for i in gens + [t]], sub)
+            if sub.sum() == order and np.count_nonzero(orders[sub] == 2) == 1:
                 return gens + [t]
         return None
 
-    quat = next(filter(None, (extend([i], 4, 8, 20) for i in ranked
+    quat = next(filter(None, (extend([i], 4, 8) for i in ranked
                               if orders[i] == 4)), None)
-    sl23 = quat and extend(quat, 3, 24, 60)
-    bo = sl23 and extend(sl23, 8, 48, 100)
+    sl23 = quat and extend(quat, 3, 24)
+    bo = sl23 and extend(sl23, 8, 48)
     if bo is None:
         raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
-    return matrix_handle([elems[i] for i in bo], "bo()", 48)
+    return matrix_handle(ambient.from_perms(rows[bo]), "bo()", 48)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from . import atlas, bounds as boundsmod
 from .dsl import IntLiteral, Symbol, parse_spec, render
 from .errors import BadArity, GroupError, ParseError, UnknownBuilder
-from .grp import check_lemmas, derived_series, factorize
+from .grp import _env_cap, check_lemmas, derived_series, factorize
 
 REPORT_KEYS = ("spec", "order", "order_factored", "solvable", "c", "d", "n",
                "derived_orders", "checks", "engine", "elapsed_ms")
@@ -140,6 +140,7 @@ def evaluate(ast):
 def build_report(spec_text, run_checks=True):
     t0 = time.monotonic()
     ast = parse_spec(spec_text)
+    _env_cap()  # a bad GRP_MAX_ELEMENTS exits 2, enumeration or not
     handle = evaluate(ast)
     series = derived_series(handle)
     checks = [{"name": f.name, "status": f.status, "detail": f.detail}

@@ -96,7 +96,6 @@ class GroupHandle:
     name: str = ""
     kind: str = "generic"  # "perm" | "matrix" | "model" | "split" | "generic"
     action: Optional[object] = None  # faithful permutation image, non-perm
-    cap: int = field(default_factory=_env_cap)
     split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
     order_bounds: tuple = ()  # proven |G^(i)| bounds, where chains stop
     _rows: Optional[np.ndarray] = field(default=None, repr=False)
@@ -170,19 +169,19 @@ class GroupHandle:
         self.rows()
         return self._columns
 
-    def closure(self, images, cap=None):
+    def closure(self, images):
         """(rows, columns) of the group generated by the given image
-        arrays, within enum_cap(cap) rows; see _closure."""
+        arrays, within enum_cap() rows; see _closure."""
         n = self.degree
         dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points
         return _closure(lambda rows: rows, np.arange(n, dtype=dtype),
                         np.array(images, dtype).reshape(len(images), n),
-                        self.enum_cap(cap))
+                        self.enum_cap())
 
-    def enum_cap(self, cap=None):
-        # a search's cap replaces the handle's; rows of the image's degree
-        # are stored, so entries (order x degree) stay bounded as well
-        return min(self.cap if cap is None else cap,
+    def enum_cap(self):
+        # GRP_MAX_ELEMENTS as it is now; rows of the image's degree are
+        # stored, so entries (order x degree) stay bounded as well
+        return min(_env_cap(),
                    max(1, permmod.MEMORY_BUDGET // max(self.degree, 1)))
 
     def order(self):
@@ -533,8 +532,7 @@ def quotient_on_cosets(handle: GroupHandle, sub: SubgroupHandle) -> GroupHandle:
     gen_perms = [tuple(coset[c[reps]].tolist()) for c in cols]
     ident = tuple(range(index))
     return GroupHandle(ident, [g for g in gen_perms if g != ident],
-                       name=f"{handle.name}/N",
-                       kind="perm", cap=handle.cap)
+                       name=f"{handle.name}/N", kind="perm")
 
 
 @dataclass

@@ -9,8 +9,7 @@ import numpy as np
 
 from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
-                           ExtSqModel, matrix_handle, model_handle,
-                           perm_handle)
+                           ExtSqModel, matrix_handle, model_handle)
 from solvlen.errors import (BadParameter, CapExceeded, SearchExhausted,
                             Singular)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
@@ -436,7 +435,7 @@ def as_handle(sub, name=""):
     """A subgroup as a handle of its own, on the subgroup's chain."""
     return grp.GroupHandle(sub.parent.identity, sub.generators,
                            name=name or f"subgroup of {sub.parent.name}",
-                           kind=sub.parent.kind, cap=sub.parent.cap,
+                           kind=sub.parent.kind,
                            action=sub.parent.action,
                            _bsgs=sub._bsgs)
 
@@ -622,11 +621,11 @@ def lift_by_closure(mats, model: Extraspecial2Model):
         lams = np.flatnonzero(perm_order_of(rows)
                               == perm_order_of(lin.to_perm(b.a)))
         kept.append([(lam, rows[lam]) for lam in lams.tolist()])
-    on_elems = perm_handle([], len(elems), "lift")
     for choice in itertools.product(*kept):
+        gens = np.array([row for _, row in choice])
         try:
-            closed = len(on_elems.closure([row for _, row in choice],
-                                          want)[0]) == want
+            closed = len(grp._closure(lambda r: r, np.arange(
+                len(elems), dtype=gens.dtype), gens, want)[0]) == want
         except CapExceeded:  # a kernel of offsets: not split
             continue
         if closed:  # lam . v = sum of lam_i v_i^2: flip q's diagonal

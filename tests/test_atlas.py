@@ -373,15 +373,17 @@ def test_qutrit_normalizer_scalar_is_pinned(p, c):
 
 
 @pytest.mark.parametrize("p", [7, 13, 19, 31])
-def test_scalar_orders_match_every_scalar(p):
+def test_scalar_orders_match_every_scalar(p, monkeypatch):
     # the relator criterion against K_c itself for every c: its chain's
-    # order, and whether a closure capped at 648 reaches 648 elements
+    # order, and whether its enumeration, under GRP_MAX_ELEMENTS=648,
+    # reaches 648 elements
     x, z, s, m = atlas.qutrit_generator_candidates(p)
     orders = atlas._scalar_orders([x, z, s, m], p, 648).tolist()
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "648")
     for c in range(1, p):
         k = atlas.matrix_handle([x, z, s, m.scale(c)])
         try:
-            hit = len(k.closure(k.perm_generators(), 648)[0]) == 648
+            hit = len(k.rows()) == 648
         except CapExceeded:
             hit = False
         assert hit == (orders[c - 1] == 648), c
@@ -427,8 +429,24 @@ def test_scalar_search_failures_exit_2(monkeypatch, capsys):
         assert err.startswith("error: ScalarSearchFailed:") and why in err
 
 
+def test_binary_octahedral_enumerates_only_sl27(monkeypatch):
+    # every candidate subgroup is an index set of SL_2(7)'s one
+    # enumeration: there is no closure per candidate
+    calls, closure = [], grp._closure
+
+    def counting(*args):
+        out = closure(*args)
+        calls.append(len(out[0]))
+        return out
+    monkeypatch.setattr(grp, "_closure", counting)
+    monkeypatch.setattr(atlas, "_closure", counting)
+    binary_octahedral()
+    assert calls == [336]
+
+
 def test_searches_run_no_schreier_sims(monkeypatch):
-    # each candidate is tested by one capped closure; the winner keeps the
+    # bo()'s candidates are walked on SL_2(7)'s one enumeration, and
+    # qutrit's scalar is chosen on one closure of Kbar; the winner keeps the
     # order it proves as its bound, and builds no chain; a qutrit winner's
     # rows come from one closure of K, the first time they are read
     def refuse(*args):
@@ -564,6 +582,7 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
         return closure(*args)
     monkeypatch.setattr(perm.BSGS, "__init__", recording)
     monkeypatch.setattr(grp, "_closure", counting)
+    monkeypatch.setattr(atlas, "_closure", counting)
     h = atlas.prop8_group(7)
     rep = grp.derived_series(h)
     assert h.order() == rep.orders[0] == 76236552

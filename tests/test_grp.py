@@ -407,42 +407,41 @@ def test_element_sets_match_the_fifo_closure(spec):
 @pytest.mark.parametrize("make", [lambda: atlas.sym(4), lambda: atlas.gl(2, 3),
                                   lambda: atlas.exterior_square_group(3)],
                          ids=["perm", "matrix", "model"])
-def test_enumeration_cap_is_the_group_order(make):
+def test_enumeration_cap_is_the_group_order(make, monkeypatch):
     order = make().order()
-    short = make()
-    short.cap = order - 1
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", str(order - 1))
     with pytest.raises(CapExceeded):
-        short.elements()
-    exact = make()
-    exact.cap = order
-    assert len(exact.elements()) == order
+        make().elements()
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", str(order))
+    assert len(make().elements()) == order
 
 
-def test_a_search_cap_bounds_its_own_closure_only(monkeypatch):
-    # closure(images, cap) replaces the handle's cap for that call alone,
-    # above or below it; the memory budget still binds
+def test_the_cap_is_read_when_an_enumeration_starts(monkeypatch):
+    # a handle holds no cap of its own: GRP_MAX_ELEMENTS binds as it is
+    # when rows() starts, not as it was when the handle was built
+    monkeypatch.delenv("GRP_MAX_ELEMENTS", raising=False)
     s4 = atlas.sym(4)
-    s4.cap = 5
-    gens = s4.perm_generators()
-    assert len(s4.closure(gens, 24)[0]) == 24
-    with pytest.raises(CapExceeded):
-        s4.closure(gens, 23)
-    assert s4.cap == 5
-    with pytest.raises(CapExceeded):
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "23")
+    with pytest.raises(CapExceeded, match="^closure exceeded cap 23$"):
         s4.rows()
-    monkeypatch.setattr(perm, "MEMORY_BUDGET", 4 * 23)
-    assert s4.enum_cap(24) == 23
-    with pytest.raises(CapExceeded):
-        s4.closure(gens, 24)
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "24")
+    assert len(s4.rows()) == 24
 
 
-def test_one_element_budget_for_every_kind_of_handle():
+def test_one_element_budget_for_every_kind_of_handle(monkeypatch):
     # matrix and model enumerations store rows of their image's degree
     # too; only the guard is asked, nothing is enumerated
     assert atlas.exterior_square_group(7).enum_cap() == \
         perm.MEMORY_BUDGET // 1051
     assert atlas.gl(2, 3).enum_cap() == perm.MEMORY_BUDGET // 8
     assert atlas.sym(5).enum_cap() == perm.MEMORY_BUDGET // 5
+    # below GRP_MAX_ELEMENTS the budget binds: 23 rows of 4 points, so
+    # S4's enumeration stops before its 24th row
+    s4 = atlas.sym(4)
+    monkeypatch.setattr(perm, "MEMORY_BUDGET", 4 * 23)
+    assert s4.enum_cap() == 23
+    with pytest.raises(CapExceeded):
+        s4.rows()
 
 
 class RecordingRows(np.ndarray):
@@ -484,8 +483,8 @@ def test_enumeration_slices_stay_within_the_cap(monkeypatch):
 
 def test_capped_closures_take_full_slices(monkeypatch):
     # slices are sized by the enumeration's memory room, not by the cap: a
-    # closure capped at its group's order gives the uncapped closure's rows
-    # and columns, in no more slices
+    # closure capped, through GRP_MAX_ELEMENTS, at its group's order gives
+    # the uncapped closure's rows and columns, in no more slices
     closure = grp._closure
 
     def recording(read, identity, images, cap):
@@ -499,8 +498,12 @@ def test_capped_closures_take_full_slices(monkeypatch):
         gens = handle.perm_generators()
         runs = []
         for cap in (None, order):
+            if cap is None:
+                monkeypatch.delenv("GRP_MAX_ELEMENTS", raising=False)
+            else:
+                monkeypatch.setenv("GRP_MAX_ELEMENTS", str(cap))
             RecordingRows.slices = []
-            rows, cols = handle.closure(gens, cap)
+            rows, cols = handle.closure(gens)
             runs.append((rows.tolist(), cols.tolist(),
                          len(RecordingRows.slices)))
             assert RecordingRows.slices, label

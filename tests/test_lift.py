@@ -245,9 +245,9 @@ def test_d8_lift_runs_no_schreier_sims(monkeypatch):
     closures = []
     closure = grp.GroupHandle.closure
 
-    def count(self, images, cap=None):
+    def count(self, images):
         closures.append(len(images))
-        return closure(self, images, cap)
+        return closure(self, images)
 
     walk = two_generator_reduction(atlas.matrix_handle(F4_GENS, "qbar"),
                                    1296)[1]
