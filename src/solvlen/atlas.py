@@ -499,6 +499,26 @@ def holomorph_perm(p_handle, auts):
     return perm_handle(gens, len(elems), f"hol({p_handle.name})")
 
 
+def split_holomorph(h, p_handle, k_cols, name):
+    """h = holomorph_perm(p_handle, auts) = R(P)<A>, named name, with the
+    split_orders of derived_orders on P's columns and the auts (h's last
+    len(k_cols) generators), and the bounds |P| |K^(i)| >= |H^(i)| where
+    its chains, built only when read, stop.  That needs g_j -> a_j, for
+    K's columns k_cols by the g_j, to extend to a monomorphism of K onto
+    <A>.  For d8(), every Schreier relator of k_cols' tree lifts to the
+    identity (lift_generators), and A's linear part on P/Z(P) maps <A>
+    back to K.  For gsp, the odd model's cocycle is <v1, v2>/2, so
+    phi_A(v, z) = (vA, lam_A z) for a lam_A-similitude A; phi_A phi_B =
+    phi_AB under the right action, as lam is multiplicative, and A is
+    phi_A's action on P/Z(P), so A -> phi_A is injective.
+    """
+    cols, k_series = p_handle.columns(), derived_orders(k_cols)
+    orders = derived_orders(cols, h.perm_generators()[-len(k_cols):], k_cols,
+                            k_series)[0]
+    return replace(h, name=name, split_orders=tuple(orders),
+                   order_bounds=tuple(cols.shape[1] * k for k in k_series[0]))
+
+
 def natural_semidirect(m_handle, n):
     """Affine group: matrix group m_handle acting on F_p^n by x -> xA + t."""
     if m_handle.kind != "matrix":
@@ -528,10 +548,9 @@ def gsp_extension(s_handle, p, n):
     for a in s_handle.generators:
         similitude_factor(a)  # raises NotSimilitude
     ph = model_handle(ExtraspecialOddModel(p, n), f"E_{p}^(1+{2*n})")
-    # a(e_i, 0) = (e_i A, 0); the law scales the centre by A's factor
     auts = [[row + (0,) for row in a.entries] for a in s_handle.generators]
-    return replace(holomorph_perm(ph, auts),
-                   name=f"gsp({s_handle.name},{p},{n})")
+    return split_holomorph(holomorph_perm(ph, auts), ph, s_handle.columns(),
+                           f"gsp({s_handle.name},{p},{n})")
 
 
 # ---------------------------------------------------------------------------

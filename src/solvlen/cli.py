@@ -236,21 +236,16 @@ def _cmd_bounds(args):
     return 0
 
 
-def _verify_one(d, spec_text):
-    t0 = time.monotonic()
-    report, _ = build_report(spec_text, run_checks=False)
-    elapsed = time.monotonic() - t0
-    expect_c = boundsmod.CS_TABLE[d]
-    ok = report["d"] == d and report["c"] == expect_c
-    return (d, spec_text, report["d"], report["c"], expect_c, ok, elapsed)
-
-
 def _cmd_verify_table(args):
-    rows = [_verify_one(d, WITNESSES[d]) for d in range(args.max_d + 1)]
-    for d, spec_text, got_d, got_c, expect_c, ok, elapsed in rows:
-        print(f"{'PASS' if ok else 'FAIL'} d={d} {spec_text:20s} d(G)={got_d} "
-              f"c(G)={got_c} expected c={expect_c} ({elapsed:.1f}s)")
-    return 0 if all(row[5] for row in rows) else 1
+    table = boundsmod.CS_TABLE
+    reports = [build_report(WITNESSES[d], run_checks=False)[0]
+               for d in range(args.max_d + 1)]
+    ok = [r["d"] == d and r["c"] == table[d] for d, r in enumerate(reports)]
+    for d, r in enumerate(reports):
+        print(f"{'PASS' if ok[d] else 'FAIL'} d={d} {WITNESSES[d]:20s} "
+              f"d(G)={r['d']} c(G)={r['c']} expected c={table[d]} "
+              f"({r['elapsed_ms']:.0f} ms)")
+    return 0 if all(ok) else 1
 
 
 def make_parser():

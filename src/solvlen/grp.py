@@ -9,14 +9,14 @@ permutation image (its ``action``), from the generators' images, converted
 once (``GroupHandle.perm_generators``).  A subgroup is its chain on that
 image, read back into the handle's elements only when a caller asks.  A
 handle with certified derived-series orders (``split_orders``) answers its
-order and series from them: ``d8()`` = R(P)<A> builds chains only when
-read, and a split handle (``prop8`` = P |x K) has no permutation image, so
-every question that needs a chain, the degree or the elements is refused
-there.  Element lists are enumerated breadth-first over the same images as
-2-D arrays (``_closure``), with the right-translation columns of the
-generators as a by-product, and read back in one step per kind; on those
-columns ``derived_orders`` takes the derived series of a group, or of
-R(P)<A>, on index sets.
+order and series from them: R(P)<A> (``gsp``, ``d8()``) builds chains only
+when read, and a split handle (``prop8`` = P |x K) has no permutation
+image, so every question that needs a chain, the degree or the elements
+is refused there.  Element lists are enumerated breadth-first over the
+same images as 2-D arrays (``_closure``), with the right-translation
+columns of the generators as a by-product, and read back in one step per
+kind; on those columns ``derived_orders`` takes the derived series of a
+group, or of R(P)<A>, on index sets.
 """
 
 from __future__ import annotations
@@ -646,7 +646,7 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
                 else f"checked i = {list(range(2, d))}"))
 
     # unique minimal normal subgroup = last nontrivial derived term
-    if assert_cs:
+    if assert_cs and d:
         try:
             mins = minimal_normal_subgroups(handle)
             last = report.subgroups[d - 1]
@@ -665,7 +665,8 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
             findings.append(Finding("a", "skipped",
                                     "group too large to enumerate"))
     else:
-        findings.append(Finding("a", "not-applicable",
+        findings.append(Finding("a", "not-applicable", "group is trivial"
+                                if assert_cs else
                                 "caller did not assert minimal length"))
 
     # cyclic prime sections act coprimely and fixed-point-freely below

@@ -13,7 +13,7 @@ identity, a system of affine equations in the offsets over F_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,9 @@ from .errors import (BadParameter, NotOrthogonal, SearchExhausted,
                      SearchFailed)
 from .fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                     check_invertible, nullspace, row_space)
-from .grp import (_stretches, _translations, _walk, derived_orders,
-                  derived_series)
+from .grp import _stretches, _translations, _walk, derived_series
 from .atlas import (Extraspecial2Model, holomorph_perm, matrix_handle,
-                    model_handle)
+                    model_handle, split_holomorph)
 
 @dataclass(frozen=True)
 class AutPair:
@@ -234,19 +233,9 @@ _D8_CACHE = {}
 
 def d8_group():
     """The degree-128 witness of derived length 8: a 1296-element linear
-    group over F_2^6 lifted onto the minus-type extraspecial 2^{1+6}.
-    Returns (handle, report), cached.
-
-    two_generator_reduction certifies the order 1296 of K = <g1, g2> as it
-    picks the pair; its walk gives lift_generators the tree whose Schreier
-    relators certify the split, and derived_orders K's series.  Every
-    Schreier relator lifts to the identity, so g_i -> A_i extends to a
-    homomorphism of K onto <A>; A's linear part on P/Z(P) maps it back to
-    K, so it is injective.  So derived_orders on P's columns and the A_i
-    gives H's series with no chain (split_orders; the order, d and c
-    checks are checks on them).  Chains are built only when read, each
-    stopping at the proven bound 128 |K^(i)| >= |H^(i)| or verifying in
-    full.
+    group K over F_2^6 lifted onto the minus-type extraspecial 2^{1+6}.
+    Returns (handle, report), cached.  two_generator_reduction proves |K|,
+    and its walk is K's tree for lift_generators and split_holomorph.
     """
     if "group" in _D8_CACHE:
         return _D8_CACHE["group"]
@@ -256,15 +245,11 @@ def d8_group():
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
-    h, k_series = holomorph_perm(ph, [p.images() for p in pairs]), \
-        derived_orders(cols)
-    h = replace(h, name="d8()", split_orders=tuple(derived_orders(
-        ph.columns(), h.perm_generators()[-2:], cols, k_series)[0]),
-        order_bounds=tuple(128 * k for k in k_series[0]))
-    if h.order() != 165888:
-        raise SearchFailed(f"stage v: order {h.order()}")
+    h = split_holomorph(holomorph_perm(ph, [p.images() for p in pairs]), ph,
+                        cols, "d8()")
     report = derived_series(h)
-    if report.d != 8 or report.c != 15:
-        raise SearchFailed(f"stage v: d = {report.d}, c = {report.c}")
+    if (h.order(), report.d, report.c) != (165888, 8, 15):
+        raise SearchFailed(f"stage v: order {h.order()}, d = {report.d}, "
+                           f"c = {report.c}")
     _D8_CACHE["group"] = (h, report)
     return h, report

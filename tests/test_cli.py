@@ -185,6 +185,35 @@ def test_verify_table_small(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+def test_verify_table_builds_no_chain_past_row_5(capsys, monkeypatch):
+    # rows 6 and 8 are R(P)<A> and row 7 is P |x K, each with split orders:
+    # their verdicts build no chain, and gsp's chains are built when read
+    from solvlen import cli, lift
+    specs, built = [], []
+    init, report = permmod.BSGS.__init__, cli.build_report
+
+    def recording(self, degree):
+        built.append(specs[-1])
+        init(self, degree)
+
+    def reporting(spec_text, run_checks=True):
+        specs.append(spec_text)
+        return report(spec_text, run_checks)
+    monkeypatch.setattr(permmod.BSGS, "__init__", recording)
+    monkeypatch.setattr(cli, "build_report", reporting)
+    monkeypatch.setattr(lift, "_D8_CACHE", {})
+    code, out, _ = run(capsys, "verify-table", "--max-d", "8")
+    assert code == 0 and specs == list(WITNESSES.values())
+    assert all(ln.startswith("PASS") and ln.endswith(" ms)")
+               for ln in out.splitlines())
+    assert WITNESSES[4] in built
+    assert not set(built) & {WITNESSES[6], WITNESSES[7], WITNESSES[8]}
+    series = reporting(WITNESSES[6], run_checks=False)[1]
+    assert specs[-1] not in built
+    assert series.subgroups[5]._bsgs.order() == 3
+    assert built.count(specs[-1]) == len(series.subgroups)
+
+
 def test_verify_table_deterministic(capsys):
     _, out1, _ = run(capsys, "series", "gsp(gl(2,3),3,1)", "--json")
     _, out2, _ = run(capsys, "series", "gsp(gl(2,3),3,1)", "--json")
@@ -355,10 +384,11 @@ def test_deep_nesting_exit_code(capsys):
 
 
 def test_eval_mix_reports_are_pinned():
-    # full reports with checks, all through the BSGS engine; the digest
-    # covers every key but engine and elapsed_ms
+    # full reports with checks, all through the BSGS engine but the split
+    # R(P)<A> of gsp; the digest covers every key but engine and elapsed_ms
     reports = [build_report(spec)[0] for spec in EVAL_MIX]
-    assert all(r["engine"] == "bsgs" for r in reports)
+    assert [r["spec"] for r in reports if r["engine"] != "bsgs"] == [
+        "gsp(gl(2,3),3,1)"]
     stripped = [{k: v for k, v in r.items()
                  if k not in ("engine", "elapsed_ms")} for r in reports]
     digest = hashlib.sha256(json.dumps(stripped).encode()).hexdigest()

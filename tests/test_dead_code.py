@@ -135,6 +135,7 @@ from solvlen import atlas, grp
 from solvlen.cli import build_report
 build_report("extraspecial(3,1)")
 build_report("prop8(7)", run_checks=False)
+build_report("gsp(gl(2,3),3,1)", run_checks=False)
 build_report("bo()")
 grp.center(atlas.extraspecial(3, 1)).element_set()
 """

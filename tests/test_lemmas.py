@@ -37,6 +37,13 @@ def test_minimality_assertion_fails_on_v4():
     assert f["a"].status == "fail"  # three minimal normal subgroups
 
 
+def test_minimality_assertion_on_the_trivial_group():
+    # G = 1 has no minimal normal subgroup and no last nontrivial term
+    f = findings_by_name(atlas.cyclic(1), assert_cs=True)
+    assert (f["a"].status, f["a"].detail) == ("not-applicable",
+                                              "group is trivial")
+
+
 def test_natsd_coprime_fixed_point_free():
     # S3-matrices on F_5^2: (d) fires with coprime orders 3 and 25
     f = findings_by_name(atlas.natural_semidirect(atlas.s3mat(5), 2))

@@ -13,6 +13,8 @@ from helpers import (bform, chain_fingerprint, form_value, law,
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
+from solvlen.cli import evaluate
+from solvlen.dsl import parse_spec
 from solvlen.errors import (BadParameter, GroupError, NotAutomorphism,
                             NotOrthogonal, SearchExhausted, SearchFailed)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
@@ -499,17 +501,26 @@ def test_split_orders_are_the_chain_orders(d8data):
     wrong = replace(h, split_orders=(165888, 82944, 1), _bsgs=None)
     with pytest.raises(GroupError, match="chain orders differ"):
         grp.derived_series(wrong).subgroups[1]._bsgs
-    # a cross-check on another holomorph, gsp(gl(2,3),3,1) = R(P)<A> for
-    # P = 3^(1+2) and K = GL(2,3) mapped onto <A>, kept on chains
-    k = atlas.gl(2, 3)
-    gsp = atlas.gsp_extension(k, 3, 1)
-    p = model_handle(atlas.ExtraspecialOddModel(3, 1))
-    cols, kgens = p.columns(), len(k.generators)
+
+
+@pytest.mark.parametrize(
+    "spec", ["gl(2,3)", "sl(2,3)", "ut(2,5)", "s3mat(5)", "gl(2,5)"])
+def test_gsp_split_orders_are_the_chain_orders(spec):
+    # gsp(K,p,1) = R(P)<A> for P = p^(1+2) and K mapped onto <A>: its split
+    # orders are those of chains verified in full, with no bounds; gl(2,5)
+    # is not solvable, and K's series stops at its perfect term
+    k = evaluate(parse_spec(spec))
+    p = k.identity.p
+    gsp = atlas.gsp_extension(k, p, 1)
+    cols = model_handle(atlas.ExtraspecialOddModel(p, 1)).columns()
+    kgens = len(k.generators)
     auts = np.array(gsp.generators[-kgens:], np.int32)
     assert gsp.generators[:-kgens] == [tuple(c) for c in cols.tolist()]
     assert relators_hold(k.columns(), auts, lifted_maps(k.columns(), auts))
-    assert grp.derived_orders(cols, auts, k.columns(), grp.derived_orders(
-        k.columns()))[0] == list(grp.derived_series(gsp).orders)
+    chains = grp.derived_series(replace(gsp, split_orders=None,
+                                        order_bounds=(), _bsgs=None))
+    assert (grp.derived_series(gsp).engine, chains.engine) == ("split", "bsgs")
+    assert gsp.split_orders == chains.orders
 
 
 def test_d8_verdict_builds_no_chain(monkeypatch):
