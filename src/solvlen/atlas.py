@@ -499,24 +499,24 @@ def holomorph_perm(p_handle, auts):
     return perm_handle(gens, len(elems), f"hol({p_handle.name})")
 
 
-def split_holomorph(h, p_handle, k_cols, name):
+def split_holomorph(h, k_cols, name):
     """h = holomorph_perm(p_handle, auts) = R(P)<A>, named name, with the
     split_orders of derived_orders on P's columns and the auts (h's last
     len(k_cols) generators), and the bounds |P| |K^(i)| >= |H^(i)| where
     its chains, built only when read, stop.  That needs g_j -> a_j, for
     K's columns k_cols by the g_j, to extend to a monomorphism of K onto
-    <A>.  For d8(), every Schreier relator of k_cols' tree lifts to the
-    identity (lift_generators), and A's linear part on P/Z(P) maps <A>
-    back to K.  For gsp, the odd model's cocycle is <v1, v2>/2, so
-    phi_A(v, z) = (vA, lam_A z) for a lam_A-similitude A; phi_A phi_B =
-    phi_AB under the right action, as lam is multiplicative, and A is
-    phi_A's action on P/Z(P), so A -> phi_A is injective.
+    <A> (so no a_j is the identity h drops).  For d8(), every Schreier
+    relator of k_cols' tree lifts to 1 (lift_generators), and A's linear
+    part on P/Z(P) maps <A> back to K.  For gsp, the odd model's cocycle
+    is <v1, v2>/2, so phi_A(v, z) = (vA, lam_A z) for a lam_A-similitude A
+    over P's F_p; phi_A phi_B = phi_AB under the right action, as lam is
+    multiplicative, and A is phi_A's action on P/Z(P): A -> phi_A is 1-1.
     """
-    cols, k_series = p_handle.columns(), derived_orders(k_cols)
-    orders = derived_orders(cols, h.perm_generators()[-len(k_cols):], k_cols,
-                            k_series)[0]
+    gens, k_series = h.perm_generators(), derived_orders(k_cols)
+    cut = len(gens) - len(k_cols)
+    orders = derived_orders(gens[:cut], gens[cut:], k_cols, k_series)[0]
     return replace(h, name=name, split_orders=tuple(orders),
-                   order_bounds=tuple(cols.shape[1] * k for k in k_series[0]))
+                   order_bounds=tuple(h.degree * k for k in k_series[0]))
 
 
 def natural_semidirect(m_handle, n):
@@ -540,16 +540,16 @@ def gsp_extension(s_handle, p, n):
     """GSp-type split extension acting on the odd extraspecial p^{1+2n}."""
     if s_handle.kind != "matrix":
         raise KindMismatch("gsp_extension needs a matrix handle")
-    if p == 2:
-        raise BadParameter("gsp_extension needs p odd")
-    if s_handle.identity.n != 2 * n:
-        raise BadParameter(
-            f"matrix dimension {s_handle.identity.n} != {2 * n}")
+    one = s_handle.identity
+    if one.n != 2 * n:
+        raise BadParameter(f"matrix dimension {one.n} != {2 * n}")
+    if one.p != p:  # A -> phi_A is a map of GL_2n(p) only
+        raise BadParameter(f"matrix field F_{one.p} != F_{p}")
+    ph = model_handle(ExtraspecialOddModel(p, n), f"E_{p}^(1+{2*n})")
     for a in s_handle.generators:
         similitude_factor(a)  # raises NotSimilitude
-    ph = model_handle(ExtraspecialOddModel(p, n), f"E_{p}^(1+{2*n})")
     auts = [[row + (0,) for row in a.entries] for a in s_handle.generators]
-    return split_holomorph(holomorph_perm(ph, auts), ph, s_handle.columns(),
+    return split_holomorph(holomorph_perm(ph, auts), s_handle.columns(),
                            f"gsp({s_handle.name},{p},{n})")
 
 

@@ -245,7 +245,7 @@ def d8_group():
     model = Extraspecial2Model(3, "-", cocycle=q_inv.coeffs)
     pairs = lift_generators([g1, g2], model, cols)
     ph = model_handle(model, "2^(1+6)-")
-    h = split_holomorph(holomorph_perm(ph, [p.images() for p in pairs]), ph,
+    h = split_holomorph(holomorph_perm(ph, [p.images() for p in pairs]),
                         cols, "d8()")
     report = derived_series(h)
     if (h.order(), report.d, report.c) != (165888, 8, 15):

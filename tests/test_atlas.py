@@ -171,6 +171,14 @@ def test_gsp_extension():
     assert rep.n == (1, 1, 2, 1, 2, 1)
     with pytest.raises(BadParameter):
         gsp_extension(gl(2, 3), 2, 1)
+    with pytest.raises(BadParameter, match="odd model needs p odd"):
+        gsp_extension(gl(2, 2), 2, 1)
+    # K must lie in GL_2(p) for P's p: read mod 3, gl(2,2)'s generators
+    # make GL(2,3), not S3, and gl(2,3)'s mod 5 make an unsolvable group
+    with pytest.raises(BadParameter, match="matrix field F_2 != F_3"):
+        gsp_extension(gl(2, 2), 3, 1)
+    with pytest.raises(BadParameter, match="matrix field F_3 != F_5"):
+        gsp_extension(gl(2, 3), 5, 1)
     with pytest.raises(KindMismatch):
         gsp_extension(sym(3), 3, 1)
     # sl(1,3) has no generators left: the dimension is its identity's

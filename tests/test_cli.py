@@ -317,6 +317,14 @@ def test_env_cap_stops_an_enumeration_in_one_line(capsys, monkeypatch):
         "error: CapExceeded: closure exceeded cap 647"]
     monkeypatch.setenv("GRP_MAX_ELEMENTS", "648")
     assert run(capsys, "series", "prop8(7)")[0] == 0
+    # so does gsp(gl(2,3),3,1), on K = GL(2,3)'s 48 elements
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "47")
+    code, out, err = run(capsys, "series", "gsp(gl(2,3),3,1)")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: CapExceeded: closure exceeded cap 47"]
+    monkeypatch.setenv("GRP_MAX_ELEMENTS", "48")
+    assert run(capsys, "series", "gsp(gl(2,3),3,1)")[0] == 0
 
 
 def test_big_matrix_spec_stops_at_the_degree_guard(capsys, monkeypatch):
