@@ -8,6 +8,14 @@ BasisOrbitAction, their faithful permutation image, and a model is only
 its matrix and coordinates maps.  Construction-time checks verify the
 cheap invariants (orders, centers); the expensive series invariants live
 in the test-suite.
+
+A builder records, as order_bounds, upper bounds on |G^(0)|, |G^(1)|, ...
+that a theorem gives, each proved in its docstring; a chain stops when
+its orbit product reaches its term's bound (grp._chain_series).  An onto
+map G -> Q maps G^(i) onto Q^(i), and H <= G has H^(i) <= G^(i), so a
+bound proved for a group holds for its quotients and subgroups; and
+derived orders never increase, so bounds padded with their last entry
+(_terms) are still bounds.
 """
 
 from __future__ import annotations
@@ -32,10 +40,16 @@ from .grp import (GroupHandle, _closure, _stretches, _translations, _walk,
 # handle constructors
 
 
-def perm_handle(gens, degree, name=""):
+def perm_handle(gens, degree, name="", order_bounds=()):
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens if tuple(g) != ident]
-    return GroupHandle(ident, gens, name=name, kind="perm")
+    return GroupHandle(ident, gens, name=name, kind="perm",
+                       order_bounds=order_bounds)
+
+
+def _terms(bounds, count):
+    """The first count order bounds, padded with the last: () stays ()."""
+    return bounds[:count] + bounds[-1:] * (count - len(bounds))
 
 
 class BasisOrbitAction:
@@ -118,7 +132,7 @@ class BasisOrbitAction:
         return [FpMatrix(self.p, tuple(map(tuple, m))) for m in mats.tolist()]
 
 
-def matrix_handle(gens, name="", upper_bound=None):
+def matrix_handle(gens, name="", order_bounds=()):
     if not gens:
         raise BadParameter("matrix handle needs at least one generator")
     p, n = gens[0].p, gens[0].n
@@ -129,7 +143,7 @@ def matrix_handle(gens, name="", upper_bound=None):
     ident = FpMatrix.identity(n, p)
     gens = [g for g in gens if g != ident]
     return GroupHandle(ident, gens, name=name, kind="matrix",
-                       order_bounds=(upper_bound,),
+                       order_bounds=order_bounds,
                        action=BasisOrbitAction(ident, gens))
 
 
@@ -282,32 +296,51 @@ def _primitive_root(p):
 
 
 def cyclic(n):
+    """C_n on n points.  It is abelian, so its bounds (n, 1) are exact."""
     if n < 1:
         raise BadParameter("cyclic(n) needs n >= 1")
     permmod.check_degree(n)
     rot = tuple((i + 1) % n for i in range(n))
-    return perm_handle([rot], n, f"cyclic({n})")
+    return perm_handle([rot], n, f"cyclic({n})", (n, 1))
+
+
+# the derived series of S_1 .. S_4: S_3 > A_3 > 1, S_4 > A_4 > V_4 > 1
+SMALL_SYM_SERIES = {1: (1,), 2: (2, 1), 3: (6, 3, 1), 4: (24, 12, 4, 1)}
 
 
 def sym(n):
+    """S_n on n points, from (0 1) and the n-cycle.  Its bounds are exact:
+    the series for n <= 4 (SMALL_SYM_SERIES), and (n!, n!/2, n!/2) past
+    it, as S_n' = A_n (S_n/A_n has order 2, and a 3-cycle (a b c) is the
+    commutator of (a b) and (a c)) and A_n is perfect for n >= 5."""
     if n < 1:
         raise BadParameter("sym(n) needs n >= 1")
     permmod.check_degree(n)
     if n == 1:
-        return perm_handle([], 1, "sym(1)")
+        return perm_handle([], 1, "sym(1)", SMALL_SYM_SERIES[1])
     swap = tuple([1, 0] + list(range(2, n)))
     rot = tuple((i + 1) % n for i in range(n))
     gens = [swap] if n == 2 else [swap, rot]
-    return perm_handle(gens, n, f"sym({n})")
+    order = math.factorial(n)
+    return perm_handle(gens, n, f"sym({n})", SMALL_SYM_SERIES.get(
+        n, (order, order // 2, order // 2)))
 
 
 def gl(n, p):
+    """GL(n,p), from diag(zeta, 1, ..) and, for n >= 2, the cycle and the
+    transvection of _cycle_and_transvection.  Its bounds are |GL| and then
+    SL(n,p)'s series (_sl_series): det maps GL onto the abelian F_p^* with
+    kernel SL, so GL' <= SL, and GL = SL for p = 2.  They are exact, as
+    GL' = SL but for GL(2,2) = SL(2,2): GL(2,3) gives (48, 24, 8, 2, 1),
+    GL(1,p) = F_p^* (p - 1, 1), and GL(n,p) (|GL|, |SL|, |SL|) else."""
     check_prime(p)
     check_dimension(n)
     gens = [FpMatrix.diagonal([_primitive_root(p)] + [1] * (n - 1), p)]
     if n >= 2:
         gens += _cycle_and_transvection(n, p, 1)
-    return matrix_handle(gens, f"gl({n},{p})", gl_order(n, p))
+    series = _sl_series(n, p)
+    return matrix_handle(gens, f"gl({n},{p})", series if p == 2 else (
+        gl_order(n, p), *series))
 
 
 def _cycle_and_transvection(n, p, corner):
@@ -324,21 +357,38 @@ def gl_order(n, p):
     return out
 
 
+# the derived series of the two SL(n,p), n >= 2, that are not perfect:
+# SL(2,2) = GL(2,2) = S_3 (faithful on the 3 nonzero vectors), and SL(2,3)
+# > Q_8 > Z = {1, -1} > 1, Q_8 its normal Sylow 2-subgroup, of index 3
+SMALL_SL_SERIES = {(2, 2): (6, 3, 1), (2, 3): (24, 8, 2, 1)}
+
+
+def _sl_series(n, p):
+    """The derived orders of SL(n,p), |SL| = |GL|/(p - 1): SL(1,p) = 1,
+    and SL(n,p) is perfect for n >= 2 but (2,2) and (2,3) (Taylor, The
+    Geometry of the Classical Groups, 1992, ch. 1), SMALL_SL_SERIES."""
+    order = gl_order(n, p) // (p - 1)
+    return (1,) if n == 1 else SMALL_SL_SERIES.get((n, p), (order, order))
+
+
 def sl(n, p):
+    """SL(n,p), from a transvection and a cycle of determinant 1.  Its
+    bounds are its derived orders, exact (_sl_series)."""
     check_prime(p)
     check_dimension(n)
     if n == 1:
-        return matrix_handle([FpMatrix.identity(1, p)], f"sl(1,{p})")
+        return matrix_handle([FpMatrix.identity(1, p)], f"sl(1,{p})", (1,))
     cyc, tv = _cycle_and_transvection(n, p, (-1) ** (n - 1))
-    return matrix_handle([tv, cyc], f"sl({n},{p})",
-                         gl_order(n, p) // (p - 1))
+    return matrix_handle([tv, cyc], f"sl({n},{p})", _sl_series(n, p))
 
 
 def upper_triangular(n, p):
-    """The invertible upper triangular matrices.  Their basis orbits are
-    the p^n - 1 nonzero vectors, e_0's the (p - 1) p^(n-1) with a nonzero
-    first entry, and a chain's first level tabulates e_0's orbit on every
-    point, so both limits are checked before any point is grown."""
+    """The invertible upper triangular matrices, from diagonal units and
+    the I + E_(i,i+1), all in that group: its order, (p - 1)^n diagonals
+    times p^(n(n-1)/2) entries above them, is the bound.  Its basis orbits
+    are the p^n - 1 nonzero vectors, e_0's the (p - 1) p^(n-1) with a
+    nonzero first entry, and a chain's first level tabulates e_0's orbit on
+    every point, so both limits are checked before any point is grown."""
     check_prime(p)
     check_dimension(n)
     degree = permmod.check_degree(p ** n - 1)
@@ -354,7 +404,7 @@ def upper_triangular(n, p):
         e[i][i + 1] = 1
         gens.append(FpMatrix.from_rows(e, p))
     return matrix_handle(gens, f"ut({n},{p})",
-                         (p - 1) ** n * p ** (n * (n - 1) // 2))
+                         ((p - 1) ** n * p ** (n * (n - 1) // 2),))
 
 
 def _check_order(handle):
@@ -368,18 +418,26 @@ def _check_order(handle):
 
 def regular(handle):
     """Right-regular permutation representation of an enumerable handle:
-    its generators are the handle's right-translation columns."""
+    its generators are the handle's right-translation columns.  It is
+    faithful, so its bounds are the handle's, with the exact order, the
+    number of rows enumerated, on top."""
     _check_order(handle)
-    return perm_handle(handle.columns().tolist(), len(handle.rows()),
-                       f"regular({handle.name})")
+    rows = handle.rows()
+    return perm_handle(handle.columns().tolist(), len(rows),
+                       f"regular({handle.name})",
+                       (len(rows), *handle.order_bounds[1:]))
 
 
 def s3mat(p):
-    """The standard 2-dimensional S3 matrices over F_p."""
+    """The standard 2-dimensional S3 matrices over F_p.  a has
+    characteristic polynomial x^2 + x + 1, a factor of x^3 - 1, so a^3 = 1;
+    b^2 = 1 and b a b = a^-1.  So <a, b> is a quotient of S_3 =
+    <a, b | a^3, b^2, (ab)^2>, with bounds S_3's series (6, 3, 1), exact
+    since a^2 != 1 and so ab != ba: a non-abelian quotient of S_3 is S_3."""
     check_prime(p)
     a = FpMatrix.from_rows([[0, p - 1], [1, p - 1]], p)
     b = FpMatrix.from_rows([[0, 1], [1, 0]], p)
-    return matrix_handle([a, b], f"s3mat({p})")
+    return matrix_handle([a, b], f"s3mat({p})", (6, 3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +445,10 @@ def s3mat(p):
 
 
 def metacyclic(p, q):
+    """C_q |x C_p on Z_q: b = x + 1 and a = k x, k of order p mod q.  <b>
+    is normal and meets <a> (which fixes 0) trivially, so |G| = pq; G/<b>
+    is cyclic, so G' <= <b>, of order q, and G'' <= <b>' = 1.  The bounds
+    (pq, q, 1) are exact: [a, b] != 1 as k != 1."""
     check_prime(p)
     check_prime(q)
     if q % p != 1:
@@ -394,7 +456,7 @@ def metacyclic(p, q):
     k = next(k for k in range(2, q) if pow(k, p, q) == 1)  # of order p
     b = tuple((x + 1) % q for x in range(q))
     a = tuple(x * k % q for x in range(q))
-    return perm_handle([a, b], q, f"metacyclic({p},{q})")
+    return perm_handle([a, b], q, f"metacyclic({p},{q})", (p * q, q, 1))
 
 
 def extraspecial(p, n, eps=None):
@@ -429,7 +491,21 @@ def _check_extraspecial(handle, p, n):
 
 
 def wreath(h, k):
-    """Imprimitive wreath product: base h^deg(k) permuted by the top k."""
+    """Imprimitive wreath product on deg(k) blocks of deg(h) points: h on
+    block 0 and the top k permuting the blocks.
+
+    With r the number of blocks in block 0's orbit under k (_walk), the
+    group is W = B |x K, B = H^r the product of the copies of H on those
+    blocks (the conjugates of H on block 0 under K), and K acts faithfully
+    on the blocks while B fixes each, so |W| = |H|^r |K|; for a transitive
+    k, r is deg(k) and W = H wr K.  W -> H^ab x K^ab, (h_1, .., h_r; x) ->
+    (h_1 .. h_r H', x K'), is a homomorphism onto an abelian group, as the
+    product over the orbit does not change when K permutes the factors,
+    so W' lies in its kernel: |W'| <= |H|^(r-1) |H'| |K'|, with equality
+    ((H wr K)^ab = H^ab x K^ab for transitive K; Meldrum, Wreath Products
+    of Groups and Semigroups, 1995).  Both bounds increase with |H|, |H'|,
+    |K| and |K'|, so the factors' bounds give bounds; none without them.
+    """
     if not h.kind == k.kind == "perm":
         raise KindMismatch("wreath needs two permutation handles")
     m, n = h.degree, k.degree
@@ -437,17 +513,29 @@ def wreath(h, k):
     gens = [tuple(g) + tuple(range(m, m * n)) for g in h.generators]
     gens += [tuple(g[i // m] * m + i % m for i in range(m * n))
              for g in k.generators]
-    return perm_handle(gens, m * n, f"wr({h.name},{k.name})")
+    bounds = ()
+    if h.order_bounds and k.order_bounds:
+        r = len(_walk(k.perm_generators(), np.arange(n) == 0))
+        (h0, h1), (k0, k1) = (_terms(x.order_bounds, 2) for x in (h, k))
+        bounds = (h0 ** r * k0, h0 ** (r - 1) * h1 * k1)
+    return perm_handle(gens, m * n, f"wr({h.name},{k.name})", bounds)
 
 
 def direct(h, k):
+    """H x K on deg(h) + deg(k) points.  (H x K)^(i) = H^(i) x K^(i), so
+    its bounds are the products of the factors' bounds, term by term (the
+    shorter padded, see _terms), exact where theirs are; none without
+    them."""
     if not h.kind == k.kind == "perm":
         raise KindMismatch("direct needs two permutation handles")
     m, n = h.degree, k.degree
     permmod.check_degree(m + n)
     gens = [tuple(list(g) + list(range(m, m + n))) for g in h.generators]
     gens += [tuple(list(range(m)) + [m + x for x in g]) for g in k.generators]
-    return perm_handle(gens, m + n, f"direct({h.name},{k.name})")
+    count = max(len(h.order_bounds), len(k.order_bounds))
+    bounds = [_terms(x.order_bounds, count) for x in (h, k)]
+    return perm_handle(gens, m + n, f"direct({h.name},{k.name})",
+                       tuple(a * b for a, b in zip(*bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +608,12 @@ def split_holomorph(h, k_cols, name):
 
 
 def natural_semidirect(m_handle, n):
-    """Affine group: matrix group m_handle acting on F_p^n by x -> xA + t."""
+    """Affine group: matrix group m_handle acting on F_p^n by x -> xA + t.
+
+    G = V |x M, V the translations, normal, and M fixing 0, faithful on
+    F_p^n.  G^(i) maps onto (G/V)^(i) = M^(i) with kernel inside V, so
+    p^n |M^(i)| bounds |G^(i)|: its bounds are m_handle's times p^n, the
+    first exact when m_handle's is."""
     if m_handle.kind != "matrix":
         raise KindMismatch("natural_semidirect needs a matrix handle")
     p, dim = m_handle.identity.p, m_handle.identity.n
@@ -533,7 +626,8 @@ def natural_semidirect(m_handle, n):
               for a in m_handle.generators]
     images += [pts + np.eye(n, dtype=np.int64)[i] for i in range(n)]
     gens = [tuple((img % p @ weights).tolist()) for img in images]
-    return perm_handle(gens, npts, f"natsd({m_handle.name},{n})")
+    return perm_handle(gens, npts, f"natsd({m_handle.name},{n})",
+                       tuple(npts * b for b in m_handle.order_bounds))
 
 
 def gsp_extension(s_handle, p, n):
@@ -652,7 +746,7 @@ def qutrit_normalizer(p):
         raise ScalarSearchFailed("no scalar correction gives order 648 mod "
                                  f"{p}: {list(enumerate(orders, 1))}")
     c = orders.index(648) + 1
-    return matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", 648)
+    return matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", (648,))
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +786,7 @@ def binary_octahedral():
     bo = sl23 and extend(sl23, 8, 48)
     if bo is None:
         raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
-    return matrix_handle(ambient.from_perms(rows[bo]), "bo()", 48)
+    return matrix_handle(ambient.from_perms(rows[bo]), "bo()", (48,))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ normal closure and the derived series run on a BSGS chain: a permutation
 handle's own, or for a matrix or model handle the chain of a faithful
 permutation image (its ``action``), from the generators' images, converted
 once (``GroupHandle.perm_generators``).  A subgroup is its chain on that
-image, read back into the handle's elements only when a caller asks.  A
+image, read back into the handle's elements only when a caller asks.
+A chain stops once its order reaches a proven bound, where it is
+complete: the builder's (``order_bounds``) or, for a derived term, the
+order of the term above it; a chain that passes its bound refutes it.  A
 handle with certified derived-series orders (``split_orders``) answers its
 order and series from them: R(P)<A> (``gsp``, ``d8()``) builds chains only
 when read, and a split handle (``prop8`` = P |x K) has no permutation
@@ -97,7 +100,7 @@ class GroupHandle:
     kind: str = "generic"  # "perm" | "matrix" | "model" | "split" | "generic"
     action: Optional[object] = None  # faithful permutation image, non-perm
     split_orders: Optional[tuple] = None  # certified |G^(i)|, split route
-    order_bounds: tuple = ()  # proven |G^(i)| bounds, where chains stop
+    order_bounds: tuple = ()  # proven |G^(i)| bounds (ints), where chains stop
     _rows: Optional[np.ndarray] = field(default=None, repr=False)
     _elements: Optional[list] = field(default=None, repr=False)
     _columns: Optional[np.ndarray] = field(default=None, repr=False)
@@ -138,9 +141,10 @@ class GroupHandle:
         return self.perm_generators().shape[1]
 
     def bsgs(self):
+        """G's chain, stopped at order_bounds[0] if the handle has one."""
         if self._bsgs is None:
-            self._bsgs = permmod.schreier_sims(
-                self.perm_generators(), next(iter(self.order_bounds), None))
+            self._bsgs = _within_bound(self, 0, permmod.schreier_sims(
+                self.perm_generators(), next(iter(self.order_bounds), None)))
         return self._bsgs
 
     def base(self):
@@ -425,15 +429,18 @@ def _chain_series(handle: GroupHandle):
     closure in G of the commutators of G^(i)'s generators (G's for G^(0),
     the strong generators of G^(i)'s chain after).  The series stops before
     the first term whose order does not fall, or after order 1.  A chain
-    stops at the handle's proven bound on its term's order (order_bounds),
-    or verifies in full; the orders must be the split_orders, if any."""
+    stops at the least proven bound on its term's order, the handle's
+    (order_bounds) or |G^(i)| for G^(i+1) <= G^(i), or verifies in full;
+    the orders must be the split_orders, if any."""
     if handle._chains is None:
-        group = handle.perm_generators()
+        group, bounds = handle.perm_generators(), handle.order_bounds
         gens, invs = group, np.argsort(group, axis=1)
-        chains, bounds = [handle.bsgs()], iter(handle.order_bounds[1:])
+        chains = [handle.bsgs()]
         while chains[-1].order() > 1:
-            b = permmod.normal_closure_perm(
-                group, permmod.commutators(gens, invs), next(bounds, None))
+            term = len(chains)
+            b = _within_bound(handle, term, permmod.normal_closure_perm(
+                group, permmod.commutators(gens, invs),
+                min((*bounds[term:term + 1], chains[-1].order()))))
             if b.order() == chains[-1].order():
                 break
             chains.append(b)
@@ -444,6 +451,18 @@ def _chain_series(handle: GroupHandle):
             raise GroupError(f"{handle.name}: chain orders differ")
         handle._chains = chains
     return handle._chains
+
+
+def _within_bound(handle, term, chain):
+    """The chain of G^(term), or GroupError if it passed the handle's bound
+    on that term: a chain stops only on reaching its bound, so it then
+    verified in full, and the bound is false.  A false bound that a partial
+    chain reaches exactly is not caught here."""
+    bound = handle.order_bounds[term:term + 1]
+    if bound and chain.order() > bound[0]:
+        raise GroupError(f"{handle.name}: G^({term}) has order "
+                         f"{chain.order()}, above its bound {bound[0]}")
+    return chain
 
 
 def center(handle: GroupHandle) -> SubgroupHandle:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -215,9 +216,12 @@ def test_verify_table_builds_no_chain_past_row_5(capsys, monkeypatch):
 
 
 def test_verify_table_deterministic(capsys):
-    _, out1, _ = run(capsys, "series", "gsp(gl(2,3),3,1)", "--json")
-    _, out2, _ = run(capsys, "series", "gsp(gl(2,3),3,1)", "--json")
-    assert out1 == out2
+    # two runs print the same table, apart from each row's elapsed_ms
+    outs = [run(capsys, "verify-table", "--max-d", "8") for _ in range(2)]
+    masked = [re.sub(r"\(\d+ ms\)$", "(ms)", out, flags=re.M)
+              for _, out, _ in outs]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert masked[0] == masked[1] and masked[0].count("(ms)") == 9
 
 
 def test_verify_table_reports_mismatch(capsys, monkeypatch):

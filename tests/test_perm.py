@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (EVAL_MIX, IMAGE_SPECS, chain_fingerprint,
                      corpus_perm_groups, cycle_walk_order, is_identity, law,
                      perm_inv, perm_mul, perm_order_of, perm_power, sift)
-from solvlen import atlas, perm
+from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
 from solvlen.errors import DegreeMismatch, GroupError
+from solvlen.fpmat import FpMatrix
 from solvlen.grp import derived_series
 from solvlen.perm import (as_perm, element_orders, normal_closure_perm,
                           schreier_sims)
@@ -673,10 +675,80 @@ def test_linear_chains_stop_at_their_formula_order(spec, order):
     # with Schreier generators left unsifted, and is then the chain a full
     # verification builds
     handle = evaluate(parse_spec(spec))
-    assert handle.order_bounds == (order,) and order == handle.order()
+    assert handle.order_bounds[0] == order == handle.order()
     full = schreier_sims(handle.perm_generators())
     assert chain_fingerprint(handle.bsgs()) == chain_fingerprint(full)
 
     def sifted(b):  # (point, generator) pairs whose generator was sifted
         return sum(int(lv.paired[lv.order_list].sum()) for lv in b.levels)
     assert sifted(handle.bsgs()) < sifted(full)
+
+
+# each builder that proves derived-term bounds, over small parameters that
+# reach every branch of its bounds, with the number of leading bounds its
+# docstring calls exact
+BOUNDED_SPECS = {
+    **{f"cyclic({n})": 2 for n in (1, 2, 3, 6, 12)},
+    **{f"sym({n})": 4 if n <= 4 else 3 for n in range(1, 8)},
+    **{f"gl({n},{p})": 5 for n, p in ((1, 2), (1, 5), (2, 2), (2, 3),
+                                      (2, 5), (2, 7), (3, 2), (3, 3),
+                                      (4, 2))},
+    **{f"sl({n},{p})": 4 for n, p in ((1, 3), (2, 2), (2, 3), (2, 5),
+                                      (2, 7), (3, 2), (3, 3), (4, 2))},
+    **{f"s3mat({p})": 3 for p in (2, 3, 5, 7)},
+    **{f"metacyclic({p},{q})": 3 for p, q in ((2, 3), (2, 5), (3, 7),
+                                              (5, 11), (3, 13))},
+    "wr(sym(3),sym(3))": 2, "wr(sym(4),sym(4))": 2,
+    "wr(sym(3),wr(sym(3),sym(3)))": 2, "wr(sym(1),sym(3))": 2,
+    "wr(cyclic(3),sym(1))": 2, "wr(metacyclic(2,3),cyclic(2))": 2,
+    "wr(sym(2),direct(sym(2),sym(2)))": 2,  # k intransitive
+    "wr(sym(3),direct(sym(2),sym(3)))": 2,
+    "direct(sym(3),sym(4))": 4, "direct(cyclic(2),sym(5))": 3,
+    "direct(sym(1),metacyclic(2,3))": 3,
+    "direct(sym(4),wr(sym(2),sym(2)))": 2,
+    "regular(gl(2,3))": 5, "regular(sym(3))": 3, "regular(ut(2,3))": 1,
+    **{f"natsd({m},{n})": 1 for m, n in (
+        ("s3mat(5)", 2), ("s3mat(3)", 2), ("gl(2,3)", 2), ("sl(2,3)", 2),
+        ("gl(2,2)", 2), ("gl(1,5)", 1), ("ut(2,3)", 2))},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BOUNDED_SPECS))
+def test_builder_bounds_hold_and_stop_the_same_chains(spec):
+    # every bound is at least its term's order, verified in full with no
+    # bounds, and equal to it where documented exact; the chains stopped
+    # at the bounds are those chains, built with fewer Schreier
+    # generators sifted
+    handle = evaluate(parse_spec(spec))
+    free = replace(handle, order_bounds=(), _bsgs=None)
+    bounds, orders = handle.order_bounds, derived_series(free).orders
+    terms = orders + orders[-1:] * len(bounds)  # G^(i) = G^(i-1) past it
+    assert bounds and all(b >= o for b, o in zip(bounds, terms))
+    exact = min(BOUNDED_SPECS[spec], len(bounds))
+    assert bounds[:exact] == terms[:exact]
+    assert derived_series(handle).orders == orders
+    chains, free_chains = (grp._chain_series(h) for h in (handle, free))
+    assert list(map(chain_fingerprint, chains)) == \
+        list(map(chain_fingerprint, free_chains))
+
+    def sifted(series):  # Schreier generators sifted over the series
+        return sum(int(lv.paired[lv.order_list].sum())
+                   for b in series for lv in b.levels)
+    assert sifted(chains) < sifted(free_chains) or orders == (1,)
+
+
+@pytest.mark.parametrize("bounds, term, order", [
+    ((24, 5), 1, 12), ((10,), 0, 24)])
+def test_a_bound_below_its_term_is_refused(bounds, term, order):
+    # a chain stops only on reaching its bound, so one that verified past
+    # it proves the bound false: GroupError names the term and the bound
+    handle = replace(atlas.sym(4), order_bounds=bounds)
+    with pytest.raises(GroupError, match=re.escape(
+            f"G^({term}) has order {order}, above its bound {bounds[term]}")):
+        derived_series(handle)
+
+
+def test_a_matrix_handle_given_no_bound_records_none():
+    # every recorded bound is an int; with none, the chain verifies in full
+    handle = atlas.matrix_handle([FpMatrix.from_rows([[1, 1], [0, 1]], 3)])
+    assert handle.order_bounds == () and handle.order() == 3
