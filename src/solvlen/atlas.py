@@ -383,12 +383,20 @@ def sl(n, p):
 
 
 def upper_triangular(n, p):
-    """The invertible upper triangular matrices, from diagonal units and
-    the I + E_(i,i+1), all in that group: its order, (p - 1)^n diagonals
-    times p^(n(n-1)/2) entries above them, is the bound.  Its basis orbits
-    are the p^n - 1 nonzero vectors, e_0's the (p - 1) p^(n-1) with a
-    nonzero first entry, and a chain's first level tabulates e_0's orbit on
-    every point, so both limits are checked before any point is grown."""
+    """The invertible upper triangular matrices B, from diagonal units and
+    the I + E_(i,i+1), all in B.  Its basis orbits are the p^n - 1 nonzero
+    vectors, e_0's the (p - 1) p^(n-1) with a nonzero first entry, and a
+    chain's first level tabulates e_0's orbit on every point, so both
+    limits are checked before any point is grown.
+
+    Its bounds are its derived orders (_unitriangular_series), exact.  B
+    is the diagonal units T times the unitriangular U, normal with B/U =
+    T abelian, so B' <= U, and |B| = (p - 1)^n |U|.  For p > 2 some unit
+    c is not 1, and the diagonal t with t_i = c, t_j = 1 conjugates
+    x_ij(a) = I + a E_ij to x_ij(c a) or x_ij(a / c), so the commutator
+    [t, x_ij(a)] is x_ij(a u), u = 1 - 1/c or 1 - c a unit: every root
+    element, and so U, lies in B', and B' = U.  For p = 2, T = 1 and
+    B = U."""
     check_prime(p)
     check_dimension(n)
     degree = permmod.check_degree(p ** n - 1)
@@ -403,8 +411,24 @@ def upper_triangular(n, p):
         e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         e[i][i + 1] = 1
         gens.append(FpMatrix.from_rows(e, p))
-    return matrix_handle(gens, f"ut({n},{p})",
-                         ((p - 1) ** n * p ** (n * (n - 1) // 2),))
+    series = _unitriangular_series(n, p)
+    return matrix_handle(gens, f"ut({n},{p})", series if p == 2 else (
+        (p - 1) ** n * series[0], *series))
+
+
+def _unitriangular_series(n, p):
+    """The derived orders of U = U(n,p).  Let U_m be its elements I + N
+    with N_ab = 0 unless b - a >= m, the x_ab(s) = I + s E_ab with
+    b - a >= m generating it: U_1 = U, and |U_m| = p^(sum of n - d over
+    m <= d < n), n - d entries on the d-th superdiagonal.  [U_i, U_j] =
+    U_(i+j): it lies in U_(i+j), and for b - a >= i + j it holds
+    [x_a,a+i(s), x_a+i,b(1)] = x_ab(s).  So by induction U^(k) = U_(2^k)
+    = gamma_(2^k)(U), trivial once 2^k >= n."""
+    orders, m = [], 1
+    while not orders or orders[-1] > 1:
+        orders.append(p ** sum(n - d for d in range(m, n)))
+        m *= 2
+    return tuple(orders)
 
 
 def _check_order(handle):

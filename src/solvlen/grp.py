@@ -571,14 +571,14 @@ def _cyclic_section(gens, upper, lower):
     upper> is the preimage of A^p, characteristic in A and so normal.  Its
     order is |upper| / |A : A^p| <= |upper|/p, since |A : A^p| is p to the
     number of cyclic factors of A's Sylow p-subgroup: equality for every
-    p means A is cyclic.
+    p means A is cyclic.  The closure grows from lower's chain, normal in
+    <gens>, so only the p-th powers are seeded.
     """
     for p, _ in factorize(upper.order() // lower.order()):
         target = upper.order() // p
-        seed = [*lower.strong_generators(), *permmod.powers(
-            np.array(upper.strong_generators()), p)]
-        if permmod.normal_closure_perm(
-                gens, seed, upper_bound=target).order() != target:
+        seed = permmod.powers(np.array(upper.strong_generators()), p)
+        if permmod.normal_closure_perm(gens, seed, upper_bound=target,
+                                       normal=lower).order() != target:
             return False
     return True
 
@@ -592,15 +592,17 @@ def _fixed_point_free(gens, upper, mid, low):
     mid, and x -> x^g x^-1 is an endomorphism of M whose kernel is the
     fixed points.  Its image [M, g] = [M, upper] is normal in the group,
     with preimage <low, x^g x^-1 : x a strong generator of mid> of order
-    at most |mid|; the action is fixed-point-free iff it is |mid|.
+    at most |mid|; the action is fixed-point-free iff it is |mid|.  The
+    closure grows from low's chain, normal in <gens>, so only the
+    x^g x^-1 are seeded.
     """
     strong = np.array(upper.strong_generators())
     g = strong[mid.strip(strong)[0]]
     x, xi = np.array(mid.levels[0].gens), np.array(mid.levels[0].invs)
-    seed = [*low.strong_generators(), *np.take_along_axis(  # g^-1 x g x^-1
-        xi, g[x[:, np.argsort(g)]], axis=1)]
+    seed = np.take_along_axis(xi, g[x[:, np.argsort(g)]], axis=1)  # [x, g]
     return permmod.normal_closure_perm(
-        gens, seed, upper_bound=mid.order()).order() == mid.order()
+        gens, seed, upper_bound=mid.order(), normal=low).order() == \
+        mid.order()
 
 
 def _section_finding(name, applicable, fails, skips, what, if_none):
@@ -624,6 +626,10 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     its true order, and a partial chain's orbit product never exceeds the
     true order, so the closure stops early exactly when the answer is yes
     and is verified in full when it is no: every verdict is certified.
+    Each closure grows from a copy of the chain of the term below its
+    section, normal in G, so that term's strong generators and checked
+    Schreier generators are not sifted again; the term's own chain is
+    left as it was.
     Nothing is enumerated; ENUMERABLE_LIMIT in front of these two checks
     only bounds their time, and past it they report "skipped" and the
     handle's generators are not read (a split handle has none).

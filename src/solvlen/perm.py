@@ -14,9 +14,12 @@ it).  Orbits grow breadth-first, one point at a time, the first fresh
 image in (point, generator) order winning.
 
 ``BSGS.strip`` strips a 2-D stack of permutations with one gather per
-level and names its first row that does not strip.  Inserting that row's
-residual and stripping the rows after it again sifts a list exactly as a
-one-at-a-time loop does; a level's Schreier generators are checked so.
+level and names its first row that does not strip, handing back the rows
+after it as segments, each stripped through the levels before its own.
+An insertion keeps every base point, tree edge and table row and only
+adds orbit points, so inserting that row's residual and resuming each
+segment at its level sifts a list exactly as a one-at-a-time loop does.
+A level's Schreier generators are checked by the same strip.
 
 Level 0 owns every strong generator once, in insertion order; each deeper
 level's ``gens`` (and ``invs``) is the sub-list of those inserted at that
@@ -120,6 +123,19 @@ class _Level:
     def orbit_size(self):
         return len(self.order_list)
 
+    def copy(self):
+        """A level that grows apart from this one.  It shares the table,
+        which tabulate replaces and never writes in place, and copies
+        everything that grows in place."""
+        lv = _Level.__new__(_Level)
+        lv.base, lv.table = self.base, self.table
+        lv.gens, lv.invs = list(self.gens), list(self.invs)
+        lv.parent, lv.label = (memoryview(np.array(m))
+                               for m in (self.parent, self.label))
+        lv.order_list, lv.row = list(self.order_list), self.row.copy()
+        lv.paired = self.paired.copy()
+        return lv
+
     def grow(self, layer, gens, first_label):
         """Add the fresh images of `layer` under `gens` to the orbit, the
         first in (point, generator) order winning, its edge labelled
@@ -172,26 +188,37 @@ class BSGS:
 
     def strip(self, h, start=0):
         """Strip the rows of the 2-D stack h through the levels from
-        `start` on, one gather per level.  Returns (k, residual, level) for
-        the first row k that does not strip to the identity: its residual
-        after the levels it passed, and the level where its base image
-        left the orbit, or len(levels) if it fixes every base point.  When
-        every row strips: (len(h), the identity, len(levels))."""
-        k, out = len(h), None
+        `start` on, one gather per level.  Returns (k, residual, level,
+        rest) for the first row k that does not strip to the identity: its
+        residual after the levels it passed, the level where its base
+        image left the orbit, or len(levels) if it fixes every base point,
+        and the rows after k as (stack, level) segments in row order, each
+        row stripped through the levels before its segment's level: the
+        rows from the first that leaves a level on go no deeper, and one
+        that left before a row above it left deeper heads its own
+        segment.  When every row strips: (len(h), the identity,
+        len(levels), [])."""
+        k, cut = len(h), []  # (rows from the one that left, its level)
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
             r = lv.row[h[:, lv.base]]
             off = r < 0
             if off.any():  # rows after the first that leaves come too late
                 k = int(off.argmax())
-                out, h, r = (h[k].astype(np.int32), i), h[:k], r[:k]
+                cut.append((h[k:], i))
+                h, r = h[:k], r[:k]
             h = _gather(lv.table, r, h)
         moved = (h != np.arange(self.degree)).any(axis=1)
         if moved.any():
             k = int(moved.argmax())
-            out = (h[k].astype(np.int32), len(self.levels))
-        return (k, *out) if out else \
-            (k, np.arange(self.degree, dtype=np.int32), len(self.levels))
+            cut.append((h[k:], len(self.levels)))
+        if not cut:
+            return (k, np.arange(self.degree, dtype=np.int32),
+                    len(self.levels), [])
+        rows, level = cut.pop()
+        rest = [(rows[1:], level), *reversed(cut)]
+        return (k, rows[0].astype(np.int32), level,
+                [seg for seg in rest if len(seg[0])])
 
     def contains(self, h):
         """Whether every row of the 2-D stack h strips to the identity; a
@@ -274,7 +301,7 @@ class BSGS:
                 0, image.size, n)[:, None]
             h = np.empty_like(image)
             h.ravel()[flat.ravel()] = image.ravel()
-            j, res, lev = self.strip(h, level + 1)
+            j, res, lev, _ = self.strip(h, level + 1)
             if j < len(h):
                 j += i
                 paired[todo[:owner[j]]] = k
@@ -293,14 +320,18 @@ def _gather(table, rows, h):
 def _sift_insert(b: BSGS, h):
     """Sift the rows of the stack h in order, inserting each nontrivial
     residual at the level where its sift stopped (a new level when it fixes
-    every base point); the rows after an insertion are stripped again on
-    the grown chain, as a one-at-a-time loop would meet them."""
-    while len(h):
-        k, res, lev = b.strip(h)
-        if k == len(h):
-            return
-        b._insert_generator(res, lev)
-        h = h[k + 1:]
+    every base point).  An insertion keeps every base point, tree edge and
+    table row and only adds orbit points, so a row stripped through the
+    levels before i has the same residual on the grown chain: the rows
+    after an insertion resume at the levels strip left them at, and meet
+    the chain as a one-at-a-time loop would."""
+    todo = [(h, 0)]  # (rows, level) segments, the next one last
+    while todo:
+        rows, level = todo.pop()
+        k, res, lev, rest = b.strip(rows, level)
+        if k < len(rows):
+            b._insert_generator(res, lev)
+            todo += reversed(rest)
 
 
 def _complete(b: BSGS, upper_bound=None):
@@ -324,8 +355,9 @@ def schreier_sims(gens, upper_bound=None):
     return b
 
 
-def normal_closure_perm(group_gens, seed, upper_bound=None):
-    """BSGS of the smallest normal subgroup of <group_gens> containing seed.
+def normal_closure_perm(group_gens, seed, upper_bound=None, normal=None):
+    """BSGS of the smallest normal subgroup of <group_gens> containing seed
+    and, if given, the group of the chain ``normal``.
 
     Every seed, and each conjugate of a new strong generator by a group
     generator, is sifted once; an empty or identity seed gives the chain
@@ -335,13 +367,24 @@ def normal_closure_perm(group_gens, seed, upper_bound=None):
     generators generate a normal subgroup, and completing its chain
     (_complete) ends the closure, or reaching a proven ``upper_bound``
     on its order: the partial chain sits inside the closure.
+
+    ``normal`` is the chain of a subgroup N normal in <group_gens>, and
+    the closure grows a copy of it (_Level.copy) instead of sifting N's
+    strong generators into an empty chain.  Their conjugates lie in N, so only the seed's
+    and the new generators' are sifted.  A pair marked in a level's
+    ``paired`` had its Schreier generator strip through the deeper
+    levels, and it still does as they grow, since an insertion keeps
+    every base point, tree edge and table row: _complete sifts only the
+    new generators' pairs.
     """
     degree = len(next((s[0] for s in (group_gens, seed) if len(s)), ()))
     group = as_perm_stack(group_gens, degree)
     pending = as_perm_stack(seed, degree)
     ginvs, which = np.argsort(group, axis=1), np.arange(len(group))[:, None]
     b = BSGS(degree)
-    conjugated = 0  # level 0's generators only grow by appending
+    if normal is not None:
+        b.levels = [lv.copy() for lv in normal.levels]
+    conjugated = len(b.strong_generators())  # level 0's only grow by appending
     while len(pending) and b.order() != upper_bound:
         _sift_insert(b, pending)
         fresh = b.strong_generators()[conjugated:]

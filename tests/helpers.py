@@ -227,6 +227,41 @@ IMAGE_SPECS = [("gl(2,3)", lambda: atlas.gl(2, 3)),
                 lambda: atlas.extraspecial(2, 2, "-"))]
 
 
+def chain_corpus():
+    """(label, handle) for the permutation corpus and the image specs."""
+    return [(label, h) for label, h, _ in corpus_perm_groups()] + \
+        [(label, build()) for label, build in IMAGE_SPECS]
+
+
+def random_gl33(seed, count):
+    """The subgroup of GL(3,3) generated by `count` invertible matrices,
+    drawn with a fixed seed."""
+    rng, gens = np.random.default_rng(seed), []
+    while len(gens) < count:
+        a = FpMatrix.from_rows(rng.integers(0, 3, (3, 3)).tolist(), 3)
+        if round(np.linalg.det(np.array(a.entries))) % 3:
+            gens.append(a)
+    return atlas.matrix_handle(gens, f"rand({seed},{count})")
+
+
+# subgroups K of GL(3,3), the K of P |x K in the split-series oracles
+SPLIT_ORACLE = {
+    # permutation matrices of S3 move only the augmentation subspace of V
+    "s3perm": lambda: atlas.matrix_handle(
+        [FpMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3),
+         FpMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 3)], "s3perm"),
+    "ut(3,3)": lambda: atlas.upper_triangular(3, 3),
+    "sl(3,3)": lambda: atlas.sl(3, 3),  # not solvable: P |x K is perfect
+    "diag(2,1,1)": lambda: atlas.matrix_handle(
+        [FpMatrix.diagonal([2, 1, 1], 3)], "diag(2,1,1)"),
+    # most seeded pairs generate SL(3,3) or GL(3,3); these seeds give
+    # proper subgroups of orders 6, 54 and 24, of derived length 1, 2, 3
+    "rand(2,1)": lambda: random_gl33(2, 1),
+    "rand(48,2)": lambda: random_gl33(48, 2),
+    "rand(57,2)": lambda: random_gl33(57, 2),
+}
+
+
 def chain_fingerprint(b):
     """sha256 over base, BFS order, Schreier vectors and strong generators
     of every level of a chain."""
@@ -306,7 +341,19 @@ def is_identity(a):
 def sift(b, g):
     """Strip g through the chain b: (residual, level) as in strip (the
     former BSGS.sift)."""
-    return b.strip(g[None])[1:]
+    return b.strip(g[None])[1:3]
+
+
+def sift_insert_oracle(b, h):
+    """The former perm._sift_insert, its body unchanged but for reading
+    three of strip's values: the rows after an insertion are stripped
+    again from level 0 on the grown chain."""
+    while len(h):
+        k, res, lev = b.strip(h)[:3]
+        if k == len(h):
+            return
+        b._insert_generator(res, lev)
+        h = h[k + 1:]
 
 
 def cycle_walk_order(g):

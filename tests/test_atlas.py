@@ -11,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (IMAGE_SPECS, algebra_dimension, bform, conj, contains,
-                     cycle_walk_order, ext2_inv, law, lift_cols, mat_apply,
-                     mat_mul, mul, odd_mul, odd_pair, pair_map,
-                     wedge_automorphism)
+from helpers import (IMAGE_SPECS, SPLIT_ORACLE, algebra_dimension, bform,
+                     conj, contains, cycle_walk_order, ext2_inv, law,
+                     lift_cols, mat_apply, mat_mul, mul, odd_mul, odd_pair,
+                     pair_map, wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -495,34 +495,6 @@ def test_semidirect_series_orders():
     p6 = 7 ** 6
     assert hints == (648 * p6, 216 * p6, 54 * p6, 27 * p6, 3 * p6, p6,
                      7 ** 3, 1)
-
-
-def random_gl33(seed, count):
-    """The subgroup of GL(3,3) generated by `count` invertible matrices,
-    drawn with a fixed seed."""
-    rng, gens = np.random.default_rng(seed), []
-    while len(gens) < count:
-        a = FpMatrix.from_rows(rng.integers(0, 3, (3, 3)).tolist(), 3)
-        if round(np.linalg.det(np.array(a.entries))) % 3:
-            gens.append(a)
-    return atlas.matrix_handle(gens, f"rand({seed},{count})")
-
-
-SPLIT_ORACLE = {
-    # permutation matrices of S3 move only the augmentation subspace of V
-    "s3perm": lambda: atlas.matrix_handle(
-        [FpMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3),
-         FpMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 3)], "s3perm"),
-    "ut(3,3)": lambda: upper_triangular(3, 3),
-    "sl(3,3)": lambda: sl(3, 3),  # not solvable: P |x K is perfect
-    "diag(2,1,1)": lambda: atlas.matrix_handle(
-        [FpMatrix.diagonal([2, 1, 1], 3)], "diag(2,1,1)"),
-    # most seeded pairs generate SL(3,3) or GL(3,3); these seeds give
-    # proper subgroups of orders 6, 54 and 24, of derived length 1, 2, 3
-    "rand(2,1)": lambda: random_gl33(2, 1),
-    "rand(48,2)": lambda: random_gl33(48, 2),
-    "rand(57,2)": lambda: random_gl33(57, 2),
-}
 
 
 @pytest.mark.parametrize("label", sorted(SPLIT_ORACLE))

@@ -2,8 +2,9 @@
 
 import pytest
 
-from helpers import (as_handle, conj, contains, corpus_perm_groups, inv,
-                     is_cyclic, mul, perm_order_of)
+from helpers import (EVAL_MIX, SPLIT_ORACLE, as_handle, chain_corpus, conj,
+                     contains, corpus_perm_groups, inv, is_cyclic, mul,
+                     perm_order_of)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -173,3 +174,47 @@ def test_fixed_point_free_sees_fixed_points():
     trivial = perm.normal_closure_perm(gens, [])
     assert not grp._fixed_point_free(gens, top._bsgs, mid._bsgs, trivial)
     assert not fixed_point_free_by_enumeration(h, top, mid, low)
+
+
+def chain_state(b):
+    """Every array and list a chain holds, its tables included."""
+    return [(lv.base, bytes(lv.parent), bytes(lv.label), lv.row.tobytes(),
+             lv.table.tobytes(), lv.paired.tobytes(), list(lv.order_list),
+             [g.tobytes() for g in (*lv.gens, *lv.invs)])
+            for lv in b.levels]
+
+
+LEMMA_CORPUS = {
+    **{spec: (lambda s=spec: evaluate(parse_spec(s))) for spec in EVAL_MIX},
+    **SPLIT_ORACLE,
+    **{label: (lambda h=h: h) for label, h in chain_corpus()},
+}
+
+
+@pytest.mark.parametrize("label", sorted(LEMMA_CORPUS))
+def test_grown_closures_give_the_scratch_findings(label, monkeypatch):
+    # each closure grows from a copy of the chain of the term below; the
+    # findings are those of closures that sift that term's strong
+    # generators into an empty chain, and the term's chain, shared
+    # tables included, is left as it was
+    handle = LEMMA_CORPUS[label]()
+    rep = derived_series(handle)
+    chains = [sub._bsgs for sub in rep.subgroups] \
+        if rep.orders[0] <= grp.ENUMERABLE_LIMIT else []
+    before = [chain_state(b) for b in chains]
+    closure, grown = perm.normal_closure_perm, []
+
+    def recording(group_gens, seed, upper_bound=None, normal=None):
+        grown.append(normal is not None)
+        return closure(group_gens, seed, upper_bound, normal)
+
+    def scratch(group_gens, seed, upper_bound=None, normal=None):
+        if normal is not None:  # the former seeds: the term's generators
+            seed = [*normal.strong_generators(), *seed]
+        return closure(group_gens, seed, upper_bound)
+    monkeypatch.setattr(perm, "normal_closure_perm", recording)
+    findings = as_rows(check_lemmas(handle, rep))
+    assert [chain_state(b) for b in chains] == before
+    assert all(grown)
+    monkeypatch.setattr(perm, "normal_closure_perm", scratch)
+    assert as_rows(check_lemmas(handle, rep)) == findings

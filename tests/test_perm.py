@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (EVAL_MIX, IMAGE_SPECS, chain_fingerprint,
+from helpers import (EVAL_MIX, chain_corpus, chain_fingerprint,
                      corpus_perm_groups, cycle_walk_order, is_identity, law,
-                     perm_inv, perm_mul, perm_order_of, perm_power, sift)
+                     perm_inv, perm_mul, perm_order_of, perm_power, sift,
+                     sift_insert_oracle)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -414,11 +415,6 @@ def set_keyed_normal_closure(group_gens, seed, upper_bound=None):
     return b
 
 
-def chain_corpus():
-    return [(label, h) for label, h, _ in corpus_perm_groups()] + \
-        [(label, build()) for label, build in IMAGE_SPECS]
-
-
 def commutator(a, b):
     return perm_mul(perm_mul(perm_inv(a), perm_inv(b)), perm_mul(a, b))
 
@@ -642,6 +638,103 @@ def test_stack_membership_matches_the_oracle_sift(data):
         b.contains([[*range(b.degree + 1)]])
 
 
+def chain_levels(b):
+    """Per level: the base point, the BFS order and the bytes of the
+    strong generators."""
+    return [(lv.base, list(lv.order_list), [g.tobytes() for g in lv.gens])
+            for lv in b.levels]
+
+
+def sift_both(stack, start=None):
+    """The chains that the resumed sift and the oracle build from `stack`,
+    each on its own copy of the chain `start` (an empty chain if None)."""
+    out = []
+    for sift_insert in (perm._sift_insert, sift_insert_oracle):
+        b = perm.BSGS(stack.shape[1])
+        if start is not None:
+            b.levels = [lv.copy() for lv in start.levels]
+        sift_insert(b, stack)
+        out.append(chain_levels(b))
+    return out
+
+
+def test_resumed_sift_matches_the_oracle_on_the_corpus():
+    # each corpus group's generators and words in them, sifted into an
+    # empty chain and into a copy of each derived term's chain
+    rng = np.random.default_rng(43)
+    for label, h in chain_corpus():
+        group = h.perm_generators()
+        words = np.array([random_word(rng, group, 5) for _ in range(16)])
+        new, old = sift_both(np.concatenate([group, words]))
+        assert new == old, label
+        for sub in derived_series(h).subgroups:
+            new, old = sift_both(words, sub._bsgs)
+            assert new == old, label
+
+
+def test_strip_hands_back_each_row_at_its_own_level():
+    # <(0 1 2), (3 4 5)> on 7 points has base [0, 3]: (3 6) leaves level
+    # 1, (0 6) leaves level 0 before it, and (1 2) fails only the final
+    # identity check
+    b = schreier_sims([[1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 4, 5, 3, 6]])
+    assert [lv.base for lv in b.levels] == [0, 3]
+    ident = list(range(7))
+    stack = np.array([[0, 1, 2, 6, 4, 5, 3], [6, 1, 2, 3, 4, 5, 0],
+                      [0, 2, 1, 3, 4, 5, 6], [1, 2, 0, 3, 4, 5, 6]],
+                     np.int32)
+    k, res, level, rest = b.strip(stack)
+    assert (k, res.tolist(), level) == (0, stack[0].tolist(), 1)
+    assert [(rows.tolist(), lev) for rows, lev in rest] == [
+        (stack[1:].tolist(), 0)]
+    k, res, level, rest = b.strip(stack[2:])
+    assert (k, res.tolist(), level) == (0, stack[2].tolist(), 2)
+    assert [(rows.tolist(), lev) for rows, lev in rest] == [
+        ([ident], 2)]  # (0 1 2) stripped through both levels
+    k, res, level, rest = b.strip(stack[3:])
+    assert (k, res.tolist(), level, rest) == (1, ident, 2, [])
+
+
+def strip_through(b, g, stop):
+    """g stripped by the path walk through the levels before `stop`."""
+    h = as_perm(g)
+    for lv in b.levels[:stop]:
+        x = h.item(lv.base)
+        while x != lv.base:
+            h = perm_mul(h, lv.invs[lv.label[x]])
+            x = lv.parent[x]
+    return h
+
+
+def fixing_base(rows, base):
+    """Each row made to fix the base points: it moves the other points as
+    it orders them."""
+    rest = np.setdiff1d(np.arange(rows.shape[1]), base)
+    out = np.tile(np.arange(rows.shape[1], dtype=np.int32), (len(rows), 1))
+    out[:, rest] = rest[np.argsort(rows[:, rest], axis=1)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda n: st.tuples(stacks(n, 1), stacks(n), stacks(n))))
+def test_resumed_sift_matches_the_oracle_on_stacks(data):
+    # rows that fix every base point of the start chain pass each level
+    # and fail, unless members, at the final identity check
+    gens, others, moved = data
+    start = schreier_sims(gens[:2])
+    fixing = fixing_base(moved, [lv.base for lv in start.levels])
+    stack = np.concatenate([fixing, others, gens, fixing[::-1]])
+    k, res, level, rest = start.strip(stack)
+    assert sum(len(rows) for rows, _ in rest) == max(len(stack) - k - 1, 0)
+    after = iter(stack[k + 1:])
+    for rows, lev in rest:
+        for row in rows:
+            assert np.array_equal(row, strip_through(start, next(after), lev))
+    for first in (None, start):
+        new, old = sift_both(stack, first)
+        assert new == old
+
+
 @pytest.mark.parametrize("spec", [s for s in EVAL_MIX if s.startswith("wr(")])
 def test_chain_series_seeds_no_identity_commutator(monkeypatch, spec):
     # a commuting pair of a term's generators gives the identity, which
@@ -706,7 +799,10 @@ BOUNDED_SPECS = {
     "direct(sym(3),sym(4))": 4, "direct(cyclic(2),sym(5))": 3,
     "direct(sym(1),metacyclic(2,3))": 3,
     "direct(sym(4),wr(sym(2),sym(2)))": 2,
-    "regular(gl(2,3))": 5, "regular(sym(3))": 3, "regular(ut(2,3))": 1,
+    "regular(gl(2,3))": 5, "regular(sym(3))": 3, "regular(ut(2,3))": 3,
+    **{f"ut({n},{p})": 4 for n, p in ((1, 2), (1, 3), (2, 2), (2, 3),
+                                      (2, 5), (3, 2), (3, 3), (3, 5),
+                                      (4, 2), (4, 3), (5, 2))},
     **{f"natsd({m},{n})": 1 for m, n in (
         ("s3mat(5)", 2), ("s3mat(3)", 2), ("gl(2,3)", 2), ("sl(2,3)", 2),
         ("gl(2,2)", 2), ("gl(1,5)", 1), ("ut(2,3)", 2))},
