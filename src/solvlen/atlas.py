@@ -172,7 +172,7 @@ class ExtraspecialOddModel:
         self.p = p
         self.n = n
         self.half = (p + 1) // 2
-        self.identity = (0,) * (2 * n + 1)
+        self.identity, self.centre = (0,) * (2 * n + 1), 1
 
     def generators(self):
         return _unit_vectors(2 * self.n, 2 * self.n + 1)
@@ -221,7 +221,7 @@ class Extraspecial2Model:
                 c[n][n] = 1
             cocycle = tuple(tuple(row) for row in c)
         self.cocycle = cocycle
-        self.identity = (0,) * (dim + 1)
+        self.identity, self.centre = (0,) * (dim + 1), 1
 
     def generators(self):
         return _unit_vectors(2 * self.n, 2 * self.n + 1)
@@ -252,7 +252,7 @@ class ExtSqModel:
         if p == 2:
             raise BadParameter("exterior-square model needs p odd")
         self.p = p
-        self.identity = (0,) * 6
+        self.identity, self.centre = (0,) * 6, 3
 
     def generators(self):
         return _unit_vectors(6, 6)
@@ -276,13 +276,17 @@ class ExtSqModel:
 
 def model_handle(model, name=""):
     """Its unit-vector generators give every v-part, and their commutators
-    the centre, so |P| = p^(coordinates): 2^(1+2n), p^(1+2n) or p^6, the
-    proven bound recorded."""
+    the centre, so |P| = p^(coordinates): 2^(1+2n), p^(1+2n) or p^6.  The
+    product adds v-parts and twists only the last centre coordinates, by
+    the v-parts (0 if one is 0), so P' is in P -> (v-part)'s kernel, those
+    coordinates, central and abelian: the bounds (|P|, p^centre, 1), exact
+    as an extraspecial P' = Z(P) has order p, extsq's Lambda^2 V p^3."""
     action = BasisOrbitAction(model.identity, model.generators(),
                               model.matrix, model.coordinates)
     return GroupHandle(model.identity, model.generators(), name=name,
                        kind="model", action=action,
-                       order_bounds=(action.p ** len(model.identity),))
+                       order_bounds=(action.p ** len(model.identity),
+                                     action.p ** model.centre, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +698,9 @@ def qutrit_generator_candidates(p):
 
 
 def _scalar_orders(mats, p, cap):
-    """|K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <= GL_n(p), from one
-    enumeration, capped at cap, of its image Kbar in PGL_n(p), one for all
-    c.
+    """(orders, series): |K_c| for c = 1..p-1, K_c = <A_1, .., c A_k> <=
+    GL_n(p), and K_c's derived series series(c), from one enumeration,
+    capped at cap, of its image Kbar in PGL_n(p), one for all c.
 
     Kbar acts on the projective points (leading entry 1) in the orbits of
     the <e_i>.  Let R_x be the product of the A_g on the path to x in the
@@ -710,6 +714,17 @@ def _scalar_orders(mats, p, cap):
     so, with A_k read as c A_k, their images s(x, g) c^e(x, g), e = m(x) +
     [g = k] - m(xg), generate K_c n Z, the kernel of K_c -> Kbar.  In logs
     to _primitive_root(p), |K_c| = |Kbar| (p-1) / gcd(p-1, log s + e log c).
+
+    series(c) = (|K_c^(i)|, a stack of generators of each K_c^(i)), with no
+    enumeration of K_c: from derived_orders on Kbar's columns (|Kbar^(i)|,
+    generator indices T_i) and the lifts L_x = c^m(x) R_x.  Let e be Kbar's
+    derived length (else GroupError) and Z = K_c n Z, of order |K_c|/|Kbar|.
+    Kbar^(i)'s preimage is K_c^(i) Z, and as Kbar^(e-1) is abelian, its
+    preimage Q has K_c^(e) = Q' <= Z, central: [x, y] is bilinear on Q, 1 on
+    Z, so K_c^(e) = <[L_a, L_b] = l I : a, b in T_(e-1)>, L_a L_b = l L_b L_a.
+    If the l generate Z (else GroupError), Z = K_c^(e), K_c^(e+1) = 1, and
+    for i < e, H = <L_t : t in T_i> has HZ = K_c^(i), of order |Z||Kbar^(i)|,
+    so H >= H' = (HZ)' = K_c^(i+1) >= Z: H = K_c^(i).
     """
     gens, n, k = np.array([a.entries for a in mats]), mats[0].n, len(mats)
     inv = np.array([pow(a, p - 2, p) for a in range(p)])
@@ -740,13 +755,49 @@ def _scalar_orders(mats, p, cap):
     root = _primitive_root(p)
     log = np.argsort([pow(root, t, p) for t in range(p - 1)])  # of 1..p-1
     logs = (log[s[:, 0] - 1] + e * log[:, None]) % (p - 1)
-    return len(parent) * (p - 1) // np.gcd.reduce(logs, 1, initial=p - 1)
+    orders = (len(parent) * (p - 1) // np.gcd.reduce(
+        logs, 1, initial=p - 1)).tolist()
+
+    def series(c):
+        kbar, t = derived_orders(cols)
+        if kbar[-1] > 1:
+            raise GroupError(f"Kbar mod {p} is not solvable")
+        lift = r * np.array([pow(c, j, p) for j in range(m.max() + 1)])[
+            m, None, None] % p  # L_x
+        a = lift[t[-2] if len(t) > 1 else []]  # Kbar^(e-1)'s, if e > 0
+        ab = (a[:, None] @ a % p)[..., 0, :]  # L_a L_b's first rows
+        l = (lead(ab) * inv[lead(ab.swapaxes(0, 1))] % p).ravel()
+        z = orders[c - 1] // len(parent)
+        if (p - 1) // np.gcd.reduce(log[l - 1], initial=p - 1) != z:
+            raise GroupError(f"commutators do not give K n Z mod {p}")
+        zs, tail = l[:, None, None] * np.eye(n, dtype=np.int64), z > 1
+        return ([z * o for o in kbar] + [1] * tail,  # K_c^(e+1) if Z > 1
+                [lift[g] for g in t[:-1]] + [zs] + [zs[:0]] * tail)
+    return orders, series
+
+
+def _qutrit(p):
+    """([X, Z, S, cM], series): c the first scalar in 1..p-1 that gives
+    order 648 (_scalar_orders), and a call for K's series, its series(c)."""
+    check_prime(p)
+    if p % 3 != 1:
+        raise BadCongruence(f"qutrit_normalizer needs p = 1 mod 3, got {p}")
+    if p > 31:
+        raise BadParameter("qutrit_normalizer limited to p <= 31")
+    x, z, s, m = qutrit_generator_candidates(p)
+    try:
+        orders, series = _scalar_orders([x, z, s, m], p, 648)
+    except CapExceeded:  # |K_c| >= |Kbar| > 648 for every c
+        orders = ["> 648"] * (p - 1)
+    if 648 not in orders:
+        raise ScalarSearchFailed("no scalar correction gives order 648 mod "
+                                 f"{p}: {list(enumerate(orders, 1))}")
+    c = orders.index(648) + 1
+    return [x, z, s, m.scale(c)], lambda: series(c)
 
 
 def qutrit_normalizer(p):
-    """K = <X, Z, S, cM> <= GL_3(p) of order 648, c the first scalar in
-    1..p-1 that gives that order, chosen by _scalar_orders; 648 is K's
-    order bound.
+    """K = <X, Z, S, cM> <= GL_3(p) (_qutrit), its order bound 648.
 
     K acts absolutely irreducibly on F_p^3, with no check needed, because
     <X, Z> already does.  Z = diag(1, w, w^2) has three distinct
@@ -756,21 +807,7 @@ def qutrit_normalizer(p):
     argument holds over every extension field, and for every p accepted
     here.
     """
-    check_prime(p)
-    if p % 3 != 1:
-        raise BadCongruence(f"qutrit_normalizer needs p = 1 mod 3, got {p}")
-    if p > 31:
-        raise BadParameter("qutrit_normalizer limited to p <= 31")
-    x, z, s, m = qutrit_generator_candidates(p)
-    try:
-        orders = _scalar_orders([x, z, s, m], p, 648).tolist()
-    except CapExceeded:  # |K_c| >= |Kbar| > 648 for every c
-        orders = ["> 648"] * (p - 1)
-    if 648 not in orders:
-        raise ScalarSearchFailed("no scalar correction gives order 648 mod "
-                                 f"{p}: {list(enumerate(orders, 1))}")
-    c = orders.index(648) + 1
-    return matrix_handle([x, z, s, m.scale(c)], f"qutrit({p})", (648,))
+    return matrix_handle(_qutrit(p)[0], f"qutrit({p})", (648,))
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +822,10 @@ def binary_octahedral():
     verifies that count, and proves the order 48 its handle records.
     A candidate subgroup is walked on SL_2(7)'s right-translation columns,
     as an index set of its one enumeration, from the identity.
+    Its bounds (48, 24, 8, 2, 1) are exact: -I is SL_2(7)'s one involution,
+    so G/<-I> has order 24 in PSL_2(7), an S_4, its only such subgroups
+    (Dickson; Huppert, Endliche Gruppen I, II.8.27).  G^(i) maps onto S_4,
+    A_4, V_4, 1 with kernel in <-I>: the search's chain is G'' < G' < G.
     """
     ambient = sl(2, 7)
     rows, column = ambient.rows(), _translations(ambient.columns())[2]
@@ -810,7 +851,8 @@ def binary_octahedral():
     bo = sl23 and extend(sl23, 8, 48)
     if bo is None:
         raise SearchFailed("no chain Q8 < SL_2(3) < 2.S4 found in SL_2(7)")
-    return matrix_handle(ambient.from_perms(rows[bo]), "bo()", (48,))
+    return matrix_handle(ambient.from_perms(rows[bo]), "bo()",
+                         (48, 24, 8, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +864,7 @@ def exterior_square_group(p):
     return model_handle(ExtSqModel(p), f"extsq({p})")
 
 
-def semidirect_series_orders(k_handle, p):
+def semidirect_series_orders(k_orders, k_stacks, p):
     """Certified orders of the derived series of G = P |x K, for P the
     exterior-square group over F_p and K <= GL(3, p) acting by
     D_k = diag(k, wedge^2(k)), (v, w) -> (vk, w wedge^2(k)), an automorphism
@@ -842,14 +884,12 @@ def semidirect_series_orders(k_handle, p):
     And I = S + [S, L] is a K^(i-1)-invariant ideal; modulo I, M_(i-1) is
     abelian and centralized by K^(i-1), so G^(i) <= I K^(i), M_i <= I.
     So M_i = S + [S, L], the span of S's generating rows r and the
-    [r, e_j], and |G^(i)| = |K^(i)| p^dim M_i, with |K^(i)| and
-    generators of K^(i) (any set gives the same S) from K's enumeration
-    (its last term past its end: K need not be solvable), read as one
-    stack of matrices, and wedge^2(k)'s rows the cross products of k's.
+    [r, e_j], and |G^(i)| = |K^(i)| p^dim M_i, for K's derived orders
+    k_orders and one (m, 3, 3) stack of generators of each K^(i), k_stacks
+    (any set gives the same S; past the last term, the last: K need not
+    be solvable), and wedge^2(k)'s rows the cross products of k's.
     """
-    k_orders, k_gens = derived_orders(k_handle.columns())
-    last, rows = len(k_orders) - 1, k_handle.rows()
-    one = np.eye(6, dtype=np.int64)
+    last, one = len(k_orders) - 1, np.eye(6, dtype=np.int64)
 
     def cross(v, w):  # wedge_vec on the last axes, unreduced, broadcast
         i, j = [1, 2, 0], [2, 0, 1]
@@ -862,8 +902,7 @@ def semidirect_series_orders(k_handle, p):
     basis, orders = one, [k_orders[0] * p ** 6]
     while len(orders) < 2 or orders[-1] != orders[-2]:
         i = len(orders)
-        a = k_handle.action.matrices(
-            rows[np.array(k_gens[min(i - 1, last)], int)])
+        a = k_stacks[min(i - 1, last)]
         d = np.zeros((len(a), 6, 6), np.int64)
         d[:, :3, :3], d[:, 3:, 3:] = a, cross(a[:, [1, 2, 0]], a[:, [2, 0, 1]])
         gen = np.concatenate([bracket(basis[:, None, :3], basis[:, :3]),
@@ -879,11 +918,12 @@ def prop8_group(p):
     normalizer K acting by (v, w) -> (vA, w wedge^2(A)).
 
     The handle holds only what certifies it: the derived-series orders
-    of semidirect_series_orders, as split_orders.  It has no elements of
-    its own (no generators) and no permutation image, so asking it for a
+    of semidirect_series_orders, as split_orders, K's series from the
+    enumeration of Kbar that chose K's scalar (_qutrit).  It has no
+    elements (no generators) and no permutation image, so asking it for a
     chain or an enumeration raises CapExceeded (GroupHandle.perm_generators)
     and the builders that take a permutation or matrix handle refuse it.
     """
-    k = qutrit_normalizer(p)
     return GroupHandle((), [], name=f"prop8({p})", kind="split",
-                       split_orders=semidirect_series_orders(k, p))
+                       split_orders=semidirect_series_orders(
+                           *_qutrit(p)[1](), p))

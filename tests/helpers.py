@@ -262,6 +262,17 @@ SPLIT_ORACLE = {
 }
 
 
+def k_series_by_enumeration(k_handle):
+    """K's derived orders and one (m, 3, 3) stack of generators of each
+    term, from K's own enumeration: the oracle for the K series that
+    atlas.semidirect_series_orders takes (its former reading of K, the
+    body unchanged)."""
+    k_orders, k_gens = grp.derived_orders(k_handle.columns())
+    rows = k_handle.rows()
+    return k_orders, [k_handle.action.matrices(rows[np.array(g, int)])
+                      for g in k_gens]
+
+
 def chain_fingerprint(b):
     """sha256 over base, BFS order, Schreier vectors and strong generators
     of every level of a chain."""

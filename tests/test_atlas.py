@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import (IMAGE_SPECS, SPLIT_ORACLE, algebra_dimension, bform,
-                     conj, contains, cycle_walk_order, ext2_inv, law,
-                     lift_cols, mat_apply, mat_mul, mul, odd_mul, odd_pair,
-                     pair_map, wedge_automorphism)
+                     conj, contains, cycle_walk_order, ext2_inv,
+                     k_series_by_enumeration, law, lift_cols, mat_apply,
+                     mat_mul, mul, odd_mul, odd_pair, pair_map,
+                     wedge_automorphism)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
@@ -386,7 +387,7 @@ def test_scalar_orders_match_every_scalar(p, monkeypatch):
     # order, and whether its enumeration, under GRP_MAX_ELEMENTS=648,
     # reaches 648 elements
     x, z, s, m = atlas.qutrit_generator_candidates(p)
-    orders = atlas._scalar_orders([x, z, s, m], p, 648).tolist()
+    orders = atlas._scalar_orders([x, z, s, m], p, 648)[0]
     monkeypatch.setenv("GRP_MAX_ELEMENTS", "648")
     for c in range(1, p):
         k = atlas.matrix_handle([x, z, s, m.scale(c)])
@@ -455,14 +456,14 @@ def test_binary_octahedral_enumerates_only_sl27(monkeypatch):
 def test_searches_run_no_schreier_sims(monkeypatch):
     # bo()'s candidates are walked on SL_2(7)'s one enumeration, and
     # qutrit's scalar is chosen on one closure of Kbar; the winner keeps the
-    # order it proves as its bound, and builds no chain; a qutrit winner's
+    # orders it proves as its bounds, and builds no chain; a qutrit winner's
     # rows come from one closure of K, the first time they are read
     def refuse(*args):
         raise AssertionError("called")
 
     monkeypatch.setattr(permmod, "schreier_sims", refuse)
     bo = binary_octahedral()
-    assert len(bo.generators) == 4 and bo.order_bounds == (48,)
+    assert len(bo.generators) == 4 and bo.order_bounds == (48, 24, 8, 2, 1)
     winners = [qutrit_normalizer(p) for p in (7, 13)]
     calls, closure = [], grp._closure
 
@@ -489,12 +490,44 @@ def test_exterior_square_group():
 def test_semidirect_series_orders():
     # the structural route for the qutrit normalizer acting on the p^6
     # exterior-square group: the P-part stays full while K^(i) is
-    # nontrivial, then drops through Lambda^2 V to 1
-    k = qutrit_normalizer(7)
-    hints = semidirect_series_orders(k, 7)
+    # nontrivial, then drops through Lambda^2 V to 1; K's series is read
+    # off Kbar's enumeration, as prop8_group reads it
+    hints = semidirect_series_orders(*atlas._qutrit(7)[1](), 7)
     p6 = 7 ** 6
     assert hints == (648 * p6, 216 * p6, 54 * p6, 27 * p6, 3 * p6, p6,
                      7 ** 3, 1)
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31])
+def test_kbar_series_is_k_series(p):
+    # K's orders from Kbar's one enumeration are those of K's own, and
+    # each term's stack (the lifts of Kbar^(i)'s generators, or K^(e)'s
+    # scalars) generates exactly |K^(i)| elements of K, closed on K's
+    # action
+    orders, stacks = atlas._qutrit(p)[1]()
+    k = qutrit_normalizer(p)
+    assert orders == grp.derived_orders(k.columns())[0]
+    assert len(stacks) == len(orders)
+    for order, stack in zip(orders, stacks):
+        assert stack.shape[1:] == (3, 3)
+        images = [k.to_perm(FpMatrix.from_rows(a.tolist(), p))
+                  for a in stack]
+        assert len(k.closure(images)[0]) == order
+
+
+def test_kbar_series_refuses_missing_scalars():
+    # K_c = <X, 2c I> mod 7 is abelian, so K_c' = 1 holds none of the
+    # scalars K_c n Z = <2c I>: no commutator of lifts gives them, and the
+    # series is refused for every c but c = 4, where 2c = 1 and K_c = <X>
+    # has no scalars to give
+    x = atlas.qutrit_generator_candidates(7)[0]
+    w = FpMatrix.identity(3, 7).scale(atlas.smallest_cube_root(7))
+    orders, series = atlas._scalar_orders([x, w], 7, 648)
+    assert orders == [9, 9, 6, 3, 18, 18]
+    for c in (1, 2, 3, 5, 6):
+        with pytest.raises(GroupError, match="do not give K n Z mod 7"):
+            series(c)
+    assert series(4)[0] == [3, 1]
 
 
 @pytest.mark.parametrize("label", sorted(SPLIT_ORACLE))
@@ -509,7 +542,7 @@ def test_semidirect_series_orders_match_full_chains(label):
     index = {e: i for i, e in enumerate(elems)}
     assert whole.generators[-len(wedges):] == [
         tuple(index[mat_apply(d, x)] for x in elems) for d in wedges]
-    orders = semidirect_series_orders(k, 3)
+    orders = semidirect_series_orders(*k_series_by_enumeration(k), 3)
     assert orders == grp.derived_series(whole).orders
     if label == "sl(3,3)":
         assert orders == (4094064,)
@@ -545,11 +578,10 @@ def test_witness_builds_load_no_numpy_ma():
 
 
 def test_prop8_builds_no_chain_on_its_points(monkeypatch):
-    # the certified orders come from index-set closures on K's one
+    # the certified orders come from index-set closures on Kbar's one
     # enumeration and span steps on F_7^6; no chain is built at all, on
     # K, on P or on G
     from solvlen import perm
-    k_points = atlas.qutrit_normalizer(7).degree  # K's basis-orbit points
     degrees, closures = [], []
     init, closure = perm.BSGS.__init__, grp._closure
 
@@ -568,11 +600,9 @@ def test_prop8_builds_no_chain_on_its_points(monkeypatch):
     assert h.order() == rep.orders[0] == 76236552
     assert rep.engine == "split"
     assert degrees == []
-    # K's scalar comes from one closure of its image in PGL(3,7) on 12
-    # projective points, then K's rows and columns from one closure of K
-    # on its basis-orbit points, within the handle's memory cap
-    assert closures == [(12, 648),
-                        (k_points, perm.MEMORY_BUDGET // k_points)]
+    # K's scalar and K's series come from one closure of its image in
+    # PGL(3,7) on 12 projective points; K itself is never enumerated
+    assert closures == [(12, 648)]
     # the handle has no permutation image, so no chain can start on it
     with pytest.raises(CapExceeded, match="prop8"):
         h.perm_generators()

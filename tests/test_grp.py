@@ -67,9 +67,10 @@ def test_derived_series_is_cached_without_a_cycle():
 
 # conversions of elements to images by a full report: each generator of
 # each handle the spec builds, once (bo() builds SL(2,7), 2 generators,
-# to search its 4; prop8(7) converts only K = qutrit(7)'s), and no identity
+# to search its 4; prop8(7) builds no handle but its own, and reads K's
+# series off Kbar's projective points), and no identity
 CONVERSIONS = {"extsq(7)": 6, "bo()": 6, "gl(2,3)": 3, "qutrit(7)": 4,
-               "prop8(7)": 4}
+               "prop8(7)": 0}
 
 
 def test_generators_are_converted_once(monkeypatch):
@@ -531,9 +532,9 @@ def _matches_the_oracle(identity, gens):
 
 
 def test_closure_matches_the_oracle(monkeypatch):
-    # every image stack that one eval-mix round, prop8(7) (Kbar and K) and a
-    # d8() verdict (K and P) enumerate, ut(3,5)'s 8,000 rows, cyclic(1)
-    # and a group with no generators
+    # every image stack that one eval-mix round, prop8(7) (Kbar) and a
+    # d8() verdict (K and P) enumerate, ut(3,5)'s 8,000 rows, qutrit(7)'s
+    # 648 on 72 points, cyclic(1) and a group with no generators
     from solvlen import cli, lift
     seen, closure = {}, grp._closure
 
@@ -545,7 +546,8 @@ def test_closure_matches_the_oracle(monkeypatch):
     for spec in EVAL_MIX + ("prop8(7)",):
         cli.build_report(spec)
     cli.build_report("d8()", run_checks=False)
-    for h in (atlas.upper_triangular(3, 5), atlas.cyclic(1)):
+    for h in (atlas.upper_triangular(3, 5), atlas.qutrit_normalizer(7),
+              atlas.cyclic(1)):
         h.rows()
     monkeypatch.undo()
     shapes = {gens.shape for _, gens in seen.values()}

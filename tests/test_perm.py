@@ -806,6 +806,11 @@ BOUNDED_SPECS = {
     **{f"natsd({m},{n})": 1 for m, n in (
         ("s3mat(5)", 2), ("s3mat(3)", 2), ("gl(2,3)", 2), ("sl(2,3)", 2),
         ("gl(2,2)", 2), ("gl(1,5)", 1), ("ut(2,3)", 2))},
+    **{f"extraspecial({a})": 3 for a in (
+        "3,1", "5,1", "3,2", "2,1,plus", "2,1,minus", "2,2,plus",
+        "2,2,minus", "2,3,minus")},
+    **{f"extsq({p})": 3 for p in (3, 5, 7)},
+    "bo()": 5, "regular(extraspecial(3,1))": 3,
 }
 
 
