@@ -820,8 +820,8 @@ def binary_octahedral():
     Unlike GL_2(3) (the other order-48 extension of SL_2(3)) it has a
     single involution; each step of the search Q8 < SL_2(3) < 2.S4
     verifies that count, and proves the order 48 its handle records.
-    A candidate subgroup is walked on SL_2(7)'s right-translation columns,
-    as an index set of its one enumeration, from the identity.
+    A candidate <gens, t> is walked on SL_2(7)'s right-translation
+    columns, as an index set of its one enumeration, from <gens> t.
     Its bounds (48, 24, 8, 2, 1) are exact: -I is SL_2(7)'s one involution,
     so G/<-I> has order 24 in PSL_2(7), an S_4, its only such subgroups
     (Dickson; Huppert, Endliche Gruppen I, II.8.27).  G^(i) maps onto S_4,
@@ -835,12 +835,12 @@ def binary_octahedral():
 
     def extend(gens, k, order):
         """gens + [t], t the first of order k with <gens, t> of the given
-        order and a single involution."""
-        for t in ranked:
-            if orders[t] != k:
-                continue
-            sub = np.arange(len(rows)) == 0
-            _walk([column(i) for i in gens + [t]], sub)
+        order and a single involution, grown from <gens>'s walk."""
+        cols, base = [column(i) for i in gens], np.arange(len(rows)) == 0
+        _walk(cols, base)
+        for t in filter(lambda t: orders[t] == k, ranked):
+            sub = base.copy()
+            _walk(cols + [column(t)], sub, column(t)[base])
             if sub.sum() == order and np.count_nonzero(orders[sub] == 2) == 1:
                 return gens + [t]
         return None
@@ -892,8 +892,8 @@ def semidirect_series_orders(k_orders, k_stacks, p):
     last, one = len(k_orders) - 1, np.eye(6, dtype=np.int64)
 
     def cross(v, w):  # wedge_vec on the last axes, unreduced, broadcast
-        i, j = [1, 2, 0], [2, 0, 1]
-        return v[..., i] * w[..., j] - v[..., j] * w[..., i]
+        v, w = np.concatenate([v, v], -1), np.concatenate([w, w], -1)
+        return v[..., 1:4] * w[..., 2:5] - v[..., 2:5] * w[..., 1:4]
 
     def bracket(v, w):  # of the rows with v-parts v and w, broadcast
         w = cross(v, w)
@@ -904,7 +904,8 @@ def semidirect_series_orders(k_orders, k_stacks, p):
         i = len(orders)
         a = k_stacks[min(i - 1, last)]
         d = np.zeros((len(a), 6, 6), np.int64)
-        d[:, :3, :3], d[:, 3:, 3:] = a, cross(a[:, [1, 2, 0]], a[:, [2, 0, 1]])
+        twice = np.concatenate([a, a], 1)  # rows i + 1 and i + 2 as slices
+        d[:, :3, :3], d[:, 3:, 3:] = a, cross(twice[:, 1:4], twice[:, 2:5])
         gen = np.concatenate([bracket(basis[:, None, :3], basis[:, :3]),
                               (basis @ (d - one)).reshape(-1, 6)])
         basis = row_space(np.concatenate(

@@ -303,11 +303,12 @@ def _row_index(rows):
 def _translations(cols, images=None):
     """(parent, gen, column) of a breadth-first enumeration with right-
     translation columns cols (k x order): for i > 0, parent[i] * gen[i] = i
-    is i's first edge in (element, generator) order, from the layer before
-    i, and column(i)[x], the index of x * i, one gather per edge, cached;
-    or i's image, for images the index maps of the generators' images."""
-    first = np.unique(cols.T.ravel(), return_index=True)[1]
-    parent, gen = first // len(cols), first % len(cols)
+    is i's first edge in (element, generator) order (one scatter-min), from
+    the layer before i; column(i)[x] is the index of x * i, one gather per
+    edge, cached, or i's image, for images the generators' image maps."""
+    flat, first = cols.T.ravel(), np.full(cols.shape[1], cols.size)
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    parent, gen = divmod(first, max(len(cols), 1))  # k = 0: parent[0] = 0
     images = cols if images is None else images
     known = {0: np.arange(len(images.T))}
 
@@ -330,17 +331,18 @@ def _stretches(parent):
         done = stop
 
 
-def _walk(columns, seen):
+def _walk(columns, seen, layer=None):
     """Close the boolean row seen, in place, under x -> c[x] for each of
-    the columns, breadth-first from all of it; return its indices in the
-    order visited, each layer ascending."""
+    the columns, breadth-first from layer, all of seen by default (or, for
+    <H, t> with seen H, its coset H t), which joins seen; return the
+    indices visited, layer first, each later layer ascending."""
     columns = np.asarray(columns, np.intp).reshape(-1, len(seen))
-    layer = np.flatnonzero(seen)
-    found = [layer]
+    layer = seen.nonzero()[0] if layer is None else layer
+    seen[layer], found = True, [layer]
     while len(layer):
         new = np.zeros(len(seen), bool)
         new[columns[:, layer]] = True
-        layer = np.flatnonzero(new > seen)
+        layer = (new > seen).nonzero()[0]
         seen[layer] = True
         found.append(layer)
     return np.concatenate(found)
@@ -349,12 +351,13 @@ def _walk(columns, seen):
 def _index_closure(column, cols, pending, maps=()):
     """(row, gens): the normal closure of the indices pending, walked on
     index sets with right-translation columns cols: a seed t outside it
-    joins its gens and queues its conjugates and images under maps."""
+    joins its gens (walked from sub t) and queues its conjugates and
+    images under maps."""
     sub, walk, inv = column(0) == 0, [], cols.argmin(axis=1)
     for t in pending:
         if not sub[t]:
             walk.append(column(t))  # walk[j][0] = 1 * t = t
-            _walk(walk, sub)
+            _walk(walk, sub, walk[-1][sub])
             pending += cols[np.arange(len(cols)), walk[-1][inv]].tolist()
             pending += [a[t] for a in maps]
     return sub, [int(c[0]) for c in walk]

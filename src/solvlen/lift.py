@@ -111,8 +111,8 @@ def lift_generators(mats, model: Extraspecial2Model, cols):
         vec[part], z[part] = img[j, vec[i]], z[i] ^ step[j, vec[i]]
     # the relator of edge (i, j) -> h lifts to the identity iff its z-part
     # z_i + q_j(e_m u_i) + z_h vanishes at every e_m
-    eqs = np.unique(z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols],
-                    return_index=True)[0]  # no numpy.ma import
+    eqs = np.flatnonzero(np.bincount(
+        (z ^ step[np.arange(k)[:, None, None], vec] ^ z[cols]).ravel()))
     # solve over F_2 with the unknowns least significant first, lam_k bit
     # 0 up to lam_1 bit dim - 1, and the constant (z-bit 0) last
     bits = [1 + dim * (k - 1 - c // dim) + c % dim for c in range(dim * k)]
@@ -161,17 +161,31 @@ def f4_model_generators():
         FpMatrix.from_rows(frobenius, 2)]
 
 
+def _first_free(subs, ranked, start):
+    """(i, free): the first i >= start at which ranked[i] shares no row of
+    the boolean matrix subs (subgroups x elements) with some element, free
+    marking those, or None.  Equal signatures (columns, np.packbits-packed
+    for any number of rows) are classed by bincount, with no sort."""
+    sig, ids = np.packbits(subs, axis=0), np.zeros(subs.shape[1], np.intp)
+    for byte in sig:
+        ids = ids << 8 | byte
+        ids = np.cumsum(np.bincount(ids) > 0)[ids] - 1
+    rep = np.zeros(ids.max() + 1, np.intp)
+    rep[ids] = np.arange(len(ids))  # an element of each class
+    clash = (sig[:, rep, None] & sig[:, None, rep]).any(axis=0)
+    hit = start + (~clash.all(axis=1)[ids[ranked[start:]]]).nonzero()[0]
+    return (hit[0], ~clash[ids[ranked[hit[0]]]][ids]) if len(hit) else None
+
+
 def two_generator_reduction(handle, order):
     """First pair (by descending element order, then enumeration index)
     generating the whole group, and the winning walk: the group's
     right-translation columns by the pair, in the order walked.
 
-    A pair's subgroup is walked from the identity (row 0) on
-    right-multiplication columns, and each failed pair's proper
-    subgroup is kept as a boolean row over the elements.  For each i1,
-    only the i2 that no recorded subgroup shares with it are walked:
-    membership is a property of the set, so the pair returned is the
-    exhaustive search's.
+    Each pair's subgroup is walked from the identity (row 0) on the
+    right-translation columns; a failed pair's is kept as a boolean row
+    over the elements, and a pair that one kept subgroup holds is not
+    walked (_first_free): the pair returned is the exhaustive search's.
     """
     rows = handle.rows()
     if len(rows) != order:
@@ -179,15 +193,17 @@ def two_generator_reduction(handle, order):
     ranked = np.argsort(-permmod.element_orders(rows, handle.base()),
                         kind="stable")
     column = _translations(handle.columns())[2]
-    subs = np.zeros((0, order), bool)
-    for i1 in ranked.tolist():
-        free = ~subs[subs[:, i1]].any(axis=0)
+    subs, start = np.zeros((0, order), bool), 0
+    while hit := _first_free(subs, ranked, start):
+        start, free = hit  # the next call resumes at i1, then not free
+        i1 = ranked[start]
         while len(left := ranked[free[ranked]]):
             pair, sub = [column(i1), column(left[0])], np.arange(order) == 0
             found = _walk(pair, sub)
             if sub.all():
                 gens = handle.from_perms(rows[[i1, left[0]]])
-                pos = np.argsort(found).astype(np.int32)  # -> walk index
+                pos = np.empty(order, np.int32)  # -> walk index
+                pos[found] = np.arange(order)
                 return gens, pos[np.array(pair)[:, found]]
             free &= ~sub
             subs = np.vstack([subs, sub])

@@ -11,10 +11,12 @@ from solvlen import atlas, grp, perm
 from solvlen.atlas import (Extraspecial2Model, ExtraspecialOddModel,
                            ExtSqModel, matrix_handle, model_handle)
 from solvlen.errors import (BadParameter, CapExceeded, SearchExhausted,
-                            Singular)
+                            SearchFailed, Singular)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                            row_space, wedge_vec)
+from solvlen.grp import _translations, _walk
 from solvlen.lift import AutPair, _image_index, quadratic_correction
+from solvlen import perm as permmod  # as the pair oracle's body reads it
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,58 @@ def closure_oracle(read, identity, gens, cap):
     rows = np.frombuffer(b"".join(keys), identity.dtype).reshape(-1, n)
     del index, keys  # read() sees one copy of the rows
     return read(rows), np.array(cols, np.int32).reshape(len(rows), k).T.copy()
+
+
+# the former first-edge tree of grp._translations and pair loop of
+# lift.two_generator_reduction, their bodies unchanged: a sort over every
+# edge (np.unique) and one Python step per ranked i1, the oracles for the
+# scatter-min tree and the signature search (lift._first_free)
+
+
+def translations_oracle(cols, images=None):
+    """(parent, gen, column) of a breadth-first enumeration with right-
+    translation columns cols (k x order): for i > 0, parent[i] * gen[i] = i
+    is i's first edge in (element, generator) order, from the layer before
+    i, and column(i)[x], the index of x * i, one gather per edge, cached;
+    or i's image, for images the index maps of the generators' images."""
+    first = np.unique(cols.T.ravel(), return_index=True)[1]
+    parent, gen = first // len(cols), first % len(cols)
+    images = cols if images is None else images
+    known = {0: np.arange(len(images.T))}
+
+    def column(i):  # from the nearest cached ancestor down, no recursion
+        path = [int(i)]
+        while path[-1] not in known:
+            path.append(int(parent[path[-1]]))
+        for j in reversed(path[:-1]):
+            known[j] = images[gen[j]][known[parent[j]]]
+        return known[path[0]]
+    return parent, gen, column
+
+
+def pair_search_oracle(handle, order):
+    """The first generating pair and its winning walk, as
+    lift.two_generator_reduction returns them, on grp's _translations
+    and _walk."""
+    rows = handle.rows()
+    if len(rows) != order:
+        raise SearchFailed(f"group has order {len(rows)}, wanted {order}")
+    ranked = np.argsort(-permmod.element_orders(rows, handle.base()),
+                        kind="stable")
+    column = _translations(handle.columns())[2]
+    subs = np.zeros((0, order), bool)
+    for i1 in ranked.tolist():
+        free = ~subs[subs[:, i1]].any(axis=0)
+        while len(left := ranked[free[ranked]]):
+            pair, sub = [column(i1), column(left[0])], np.arange(order) == 0
+            found = _walk(pair, sub)
+            if sub.all():
+                gens = handle.from_perms(rows[[i1, left[0]]])
+                pos = np.argsort(found).astype(np.int32)  # -> walk index
+                return gens, pos[np.array(pair)[:, found]]
+            free &= ~sub
+            subs = np.vstack([subs, sub])
+    raise SearchFailed("no 2-element generating set found")
 
 
 # the former one-permutation helpers of perm, their bodies unchanged: the

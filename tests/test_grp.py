@@ -11,7 +11,8 @@ from helpers import (EVAL_MIX, as_handle, chain_subgroup, closure_oracle,
                      conj, contains, corpus_perm_groups,
                      element_order_by_products, inv, is_cyclic,
                      is_normal_by_elements, law, mul,
-                     minimal_normal_subgroups_by_elements, perm_order_of)
+                     minimal_normal_subgroups_by_elements, perm_order_of,
+                     translations_oracle)
 from solvlen import atlas, grp, perm
 from solvlen.cli import evaluate
 from solvlen.dsl import parse_spec
@@ -529,6 +530,41 @@ def _matches_the_oracle(identity, gens):
         grp._closure(lambda r: r, identity, gens, order - 1)
     assert np.array_equal(grp._closure(lambda r: r, identity, gens, order)[1],
                           cols)
+
+
+def test_translations_match_the_oracle(monkeypatch):
+    # the scatter-min first edges of i > 0 are the sort's: on the columns
+    # of every enumerable eval-mix handle and of Kbar mod 7 and 13 (prop8,
+    # qutrit)
+    kbar, translations = [], grp._translations
+    monkeypatch.setattr(atlas, "_translations", lambda cols, *rest: (
+        kbar.append(cols) or translations(cols, *rest)))
+    atlas._qutrit(7), atlas._qutrit(13)
+    monkeypatch.undo()
+    assert len(kbar) == 2
+    handles = [h for h in map(evaluate, map(parse_spec, EVAL_MIX))
+               if h.order() <= min(grp.ENUMERABLE_LIMIT, h.enum_cap())]
+    assert len(handles) == len(EVAL_MIX) - 3  # not extsq(7), two wreaths
+    for cols in kbar + [h.columns() for h in handles]:
+        for got, want in zip(grp._translations(cols)[:2],
+                             translations_oracle(cols)[:2]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got[1:], want[1:])
+
+
+def test_walk_from_a_coset_closes_the_join():
+    # seen = <a> and layer = <a> t close to <a, t>, as a walk of both
+    # columns from the identity does, also for t in <a>
+    cols = atlas.gl(2, 3).columns()
+    column = grp._translations(cols)[2]
+    rng = np.random.default_rng(45)
+    for a, t in rng.integers(cols.shape[1], size=(40, 2)).tolist():
+        base = np.arange(cols.shape[1]) == 0
+        grp._walk([column(a)], base)
+        grown, want = base.copy(), np.arange(cols.shape[1]) == 0
+        grp._walk([column(a), column(t)], grown, column(t)[base])
+        grp._walk([column(a), column(t)], want)
+        assert np.array_equal(grown, want)
 
 
 def test_closure_matches_the_oracle(monkeypatch):

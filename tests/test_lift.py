@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (bform, chain_fingerprint, form_value, law,
                      lift_by_closure, lift_cols, mat_apply, mat_mul, mul,
-                     offset_perms, pair_map, perm_order_of, squaring)
+                     offset_perms, pair_map, pair_search_oracle,
+                     perm_order_of, squaring, translations_oracle)
 from solvlen import atlas, grp
 from solvlen import perm as permmod
 from solvlen.atlas import Extraspecial2Model, holomorph_perm, model_handle
@@ -19,7 +21,7 @@ from solvlen.errors import (BadParameter, GroupError, NotAutomorphism,
                             NotOrthogonal, SearchExhausted, SearchFailed)
 from solvlen.fpmat import (FpMatrix, QuadraticFormF2, all_f2_vectors,
                            nullspace)
-from solvlen.lift import (AutPair, f4_model_generators,
+from solvlen.lift import (AutPair, _first_free, f4_model_generators,
                           invariant_quadratic_form, lift_generators,
                           quadratic_correction, two_generator_reduction)
 
@@ -394,6 +396,74 @@ def test_two_generator_reduction_pins_the_d8_pair():
     assert (g1, g2) == (elems[8], elems[72])
     assert (perm_order_of(qbar.to_perm(g1)),
             perm_order_of(qbar.to_perm(g2))) == (9, 8)
+
+
+PAIR_BUILDS = {"qbar": lambda: atlas.matrix_handle(F4_GENS, "qbar"),
+               "sym(4)": lambda: atlas.sym(4),
+               "gl(2,3)": lambda: atlas.gl(2, 3),
+               "sym(5)": lambda: atlas.sym(5),
+               "wr(c2,s4)": lambda: atlas.wreath(atlas.cyclic(2),
+                                                 atlas.sym(4))}
+
+
+@pytest.mark.parametrize("label", sorted(PAIR_BUILDS))
+def test_pair_search_and_walk_tree_match_the_oracles(label):
+    # the signature search returns the per-i1 loop's pair and the same
+    # walk columns, byte for byte, and the scatter-min tree of that walk
+    # is the sort's
+    h = PAIR_BUILDS[label]()
+    gens, walk = two_generator_reduction(h, h.order())
+    want_gens, want_walk = pair_search_oracle(h, h.order())
+    assert gens == want_gens
+    assert walk.dtype == want_walk.dtype
+    assert walk.tobytes() == want_walk.tobytes()
+    for got, want in zip(grp._translations(walk)[:2],
+                         translations_oracle(walk)[:2]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def first_free_by_loop(subs, ranked, start):
+    """_first_free one ranked element at a time, as the former pair loop
+    computed each free set."""
+    for i in range(start, len(ranked)):
+        free = ~subs[subs[:, ranked[i]]].any(axis=0)
+        if free.any():
+            return i, free
+    return None
+
+
+def assert_first_free(subs, ranked, start):
+    got = _first_free(subs, np.array(ranked), start)
+    want = first_free_by_loop(subs, ranked, start)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_free_matches_the_loop(data):
+    # random boolean subgroup rows, up to 100 of them, each holding at
+    # most a third of the elements (plus one) so that free partners occur
+    n, m = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 100))
+    rows = data.draw(st.lists(st.frozensets(st.integers(0, n - 1),
+                                            max_size=n // 3 + 1),
+                              min_size=m, max_size=m))
+    subs = np.zeros((m, n), bool)
+    for r, row in enumerate(rows):
+        subs[r, list(row)] = True
+    ranked = data.draw(st.permutations(range(n)))
+    assert_first_free(subs, ranked, data.draw(st.integers(0, n)))
+
+
+def test_first_free_reads_every_recorded_row():
+    # elements 1 and 2 share no row, but 0 and 2 share only row 99: a
+    # signature cut at 64 (or any) rows would give element 0 a partner
+    subs = np.zeros((100, 3), bool)
+    subs[:99, [0, 1]] = True
+    subs[99, [0, 2]] = True
+    assert _first_free(subs, np.arange(3), 0)[0] == 1
+    assert_first_free(subs, [0, 1, 2], 0)
 
 
 def test_f4_restriction_of_scalars():
