@@ -10,7 +10,9 @@ once (``GroupHandle.perm_generators``).  A subgroup is its chain on that
 image, read back into the handle's elements only when a caller asks.
 A chain stops once its order reaches a proven bound, where it is
 complete: the builder's (``order_bounds``) or, for a derived term, the
-order of the term above it; a chain that passes its bound refutes it.  A
+order of the term above it; a chain that passes its bound refutes it.
+The derived series certifies |G| by G^(1)'s chain grown by G's
+generators (``_chain_series``); G's own chain is built only when read.  A
 handle with certified derived-series orders (``split_orders``) answers its
 order and series from them: R(P)<A> (``gsp``, ``d8()``) builds chains only
 when read, and a split handle (``prop8`` = P |x K) has no permutation
@@ -141,7 +143,9 @@ class GroupHandle:
         return self.perm_generators().shape[1]
 
     def bsgs(self):
-        """G's chain, stopped at order_bounds[0] if the handle has one."""
+        """G's own chain, stopped at order_bounds[0] if the handle has one,
+        built when first read: the derived series certifies |G| without
+        it (_chain_series)."""
         if self._bsgs is None:
             self._bsgs = _within_bound(self, 0, permmod.schreier_sims(
                 self.perm_generators(), next(iter(self.order_bounds), None)))
@@ -198,8 +202,9 @@ class GroupHandle:
 class SubgroupHandle:
     """A subgroup of a parent handle: its order and its BSGS chain on the
     parent's permutation image (derived term `term`'s from the parent's
-    chain series, on first read).  A term of a split extension has no
-    chain: it answers only its order, and other questions CapExceeded."""
+    chain series, on first read; term 0's is the parent's own chain).  A
+    term of a split extension has no chain: it answers only its order, and
+    other questions CapExceeded."""
 
     parent: GroupHandle
     order: int
@@ -210,7 +215,9 @@ class SubgroupHandle:
     @property
     def _bsgs(self):
         if self.chain is None:
-            self.chain = _chain_series(self.parent)[self.term]
+            series = _chain_series(self.parent)
+            self.chain = self.parent.bsgs() if self.term == 0 \
+                else series[self.term]
         return self.chain
 
     @property
@@ -386,7 +393,9 @@ def derived_orders(cols, auts=(), k_cols=None, k_series=([1], [[]])):
     while orders[-1] > 1:
         col = np.array([column(a) for a in gens[-1]])
         inv = col.argmin(axis=1)  # the x with x * a = 1
-        x = np.array([column(i) for i in inv])[:, inv]  # [b, a]: a^-1 b^-1
+        x = np.empty_like(col)  # x * a^-1 at (a, x): col's rows inverted
+        x[np.arange(len(col))[:, None], col] = np.arange(col.shape[1])
+        x = x[:, inv]  # [b, a]: a^-1 b^-1
         y = np.take_along_axis(col, x.T, axis=1)  # [a, b]: a^-1 b^-1 a
         pending = np.take_along_axis(col, y.T, axis=1).T.ravel().tolist() + [
             column(image(k)[m])[i] for m, i in zip(gens[-1], inv)
@@ -412,7 +421,8 @@ def normal_closure(handle: GroupHandle, seed) -> SubgroupHandle:
 def derived_series(handle: GroupHandle) -> SeriesReport:
     """The terms of the handle's chain series (_chain_series), or its
     split_orders as they are (engine "split"); the chains, cached on the
-    handle, are built only when read (SubgroupHandle._bsgs)."""
+    handle, are built only when read (SubgroupHandle._bsgs), term 0's
+    being G's own (GroupHandle.bsgs)."""
     orders = tuple(handle.split_orders or map(
         permmod.BSGS.order, _chain_series(handle)))
     solvable = orders[-1] == 1
@@ -428,28 +438,35 @@ def derived_series(handle: GroupHandle) -> SeriesReport:
 
 def _chain_series(handle: GroupHandle):
     """The chains of G's derived terms, cached on the handle (not on a copy
-    made by replace): G^(0) is the handle's own, and G^(i+1) the normal
-    closure in G of the commutators of G^(i)'s generators (G's for G^(0),
-    the strong generators of G^(i)'s chain after).  The series stops before
-    the first term whose order does not fall, or after order 1.  A chain
-    stops at the least proven bound on its term's order, the handle's
-    (order_bounds) or |G^(i)| for G^(i+1) <= G^(i), or verifies in full;
-    the orders must be the split_orders, if any."""
+    made by replace).  G^(1) comes first: the normal closure in G of the
+    commutators of G's generators, and G^(i+1) that of the commutators of
+    the strong generators of G^(i)'s chain.  The series stops before the
+    first term whose order does not fall, or after order 1.  A chain stops
+    at the least proven bound on its term's order, the handle's
+    (order_bounds; |G| bounds G^(1) too) or |G^(i)| for G^(i+1) <= G^(i),
+    or verifies in full; the orders must be the split_orders, if any.
+
+    |G| is certified by G^(1)'s chain grown by G's generators
+    (schreier_sims from start), to order_bounds[0] or in full: a chain of
+    G that reaches a proven bound.  It stands as G^(0) here; G's own
+    chain (GroupHandle.bsgs) is built only when term 0's is read."""
     if handle._chains is None:
         group, bounds = handle.perm_generators(), handle.order_bounds
-        gens, invs = group, np.argsort(group, axis=1)
-        chains = [handle.bsgs()]
-        while chains[-1].order() > 1:
-            term = len(chains)
-            b = _within_bound(handle, term, permmod.normal_closure_perm(
-                group, permmod.commutators(gens, invs),
-                min((*bounds[term:term + 1], chains[-1].order()))))
-            if b.order() == chains[-1].order():
-                break
+
+        def closure(term, gens, invs, bound):
+            return _within_bound(handle, term, permmod.normal_closure_perm(
+                group, permmod.commutators(gens, invs), bound))
+        b = closure(1, group, np.argsort(group, axis=1),
+                    min(bounds[:2], default=None))
+        chains = [_within_bound(handle, 0, permmod.schreier_sims(
+            group, next(iter(bounds), None), start=b))]
+        while b.order() < chains[-1].order():
             chains.append(b)
             if b.levels:  # else the order is 1 and the series ends
-                gens, invs = map(np.array, (b.levels[0].gens,
-                                            b.levels[0].invs))
+                term = len(chains)
+                b = closure(term, *map(np.array, (b.levels[0].gens,
+                                                  b.levels[0].invs)),
+                            min((*bounds[term:term + 1], b.order())))
         if handle.split_orders not in (None, tuple(b.order() for b in chains)):
             raise GroupError(f"{handle.name}: chain orders differ")
         handle._chains = chains
@@ -587,20 +604,20 @@ def _cyclic_section(gens, upper, lower):
 
 
 def _fixed_point_free(gens, upper, mid, low):
-    """Whether upper acts on M = mid/low without nontrivial fixed points,
-    for chains low < mid < upper of subgroups normal in <gens>, with M
-    abelian and upper/mid of prime order.
+    """Whether U = <upper> acts on M = mid/low without nontrivial fixed
+    points, for chains low < mid of subgroups normal in <gens> and a stack
+    upper of generators of U, normal in <gens>, with mid < U, M abelian
+    and U/mid of prime order.
 
-    mid acts trivially on M, so upper acts through any g in upper outside
-    mid, and x -> x^g x^-1 is an endomorphism of M whose kernel is the
-    fixed points.  Its image [M, g] = [M, upper] is normal in the group,
-    with preimage <low, x^g x^-1 : x a strong generator of mid> of order
-    at most |mid|; the action is fixed-point-free iff it is |mid|.  The
-    closure grows from low's chain, normal in <gens>, so only the
-    x^g x^-1 are seeded.
+    mid acts trivially on M, so U acts through any g in U outside mid,
+    here the first row of upper that mid does not hold, and x -> x^g x^-1
+    is an endomorphism of M whose kernel is the fixed points.  Its image
+    [M, g] = [M, U] is normal in the group, with preimage
+    <low, x^g x^-1 : x a strong generator of mid> of order at most |mid|;
+    the action is fixed-point-free iff it is |mid|.  The closure grows
+    from low's chain, normal in <gens>, so only the x^g x^-1 are seeded.
     """
-    strong = np.array(upper.strong_generators())
-    g = strong[mid.strip(strong)[0]]
+    g = upper[mid.strip(upper)[0]]
     x, xi = np.array(mid.levels[0].gens), np.array(mid.levels[0].invs)
     seed = np.take_along_axis(xi, g[x[:, np.argsort(g)]], axis=1)  # [x, g]
     return permmod.normal_closure_perm(
@@ -632,7 +649,9 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     Each closure grows from a copy of the chain of the term below its
     section, normal in G, so that term's strong generators and checked
     Schreier generators are not sifted again; the term's own chain is
-    left as it was.
+    left as it was.  A chain is read only when a check needs it, and `d`
+    takes the upper term's generators, G's for G^(0), so no check builds
+    G's own chain.
     Nothing is enumerated; ENUMERABLE_LIMIT in front of these two checks
     only bounds their time, and past it they report "skipped" and the
     handle's generators are not read (a split handle has none).
@@ -648,7 +667,7 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
     n, d, orders = report.n, report.d, report.orders
     enumerable = orders[0] <= ENUMERABLE_LIMIT
     gens = handle.perm_generators() if enumerable else None
-    chains = [sub._bsgs for sub in report.subgroups] if enumerable else None
+    subs = report.subgroups  # each chain is read when a check needs it
 
     # consecutive abelian quotients: c-weak by order arithmetic
     bad = [i for i in range(2, d) if n[i - 1] == 1 and n[i] == 1]
@@ -666,7 +685,8 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
                                     "group exceeds the enumeration limit"))
         else:
             cyclic = functools.cache(
-                lambda j: _cyclic_section(gens, chains[j - 1], chains[j]))
+                lambda j: _cyclic_section(gens, subs[j - 1]._bsgs,
+                                          subs[j]._bsgs))
             fails = [i for i in range(2, d) if cyclic(i) and cyclic(i + 1)]
             findings.append(Finding(
                 "c-full", "fail" if fails else "pass",
@@ -708,7 +728,9 @@ def check_lemmas(handle: GroupHandle, report: SeriesReport, assert_cs=False):
             fails.append((i, f"gcd({q}, {below}) > 1"))
         elif not enumerable:
             skips.append(i)
-        elif _fixed_point_free(gens, *chains[i - 1:i + 2]):
+        elif _fixed_point_free(gens, gens if i == 1 else np.array(
+                subs[i - 1]._bsgs.strong_generators()), subs[i]._bsgs,
+                subs[i + 1]._bsgs):
             applicable.append(i)
         else:
             fails.append((i, "conjugation fixes a nontrivial coset"))

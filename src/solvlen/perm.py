@@ -342,14 +342,23 @@ def _complete(b: BSGS, upper_bound=None):
         pass
 
 
-def schreier_sims(gens, upper_bound=None):
+def schreier_sims(gens, upper_bound=None, start=None):
     """Deterministic Schreier-Sims.  Base points are the smallest moved
     points encountered; generator and orbit processing order is fixed, so
     two runs on the same input produce identical chains.  Construction
     stops when the orbit product reaches ``upper_bound``, which must be a
-    proven upper bound on the group's order (see normal_closure_perm)."""
-    h = as_perm_stack(gens, len(gens[0]) if len(gens) else 0)
+    proven upper bound on the group's order (see normal_closure_perm).
+
+    ``start`` is the chain of a subgroup of <gens>, and the chain of
+    <start, gens> grows from a copy of it (_Level.copy): its strong
+    generators and checked Schreier generators are kept, as in
+    normal_closure_perm, and only gens are sifted in (Seress, ch. 4)."""
+    degree = start.degree if start is not None else \
+        len(gens[0]) if len(gens) else 0
+    h = as_perm_stack(gens, degree)
     b = BSGS(h.shape[1])
+    if start is not None:
+        b.levels = [lv.copy() for lv in start.levels]
     _sift_insert(b, h)
     _complete(b, upper_bound)
     return b

@@ -19,6 +19,7 @@ from solvlen.cli import (REPORT_KEYS, REPORT_SCHEMA, WITNESSES, _builder_table,
                          build_report, evaluate, run_command)
 from solvlen.dsl import parse_spec
 from solvlen.errors import BadArity, UnknownBuilder
+from solvlen.grp import GroupHandle
 
 
 def run(capsys, *argv):
@@ -213,6 +214,26 @@ def test_verify_table_builds_no_chain_past_row_5(capsys, monkeypatch):
     assert specs[-1] not in built
     assert series.subgroups[5]._bsgs.order() == 3
     assert built.count(specs[-1]) == len(series.subgroups)
+
+
+def test_verdicts_build_no_chain_of_g_itself(monkeypatch):
+    # |G| is certified by G^(1)'s chain grown by G's generators, and the
+    # lemma checks take G's generators for G^(0): no eval-mix verdict and
+    # no verify-table row up to 5 builds G's own chain, which is built
+    # when term 0's chain is read
+    read, bsgs = [], GroupHandle.bsgs
+
+    def recording(self):
+        read.append(self.name)
+        return bsgs(self)
+    monkeypatch.setattr(GroupHandle, "bsgs", recording)
+    series = [build_report(spec)[1] for spec in EVAL_MIX] + [
+        build_report(WITNESSES[d], run_checks=False)[1] for d in range(6)]
+    assert read == []
+    for s in series:
+        top = s.subgroups[0]
+        assert top._bsgs is top.parent.bsgs()
+        assert top._bsgs.order() == s.orders[0]
 
 
 def test_verify_table_deterministic(capsys):

@@ -1,5 +1,6 @@
 """Structural lemma checks across the corpus."""
 
+import numpy as np
 import pytest
 
 from helpers import (EVAL_MIX, SPLIT_ORACLE, as_handle, chain_corpus, conj,
@@ -155,8 +156,10 @@ def test_section_checks_match_coset_tables(label, handle):
             == is_cyclic(quotient_on_cosets(top, subs[j])), j
     for i in range(1, len(subs) - 1):
         if grp._is_prime(subs[i - 1].order // subs[i].order):
-            chains = [s._bsgs for s in subs[i - 1:i + 2]]
-            assert grp._fixed_point_free(gens, *chains) == \
+            upper = gens if i == 1 else \
+                np.array(subs[i - 1]._bsgs.strong_generators())
+            assert grp._fixed_point_free(gens, upper, subs[i]._bsgs,
+                                         subs[i + 1]._bsgs) == \
                 fixed_point_free_by_enumeration(handle, *subs[i - 1:i + 2]), i
 
 
@@ -172,7 +175,7 @@ def test_fixed_point_free_sees_fixed_points():
     assert mid.order == 9
     gens = h.perm_generators()
     trivial = perm.normal_closure_perm(gens, [])
-    assert not grp._fixed_point_free(gens, top._bsgs, mid._bsgs, trivial)
+    assert not grp._fixed_point_free(gens, gens, mid._bsgs, trivial)
     assert not fixed_point_free_by_enumeration(h, top, mid, low)
 
 
@@ -217,4 +220,24 @@ def test_grown_closures_give_the_scratch_findings(label, monkeypatch):
     assert [chain_state(b) for b in chains] == before
     assert all(grown)
     monkeypatch.setattr(perm, "normal_closure_perm", scratch)
+    assert as_rows(check_lemmas(handle, rep)) == findings
+
+
+@pytest.mark.parametrize("label", sorted(LEMMA_CORPUS))
+def test_upper_generators_give_the_strong_generator_findings(label,
+                                                             monkeypatch):
+    # _fixed_point_free takes g from a generating stack of the upper term,
+    # G's generators for G^(0); any g in it outside mid decides the
+    # section, so g from the strong generators of the upper term's chain
+    # gives the same findings, details included
+    handle = LEMMA_CORPUS[label]()
+    rep = derived_series(handle)
+    findings = as_rows(check_lemmas(handle, rep))
+    fixed_point_free = grp._fixed_point_free
+
+    def strong(gens, upper, mid, low):
+        i = next(i for i, s in enumerate(rep.subgroups) if s.chain is mid)
+        return fixed_point_free(gens, np.array(
+            rep.subgroups[i - 1]._bsgs.strong_generators()), mid, low)
+    monkeypatch.setattr(grp, "_fixed_point_free", strong)
     assert as_rows(check_lemmas(handle, rep)) == findings

@@ -849,6 +849,34 @@ def test_a_bound_below_its_term_is_refused(bounds, term, order):
         derived_series(handle)
 
 
+@pytest.mark.parametrize("spec", sorted(
+    set(BOUNDED_SPECS) | {label for label, _ in chain_corpus()}))
+def test_the_certificate_is_a_chain_of_g_of_its_order(spec):
+    # |G| is certified by G^(1)'s chain grown by G's generators, stopped
+    # at order_bounds[0] or verified in full with no bounds: a chain of G,
+    # holding G's generators and its own chain's strong generators, of
+    # its own chain's order
+    built = dict(chain_corpus()).get(spec) or evaluate(parse_spec(spec))
+    for handle in (built, replace(built, order_bounds=(), _bsgs=None)):
+        cert, own = grp._chain_series(handle)[0], handle.bsgs()
+        assert cert.order() == own.order() == derived_series(handle).orders[0]
+        assert cert.contains(handle.perm_generators())
+        assert cert.contains(own.strong_generators())
+        assert own.contains(cert.strong_generators())
+
+
+@pytest.mark.parametrize("handle, orders", [
+    (replace(atlas.sym(4), order_bounds=(48,)), (24, 12, 4, 1)),  # loose
+    (replace(atlas.sym(4), order_bounds=()), (24, 12, 4, 1)),
+    (atlas.cyclic(12), (12, 1)),  # abelian: G^(1) = 1
+    (atlas.sl(2, 5), (120,)),  # perfect: G^(1) = G ends the series
+    (replace(atlas.sl(2, 5), order_bounds=()), (120,))])
+def test_loose_and_missing_bounds_certify_the_order(handle, orders):
+    chains = grp._chain_series(handle)
+    assert tuple(b.order() for b in chains) == orders
+    assert chains[0].order() == handle.bsgs().order()
+
+
 def test_a_matrix_handle_given_no_bound_records_none():
     # every recorded bound is an int; with none, the chain verifies in full
     handle = atlas.matrix_handle([FpMatrix.from_rows([[1, 1], [0, 1]], 3)])
